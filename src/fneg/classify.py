@@ -124,9 +124,7 @@ def _tri_witnesses(rho: FockOperator, tol: float) -> dict[str, float]:
 
 def _pure3_label(zero_a: bool, zero_b: bool, zero_c: bool, zero_j: bool) -> str:
     zeros = sum((zero_a, zero_b, zero_c))
-    if zeros == 3:
-        return "A-B-C"
-    if zeros == 2:
+    if zeros >= 2:
         # Two vanishing one-vs-rest cuts force the third; escalate.
         return "A-B-C"
     if zeros == 1:
@@ -187,9 +185,7 @@ def mixed3_classify(
     values = [wit["negativity_A"], wit["negativity_B"], wit["negativity_C"]]
     zero = [v <= threshold for v in values]
     count = sum(zero)
-    if count == 3:
-        label = "fully_separable"
-    elif count == 2:
+    if count >= 2:
         label = "fully_separable"
     elif count == 1:
         party = "ABC"[zero.index(True)]

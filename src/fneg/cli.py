@@ -313,23 +313,37 @@ def sweep(ctx, family, p_min, p_max, steps, measure_list, flavor, normalized):
 
 def _complex_list(entries, what: str) -> np.ndarray:
     out = []
-    for item in entries:
-        if isinstance(item, (int, float)):
-            out.append(complex(item))
-        elif isinstance(item, (list, tuple)) and len(item) == 2:
-            out.append(complex(item[0], item[1]))
-        else:
-            raise StateValidationError(f"{what} entries must be numbers or [re, im] pairs")
-    return np.array(out, dtype=complex)
+    try:
+        for item in entries:
+            if isinstance(item, (int, float)):
+                out.append(complex(item))
+            elif isinstance(item, (list, tuple)) and len(item) == 2:
+                out.append(complex(item[0], item[1]))
+            else:
+                raise TypeError(item)
+    except (TypeError, OverflowError):
+        raise StateValidationError(f"{what} entries must be numbers or [re, im] pairs") from None
+    values = np.array(out, dtype=complex)
+    if not np.isfinite(values).all():
+        raise StateValidationError(f"{what} entries must be finite, got NaN or infinity")
+    return values
+
+
+def _num_modes(value) -> int:
+    try:
+        n = int(value)
+    except (TypeError, ValueError, OverflowError):
+        n = 0
+    if n < 1:
+        raise StateValidationError(f"num_modes must be a positive integer, got {value!r}")
+    return n
 
 
 def _state_from_payload(payload: dict) -> FockOperator:
     if not isinstance(payload, dict):
         raise StateValidationError("state file must contain a JSON object")
     if "matrix" in payload:
-        n = int(payload.get("num_modes", 0))
-        if n < 1:
-            raise StateValidationError("matrix input requires num_modes")
+        n = _num_modes(payload.get("num_modes"))
         flat = _complex_list(payload["matrix"], "matrix")
         dim = 1 << n
         if flat.size != dim * dim:
@@ -339,7 +353,7 @@ def _state_from_payload(payload: dict) -> FockOperator:
         mat = flat.reshape(dim, dim)
     elif "pure" in payload:
         amps = _complex_list(payload["pure"], "pure")
-        n = int(payload.get("num_modes", max(amps.size.bit_length() - 1, 0)))
+        n = _num_modes(payload.get("num_modes", max(amps.size.bit_length() - 1, 0)))
         if amps.size != 1 << n:
             raise StateValidationError(
                 f"pure amplitude array must have 2**num_modes entries, got {amps.size}"

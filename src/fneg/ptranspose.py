@@ -1,15 +1,16 @@
 """Fermionic and bosonic partial transposes, partial trace, parity projection.
 
-Two independent implementations of the fermionic partial transpose are
-provided.  :func:`fermionic_pt` works in the occupation basis: each matrix
-element acquires a phase depending on the subsystem occupation counts on the
-ket and bra sides, the subsystem occupations are exchanged, and the result is
-conjugated by the partial particle-hole unitary ``U_A = prod_{j in A} c_{2j-1}``.
-:func:`fermionic_pt_majorana` expands the operator in Majorana monomials and
-multiplies every coefficient by ``i**k1`` with ``k1`` the number of Majorana
-factors on the transposed subsystem.  Both produce the same canonical operator
-(the Majorana-rule result) and agree elementwise to machine precision; the pair
-is kept as a mutual cross-check.
+Every transpose here is one signed permutation of matrix entries, computed by
+:func:`_signed_gather`: the matrix is viewed as a ``(2,)*2N`` tensor and the
+ket and bra axes of each target mode are exchanged.  The bosonic flavor stops
+there.  The fermionic flavor also flips the target occupations (the particle-hole
+map ``x -> x ^ a`` of ``U_A = prod_{j in A} c_{2j-1}``) and multiplies the
+entries by Jordan-Wigner signs and a target-parity phase.  Its result is the
+canonical (Majorana-rule) operator: :func:`fermionic_pt_majorana` expands the
+operator in Majorana monomials and multiplies every coefficient by ``i**k1``
+with ``k1`` the number of Majorana factors on the transposed subsystem.  The
+two agree elementwise to machine precision; the expansion is kept as the
+independent oracle for small systems.
 
 The transpose is an involution only up to parity conjugation,
 ``(X^{T_A})^{T_A} = (-1)^{F_A} X (-1)^{F_A}``, successive transposes over both
@@ -19,7 +20,6 @@ parity-even (physical) operators.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -31,7 +31,7 @@ from .fock import (
     FockOperator,
     ModeLayout,
     SubsystemSpec,
-    _inverse_order,
+    _permutation_arrays,
     _permute_matrix,
     _popcount_array,
     as_spec,
@@ -39,80 +39,78 @@ from .fock import (
     majorana_op,
 )
 
-#: Branch of the half-integer phase exponent in the occupation-basis rule.
-#: The phase multiplying an element whose subsystem-A occupation changes parity
-#: is ``_PT_PHASE_BRANCH * (-1)**((tauA+tauA')*(tauB+tauB'))``.  The value -1j
-#: is fixed by demanding exact elementwise agreement with the Majorana-monomial
-#: rule under this package's operator conventions; the tests enforce it.
-_PT_PHASE_BRANCH = -1j
-
 #: Majorana-expansion path is cached per mode count; dense monomial stacks grow
 #: as 8**N so the oracle is restricted to small systems.
 _MAX_MAJORANA_MODES = 5
 
 
-@dataclass(frozen=True)
-class PhaseRule:
-    """Occupation counts entering the occupation-basis transpose phase.
+#: The fermionic output factor ``(sigma*s)[r] (sigma*s)[c] * i**(P[r] xor P[c])``
+#: of :func:`_signed_gather` depends on an index only through its class
+#: ``2*[(sigma*s) < 0] + P``; this table holds it for each pair of classes.
+_SIGN_PHASE = np.array(
+    [[(-1) ** ((k >> 1) + (l >> 1)) * 1j ** ((k ^ l) & 1) for l in range(4)] for k in range(4)]
+)
 
-    ``tau_a``/``tau_b`` count occupied target/remainder modes on the ket side
-    and the barred fields on the bra side.  For parity-even operators the four
-    counts sum to an even number.  ``factor`` is the scalar multiplying the
-    matrix element before the subsystem occupations are exchanged and the
-    particle-hole conjugation is applied.
+
+@lru_cache(maxsize=256)
+def _gather_plan(num_modes: int, targets: tuple[int, ...], fermionic: bool):
+    """Axis order, axis reversals, input signs and output classes of :func:`_signed_gather`.
+
+    Only tuples and length-``2**N`` vectors are cached, never a d x d array.
+    Signs that are all +1 (leading targets) and the bosonic flavor's signs and
+    classes are ``None``.
     """
-
-    tau_a: int
-    tau_bar_a: int
-    tau_b: int
-    tau_bar_b: int
-
-    @property
-    def factor(self) -> complex:
-        s = (self.tau_a + self.tau_bar_a) % 2
-        cross = (self.tau_a + self.tau_bar_a) * (self.tau_b + self.tau_bar_b)
-        return (_PT_PHASE_BRANCH**s) * ((-1.0) ** cross)
-
-
-@lru_cache(maxsize=64)
-def _pt_phase_tables(num_modes: int, m_a: int):
-    """Static index/phase tables for the occupation-rule transpose."""
-    dim = 1 << num_modes
-    mask_a = (1 << m_a) - 1
-    idx = np.arange(dim)
-    a_part = idx & mask_a
-    rest = idx & ~mask_a
-    tau_a = _popcount_array(a_part)
-    tau_b = _popcount_array(rest)
-    sum_a = tau_a[:, None] + tau_a[None, :]
-    sum_b = tau_b[:, None] + tau_b[None, :]
-    phase = (_PT_PHASE_BRANCH ** (sum_a % 2)) * ((-1.0) ** (sum_a * sum_b))
-    rows = rest[:, None] + a_part[None, :]
-    cols = a_part[:, None] + rest[None, :]
-    phase.setflags(write=False)
-    rows.setflags(write=False)
-    cols.setflags(write=False)
-    return phase, rows, cols
+    n = num_modes
+    axes = list(range(2 * n))
+    index = [slice(None)] * (2 * n)
+    for j in targets:
+        ket = n - j  # C order: the first axis is mode N, the most significant bit
+        axes[ket], axes[n + ket] = n + ket, ket
+        if fermionic:
+            index[ket] = index[n + ket] = slice(None, None, -1)
+    if not fermionic:
+        return tuple(axes), tuple(index), None, None
+    spec = SubsystemSpec(targets)
+    sigma = _permutation_arrays(n, leading_order_for(spec, n))[1]
+    # U_A = c_1 c_3 .. c_{2m-1} in the leading order: the p-th of the m sorted
+    # targets is flipped after the m - p above it, so its Jordan-Wigner string
+    # counts it m - p times.
+    s_mask = sum(1 << (j - 1) for p, j in enumerate(targets, 1) if (len(targets) - p) % 2)
+    idx = np.arange(1 << n)
+    negative = (sigma < 0) ^ (_popcount_array(idx & s_mask) % 2 == 1)
+    classes = 2 * negative + _popcount_array(idx & spec.mask()) % 2
+    classes.setflags(write=False)
+    return tuple(axes), tuple(index), None if (sigma > 0).all() else sigma, classes
 
 
-@lru_cache(maxsize=32)
-def _ua_matrix(num_modes: int, m_a: int) -> np.ndarray:
-    """Partial particle-hole unitary ``U_A = c_1 c_3 .. c_{2 m_A - 1}``."""
-    scratch = ModeLayout(num_modes, ("A",) * m_a + ("B",) * (num_modes - m_a))
-    mat = np.eye(scratch.dim, dtype=complex)
-    for j in range(1, m_a + 1):
-        mat = mat @ majorana_op(scratch, 2 * j - 1).matrix
-    mat.setflags(write=False)
-    return mat
+def _signed_gather(
+    matrix: np.ndarray, num_modes: int, spec: SubsystemSpec, fermionic: bool
+) -> np.ndarray:
+    """Partial transpose of ``matrix`` over ``spec``'s modes as one signed gather.
 
+    Swapping the ket and bra axes of every target mode makes ``out[r, c]``
+    read the entry whose ket has the target bits of ``c`` and the other bits of
+    ``r``: the bosonic transpose.  The fermionic flavor also reverses those
+    axes (the flip ``x ^ a`` of ``U_A``) and computes
 
-def _pt_matrix_leading(matrix: np.ndarray, num_modes: int, m_a: int) -> np.ndarray:
-    """Occupation-rule transpose over the leading ``m_a`` modes, U_A applied."""
-    phase, rows, cols = _pt_phase_tables(num_modes, m_a)
-    swapped = np.empty_like(matrix)
-    swapped[rows, cols] = phase * matrix
-    ua = _ua_matrix(num_modes, m_a)
-    return ua.conj().T @ swapped @ ua
+        out = (sigma*s)[r] (sigma*s)[c] * i**(P[r] xor P[c]) * (sigma sigma^T o rho)[swap+flip]
+
+    with ``sigma`` the Jordan-Wigner sign of moving the targets to the front,
+    ``s`` the sign of ``U_A|x>`` and ``P`` the parity of the target bits.  The
+    occupation rule's phase ``(-i)**(tau_A + tau_A') (-1)**((tau_A + tau_A')(tau_B + tau_B'))``
+    takes this compact form only on parity-even input, which the callers check.
+    """
+    n = num_modes
+    axes, index, sigma, classes = _gather_plan(n, spec.sorted_modes(), fermionic)
+    if sigma is not None:
+        matrix = matrix * sigma[:, None]
+        matrix *= sigma[None, :]
+    tensor = matrix.reshape((2,) * (2 * n)).transpose(axes)[index]
+    if classes is None:
+        return np.ascontiguousarray(tensor).reshape(1 << n, 1 << n)
+    out = _SIGN_PHASE[classes[:, None], classes[None, :]]
+    np.multiply(tensor, out.reshape(tensor.shape), out=out.reshape(tensor.shape))
+    return out
 
 
 def _resolve_spec(rho: FockOperator, spec) -> SubsystemSpec:
@@ -126,22 +124,14 @@ def _resolve_spec(rho: FockOperator, spec) -> SubsystemSpec:
 def fermionic_pt(rho: FockOperator, spec: SubsystemSpec, tol: float = FLAG_TOL) -> FockOperator:
     """Fermionic partial transpose of a parity-even operator over ``spec``.
 
-    Non-leading or non-contiguous targets are relabelled internally: the target
-    modes are permuted to the front (with Jordan-Wigner signs), transposed, and
-    permuted back.  The trace is preserved and the output is generally
-    non-Hermitian.
+    Every target, contiguous or not, takes one pass through
+    :func:`_signed_gather`.  The trace is preserved and the output is
+    generally non-Hermitian.
     """
     if not rho.is_parity_even(tol):
         raise ParityError("fermionic partial transpose is defined only on parity-even operators")
     spec = _resolve_spec(rho, spec)
-    n = rho.layout.num_modes
-    order = leading_order_for(spec, n)
-    if order == tuple(range(1, n + 1)):
-        mat = _pt_matrix_leading(rho.matrix, n, len(spec))
-    else:
-        mat = _permute_matrix(rho.matrix, n, order)
-        mat = _pt_matrix_leading(mat, n, len(spec))
-        mat = _permute_matrix(mat, n, _inverse_order(order))
+    mat = _signed_gather(rho.matrix, rho.layout.num_modes, spec, fermionic=True)
     return FockOperator(rho.layout, mat, copy=False)
 
 
@@ -199,19 +189,14 @@ def fermionic_pt_majorana(
 
 
 def bosonic_pt(rho: FockOperator, spec: SubsystemSpec) -> FockOperator:
-    """Plain matrix partial transposition over ``spec`` (no fermionic phases)."""
+    """Plain matrix partial transposition over ``spec`` (no fermionic phases).
+
+    Exchanges the target modes' ket and bra occupations of any operator.
+    """
     spec = as_spec(spec)
     spec.validate(rho.layout)
-    mask_a = spec.mask()
-    dim = rho.layout.dim
-    idx = np.arange(dim)
-    a_part = idx & mask_a
-    rest = idx & ~mask_a
-    rows = rest[:, None] + a_part[None, :]
-    cols = a_part[:, None] + rest[None, :]
-    out = np.empty_like(rho.matrix)
-    out[rows, cols] = rho.matrix
-    return FockOperator(rho.layout, out, copy=False)
+    mat = _signed_gather(rho.matrix, rho.layout.num_modes, spec, fermionic=False)
+    return FockOperator(rho.layout, mat, copy=False)
 
 
 def full_transpose(op: FockOperator, tol: float = FLAG_TOL) -> FockOperator:
@@ -224,7 +209,8 @@ def full_transpose(op: FockOperator, tol: float = FLAG_TOL) -> FockOperator:
     if not op.is_parity_even(tol):
         raise ParityError("fermionic transpose is defined only on parity-even operators")
     n = op.layout.num_modes
-    mat = _pt_matrix_leading(op.matrix, n, n)
+    everything = SubsystemSpec(tuple(range(1, n + 1)))
+    mat = _signed_gather(op.matrix, n, everything, fermionic=True)
     return FockOperator(op.layout, mat, copy=False)
 
 

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from fneg.fock import FockOperator, ModeLayout, parity_op
+from fneg.fock import FockOperator
+from fneg.verify import random_even_operator  # noqa: F401  used by the test modules
 
 settings.register_profile("repro", derandomize=True)
 settings.load_profile("repro")
@@ -11,15 +12,6 @@ settings.load_profile("repro")
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240811)
-
-
-def random_even_operator(layout: ModeLayout, rng) -> FockOperator:
-    """Generic (non-Hermitian) parity-even operator with Gaussian entries."""
-    signs = np.real(np.diag(parity_op(layout).matrix))
-    g = rng.normal(size=(layout.dim, layout.dim)) + 1j * rng.normal(
-        size=(layout.dim, layout.dim)
-    )
-    return FockOperator(layout, np.where(np.equal.outer(signs, signs), g, 0.0), copy=False)
 
 
 def max_abs(a, b=None):

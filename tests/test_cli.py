@@ -171,6 +171,26 @@ class TestClassifyCommand:
         path.write_text(json.dumps(payload))
         assert main(["classify", str(path)]) == 4
 
+    @pytest.mark.parametrize("modes", ["x", float("inf"), 0])
+    def test_non_integer_num_modes_exits_4(self, tmp_path, capsys, modes):
+        path = tmp_path / "modes.json"
+        path.write_text(json.dumps({"num_modes": modes, "matrix": [[0.25, 0.0]] * 16}))
+        assert main(["classify", str(path)]) == 4
+        assert "num_modes" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "entry", [[float("nan"), 0.0], [0.0, float("inf")], ["a", 0.0], [10**400, 0.0]]
+    )
+    def test_bad_matrix_entry_exits_4(self, tmp_path, capsys, entry):
+        # a true message: the entry is at fault, not Hermiticity or the trace
+        entries = [[z, 0.0] for z in (np.eye(4) / 4).ravel()]
+        entries[5] = entry
+        path = tmp_path / "entry.json"
+        path.write_text(json.dumps({"num_modes": 2, "matrix": entries}))
+        assert main(["classify", str(path)]) == 4
+        err = capsys.readouterr().err
+        assert "matrix entries must be" in err and "Hermitian" not in err
+
     def test_parity_violating_matrix_exits_4(self, tmp_path):
         # couples |00> to |10>: a unit-trace PSD matrix that breaks parity
         mat = np.zeros((4, 4))
