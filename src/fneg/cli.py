@@ -19,7 +19,7 @@ import numpy as np
 from . import classify as classify_mod
 from . import states, verify
 from .errors import FnegError, LayoutError, ParityError, StateValidationError
-from .fock import FockOperator, ModeLayout, SubsystemSpec
+from .fock import MAX_MODES, FockOperator, ModeLayout, SubsystemSpec
 from .measures import (
     j_abc,
     log_negativity,
@@ -88,83 +88,6 @@ def cli(ctx, tolerance, seed, output):
 # -- reproduce ---------------------------------------------------------------------
 
 
-def _paper_value_rows() -> list[tuple[str, float, float]]:
-    """(name, computed, expected) for every closed-form regression value."""
-    rows: list[tuple[str, float, float]] = []
-    spec1 = SubsystemSpec((1,))
-
-    grid = np.linspace(0.0, 1.0, 101)
-    dev_f = max(
-        abs(
-            log_negativity(states.canonical_state("werner", p=p), spec1, "fermionic")
-            - np.log((1 + p) / 2 + np.sqrt(5 * p**2 - 2 * p + 1) / 2)
-        )
-        for p in grid
-    )
-    dev_b = max(
-        abs(
-            log_negativity(states.canonical_state("werner", p=p), spec1, "bosonic")
-            - np.log(3 * (1 + p) / 4 + abs(1 - 3 * p) / 4)
-        )
-        for p in grid
-    )
-    rows.append(("werner_fermionic_logneg_grid101_maxdev", float(dev_f), 0.0))
-    rows.append(("werner_bosonic_logneg_grid101_maxdev", float(dev_b), 0.0))
-
-    singlet = states.canonical_state("singlet")
-    rows.append(("singlet_logneg_fermionic",
-                 log_negativity(singlet, spec1, "fermionic"), float(np.log(2))))
-    rows.append(("singlet_logneg_bosonic",
-                 log_negativity(singlet, spec1, "bosonic"), float(np.log(2))))
-
-    dimer = states.canonical_state("majorana_dimer")
-    rows.append(("majorana_dimer_logneg_fermionic",
-                 log_negativity(dimer, spec1, "fermionic"), float(np.log(np.sqrt(2)))))
-    rows.append(("majorana_dimer_logneg_bosonic",
-                 log_negativity(dimer, spec1, "bosonic"), 0.0))
-
-    w = states.canonical_state("w")
-    ghz = states.canonical_state("ghz")
-    triple = states.canonical_state("majorana_triple")
-    from .ptranspose import partial_trace
-
-    w_ab = partial_trace(w, SubsystemSpec((1, 2)))
-    ghz_ab = partial_trace(ghz, SubsystemSpec((1, 2)))
-    triple_ab = partial_trace(triple, SubsystemSpec((1, 2)))
-    rows += [
-        ("w_logneg_one_vs_rest",
-         log_negativity(w, spec1), float(np.log(1 + 2 * np.sqrt(2) / 3))),
-        ("w_reduced_logneg_fermionic",
-         log_negativity(w_ab, spec1), float(np.log((2 + np.sqrt(5)) / 3))),
-        ("ghz_logneg_one_vs_rest", log_negativity(ghz, spec1), float(np.log(2))),
-        ("ghz_reduced_logneg_fermionic",
-         log_negativity(ghz_ab, spec1), float(np.log(np.sqrt(2)))),
-        ("ghz_reduced_logneg_bosonic", log_negativity(ghz_ab, spec1, "bosonic"), 0.0),
-        ("majorana_triple_logneg_one_vs_rest",
-         log_negativity(triple, spec1), float(np.log(np.sqrt(5 / 3)))),
-        ("majorana_triple_reduced_logneg",
-         log_negativity(triple_ab, spec1), float(np.log(2 / np.sqrt(3)))),
-        ("pi_abc_w_fermionic", pi_abc(w), float((np.sqrt(5) - 1) / 9)),
-        ("pi_abc_ghz_fermionic", pi_abc(ghz), float((4 * np.sqrt(2) - 5) / 4)),
-        ("pi_abc_ghz_bosonic", pi_abc(ghz, "bosonic"), 0.25),
-        ("j_abc_ghz", j_abc(ghz), 0.25),
-        ("j_abc_w", j_abc(w), 0.0),
-        ("three_tangle_ghz", three_tangle(ghz), 0.25),
-        ("three_tangle_w", three_tangle(w), 0.0),
-        ("two_mode_pure_negativity_0.6_0.8",
-         negativity(states.canonical_state(
-             "two_mode_pure", lambdas=(0.6, 0.8), parity="even"), spec1),
-         0.48),
-    ]
-    sep = states.canonical_state("psi_p", p=4 / 7)
-    rows.append((
-        "psi_p_separable_point_max_measure",
-        max(j_abc(sep), three_tangle(sep), n_abc(sep), abs(pi_abc(sep))),
-        0.0,
-    ))
-    return rows
-
-
 _TABLE1_EXEMPLARS = [
     ("product_000", (1.0, 0.0, 0.0, 0.0), "A-B-C"),
     ("bc_pair", (1 / np.sqrt(2), 0.0, 1 / np.sqrt(2), 0.0), "A-BC"),
@@ -190,7 +113,7 @@ def reproduce(ctx, target):
                 "expected": float(expected),
                 "abs_delta": float(abs(computed - expected)),
             }
-            for name, computed, expected in _paper_value_rows()
+            for name, computed, expected in verify._paper_value_rows()
         ]
         _emit_rows(rows, ["name", "computed", "expected", "abs_delta"], output)
         bad = [r for r in rows if r["abs_delta"] > tolerance]
@@ -334,8 +257,8 @@ def _num_modes(value) -> int:
         n = int(value)
     except (TypeError, ValueError, OverflowError):
         n = 0
-    if n < 1:
-        raise StateValidationError(f"num_modes must be a positive integer, got {value!r}")
+    if not 1 <= n <= MAX_MODES:
+        raise StateValidationError(f"num_modes must be an integer in 1..{MAX_MODES}: {value!r}")
     return n
 
 
@@ -365,13 +288,11 @@ def _state_from_payload(payload: dict) -> FockOperator:
     else:
         raise StateValidationError("state file needs a 'matrix' or 'pure' field")
     labels = payload.get("labels")
-    if labels is None:
-        if n == 2:
-            labels = ["A", "B"]
-        elif n == 3:
-            labels = ["A", "B", "C"]
-        else:
-            raise StateValidationError("labels are required for this mode count")
+    if labels is None and n in (2, 3):
+        labels = ["A", "B", "C"][:n]
+    if not (isinstance(labels, list) and len(labels) == n
+            and all(isinstance(lab, str) for lab in labels)):
+        raise StateValidationError(f"labels must be a list of num_modes = {n} strings")
     layout = ModeLayout(n, tuple(labels))
     rho = FockOperator(layout, mat)
     rho.require_density_matrix()

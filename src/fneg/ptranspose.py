@@ -31,9 +31,10 @@ from .fock import (
     FockOperator,
     ModeLayout,
     SubsystemSpec,
-    _permutation_arrays,
     _permute_matrix,
     _popcount_array,
+    _reorder_signs,
+    _sign_vector,
     as_spec,
     leading_order_for,
     majorana_op,
@@ -56,7 +57,8 @@ _SIGN_PHASE = np.array(
 def _gather_plan(num_modes: int, targets: tuple[int, ...], fermionic: bool):
     """Axis order, axis reversals, input signs and output classes of :func:`_signed_gather`.
 
-    Only tuples and length-``2**N`` vectors are cached, never a d x d array.
+    Only tuples and length-``2**N`` vectors are cached, never a d x d array:
+    ``sigma`` comes from :func:`_reorder_signs`, ``s`` and ``P`` from :func:`_sign_vector`.
     Signs that are all +1 (leading targets) and the bosonic flavor's signs and
     classes are ``None``.
     """
@@ -71,14 +73,13 @@ def _gather_plan(num_modes: int, targets: tuple[int, ...], fermionic: bool):
     if not fermionic:
         return tuple(axes), tuple(index), None, None
     spec = SubsystemSpec(targets)
-    sigma = _permutation_arrays(n, leading_order_for(spec, n))[1]
+    sigma = _reorder_signs(n, leading_order_for(spec, n))
     # U_A = c_1 c_3 .. c_{2m-1} in the leading order: the p-th of the m sorted
     # targets is flipped after the m - p above it, so its Jordan-Wigner string
     # counts it m - p times.
     s_mask = sum(1 << (j - 1) for p, j in enumerate(targets, 1) if (len(targets) - p) % 2)
-    idx = np.arange(1 << n)
-    negative = (sigma < 0) ^ (_popcount_array(idx & s_mask) % 2 == 1)
-    classes = 2 * negative + _popcount_array(idx & spec.mask()) % 2
+    negative = sigma * _sign_vector(n, s_mask) < 0
+    classes = 2 * negative + (_sign_vector(n, spec.mask()) < 0)
     classes.setflags(write=False)
     return tuple(axes), tuple(index), None if (sigma > 0).all() else sigma, classes
 
@@ -269,9 +270,7 @@ def parity_project(
     rho.require_density_matrix(tol)
     spec = as_spec(spec)
     spec.validate(rho.layout)
-    from .fock import parity_op  # local import to avoid cycle in module init order
-
-    signs = np.real(np.diag(parity_op(rho.layout, spec).matrix))
+    signs = _sign_vector(rho.layout.num_modes, spec.mask())
     keep = signs > 0 if sector == "even" else signs < 0
     projected = np.where(keep[:, None] & keep[None, :], rho.matrix, 0.0)
     weight = float(np.real(np.trace(projected)))

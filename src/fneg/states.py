@@ -24,12 +24,13 @@ from .fock import (
     ModeLayout,
     SubsystemSpec,
     _inverse_order,
+    _parity_leak,
     _permute_matrix,
+    _sign_vector,
     as_spec,
     basis_vector,
     creation_op,
     majorana_op,
-    parity_op,
 )
 
 #: Commutator norm above which a sampled state counts as type II.
@@ -239,16 +240,12 @@ def biseparable_example(alpha: complex = 0.8) -> FockOperator:
 # -- random constructors ----------------------------------------------------------
 
 
-def _global_parities(layout: ModeLayout) -> np.ndarray:
-    return np.real(np.diag(parity_op(layout).matrix))
-
-
 def random_pure_vector(layout: ModeLayout, parity_sector: str, seed) -> np.ndarray:
     """Haar-uniform unit vector supported on one global parity sector."""
     if parity_sector not in PARITY_SECTORS:
         raise StateValidationError(f"parity_sector must be one of {PARITY_SECTORS}")
     rng = _rng(seed)
-    signs = _global_parities(layout)
+    signs = _sign_vector(layout.num_modes, layout.dim - 1)
     support = signs > 0 if parity_sector == "even" else signs < 0
     vec = np.zeros(layout.dim, dtype=complex)
     k = int(support.sum())
@@ -281,40 +278,34 @@ def random_density(
     max-norm above :data:`TYPE_II_THRESHOLD`, resampled otherwise).
     """
     rng = _rng(seed)
-    glob = _global_parities(layout)
+    glob = _sign_vector(layout.num_modes, layout.dim - 1)
     allowed = np.equal.outer(glob, glob)
-    if constraint == "any_physical":
+    if constraint != "any_physical":
+        if spec is None:
+            raise LayoutError(f"constraint {constraint!r} requires a subsystem spec")
+        spec = as_spec(spec)
+        spec.validate(layout)
+        if constraint == "type_I":
+            sub = _sign_vector(layout.num_modes, spec.mask())
+            allowed &= np.equal.outer(sub, sub)
+        elif constraint != "type_II":
+            raise ValueError(f"unknown constraint {constraint!r}")
+    for _ in range(_RESAMPLE_BUDGET):
         g = _block_gaussian(rng, allowed)
         mat = g @ g.conj().T
-        return FockOperator(layout, mat / np.trace(mat), copy=False)
-    if spec is None:
-        raise LayoutError(f"constraint {constraint!r} requires a subsystem spec")
-    spec = as_spec(spec)
-    spec.validate(layout)
-    sub = np.real(np.diag(parity_op(layout, spec).matrix))
-    if constraint == "type_I":
-        g = _block_gaussian(rng, allowed & np.equal.outer(sub, sub))
-        mat = g @ g.conj().T
-        return FockOperator(layout, mat / np.trace(mat), copy=False)
-    if constraint == "type_II":
-        for _ in range(_RESAMPLE_BUDGET):
-            g = _block_gaussian(rng, allowed)
-            mat = g @ g.conj().T
-            mat /= np.trace(mat)
-            comm = sub[:, None] * mat - mat * sub[None, :]  # diag(sub) @ m - m @ diag(sub)
-            if np.abs(comm).max() > TYPE_II_THRESHOLD:
-                return FockOperator(layout, mat, copy=False)
-        raise SamplingError("type_II resampling budget exhausted")
-    raise ValueError(f"unknown constraint {constraint!r}")
+        mat /= np.trace(mat)
+        if constraint != "type_II" or (
+            2.0 * _parity_leak(mat, layout.num_modes, spec.mask()) > TYPE_II_THRESHOLD
+        ):
+            return FockOperator(layout, mat, copy=False)
+    raise SamplingError("type_II resampling budget exhausted")
 
 
 def subsystem_parity_commutator_norm(rho: FockOperator, spec: SubsystemSpec) -> float:
-    """Max-norm of ``[(-1)^{F_spec}, rho]``."""
+    """Max-norm of ``[(-1)^{F_spec}, rho]``, NaN when an entry is not finite."""
     spec = as_spec(spec)
     spec.validate(rho.layout)
-    sub = np.real(np.diag(parity_op(rho.layout, spec).matrix))
-    comm = sub[:, None] * rho.matrix - rho.matrix * sub[None, :]
-    return float(np.abs(comm).max())
+    return 2.0 * _parity_leak(rho.matrix, rho.layout.num_modes, spec.mask())
 
 
 def random_separable(

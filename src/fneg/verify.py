@@ -1,6 +1,6 @@
-"""Randomized verification harness for the transpose identities, LOCC
-monotonicity, the perturbative trace-norm expansion, and the type-II
-negativity conjecture.
+"""Verification harness: the closed-form regression values, and randomized
+checks of the transpose identities, LOCC monotonicity, the perturbative
+trace-norm expansion and the type-II negativity conjecture.
 
 Each check runs a number of independent seeded trials and returns a
 :class:`CheckReport` whose ``passed`` field is exactly
@@ -22,14 +22,14 @@ from .fock import (
     FockOperator,
     ModeLayout,
     SubsystemSpec,
+    _sign_vector,
     embed_local,
     graded_tensor,
-    parity_op,
 )
-from .measures import log_negativity, negativity, one_vs_rest_negativities, \
-    pairwise_negativity, trace_norm
+from .measures import j_abc, log_negativity, n_abc, negativity, one_vs_rest_negativities, \
+    pairwise_negativity, pi_abc, three_tangle, trace_norm
 from .ptranspose import fermionic_pt, full_transpose, partial_trace
-from .states import _rng, random_density, random_pure
+from .states import _block_gaussian, _rng, canonical_state, random_density, random_pure
 
 #: Probability weights below this are treated as empty measurement branches.
 _WEIGHT_FLOOR = 1e-12
@@ -79,17 +79,10 @@ def _fingerprint(matrix: np.ndarray) -> str:
 # -- random physical operators -----------------------------------------------------
 
 
-def _parity_signs(layout: ModeLayout) -> np.ndarray:
-    return np.real(np.diag(parity_op(layout).matrix))
-
-
 def random_even_operator(layout: ModeLayout, rng: np.random.Generator) -> FockOperator:
     """Generic (non-Hermitian) parity-even operator with Gaussian entries."""
-    signs = _parity_signs(layout)
-    g = rng.normal(size=(layout.dim, layout.dim)) + 1j * rng.normal(
-        size=(layout.dim, layout.dim)
-    )
-    return FockOperator(layout, np.where(np.equal.outer(signs, signs), g, 0.0), copy=False)
+    signs = _sign_vector(layout.num_modes, layout.dim - 1)
+    return FockOperator(layout, _block_gaussian(rng, np.equal.outer(signs, signs)), copy=False)
 
 
 def random_even_hermitian(layout: ModeLayout, rng: np.random.Generator) -> FockOperator:
@@ -130,7 +123,7 @@ def random_even_projector_set(
 
 def parity_projector_pair(layout: ModeLayout) -> list[FockOperator]:
     """The even/odd parity projectors ``(1 +- (-1)^F)/2`` of a local system."""
-    signs = _parity_signs(layout)
+    signs = _sign_vector(layout.num_modes, layout.dim - 1)
     return [
         FockOperator(layout, np.diag(((1.0 + s * signs) / 2.0).astype(complex)), copy=False)
         for s in (1.0, -1.0)
@@ -175,6 +168,7 @@ def _identity_trial(rng: np.random.Generator, n: int) -> tuple[float, dict]:
         return full_transpose(FockOperator(layout, mat, copy=False)).matrix
 
     r = rho.matrix
+    p_a = _sign_vector(n, spec_a.mask())
     t_a = pt_a(r)
     t_b = pt_b(r)
     deviations = {
@@ -197,10 +191,7 @@ def _identity_trial(rng: np.random.Generator, n: int) -> tuple[float, dict]:
         "successive_sandwich": np.abs(
             pt_b(pt_a(ea @ eb @ r @ eya @ eyb)) - tr_full(ea @ eb @ r @ eya @ eyb)
         ).max(),
-        "double_ta": np.abs(
-            pt_a(t_a)
-            - parity_op(layout, spec_a).matrix @ r @ parity_op(layout, spec_a).matrix
-        ).max(),
+        "double_ta": np.abs(pt_a(t_a) - p_a[:, None] * r * p_a[None, :]).max(),
         "identity_fixed": np.abs(pt_a(np.eye(layout.dim, dtype=complex))
                                  - np.eye(layout.dim)).max(),
     }
@@ -404,9 +395,8 @@ def _perturbation_instance(rng: np.random.Generator, m: int, eps_max: float):
         ]
         if gaps.min() < _GAP_GUARD:
             continue
-        signs = _parity_signs(sub_layout)
-        delta = rng.normal(size=(sub, sub)) + 1j * rng.normal(size=(sub, sub))
-        delta = np.where(np.not_equal.outer(signs, signs), delta, 0.0)
+        signs = _sign_vector(m, sub - 1)
+        delta = _block_gaussian(rng, np.not_equal.outer(signs, signs))
         delta /= np.linalg.norm(delta)
         return w, rho0, rho1, delta
     raise SamplingError("perturbation instance resampling budget exhausted")
@@ -579,3 +569,82 @@ def pi_inequality_scan(seed=0, samples: int = 300, flavor: str = "fermionic") ->
         {"violations": violations, "worst_slack": float(worst_slack), "flavor": flavor}
     ]
     return _report("pi_inequality_monitor", samples, 0.0, float("inf"), diagnostics)
+
+
+# -- closed-form regression values ---------------------------------------------------
+
+
+def _paper_value_rows() -> list[tuple[str, float, float]]:
+    """(name, computed, expected) for every closed-form regression value."""
+    rows: list[tuple[str, float, float]] = []
+    spec1 = SubsystemSpec((1,))
+
+    grid = np.linspace(0.0, 1.0, 101)
+    dev_f = max(
+        abs(
+            log_negativity(canonical_state("werner", p=p), spec1, "fermionic")
+            - np.log((1 + p) / 2 + np.sqrt(5 * p**2 - 2 * p + 1) / 2)
+        )
+        for p in grid
+    )
+    dev_b = max(
+        abs(
+            log_negativity(canonical_state("werner", p=p), spec1, "bosonic")
+            - np.log(3 * (1 + p) / 4 + abs(1 - 3 * p) / 4)
+        )
+        for p in grid
+    )
+    rows.append(("werner_fermionic_logneg_grid101_maxdev", float(dev_f), 0.0))
+    rows.append(("werner_bosonic_logneg_grid101_maxdev", float(dev_b), 0.0))
+
+    singlet = canonical_state("singlet")
+    rows.append(("singlet_logneg_fermionic",
+                 log_negativity(singlet, spec1, "fermionic"), float(np.log(2))))
+    rows.append(("singlet_logneg_bosonic",
+                 log_negativity(singlet, spec1, "bosonic"), float(np.log(2))))
+
+    dimer = canonical_state("majorana_dimer")
+    rows.append(("majorana_dimer_logneg_fermionic",
+                 log_negativity(dimer, spec1, "fermionic"), float(np.log(np.sqrt(2)))))
+    rows.append(("majorana_dimer_logneg_bosonic",
+                 log_negativity(dimer, spec1, "bosonic"), 0.0))
+
+    w = canonical_state("w")
+    ghz = canonical_state("ghz")
+    triple = canonical_state("majorana_triple")
+
+    w_ab = partial_trace(w, SubsystemSpec((1, 2)))
+    ghz_ab = partial_trace(ghz, SubsystemSpec((1, 2)))
+    triple_ab = partial_trace(triple, SubsystemSpec((1, 2)))
+    rows += [
+        ("w_logneg_one_vs_rest",
+         log_negativity(w, spec1), float(np.log(1 + 2 * np.sqrt(2) / 3))),
+        ("w_reduced_logneg_fermionic",
+         log_negativity(w_ab, spec1), float(np.log((2 + np.sqrt(5)) / 3))),
+        ("ghz_logneg_one_vs_rest", log_negativity(ghz, spec1), float(np.log(2))),
+        ("ghz_reduced_logneg_fermionic",
+         log_negativity(ghz_ab, spec1), float(np.log(np.sqrt(2)))),
+        ("ghz_reduced_logneg_bosonic", log_negativity(ghz_ab, spec1, "bosonic"), 0.0),
+        ("majorana_triple_logneg_one_vs_rest",
+         log_negativity(triple, spec1), float(np.log(np.sqrt(5 / 3)))),
+        ("majorana_triple_reduced_logneg",
+         log_negativity(triple_ab, spec1), float(np.log(2 / np.sqrt(3)))),
+        ("pi_abc_w_fermionic", pi_abc(w), float((np.sqrt(5) - 1) / 9)),
+        ("pi_abc_ghz_fermionic", pi_abc(ghz), float((4 * np.sqrt(2) - 5) / 4)),
+        ("pi_abc_ghz_bosonic", pi_abc(ghz, "bosonic"), 0.25),
+        ("j_abc_ghz", j_abc(ghz), 0.25),
+        ("j_abc_w", j_abc(w), 0.0),
+        ("three_tangle_ghz", three_tangle(ghz), 0.25),
+        ("three_tangle_w", three_tangle(w), 0.0),
+        ("two_mode_pure_negativity_0.6_0.8",
+         negativity(canonical_state(
+             "two_mode_pure", lambdas=(0.6, 0.8), parity="even"), spec1),
+         0.48),
+    ]
+    sep = canonical_state("psi_p", p=4 / 7)
+    rows.append((
+        "psi_p_separable_point_max_measure",
+        max(j_abc(sep), three_tangle(sep), n_abc(sep), abs(pi_abc(sep))),
+        0.0,
+    ))
+    return rows

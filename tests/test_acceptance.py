@@ -13,7 +13,7 @@ surviving odd order (~8) or a round-off floor (~1) all fall outside it.
 import numpy as np
 from click.testing import CliRunner
 
-from fneg.cli import _paper_value_rows, cli
+from fneg.cli import cli
 from fneg.classify import mixed3_classify, off_diagonal_norm
 from fneg.fock import ModeLayout, SubsystemSpec
 from fneg.measures import (
@@ -33,6 +33,7 @@ from fneg.states import (
     random_separable,
 )
 from fneg.verify import (
+    _paper_value_rows,
     check_identity_suite,
     check_locc_monotonicity,
     check_perturbation_expansion,

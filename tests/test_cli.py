@@ -171,12 +171,20 @@ class TestClassifyCommand:
         path.write_text(json.dumps(payload))
         assert main(["classify", str(path)]) == 4
 
-    @pytest.mark.parametrize("modes", ["x", float("inf"), 0])
-    def test_non_integer_num_modes_exits_4(self, tmp_path, capsys, modes):
+    @pytest.mark.parametrize("modes", ["x", float("inf"), 0, 13, 100000])
+    def test_bad_num_modes_exits_4(self, tmp_path, capsys, modes):
         path = tmp_path / "modes.json"
         path.write_text(json.dumps({"num_modes": modes, "matrix": [[0.25, 0.0]] * 16}))
         assert main(["classify", str(path)]) == 4
         assert "num_modes" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("labels", [5, ["A", ["B"]], ["A"]])
+    def test_bad_labels_exits_4(self, tmp_path, capsys, labels):
+        path = tmp_path / "labels.json"
+        path.write_text(json.dumps({"num_modes": 2, "labels": labels,
+                                    "matrix": [[0.25, 0.0]] * 16}))
+        assert main(["classify", str(path)]) == 4
+        assert "labels" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "entry", [[float("nan"), 0.0], [0.0, float("inf")], ["a", 0.0], [10**400, 0.0]]

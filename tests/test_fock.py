@@ -1,12 +1,17 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from conftest import max_abs, random_even_operator
 from fneg.errors import LayoutError, ParityError
 from fneg.fock import (
+    FLAG_TOL,
     FockOperator,
     ModeLayout,
     SubsystemSpec,
+    _popcount_array,
+    _sign_vector,
     annihilation_op,
     basis_vector,
     creation_op,
@@ -19,7 +24,7 @@ from fneg.fock import (
     permute_modes,
 )
 from fneg.measures import log_negativity, negativity
-from fneg.states import canonical_state, random_density
+from fneg.states import canonical_state, random_density, subsystem_parity_commutator_norm
 
 
 class TestModeLayout:
@@ -149,6 +154,16 @@ class TestParityOperator:
             prod = prod @ parity_op(lay, SubsystemSpec((j,))).matrix
         assert max_abs(prod - parity_op(lay).matrix) == 0.0
 
+    def test_popcount_fallback_without_bitwise_count(self, monkeypatch):
+        # numpy < 2.0 has no bitwise_count; every sign then comes from the fallback
+        monkeypatch.delattr(np, "bitwise_count")
+        for n in range(1, 7):
+            idx = np.arange(2**n)
+            for mask in range(2**n):
+                counts = [int(v).bit_count() for v in idx & mask]
+                assert _popcount_array(idx & mask).tolist() == counts
+                assert _sign_vector.__wrapped__(n, mask).tolist() == [(-1.0) ** c for c in counts]
+
     def test_number_op(self):
         lay = ModeLayout.bipartite(1, 1)
         assert np.allclose(np.diag(number_op(lay, 2).matrix), [0, 0, 1, 1])
@@ -170,6 +185,40 @@ class TestFockOperatorFlags:
         with pytest.raises(ParityError):
             f.require_parity_even()
 
+    @pytest.mark.parametrize("scale, even", [(0.4, True), (0.6, False)])
+    def test_parity_tolerance_boundary(self, scale, even):
+        # (-1)^F M (-1)^F - M is -2 M on an entry coupling |00> to |10>
+        mat = np.eye(4) / 4
+        mat[0, 1] = scale * FLAG_TOL
+        assert FockOperator(ModeLayout.bipartite(1, 1), mat).is_parity_even() is even
+
+    def test_leak_in_odd_even_block_only(self):
+        mat = np.eye(4) / 4
+        mat[1, 0] = 0.1  # row |10> is odd, column |00> even; the even-odd block is zero
+        op = FockOperator(ModeLayout.bipartite(1, 1), mat)
+        assert not op.is_parity_even()
+        assert subsystem_parity_commutator_norm(op, SubsystemSpec((1, 2))) == 0.2
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_entry_in_even_block(self, value):
+        mat = np.eye(4, dtype=complex) / 4
+        mat[0, 3] = value  # |00> and |11> share every parity of modes (1, 2)
+        op = FockOperator(ModeLayout.bipartite(1, 1), mat)
+        assert not op.is_parity_even()
+        assert not np.isfinite(subsystem_parity_commutator_norm(op, SubsystemSpec((1, 2))))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_commutator_norm_matches_dense(self, n, rng):
+        lay = ModeLayout(n, ("A",) * n)
+        for _ in range(3):
+            m = rng.normal(size=(lay.dim, lay.dim)) + 1j * rng.normal(size=(lay.dim, lay.dim))
+            op = FockOperator(lay, m)
+            for mask in range(1, lay.dim):
+                spec = SubsystemSpec(tuple(j + 1 for j in range(n) if mask >> j & 1))
+                p = parity_op(lay, spec).matrix
+                dense = np.abs(p @ m - m @ p).max()
+                assert subsystem_parity_commutator_norm(op, spec) == dense
+
     def test_matrix_read_only(self):
         op = identity_op(ModeLayout(1, ("A",)))
         with pytest.raises(ValueError):
@@ -186,6 +235,25 @@ class TestPermuteModes:
         new_ket = basis_vector(moved.layout, (1, 1, 0, 1))
         expected = -np.outer(new_ket, basis_vector(moved.layout, (0, 0, 0, 0)).conj())
         assert max_abs(moved, expected) == 0.0
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_every_order_matches_inversion_count(self, n, rng):
+        # brute force per basis state: bit k of the new index is old mode
+        # order[k], and every inverted pair of occupied modes gives a -1
+        lay = ModeLayout(n, ("A",) * n)
+        op = FockOperator(lay, rng.normal(size=(lay.dim, lay.dim)) + 1j * rng.normal(
+            size=(lay.dim, lay.dim)))
+        for order in itertools.permutations(range(1, n + 1)):
+            new_index = np.zeros(lay.dim, dtype=int)
+            sign = np.ones(lay.dim)
+            for i in range(lay.dim):
+                occupied = [k for k, m in enumerate(order) if (i >> (m - 1)) & 1]
+                new_index[i] = sum(1 << k for k in occupied)
+                modes = [order[k] for k in occupied]
+                sign[i] = (-1.0) ** sum(a > b for a, b in itertools.combinations(modes, 2))
+            expected = np.empty_like(op.matrix)
+            expected[np.ix_(new_index, new_index)] = sign[:, None] * op.matrix * sign[None, :]
+            assert max_abs(permute_modes(op, order), expected) == 0.0
 
     def test_inverse_round_trip(self, rng):
         lay = ModeLayout.tripartite()
