@@ -312,6 +312,9 @@ def classify_cmd(ctx, state_file):
         click.echo(f"parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}",
                    err=True)
         ctx.exit(EXIT_PARSE)
+    except ValueError as exc:  # not UTF-8, or an integer literal over the digit limit
+        click.echo(f"parse error: {exc}", err=True)
+        ctx.exit(EXIT_PARSE)
     rho = _state_from_payload(payload)
     n = rho.layout.num_modes
     if n == 2:

@@ -20,7 +20,7 @@ from typing import Mapping
 import numpy as np
 
 from .errors import StateValidationError
-from .fock import FLAG_TOL, FockOperator, SubsystemSpec, as_spec
+from .fock import FLAG_TOL, FockOperator, SubsystemSpec, _parity_blocks, as_spec
 from .ptranspose import parity_project, partial_trace, partial_transpose
 
 #: Singular values below this are treated as exact zeros of rank-deficient states.
@@ -63,9 +63,24 @@ def singular_values(op: FockOperator | np.ndarray) -> np.ndarray:
     Evaluated by direct SVD: squaring into ``A A^+`` before diagonalizing
     inflates the absolute error of vanishing singular values to sqrt(machine
     epsilon), which would swamp the 1e-10 zero tests on rank-deficient states.
+
+    Both transposes keep global fermion parity, so ``rho^{T_A}`` of a
+    parity-even state is block-diagonal in the global-parity basis.  For a
+    :class:`FockOperator` whose entries between the even and odd sectors are
+    exactly 0.0, the SVD runs on the two diagonal blocks in one batched call
+    (about a quarter of the work of the d x d SVD) and the values are merged.
+    The zero test is exact, not tolerance-based: dropping off-block entries up
+    to a tolerance could shift a trace norm by about ``d * tol``, while dropping
+    exact zeros changes nothing, so the result equals the dense SVD up to
+    round-off.  Any other operator, an operator of fewer than five modes (where
+    the gather costs more than it saves) and a plain array take the dense SVD.
     """
-    mat = op.matrix if isinstance(op, FockOperator) else np.asarray(op)
-    return np.linalg.svd(mat, compute_uv=False)
+    if not isinstance(op, FockOperator):
+        return np.linalg.svd(np.asarray(op), compute_uv=False)
+    blocks = _parity_blocks(op.matrix, op.layout.num_modes)
+    if blocks is None:
+        return np.linalg.svd(op.matrix, compute_uv=False)
+    return np.sort(np.linalg.svd(blocks, compute_uv=False), axis=None)[::-1]
 
 
 def trace_norm(op: FockOperator | np.ndarray) -> float:
@@ -129,7 +144,8 @@ def pt_moment(
 def entropy(rho: FockOperator, order="vN", tol: float = FLAG_TOL) -> float:
     """Von Neumann (``order='vN'``) or Renyi entropy ``log(Tr rho^n)/(1-n)``."""
     rho.require_density_matrix(tol, require_parity=False)
-    evals = np.clip(np.linalg.eigvalsh(rho.matrix), 0.0, None)
+    blocks = _parity_blocks(rho.matrix, rho.layout.num_modes)
+    evals = np.clip(np.linalg.eigvalsh(rho.matrix if blocks is None else blocks), 0.0, None)
     if order == "vN":
         nz = evals[evals > SINGULAR_FLOOR]
         return float(-(nz * np.log(nz)).sum())

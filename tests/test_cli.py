@@ -158,6 +158,19 @@ class TestClassifyCommand:
         code = main(["classify", str(path)])
         assert code == 3
 
+    @pytest.mark.parametrize(
+        "content, cause",
+        [(b'{"num_modes": ' + b"1" * 5001 + b"}", "digits"),
+         (b'{"num_modes": 2, "labels": ["\xff", "B"]}', "utf-8")],
+        ids=["long_integer", "not_utf8"],
+    )
+    def test_undecodable_file_exits_3(self, tmp_path, capsys, content, cause):
+        path = tmp_path / "state.json"
+        path.write_bytes(content)
+        assert main(["classify", str(path)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("parse error: ") and cause in err
+
     def test_invalid_state_exits_4(self, tmp_path):
         path = tmp_path / "bad.json"
         payload = {"num_modes": 2, "labels": ["A", "B"],
@@ -261,6 +274,10 @@ class TestSweepRecord:
 class TestMainExitCodes:
     def test_usage_error_is_internal(self):
         assert main(["sweep", "unknown-family"]) == 2
+
+    def test_usage_error_raised_in_a_command_exits_2(self, capsys):
+        assert main(["sweep", "psi_p", "--steps", "0"]) == 2
+        assert "usage error: need steps >= 1" in capsys.readouterr().err
 
     def test_ok_path(self, capsys):
         assert main(["reproduce", "table1"]) == 0

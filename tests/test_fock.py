@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import max_abs, random_even_operator
-from fneg.errors import LayoutError, ParityError
+from fneg.errors import LayoutError, ParityError, StateValidationError
 from fneg.fock import (
     FLAG_TOL,
     FockOperator,
@@ -218,6 +218,49 @@ class TestFockOperatorFlags:
                 p = parity_op(lay, spec).matrix
                 dense = np.abs(p @ m - m @ p).max()
                 assert subsystem_parity_commutator_norm(op, spec) == dense
+
+    @pytest.mark.parametrize("pos", [(127, 127), (127, 3), (3, 127), (64, 100)])
+    def test_hermitian_flag_sees_nan_in_every_band(self, pos):
+        # d = 128 is read in two row bands; (127, 3) sits in the first band's column part
+        mat = np.eye(128, dtype=complex) / 128
+        mat[pos] = np.nan
+        assert not FockOperator(ModeLayout(7, ("A",) * 7), mat).is_hermitian()
+
+    @pytest.mark.parametrize("pos", [(0, 1), (5, 100), (100, 5), (127, 64), (70, 70)])
+    @pytest.mark.parametrize("scale", [0.9, 1.1])
+    def test_hermitian_flag_matches_dense_residual(self, pos, scale, rng):
+        g = rng.normal(size=(128, 128)) + 1j * rng.normal(size=(128, 128))
+        mat = g + g.conj().T  # exactly Hermitian
+        i, j = pos
+        mat[i, j] += scale * FLAG_TOL * (0.5j if i == j else 1.0)  # residual scale * tol
+        dense = bool(np.abs(mat - mat.conj().T).max() <= FLAG_TOL)
+        assert FockOperator(ModeLayout(7, ("A",) * 7), mat).is_hermitian() is dense
+        assert dense is (scale < 1)
+
+    def test_not_psd_and_not_even_raises_state_error_twice(self):
+        mat = np.diag([0.6, 0.6, -0.2, 0.0]).astype(complex)
+        mat[0, 1] = mat[1, 0] = 0.1  # couples |00> to |10>: not parity-even either
+        op = FockOperator(ModeLayout.bipartite(1, 1), mat)
+        for _ in range(2):  # the second call reads the cached verdict
+            with pytest.raises(StateValidationError) as info:
+                op.require_density_matrix()
+            assert info.type is StateValidationError
+        assert op._flags[f"psd@{FLAG_TOL}"] is False
+        assert not op.is_density_matrix()
+
+    def test_psd_verdict_is_cached_per_tolerance(self, monkeypatch, rng):
+        rho = random_density(ModeLayout.bipartite(2, 3), rng)
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a.shape) or eigvalsh(a))
+        rho.require_density_matrix()
+        rho.require_density_matrix()
+        assert rho.is_density_matrix()
+        negativity(rho, SubsystemSpec((1, 2)))
+        negativity(rho, SubsystemSpec((1, 3)), "bosonic")
+        assert calls == [(2, 16, 16)]  # one eigensolve, on the two parity blocks
+        rho.require_density_matrix(tol=1e-8)
+        assert len(calls) == 2
 
     def test_matrix_read_only(self):
         op = identity_op(ModeLayout(1, ("A",)))

@@ -4,8 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fneg.errors import StateValidationError
-from fneg.fock import FockOperator, ModeLayout, SubsystemSpec
+from fneg.fock import _BLOCK_MIN_MODES, FockOperator, ModeLayout, SubsystemSpec, _parity_blocks
 from fneg.measures import (
+    SINGULAR_FLOOR,
     MeasureReport,
     amplitude_tensor,
     bipartite_report,
@@ -25,7 +26,7 @@ from fneg.measures import (
     trace_norm,
     tripartite_report,
 )
-from fneg.ptranspose import fermionic_pt, partial_trace
+from fneg.ptranspose import bosonic_pt, fermionic_pt, full_transpose, partial_trace
 from fneg.states import (
     PureCoeffs,
     canonical_state,
@@ -101,6 +102,79 @@ class TestTraceNorm:
         # rank-deficient input must not leak sqrt(machine-eps) noise
         svals = singular_values(np.zeros((4, 4), dtype=complex))
         assert svals.max() == 0.0
+
+
+def _parity_block_operators(n: int, seed: int):
+    """A random parity-even state and its transposes over leading and interleaved targets."""
+    rho = random_density(ModeLayout(n, ("A",) * n), seed)
+    yield rho
+    if n == 1:  # no proper target: the full transposes
+        yield full_transpose(rho)
+        yield bosonic_pt(rho, S1)
+        return
+    for target in (tuple(range(1, n // 2 + 1)), tuple(range(1, n + 1, 2))):
+        yield fermionic_pt(rho, SubsystemSpec(target))
+        yield bosonic_pt(rho, SubsystemSpec(target))
+
+
+def _dense_entropy(matrix: np.ndarray, order) -> float:
+    evals = np.clip(np.linalg.eigvalsh(matrix), 0.0, None)
+    if order == "vN":
+        nz = evals[evals > SINGULAR_FLOOR]
+        return float(-(nz * np.log(nz)).sum())
+    if order < 1:
+        evals = evals[evals > SINGULAR_FLOOR]
+    return float(np.log((evals**order).sum()) / (1.0 - order))
+
+
+class TestParityBlockSpectra:
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_block_path_matches_dense(self, n):
+        for op in _parity_block_operators(n, seed=100 + n):
+            # small operators stay dense; from _BLOCK_MIN_MODES on the block path runs
+            assert (_parity_blocks(op.matrix, n) is not None) is (n >= _BLOCK_MIN_MODES)
+            dense = np.linalg.svd(op.matrix, compute_uv=False)
+            assert np.abs(singular_values(op) - dense).max() <= 1e-12
+            assert abs(trace_norm(op) - dense.sum()) <= 1e-12
+            herm = (op.matrix + op.matrix.conj().T) / 2
+            assert abs(op.min_eigenvalue() - np.linalg.eigvalsh(herm)[0]) <= 1e-12
+            if op.is_density_matrix():
+                for order in ("vN", 0.5, 2):
+                    assert abs(entropy(op, order) - _dense_entropy(op.matrix, order)) <= 1e-12
+
+    @pytest.mark.parametrize("flavor", ["fermionic", "bosonic"])
+    def test_tiny_off_block_entry_takes_dense_path(self, monkeypatch, flavor):
+        rho = random_density(ModeLayout(6, ("A",) * 6), 7)
+        transpose = fermionic_pt if flavor == "fermionic" else bosonic_pt
+        t = transpose(rho, SubsystemSpec((1, 3, 5))).matrix.copy()
+        t[0, 1] = 1e-300  # |000000> is even, |100000> odd
+        m = rho.matrix.copy()
+        m[0, 1] = m[1, 0] = 1e-300
+        want = (np.linalg.svd(t, compute_uv=False), np.linalg.eigvalsh(m)[0],
+                _dense_entropy(m, "vN"))
+        shapes = []
+        svd, eigvalsh = np.linalg.svd, np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "svd", lambda a, **kw: shapes.append(a.shape) or svd(a, **kw))
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: shapes.append(a.shape) or eigvalsh(a))
+        assert np.abs(singular_values(FockOperator(rho.layout, t)) - want[0]).max() <= 1e-12
+        state = FockOperator(rho.layout, m)
+        assert abs(state.min_eigenvalue() - want[1]) <= 1e-12
+        assert abs(entropy(state) - want[2]) <= 1e-12
+        # one svd, then eigvalsh for min_eigenvalue, entropy's PSD check and its spectrum
+        assert [shape[-2:] for shape in shapes] == [(64, 64)] * 4
+
+    @pytest.mark.parametrize("pos", [(0, 0), (0, 1), (0, 3)])
+    def test_nan_entry_keeps_dense_behaviour(self, pos):
+        # a diagonal entry, an entry between the parities, an entry inside the even block
+        mat = np.eye(32, dtype=complex) / 32
+        mat[pos] = np.nan
+        op = FockOperator(ModeLayout.bipartite(1, 4), mat)
+        assert _parity_blocks(mat, 5) is None
+        with pytest.raises(np.linalg.LinAlgError):
+            trace_norm(op)
+        assert not op.is_density_matrix()
+        with pytest.raises(StateValidationError, match="unit-trace Hermitian"):
+            negativity(op, S1)
 
 
 class TestNegativity:

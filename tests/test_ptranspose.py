@@ -9,6 +9,7 @@ from fneg.fock import (
     FockOperator,
     ModeLayout,
     SubsystemSpec,
+    _parity_leak,
     creation_op,
     graded_tensor,
     identity_op,
@@ -151,6 +152,23 @@ class TestInvolutionStructure:
             fermionic_pt(rhs, rhs.layout.spec("A")),
         )
         assert max_abs(direct, factorized) <= 1e-12
+
+
+class TestParityBlockStructure:
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_transposes_leave_the_parity_off_blocks_exactly_zero(self, n):
+        # The spectra take their block path only on exact zeros (measures.singular_values):
+        # round-off leaked between the global-parity sectors would fall back to the dense SVD.
+        rho = random_density(ModeLayout(n, ("A",) * n), 300 + n)
+        full = rho.dim - 1
+        assert _parity_leak(rho.matrix, n, full) == 0.0
+        outs = [full_transpose(rho)]
+        half = n // 2
+        for target in (range(1, half + 1), range(half + 1, n + 1), range(1, n + 1, 2)):
+            spec = SubsystemSpec(tuple(target))
+            outs += [fermionic_pt(rho, spec), bosonic_pt(rho, spec)]
+        for out in outs:
+            assert _parity_leak(out.matrix, n, full) == 0.0
 
 
 class TestBosonicPT:
