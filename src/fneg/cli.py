@@ -4,7 +4,7 @@ harness.
 
 All commands are deterministic given ``--seed``; numeric CSV fields carry full
 round-trip precision.  Exit codes: 0 ok, 1 value/verification mismatch,
-2 internal error, 3 parse error, 4 validation error.
+2 internal or usage error, 3 parse error, 4 validation error.
 """
 
 from __future__ import annotations
@@ -345,32 +345,41 @@ _VERIFY_DEFAULT_TRIALS = {
 }
 
 
+def _mode_counts(ctx, param, value):
+    """``--modes`` as a tuple of mode counts in 2..MAX_MODES (a bipartition needs two)."""
+    if not value:
+        return None
+    try:
+        modes = tuple(int(m) for m in value.split(","))
+    except ValueError:
+        raise click.BadParameter(f"expected comma-separated integers, got {value!r}") from None
+    if not all(2 <= m <= MAX_MODES for m in modes):
+        raise click.BadParameter(f"mode counts must lie in 2..{MAX_MODES}, got {value!r}")
+    return modes
+
+
 @cli.command("verify")
 @click.argument(
     "subject", type=click.Choice(["identities", "locc", "perturbation", "conjecture"])
 )
-@click.option("--trials", type=int, default=None, help="Trial count (subject default).")
+@click.option("--trials", type=click.IntRange(min=1), default=None,
+              help="Trial count, at least 1 (subject default).")
 @click.option("--seed", type=int, default=None, help="Override the global seed.")
-@click.option("--modes", type=str, default=None,
-              help="Comma-separated mode counts (identities/conjecture).")
+@click.option("--modes", default=None, callback=_mode_counts,
+              help=f"Comma-separated mode counts in 2..{MAX_MODES} (identities/conjecture).")
 @click.pass_context
 def verify_cmd(ctx, subject, trials, seed, modes):
     """Run one randomized verification suite and print its report as JSON."""
     seed = ctx.obj["seed"] if seed is None else seed
     trials = _VERIFY_DEFAULT_TRIALS[subject] if trials is None else trials
-    mode_tuple = tuple(int(m) for m in modes.split(",")) if modes else None
     if subject == "identities":
-        report = verify.check_identity_suite(
-            seed=seed, trials=trials, modes=mode_tuple or (2, 3, 4)
-        )
+        report = verify.check_identity_suite(seed=seed, trials=trials, modes=modes or (2, 3, 4))
     elif subject == "locc":
         report = verify.check_locc_monotonicity(seed=seed, trials=trials)
     elif subject == "perturbation":
         report = verify.check_perturbation_expansion(seed=seed, trials=trials)
     else:
-        report = verify.conjecture_scan(
-            seed=seed, samples=trials, num_modes=mode_tuple or (2, 3)
-        )
+        report = verify.conjecture_scan(seed=seed, samples=trials, num_modes=modes or (2, 3))
     click.echo(json.dumps(report.to_dict(), indent=2))
     ctx.exit(EXIT_OK if report.passed else EXIT_MISMATCH)
 

@@ -107,6 +107,34 @@ def _parity_blocks(matrix: np.ndarray, num_modes: int) -> np.ndarray | None:
     return blocks
 
 
+def _hermitian_blocks(matrix: np.ndarray, num_modes: int) -> np.ndarray | None:
+    """Hermitian part of each :func:`_parity_blocks` block; ``None`` where that is ``None``."""
+    blocks = _parity_blocks(matrix, num_modes)
+    if blocks is None:
+        return None
+    return (blocks + blocks.conj().swapaxes(1, 2)) / 2
+
+
+def _cholesky_psd(matrix: np.ndarray, num_modes: int, tol: float) -> bool:
+    """Whether a Cholesky factorization proves ``lambda_min >= -tol`` on the parity blocks.
+
+    Factors the Hermitian part of each block shifted by ``tol/2``, which
+    succeeds only if ``lambda_min >= -tol/2`` up to a backward error of about
+    ``d * eps * |M|``.  False proves nothing: the blocks were not taken, or
+    ``lambda_min`` lies below ``-tol/2``, so the caller decides by eigenvalue.
+    """
+    herm = _hermitian_blocks(matrix, num_modes)
+    if herm is None:
+        return False
+    diag = np.arange(herm.shape[-1])
+    herm[:, diag, diag] += tol / 2
+    try:
+        np.linalg.cholesky(herm)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
 def _hermitian_within(matrix: np.ndarray, tol: float) -> bool:
     """Whether ``max |M - M^H| <= tol``; False when an entry is NaN.
 
@@ -237,7 +265,10 @@ class FockOperator:
     function returning fresh instances, so values can be shared freely between
     threads.  Flags (hermitian, parity-even, unit-trace, positive semi-definite)
     are computed lazily per tolerance and cached, so a state validated once pays
-    for a single eigensolve.
+    for a single PSD decision.  From :data:`_BLOCK_MIN_MODES` modes, when the
+    parity blocks are taken, that decision is a Cholesky factorization of each
+    block's Hermitian part shifted by ``tol/2`` (:func:`_cholesky_psd`); if it
+    fails, and on the dense path, the verdict is ``min_eigenvalue() >= -tol``.
     """
 
     __slots__ = ("layout", "matrix", "_flags")
@@ -282,14 +313,17 @@ class FockOperator:
         Taken on the two global-parity blocks (:func:`_parity_blocks`) when the
         entries between them are exactly zero, on the whole matrix otherwise.
         """
-        blocks = _parity_blocks(self.matrix, self.layout.num_modes)
-        if blocks is None:
+        herm = _hermitian_blocks(self.matrix, self.layout.num_modes)
+        if herm is None:
             return float(np.linalg.eigvalsh((self.matrix + self.matrix.conj().T) / 2)[0])
-        herm = (blocks + blocks.conj().swapaxes(1, 2)) / 2
         return float(np.linalg.eigvalsh(herm)[:, 0].min())
 
     def _is_psd(self, tol: float) -> bool:
-        return self._cached(f"psd@{tol}", lambda: self.min_eigenvalue() >= -tol)
+        return self._cached(
+            f"psd@{tol}",
+            lambda: _cholesky_psd(self.matrix, self.layout.num_modes, tol)
+            or self.min_eigenvalue() >= -tol,
+        )
 
     def is_density_matrix(self, tol: float = FLAG_TOL, require_parity: bool = True) -> bool:
         if not (self.is_hermitian(tol) and self.is_unit_trace(tol)):

@@ -20,7 +20,16 @@ from typing import Mapping
 import numpy as np
 
 from .errors import StateValidationError
-from .fock import FLAG_TOL, FockOperator, SubsystemSpec, _parity_blocks, as_spec
+from .fock import (
+    _BLOCK_MIN_MODES,
+    FLAG_TOL,
+    FockOperator,
+    SubsystemSpec,
+    _hermitian_within,
+    _parity_blocks,
+    _sign_vector,
+    as_spec,
+)
 from .ptranspose import parity_project, partial_trace, partial_transpose
 
 #: Singular values below this are treated as exact zeros of rank-deficient states.
@@ -60,27 +69,36 @@ class MeasureReport:
 def singular_values(op: FockOperator | np.ndarray) -> np.ndarray:
     """Singular values ``sqrt(eig(A A^+))`` in descending order.
 
-    Evaluated by direct SVD: squaring into ``A A^+`` before diagonalizing
-    inflates the absolute error of vanishing singular values to sqrt(machine
-    epsilon), which would swamp the 1e-10 zero tests on rank-deficient states.
+    Never evaluated by squaring into ``A A^+``: that inflates the absolute
+    error of vanishing singular values to sqrt(machine epsilon), which would
+    swamp the 1e-10 zero tests on rank-deficient states.
 
     Both transposes keep global fermion parity, so ``rho^{T_A}`` of a
     parity-even state is block-diagonal in the global-parity basis.  For a
     :class:`FockOperator` whose entries between the even and odd sectors are
-    exactly 0.0, the SVD runs on the two diagonal blocks in one batched call
-    (about a quarter of the work of the d x d SVD) and the values are merged.
-    The zero test is exact, not tolerance-based: dropping off-block entries up
-    to a tolerance could shift a trace norm by about ``d * tol``, while dropping
-    exact zeros changes nothing, so the result equals the dense SVD up to
-    round-off.  Any other operator, an operator of fewer than five modes (where
-    the gather costs more than it saves) and a plain array take the dense SVD.
+    exactly 0.0, the two diagonal blocks are solved in one batched call (about
+    a quarter of the work of the d x d solve) and the values are merged.  The
+    zero test is exact, not tolerance-based: dropping off-block entries up to a
+    tolerance could shift a trace norm by about ``d * tol``, while dropping
+    exact zeros changes nothing.  Blocks that are exactly Hermitian take
+    ``|eigvalsh|``, the singular values of a Hermitian matrix, at about half
+    the cost of the SVD; any others take the SVD.  That test is exact too,
+    because ``eigvalsh`` reads one triangle and would silently drop an
+    anti-Hermitian part of any size.  Either way the result equals the dense
+    SVD up to round-off.  Any other operator, an operator of fewer than five
+    modes (where the gather costs more than it saves) and a plain array take
+    the dense SVD.
     """
     if not isinstance(op, FockOperator):
         return np.linalg.svd(np.asarray(op), compute_uv=False)
     blocks = _parity_blocks(op.matrix, op.layout.num_modes)
     if blocks is None:
         return np.linalg.svd(op.matrix, compute_uv=False)
-    return np.sort(np.linalg.svd(blocks, compute_uv=False), axis=None)[::-1]
+    if all(_hermitian_within(block, 0.0) for block in blocks):
+        values = np.abs(np.linalg.eigvalsh(blocks))
+    else:
+        values = np.linalg.svd(blocks, compute_uv=False)
+    return np.sort(values, axis=None)[::-1]
 
 
 def trace_norm(op: FockOperator | np.ndarray) -> float:
@@ -94,25 +112,43 @@ def _validated_pt(rho: FockOperator, spec, flavor: str, tol: float) -> FockOpera
     return partial_transpose(rho, as_spec(spec), flavor)
 
 
+def _pt_norm(rho: FockOperator, spec, flavor: str, tol: float) -> float:
+    """Validate ``rho`` and return ``|rho^{T_A}|_1``, through a Hermitian twin of the transpose.
+
+    For a parity-even Hermitian ``rho``, ``(rho^{T_A})^+ = (-1)^{F_A} rho^{T_A}
+    (-1)^{F_A}``, so ``rho^{T_A} (-1)^{F_A}`` (the columns scaled by the target
+    parity) is Hermitian, and ``(-1)^{F_A}`` is unitary, so it has the singular
+    values of ``rho^{T_A}``.  The bosonic transpose is Hermitian itself.  Both
+    let :func:`singular_values` take ``eigvalsh`` on the parity blocks; below
+    :data:`_BLOCK_MIN_MODES` the blocks are not taken and the transpose is kept.
+    """
+    spec = as_spec(spec)
+    pt = _validated_pt(rho, spec, flavor, tol)
+    n = rho.layout.num_modes
+    if flavor == "fermionic" and n >= _BLOCK_MIN_MODES:
+        pt = FockOperator(rho.layout, pt.matrix * _sign_vector(n, spec.mask()), copy=False)
+    return trace_norm(pt)
+
+
 def negativity(
     rho: FockOperator, spec: SubsystemSpec, flavor: str = "fermionic", tol: float = FLAG_TOL
 ) -> float:
     """Entanglement negativity ``(|rho^{T_A}|_1 - 1)/2`` for the chosen flavor."""
-    return (trace_norm(_validated_pt(rho, spec, flavor, tol)) - 1.0) / 2.0
+    return (_pt_norm(rho, spec, flavor, tol) - 1.0) / 2.0
 
 
 def log_negativity(
     rho: FockOperator, spec: SubsystemSpec, flavor: str = "fermionic", tol: float = FLAG_TOL
 ) -> float:
     """Logarithmic negativity ``log |rho^{T_A}|_1``."""
-    return float(np.log(trace_norm(_validated_pt(rho, spec, flavor, tol))))
+    return float(np.log(_pt_norm(rho, spec, flavor, tol)))
 
 
 def bipartite_report(
     rho: FockOperator, spec: SubsystemSpec, flavor: str = "fermionic", tol: float = FLAG_TOL
 ) -> MeasureReport:
     """Negativity and logarithmic negativity in one report."""
-    norm = trace_norm(_validated_pt(rho, spec, flavor, tol))
+    norm = _pt_norm(rho, spec, flavor, tol)
     return MeasureReport(
         {"negativity": (norm - 1.0) / 2.0, "log_negativity": float(np.log(norm))},
         tolerance=tol,
@@ -349,7 +385,11 @@ def pi_abc(rho: FockOperator, flavor: str = "fermionic", tol: float = FLAG_TOL) 
 def tripartite_report(
     rho: FockOperator, flavor: str = "fermionic", tol: float = FLAG_TOL
 ) -> MeasureReport:
-    """All four tripartite measures plus the one-vs-rest negativities."""
+    """All four tripartite measures plus the one-vs-rest negativities.
+
+    ``three_tangle`` is reported only for a pure state of three modes: it is
+    not defined on mixed states or on parties of more than one mode.
+    """
     negs = one_vs_rest_negativities(rho, flavor, tol)
     entries = {
         "negativity_A": negs["A"],
@@ -359,8 +399,9 @@ def tripartite_report(
         "n_abc": n_abc(rho, flavor, tol),
         "pi_abc": pi_abc(rho, flavor, tol),
     }
-    try:
-        entries["three_tangle"] = three_tangle(rho)
-    except StateValidationError:
-        pass  # mixed states have no tangle entry
+    if rho.layout.num_modes == 3:
+        try:
+            entries["three_tangle"] = three_tangle(rho)
+        except StateValidationError:
+            pass  # mixed states have no tangle entry
     return MeasureReport(entries, tolerance=tol, transpose_flavor=flavor)

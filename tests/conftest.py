@@ -20,3 +20,13 @@ def max_abs(a, b=None):
         n = b.matrix if isinstance(b, FockOperator) else np.asarray(b)
         m = m - n
     return float(np.abs(m).max())
+
+
+def record_solves(monkeypatch, *names):
+    """Patch the named ``np.linalg`` solvers to log ``(name, input shape)`` per call."""
+    log = []
+    for name in names:
+        solve = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name, lambda a, *args, name=name, solve=solve, **kw: (
+            log.append((name, a.shape)) or solve(a, *args, **kw)))
+    return log

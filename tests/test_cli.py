@@ -279,6 +279,18 @@ class TestMainExitCodes:
         assert main(["sweep", "psi_p", "--steps", "0"]) == 2
         assert "usage error: need steps >= 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("args, option", [
+        (["verify", "identities", "--modes", "x"], "--modes"),
+        (["verify", "identities", "--modes", "1"], "--modes"),
+        (["verify", "conjecture", "--trials", "0"], "--trials"),
+        (["verify", "locc", "--trials", "-3"], "--trials"),
+    ])
+    def test_bad_verify_option_is_a_usage_error(self, capsys, args, option):
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage error: Invalid value for '{option}'")
+        assert "internal error" not in err
+
     def test_ok_path(self, capsys):
         assert main(["reproduce", "table1"]) == 0
         capsys.readouterr()

@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from conftest import max_abs, random_even_operator
+from conftest import max_abs, random_even_operator, record_solves
 from fneg.errors import LayoutError, ParityError, StateValidationError
 from fneg.fock import (
     FLAG_TOL,
@@ -250,17 +250,37 @@ class TestFockOperatorFlags:
 
     def test_psd_verdict_is_cached_per_tolerance(self, monkeypatch, rng):
         rho = random_density(ModeLayout.bipartite(2, 3), rng)
-        calls = []
-        eigvalsh = np.linalg.eigvalsh
-        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a.shape) or eigvalsh(a))
+        log = record_solves(monkeypatch, "cholesky", "eigvalsh")
         rho.require_density_matrix()
         rho.require_density_matrix()
         assert rho.is_density_matrix()
+        # one PSD decision, a Cholesky factorization of the two parity blocks, no fallback
+        assert log == [("cholesky", (2, 16, 16))]
         negativity(rho, SubsystemSpec((1, 2)))
         negativity(rho, SubsystemSpec((1, 3)), "bosonic")
-        assert calls == [(2, 16, 16)]  # one eigensolve, on the two parity blocks
+        # no second PSD decision; each negativity makes one eigensolve of its transpose's blocks
+        assert log[1:] == [("eigvalsh", (2, 16, 16))] * 2
         rho.require_density_matrix(tol=1e-8)
-        assert len(calls) == 2
+        assert log[3:] == [("cholesky", (2, 16, 16))]
+
+    @pytest.mark.parametrize("n", [5, 6])
+    @pytest.mark.parametrize("shift, psd, fallback", [
+        (-1.1, False, True), (-0.9, True, True), (0.0, True, False),
+    ])
+    def test_cholesky_verdict_matches_min_eigenvalue(self, monkeypatch, n, shift, psd, fallback):
+        # a unit-trace state whose smallest eigenvalue sits at shift * tol; shift 0
+        # makes it rank-deficient.  The shifted Cholesky proves lambda_min >= -tol/2,
+        # so it decides alone at 0 and leaves -0.9 and -1.1 to the eigenvalue fallback.
+        rho = random_density(ModeLayout(n, ("A",) * n), 40 + n).matrix
+        lam, target, d = np.linalg.eigvalsh(rho)[0], shift * FLAG_TOL, rho.shape[0]
+        mat = rho + (target - lam) / (1 - d * target) * np.eye(d)
+        op = FockOperator(ModeLayout(n, ("A",) * n), mat / np.trace(mat).real)
+        assert abs(op.min_eigenvalue() - target) <= 1e-14
+        log = record_solves(monkeypatch, "cholesky", "eigvalsh")
+        assert op.is_density_matrix() is psd
+        half = (2, d // 2, d // 2)
+        assert log == [("cholesky", half)] + [("eigvalsh", half)] * fallback
+        assert op.is_density_matrix() is (op.min_eigenvalue() >= -FLAG_TOL)
 
     def test_matrix_read_only(self):
         op = identity_op(ModeLayout(1, ("A",)))

@@ -1,10 +1,20 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import record_solves
 from fneg.errors import StateValidationError
-from fneg.fock import _BLOCK_MIN_MODES, FockOperator, ModeLayout, SubsystemSpec, _parity_blocks
+from fneg.fock import (
+    _BLOCK_MIN_MODES,
+    FockOperator,
+    ModeLayout,
+    SubsystemSpec,
+    _parity_blocks,
+    _sign_vector,
+)
 from fneg.measures import (
     SINGULAR_FLOOR,
     MeasureReport,
@@ -26,13 +36,20 @@ from fneg.measures import (
     trace_norm,
     tripartite_report,
 )
-from fneg.ptranspose import bosonic_pt, fermionic_pt, full_transpose, partial_trace
+from fneg.ptranspose import (
+    bosonic_pt,
+    fermionic_pt,
+    fermionic_pt_majorana,
+    full_transpose,
+    partial_trace,
+)
 from fneg.states import (
     PureCoeffs,
     canonical_state,
     pure_vector_from_coeffs,
     random_density,
     random_pure,
+    random_pure_vector,
     random_separable,
 )
 
@@ -152,16 +169,14 @@ class TestParityBlockSpectra:
         m[0, 1] = m[1, 0] = 1e-300
         want = (np.linalg.svd(t, compute_uv=False), np.linalg.eigvalsh(m)[0],
                 _dense_entropy(m, "vN"))
-        shapes = []
-        svd, eigvalsh = np.linalg.svd, np.linalg.eigvalsh
-        monkeypatch.setattr(np.linalg, "svd", lambda a, **kw: shapes.append(a.shape) or svd(a, **kw))
-        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: shapes.append(a.shape) or eigvalsh(a))
+        log = record_solves(monkeypatch, "svd", "eigvalsh", "cholesky")
         assert np.abs(singular_values(FockOperator(rho.layout, t)) - want[0]).max() <= 1e-12
         state = FockOperator(rho.layout, m)
         assert abs(state.min_eigenvalue() - want[1]) <= 1e-12
         assert abs(entropy(state) - want[2]) <= 1e-12
-        # one svd, then eigvalsh for min_eigenvalue, entropy's PSD check and its spectrum
-        assert [shape[-2:] for shape in shapes] == [(64, 64)] * 4
+        # one svd, then eigvalsh for min_eigenvalue, entropy's PSD check and its
+        # spectrum; no Cholesky, which runs on parity blocks only
+        assert log == [("svd", (64, 64))] + [("eigvalsh", (64, 64))] * 3
 
     @pytest.mark.parametrize("pos", [(0, 0), (0, 1), (0, 3)])
     def test_nan_entry_keeps_dense_behaviour(self, pos):
@@ -175,6 +190,85 @@ class TestParityBlockSpectra:
         assert not op.is_density_matrix()
         with pytest.raises(StateValidationError, match="unit-trace Hermitian"):
             negativity(op, S1)
+
+
+def _exact_pure(n: int, seed: int) -> FockOperator:
+    """A rank-1 parity-even state whose matrix is Hermitian bit for bit."""
+    layout = ModeLayout(n, ("A",) * n)
+    vec = random_pure_vector(layout, "even", seed)
+    m = np.outer(vec, vec.conj())
+    return FockOperator(layout, (m + m.conj().T) / 2)
+
+
+class TestHermitianTwin:
+    """From _BLOCK_MIN_MODES, exactly Hermitian parity blocks take |eigvalsh| instead of the SVD."""
+
+    @pytest.mark.parametrize("n", range(5, 11))
+    def test_eigen_path_matches_dense_svd(self, monkeypatch, n):
+        targets = {"leading": tuple(range(1, n // 2 + 1)),
+                   "trailing": tuple(range(n // 2 + 1, n + 1)),
+                   "interleaved": tuple(range(1, n + 1, 2))}
+        states = {"mixed": random_density(ModeLayout(n, ("A",) * n), 60 + n),
+                  "pure": _exact_pure(n, 60 + n)}
+        grid = [(state, target, flavor) for state in states for target in targets
+                for flavor in ("fermionic", "bosonic")]
+        if n == 9:  # a 1024 x 1024 dense SVD takes about 0.5 s: N = 9 and 10 split the grid
+            grid = [("pure", "leading", "fermionic"), ("pure", "interleaved", "bosonic")]
+        elif n == 10:
+            grid = [("mixed", "interleaved", "fermionic"), ("mixed", "trailing", "bosonic")]
+        cases = [(states[state], SubsystemSpec(targets[target]), flavor)
+                 for state, target, flavor in grid]
+        want = []
+        for rho, spec, flavor in cases:
+            pt = (fermionic_pt if flavor == "fermionic" else bosonic_pt)(rho, spec)
+            want.append(np.linalg.svd(pt.matrix, compute_uv=False))
+        log = record_solves(monkeypatch, "svd", "eigvalsh")
+        half = (2, 1 << (n - 1), 1 << (n - 1))
+        for (rho, spec, flavor), dense in zip(cases, want):
+            assert abs(negativity(rho, spec, flavor) - (dense.sum() - 1) / 2) <= 1e-12
+            assert log == [("eigvalsh", half)]
+            log.clear()
+            if flavor == "bosonic":
+                assert np.abs(singular_values(bosonic_pt(rho, spec)) - dense).max() <= 1e-12
+                assert log == [("eigvalsh", half)]
+                log.clear()
+
+    @pytest.mark.parametrize("flavor", ["fermionic", "bosonic"])
+    def test_anti_hermitian_part_takes_the_svd(self, monkeypatch, rng, flavor):
+        # i*eps*K with K real, symmetric, parity-even and zero on the diagonal: the
+        # state is Hermitian within FLAG_TOL, but not exactly
+        rho = random_density(ModeLayout(6, ("A",) * 6), 77)
+        parity = _sign_vector(6, 63)
+        k = rng.normal(size=(64, 64))
+        k = np.where(np.equal.outer(parity, parity), k + k.T, 0.0)
+        np.fill_diagonal(k, 0.0)
+        k /= np.abs(k).max()
+        state = FockOperator(rho.layout, rho.matrix + 1e-11j * k)
+        assert state.is_density_matrix() and not state.is_hermitian(0.0)
+        spec = SubsystemSpec((1, 3, 5))
+        pt = (fermionic_pt if flavor == "fermionic" else bosonic_pt)(state, spec)
+        dense = np.linalg.svd(pt.matrix, compute_uv=False)
+        log = record_solves(monkeypatch, "svd", "eigvalsh")
+        assert abs(negativity(state, spec, flavor) - (dense.sum() - 1) / 2) <= 1e-12
+        assert log == [("svd", (2, 32, 32))]
+        # eigvalsh reads one triangle: taken on the twin it would miss the SVD answer
+        twin = pt.matrix * (_sign_vector(6, spec.mask()) if flavor == "fermionic" else 1.0)
+        lower = np.tril(twin) + np.tril(twin, -1).conj().T
+        assert abs(np.abs(np.linalg.eigvalsh(lower)).sum() - dense.sum()) > 1e-12
+
+    @pytest.mark.parametrize("pure", [False, True])
+    def test_majorana_oracle_at_first_block_size(self, monkeypatch, pure):
+        # every proper target at N = 5: the eigen path against the dense SVD of the
+        # Majorana-expansion transpose, which shares no code with _signed_gather
+        n = _BLOCK_MIN_MODES
+        rho = _exact_pure(n, 5) if pure else random_density(ModeLayout(n, ("A",) * n), 5)
+        specs = [SubsystemSpec(t) for m in range(1, n)
+                 for t in itertools.combinations(range(1, n + 1), m)]
+        want = [trace_norm(fermionic_pt_majorana(rho, spec).matrix) for spec in specs]
+        log = record_solves(monkeypatch, "svd", "eigvalsh")
+        for spec, norm in zip(specs, want):
+            assert abs(negativity(rho, spec) - (norm - 1) / 2) <= 1e-12
+        assert log == [("eigvalsh", (2, 16, 16))] * len(specs)
 
 
 class TestNegativity:
@@ -429,6 +523,13 @@ class TestTripartiteMeasures:
         }
         mixed = tripartite_report(canonical_state("majorana_triple"))
         assert "three_tangle" not in mixed.entries
+
+    @pytest.mark.parametrize("sizes", [(2, 1, 1), (1, 2, 2)])
+    def test_pure_report_beyond_three_modes_has_no_tangle(self, sizes):
+        rho = random_pure(ModeLayout.tripartite(*sizes), "even", 1)
+        report = tripartite_report(rho)
+        assert "three_tangle" not in report.entries
+        assert report["n_abc"] == n_abc(rho)
 
     def test_pairwise_negativity_matches_reduction(self):
         ghz = canonical_state("ghz")
