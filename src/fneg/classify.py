@@ -20,8 +20,8 @@ import numpy as np
 
 from .errors import ClassificationError, StateValidationError
 from .fock import FLAG_TOL, FockOperator, SubsystemSpec, as_spec
-from .measures import j_abc, negativity, one_vs_rest_negativities
-from .states import PureCoeffs, pure_vector_from_coeffs, subsystem_parity_commutator_norm
+from .measures import _PURITY_TOL, _purity, j_abc, negativity, one_vs_rest_negativities
+from .states import PureCoeffs, _density, pure_vector_from_coeffs, subsystem_parity_commutator_norm
 
 #: Witnesses below this count as zero; configurable per call.
 DEFAULT_ZERO_THRESHOLD = 1e-9
@@ -146,14 +146,14 @@ def pure3_class(
         if state.num_modes != 3:
             raise StateValidationError("pure3_class expects three-mode amplitudes")
         vec, layout = pure_vector_from_coeffs(state)
-        rho = FockOperator(layout, np.outer(vec, vec.conj()), copy=False)
+        rho = _density(layout, vec)
     else:
         rho = state
         if rho.layout.num_modes != 3:
             raise StateValidationError("pure3_class expects a three-mode state")
         rho.require_density_matrix(tol)
-        purity = float(np.real(np.trace(rho.matrix @ rho.matrix)))
-        if abs(purity - 1.0) > 1e-8:
+        purity = _purity(rho)
+        if abs(purity - 1.0) > _PURITY_TOL:
             raise StateValidationError(f"state is mixed (purity {purity:.6f})")
     wit = _tri_witnesses(rho, tol)
     values = [wit["negativity_A"], wit["negativity_B"], wit["negativity_C"], wit["j_abc"]]

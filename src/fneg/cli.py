@@ -20,14 +20,7 @@ from . import classify as classify_mod
 from . import states, verify
 from .errors import FnegError, LayoutError, ParityError, StateValidationError
 from .fock import MAX_MODES, FockOperator, ModeLayout, SubsystemSpec
-from .measures import (
-    j_abc,
-    log_negativity,
-    n_abc,
-    negativity,
-    pi_abc,
-    three_tangle,
-)
+from .measures import _PURITY_TOL, _purity, log_negativity, negativity, tripartite_report
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -205,25 +198,11 @@ def sweep(ctx, family, p_min, p_max, steps, measure_list, flavor, normalized):
         _emit_rows([r.as_row() for r in records], ["p"] + list(chosen), output)
         ctx.exit(EXIT_OK)
 
-    ghz = states.canonical_state("ghz")
-    normalizers = {
-        "j_abc": j_abc(ghz, flavor=flavor),
-        "three_tangle": three_tangle(ghz),
-        "n_abc": n_abc(ghz, flavor),
-        "pi_abc": pi_abc(ghz, flavor),
-    }
+    ghz = tripartite_report(states.canonical_state("ghz"), flavor)
     for p in grid:
         rho = states.canonical_state("psi_p", p=float(p))
-        raw = {
-            "j_abc": j_abc(rho, flavor=flavor),
-            "three_tangle": three_tangle(rho),
-            "n_abc": n_abc(rho, flavor),
-            "pi_abc": pi_abc(rho, flavor),
-        }
-        values = {
-            m: float(raw[m] / normalizers[m]) if normalized else float(raw[m])
-            for m in chosen
-        }
+        raw = tripartite_report(rho, flavor)
+        values = {m: float(raw[m] / ghz[m]) if normalized else float(raw[m]) for m in chosen}
         records.append(
             SweepRecord(float(p), values, flavor, classify_mod.pure3_class(rho).label)
         )
@@ -320,8 +299,7 @@ def classify_cmd(ctx, state_file):
     if n == 2:
         label = classify_mod.two_mode_separable(rho, threshold=threshold)
     elif n == 3:
-        purity = float(np.real(np.trace(rho.matrix @ rho.matrix)))
-        if abs(purity - 1.0) <= 1e-8:
+        if abs(_purity(rho) - 1.0) <= _PURITY_TOL:
             label = classify_mod.pure3_class(rho, threshold=threshold)
         else:
             label = classify_mod.mixed3_classify(rho, threshold=threshold)

@@ -440,10 +440,6 @@ def basis_vector(layout: ModeLayout, occupations: Sequence[int]) -> np.ndarray:
     return vec
 
 
-def occupations_of(index: int, num_modes: int) -> tuple[int, ...]:
-    return tuple((index >> j) & 1 for j in range(num_modes))
-
-
 # -- mode permutation with Jordan-Wigner signs -----------------------------------
 
 

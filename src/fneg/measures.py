@@ -31,6 +31,7 @@ from .fock import (
     as_spec,
 )
 from .ptranspose import parity_project, partial_trace, partial_transpose
+from .states import _fix_phase
 
 #: Singular values below this are treated as exact zeros of rank-deficient states.
 SINGULAR_FLOOR = 1e-13
@@ -334,11 +335,7 @@ def pure_state_vector(rho: FockOperator, tol: float = 1e-8) -> np.ndarray:
     evals, vecs = np.linalg.eigh(rho.matrix)
     if abs(evals[-1] - 1.0) > tol:
         raise StateValidationError("operator is not a pure-state density matrix")
-    vec = vecs[:, -1]
-    nz = np.flatnonzero(np.abs(vec) > 1e-12)
-    if nz.size:
-        vec = vec * (np.abs(vec[nz[0]]) / vec[nz[0]])
-    return vec
+    return _fix_phase(vecs[:, -1])
 
 
 def three_tangle(state: FockOperator | np.ndarray, tol: float = 1e-8) -> float:
@@ -357,11 +354,33 @@ def three_tangle(state: FockOperator | np.ndarray, tol: float = 1e-8) -> float:
     return float(abs(cayley_hdet(amplitude_tensor(vec))))
 
 
-def n_abc(rho: FockOperator, flavor: str = "fermionic", tol: float = FLAG_TOL) -> float:
-    """Geometric mean of the three one-vs-rest negativities."""
-    negs = one_vs_rest_negativities(rho, flavor, tol)
+#: Largest ``|Tr rho^2 - 1|`` of a state treated as pure.  Since ``lambda_max >=
+#: Tr rho^2``, such a state also passes :func:`pure_state_vector`.
+_PURITY_TOL = 1e-8
+
+
+def _purity(rho: FockOperator) -> float:
+    """``Tr rho^2`` as ``sum |rho_ij|^2`` (equal for Hermitian ``rho``), in O(d^2)."""
+    m = rho.matrix
+    return float(np.vdot(m, m).real)
+
+
+def _n_abc(negs: Mapping[str, float]) -> float:
     prod = max(negs["A"], 0.0) * max(negs["B"], 0.0) * max(negs["C"], 0.0)
     return float(prod ** (1.0 / 3.0))
+
+
+def _pi_abc(negs: Mapping[str, float], rho: FockOperator, flavor: str, tol: float) -> float:
+    pair = {p: pairwise_negativity(rho, *p, flavor, tol) for p in ("AB", "AC", "BC")}
+    pi_a = negs["A"] ** 2 - pair["AB"] ** 2 - pair["AC"] ** 2
+    pi_b = negs["B"] ** 2 - pair["AB"] ** 2 - pair["BC"] ** 2
+    pi_c = negs["C"] ** 2 - pair["AC"] ** 2 - pair["BC"] ** 2
+    return float((pi_a + pi_b + pi_c) / 3.0)
+
+
+def n_abc(rho: FockOperator, flavor: str = "fermionic", tol: float = FLAG_TOL) -> float:
+    """Geometric mean of the three one-vs-rest negativities."""
+    return _n_abc(one_vs_rest_negativities(rho, flavor, tol))
 
 
 def pi_abc(rho: FockOperator, flavor: str = "fermionic", tol: float = FLAG_TOL) -> float:
@@ -370,16 +389,7 @@ def pi_abc(rho: FockOperator, flavor: str = "fermionic", tol: float = FLAG_TOL) 
     Each residual subtracts the squared pairwise reduced negativities from the
     squared one-vs-rest negativity of that party; applies to mixed states.
     """
-    negs = one_vs_rest_negativities(rho, flavor, tol)
-    pair = {
-        ("A", "B"): pairwise_negativity(rho, "A", "B", flavor, tol),
-        ("A", "C"): pairwise_negativity(rho, "A", "C", flavor, tol),
-        ("B", "C"): pairwise_negativity(rho, "B", "C", flavor, tol),
-    }
-    pi_a = negs["A"] ** 2 - pair[("A", "B")] ** 2 - pair[("A", "C")] ** 2
-    pi_b = negs["B"] ** 2 - pair[("A", "B")] ** 2 - pair[("B", "C")] ** 2
-    pi_c = negs["C"] ** 2 - pair[("A", "C")] ** 2 - pair[("B", "C")] ** 2
-    return float((pi_a + pi_b + pi_c) / 3.0)
+    return _pi_abc(one_vs_rest_negativities(rho, flavor, tol), rho, flavor, tol)
 
 
 def tripartite_report(
@@ -387,8 +397,11 @@ def tripartite_report(
 ) -> MeasureReport:
     """All four tripartite measures plus the one-vs-rest negativities.
 
-    ``three_tangle`` is reported only for a pure state of three modes: it is
-    not defined on mixed states or on parties of more than one mode.
+    The eight negativities behind them (three one-vs-rest, three pairwise
+    reduced, two sector-projected for ``j_abc``) are each evaluated once.
+    ``three_tangle`` is reported only for three modes with ``|Tr rho^2 - 1| <=
+    1e-8``, the purity test by which ``fneg classify`` routes states: the
+    tangle is not defined on mixed states or on parties of more than one mode.
     """
     negs = one_vs_rest_negativities(rho, flavor, tol)
     entries = {
@@ -396,12 +409,9 @@ def tripartite_report(
         "negativity_B": negs["B"],
         "negativity_C": negs["C"],
         "j_abc": j_abc(rho, flavor=flavor, tol=tol),
-        "n_abc": n_abc(rho, flavor, tol),
-        "pi_abc": pi_abc(rho, flavor, tol),
+        "n_abc": _n_abc(negs),
+        "pi_abc": _pi_abc(negs, rho, flavor, tol),
     }
-    if rho.layout.num_modes == 3:
-        try:
-            entries["three_tangle"] = three_tangle(rho)
-        except StateValidationError:
-            pass  # mixed states have no tangle entry
+    if rho.layout.num_modes == 3 and abs(_purity(rho) - 1.0) <= _PURITY_TOL:
+        entries["three_tangle"] = three_tangle(rho)
     return MeasureReport(entries, tolerance=tol, transpose_flavor=flavor)

@@ -82,7 +82,11 @@ def _fix_phase(vec: np.ndarray) -> np.ndarray:
 
 
 def _density(layout: ModeLayout, vec: np.ndarray) -> FockOperator:
-    return FockOperator(layout, np.outer(vec, vec.conj()), copy=False)
+    """``|vec><vec|`` made Hermitian bit for bit: ``np.outer`` rounds mirror entries apart."""
+    m = np.outer(vec, vec.conj())
+    m += m.conj().T
+    m *= 0.5
+    return FockOperator(layout, m, copy=False)
 
 
 def _two_mode_pure_vector(coeffs: PureCoeffs) -> np.ndarray:

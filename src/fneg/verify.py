@@ -26,8 +26,8 @@ from .fock import (
     embed_local,
     graded_tensor,
 )
-from .measures import j_abc, log_negativity, n_abc, negativity, one_vs_rest_negativities, \
-    pairwise_negativity, pi_abc, three_tangle, trace_norm
+from .measures import log_negativity, negativity, pairwise_negativity, pi_abc, trace_norm, \
+    tripartite_report
 from .ptranspose import fermionic_pt, full_transpose, partial_trace
 from .states import _block_gaussian, _rng, canonical_state, random_density, random_pure
 
@@ -558,7 +558,7 @@ def pi_inequality_scan(seed=0, samples: int = 300, flavor: str = "fermionic") ->
             rho = random_pure(layout, "odd", rng)
         else:
             rho = random_density(layout, rng)
-        n_a = one_vs_rest_negativities(rho, flavor)["A"]
+        n_a = negativity(rho, layout.spec("A"), flavor)
         n_ab = pairwise_negativity(rho, "A", "B", flavor)
         n_ac = pairwise_negativity(rho, "A", "C", flavor)
         slack = n_a**2 - n_ab**2 - n_ac**2
@@ -611,6 +611,7 @@ def _paper_value_rows() -> list[tuple[str, float, float]]:
 
     w = canonical_state("w")
     ghz = canonical_state("ghz")
+    w_report, ghz_report = tripartite_report(w), tripartite_report(ghz)
     triple = canonical_state("majorana_triple")
 
     w_ab = partial_trace(w, SubsystemSpec((1, 2)))
@@ -629,22 +630,22 @@ def _paper_value_rows() -> list[tuple[str, float, float]]:
          log_negativity(triple, spec1), float(np.log(np.sqrt(5 / 3)))),
         ("majorana_triple_reduced_logneg",
          log_negativity(triple_ab, spec1), float(np.log(2 / np.sqrt(3)))),
-        ("pi_abc_w_fermionic", pi_abc(w), float((np.sqrt(5) - 1) / 9)),
-        ("pi_abc_ghz_fermionic", pi_abc(ghz), float((4 * np.sqrt(2) - 5) / 4)),
+        ("pi_abc_w_fermionic", w_report["pi_abc"], float((np.sqrt(5) - 1) / 9)),
+        ("pi_abc_ghz_fermionic", ghz_report["pi_abc"], float((4 * np.sqrt(2) - 5) / 4)),
         ("pi_abc_ghz_bosonic", pi_abc(ghz, "bosonic"), 0.25),
-        ("j_abc_ghz", j_abc(ghz), 0.25),
-        ("j_abc_w", j_abc(w), 0.0),
-        ("three_tangle_ghz", three_tangle(ghz), 0.25),
-        ("three_tangle_w", three_tangle(w), 0.0),
+        ("j_abc_ghz", ghz_report["j_abc"], 0.25),
+        ("j_abc_w", w_report["j_abc"], 0.0),
+        ("three_tangle_ghz", ghz_report["three_tangle"], 0.25),
+        ("three_tangle_w", w_report["three_tangle"], 0.0),
         ("two_mode_pure_negativity_0.6_0.8",
          negativity(canonical_state(
              "two_mode_pure", lambdas=(0.6, 0.8), parity="even"), spec1),
          0.48),
     ]
-    sep = canonical_state("psi_p", p=4 / 7)
+    sep = tripartite_report(canonical_state("psi_p", p=4 / 7))
     rows.append((
         "psi_p_separable_point_max_measure",
-        max(j_abc(sep), three_tangle(sep), n_abc(sep), abs(pi_abc(sep))),
+        max(sep["j_abc"], sep["three_tangle"], sep["n_abc"], abs(sep["pi_abc"])),
         0.0,
     ))
     return rows

@@ -6,12 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import record_solves
+from fneg.classify import pure3_class
 from fneg.errors import StateValidationError
 from fneg.fock import (
     _BLOCK_MIN_MODES,
     FockOperator,
     ModeLayout,
     SubsystemSpec,
+    _hermitian_within,
     _parity_blocks,
     _sign_vector,
 )
@@ -28,6 +30,7 @@ from fneg.measures import (
     mutual_information,
     n_abc,
     negativity,
+    one_vs_rest_negativities,
     pairwise_negativity,
     pi_abc,
     pt_moment,
@@ -49,7 +52,6 @@ from fneg.states import (
     pure_vector_from_coeffs,
     random_density,
     random_pure,
-    random_pure_vector,
     random_separable,
 )
 
@@ -192,14 +194,6 @@ class TestParityBlockSpectra:
             negativity(op, S1)
 
 
-def _exact_pure(n: int, seed: int) -> FockOperator:
-    """A rank-1 parity-even state whose matrix is Hermitian bit for bit."""
-    layout = ModeLayout(n, ("A",) * n)
-    vec = random_pure_vector(layout, "even", seed)
-    m = np.outer(vec, vec.conj())
-    return FockOperator(layout, (m + m.conj().T) / 2)
-
-
 class TestHermitianTwin:
     """From _BLOCK_MIN_MODES, exactly Hermitian parity blocks take |eigvalsh| instead of the SVD."""
 
@@ -209,7 +203,7 @@ class TestHermitianTwin:
                    "trailing": tuple(range(n // 2 + 1, n + 1)),
                    "interleaved": tuple(range(1, n + 1, 2))}
         states = {"mixed": random_density(ModeLayout(n, ("A",) * n), 60 + n),
-                  "pure": _exact_pure(n, 60 + n)}
+                  "pure": random_pure(ModeLayout(n, ("A",) * n), "even", 60 + n)}
         grid = [(state, target, flavor) for state in states for target in targets
                 for flavor in ("fermionic", "bosonic")]
         if n == 9:  # a 1024 x 1024 dense SVD takes about 0.5 s: N = 9 and 10 split the grid
@@ -232,6 +226,17 @@ class TestHermitianTwin:
                 assert np.abs(singular_values(bosonic_pt(rho, spec)) - dense).max() <= 1e-12
                 assert log == [("eigvalsh", half)]
                 log.clear()
+
+    @pytest.mark.parametrize("n", range(5, 9))
+    def test_random_pure_takes_the_eigen_path(self, monkeypatch, n):
+        # np.outer alone rounds mirror entries apart, which would force the block SVD
+        rho = random_pure(ModeLayout(n, ("A",) * n), "odd", 90 + n)
+        assert _hermitian_within(rho.matrix, 0.0)
+        spec = SubsystemSpec(tuple(range(1, n // 2 + 1)))
+        dense = np.linalg.svd(fermionic_pt(rho, spec).matrix, compute_uv=False)
+        log = record_solves(monkeypatch, "svd", "eigvalsh")
+        assert abs(negativity(rho, spec) - (dense.sum() - 1) / 2) <= 1e-12
+        assert log == [("eigvalsh", (2, 1 << (n - 1), 1 << (n - 1)))]
 
     @pytest.mark.parametrize("flavor", ["fermionic", "bosonic"])
     def test_anti_hermitian_part_takes_the_svd(self, monkeypatch, rng, flavor):
@@ -261,7 +266,8 @@ class TestHermitianTwin:
         # every proper target at N = 5: the eigen path against the dense SVD of the
         # Majorana-expansion transpose, which shares no code with _signed_gather
         n = _BLOCK_MIN_MODES
-        rho = _exact_pure(n, 5) if pure else random_density(ModeLayout(n, ("A",) * n), 5)
+        layout = ModeLayout(n, ("A",) * n)
+        rho = random_pure(layout, "even", 5) if pure else random_density(layout, 5)
         specs = [SubsystemSpec(t) for m in range(1, n)
                  for t in itertools.combinations(range(1, n + 1), m)]
         want = [trace_norm(fermionic_pt_majorana(rho, spec).matrix) for spec in specs]
@@ -487,6 +493,13 @@ class TestTangle:
             three_tangle(canonical_state("majorana_triple"))
 
 
+def _tripartite_state(kind: str) -> FockOperator:
+    if kind.startswith("pure"):
+        return random_pure(ModeLayout.tripartite(), kind[5:], 31)
+    sizes = tuple(int(c) for c in kind[6:])
+    return random_density(ModeLayout.tripartite(*sizes), 32 + sum(sizes))
+
+
 class TestTripartiteMeasures:
     def test_closed_form_values(self):
         w = canonical_state("w")
@@ -530,6 +543,56 @@ class TestTripartiteMeasures:
         report = tripartite_report(rho)
         assert "three_tangle" not in report.entries
         assert report["n_abc"] == n_abc(rho)
+
+    @pytest.mark.parametrize("flavor", ["fermionic", "bosonic"])
+    @pytest.mark.parametrize("kind", ["pure_even", "pure_odd", "mixed_111", "mixed_211",
+                                      "mixed_222"])
+    def test_report_equals_the_public_measures(self, kind, flavor):
+        rho = _tripartite_state(kind)
+        report = tripartite_report(rho, flavor)
+        negs = one_vs_rest_negativities(rho, flavor)
+        assert [report[f"negativity_{lab}"] for lab in "ABC"] == [negs[lab] for lab in "ABC"]
+        assert report["j_abc"] == j_abc(rho, flavor=flavor)
+        assert report["n_abc"] == n_abc(rho, flavor)
+        assert report["pi_abc"] == pi_abc(rho, flavor)
+        if kind.startswith("pure"):
+            assert report["three_tangle"] == three_tangle(rho)
+        else:
+            assert "three_tangle" not in report.entries
+
+    @pytest.mark.parametrize("kind", ["pure_even", "mixed_111", "mixed_211"])
+    def test_report_takes_eight_trace_norms(self, monkeypatch, kind):
+        import fneg.measures
+
+        rho = _tripartite_state(kind)
+        calls = []
+        norm = fneg.measures.trace_norm
+        monkeypatch.setattr(fneg.measures, "trace_norm", lambda op: calls.append(1) or norm(op))
+        tripartite_report(rho)
+        assert len(calls) == 8
+
+    def test_only_a_pure_report_diagonalizes(self, monkeypatch):
+        mixed, pure = _tripartite_state("mixed_111"), _tripartite_state("pure_even")
+        log = record_solves(monkeypatch, "eigh")
+        tripartite_report(mixed)
+        assert log == []
+        tripartite_report(pure)
+        assert log == [("eigh", (8, 8))]
+
+    @pytest.mark.parametrize("eps", [1e-10, 1e-8, 1e-6])
+    def test_tangle_gate_is_the_classifier_purity_test(self, eps):
+        # Tr rho^2 = 1 - 1.75 eps and lambda_max = 1 - 0.875 eps: at eps = 1e-8 only
+        # the eigenvalue passes 1e-8, and the report follows the classifier's Tr rho^2
+        psi = _tripartite_state("pure_odd")
+        rho = FockOperator(psi.layout, (1 - eps) * psi.matrix + eps * np.eye(8) / 8)
+        report = tripartite_report(rho)
+        if eps < 1e-8:
+            assert abs(report["three_tangle"] - three_tangle(psi)) <= 1e-9
+            assert pure3_class(rho).label == pure3_class(psi).label
+        else:
+            assert "three_tangle" not in report.entries
+            with pytest.raises(StateValidationError, match="state is mixed"):
+                pure3_class(rho)
 
     def test_pairwise_negativity_matches_reduction(self):
         ghz = canonical_state("ghz")
