@@ -122,14 +122,29 @@ def _tri_witnesses(rho: FockOperator, tol: float) -> dict[str, float]:
     }
 
 
-def _pure3_label(zero_a: bool, zero_b: bool, zero_c: bool, zero_j: bool) -> str:
+def _pure3_verdict(witnesses: Mapping[str, float], threshold: float) -> ClassLabel:
+    """Class of a three-mode pure state from its ``negativity_A/B/C`` and ``j_abc``.
+
+    Takes those four entries of :func:`_tri_witnesses` or of a fermionic
+    ``tripartite_report``; other entries are ignored.
+    """
+    keys = ("negativity_A", "negativity_B", "negativity_C", "j_abc")
+    wit = {key: witnesses[key] for key in keys}
+    zero_a, zero_b, zero_c, zero_j = (v <= threshold for v in wit.values())
     zeros = sum((zero_a, zero_b, zero_c))
     if zeros >= 2:
         # Two vanishing one-vs-rest cuts force the third; escalate.
-        return "A-B-C"
-    if zeros == 1:
-        return "A-BC" if zero_a else ("B-AC" if zero_b else "C-AB")
-    return "W" if zero_j else "GHZ"
+        label = "A-B-C"
+    elif zeros == 1:
+        label = "A-BC" if zero_a else ("B-AC" if zero_b else "C-AB")
+    else:
+        label = "W" if zero_j else "GHZ"
+    return ClassLabel(
+        label=label,
+        witnesses=wit,
+        threshold=threshold,
+        marginal=any(_is_marginal(v, threshold) for v in wit.values()),
+    )
 
 
 def pure3_class(
@@ -155,16 +170,7 @@ def pure3_class(
         purity = _purity(rho)
         if abs(purity - 1.0) > _PURITY_TOL:
             raise StateValidationError(f"state is mixed (purity {purity:.6f})")
-    wit = _tri_witnesses(rho, tol)
-    values = [wit["negativity_A"], wit["negativity_B"], wit["negativity_C"], wit["j_abc"]]
-    zeros = [v <= threshold for v in values]
-    label = _pure3_label(zeros[0], zeros[1], zeros[2], zeros[3])
-    return ClassLabel(
-        label=label,
-        witnesses=wit,
-        threshold=threshold,
-        marginal=any(_is_marginal(v, threshold) for v in values),
-    )
+    return _pure3_verdict(_tri_witnesses(rho, tol), threshold)
 
 
 def mixed3_classify(

@@ -203,9 +203,12 @@ def sweep(ctx, family, p_min, p_max, steps, measure_list, flavor, normalized):
         rho = states.canonical_state("psi_p", p=float(p))
         raw = tripartite_report(rho, flavor)
         values = {m: float(raw[m] / ghz[m]) if normalized else float(raw[m]) for m in chosen}
-        records.append(
-            SweepRecord(float(p), values, flavor, classify_mod.pure3_class(rho).label)
-        )
+        # The fermionic report holds the class witnesses; the bosonic one does not.
+        if flavor == "fermionic":
+            label = classify_mod._pure3_verdict(raw.entries, classify_mod.DEFAULT_ZERO_THRESHOLD)
+        else:
+            label = classify_mod.pure3_class(rho)
+        records.append(SweepRecord(float(p), values, flavor, label.label))
     _emit_rows([r.as_row() for r in records], ["p"] + list(chosen) + ["label"], output)
     ctx.exit(EXIT_OK)
 

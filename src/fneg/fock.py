@@ -17,7 +17,7 @@ read from :func:`_sign_vector`; every parity-commutator test is :func:`_parity_l
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -50,8 +50,17 @@ _LEAK_BAND = 64  # rows per band of _leak_blocks and _hermitian_within; a band s
 
 @lru_cache(maxsize=256)
 def _leak_blocks(num_modes: int, mask: int) -> tuple:
-    """``np.ix_`` indexers of row bands of the two blocks that change the masked parity."""
+    """Indexers of the entries that change the masked parity, each applied as ``M[..., *indexer]``.
+
+    Up to :data:`_LEAK_BAND` rows, one boolean mask of those entries; above,
+    ``np.ix_`` row bands of the two blocks that change the parity, so nothing
+    of size d x d is cached.
+    """
     signs = _sign_vector(num_modes, mask)
+    if signs.size <= _LEAK_BAND:
+        leak = np.not_equal.outer(signs, signs)
+        leak.setflags(write=False)
+        return ((leak,),)
     even, odd = np.flatnonzero(signs > 0), np.flatnonzero(signs < 0)
     even.setflags(write=False)
     odd.setflags(write=False)
@@ -62,14 +71,18 @@ def _leak_blocks(num_modes: int, mask: int) -> tuple:
     )
 
 
-def _parity_leak(matrix: np.ndarray, num_modes: int, mask: int) -> float:
+def _parity_leak(matrix: np.ndarray, num_modes: int, mask: int) -> np.ndarray:
     """Largest ``|M_ij|`` with ``i`` and ``j`` of different parity on the ``mask`` bits.
 
-    Half the max-norm of ``[(-1)^{F_mask}, M]``; NaN if an entry is not finite.
+    Half the max-norm of ``[(-1)^{F_mask}, M]``, one value per matrix of a
+    ``(..., d, d)`` stack; NaN for a matrix with an entry that is not finite.
     """
-    if not np.isfinite(matrix).all():
-        return float("nan")
-    return max(float(np.abs(matrix[block]).max()) for block in _leak_blocks(num_modes, mask))
+    lead = matrix.shape[:-2]
+    leak = reduce(np.maximum, (
+        np.abs(matrix[(Ellipsis, *block)]).reshape(*lead, -1).max(axis=-1)
+        for block in _leak_blocks(num_modes, mask)
+    ))
+    return np.where(np.isfinite(matrix).all(axis=(-2, -1)), leak, np.nan)
 
 
 #: Fewest modes at which spectra are taken on the parity blocks.  At N = 4 the
@@ -135,17 +148,30 @@ def _cholesky_psd(matrix: np.ndarray, num_modes: int, tol: float) -> bool:
     return True
 
 
-def _hermitian_within(matrix: np.ndarray, tol: float) -> bool:
-    """Whether ``max |M - M^H| <= tol``; False when an entry is NaN.
+def _hermitian_within(matrix: np.ndarray, tol: float) -> np.ndarray:
+    """Whether ``max |M - M^H| <= tol`` for each matrix of a ``(..., d, d)`` stack; False where NaN.
 
     Reads the upper triangle in row bands against the transposed column bands,
-    so no d x d temporary is built.
+    so no d x d temporary is built.  A band holds ``conj(M) - M^T``, which has
+    the moduli of ``M - M^H`` and needs no conjugated copy of the column band.
     """
-    for k in range(0, matrix.shape[0], _LEAK_BAND):
-        band = matrix[k:k + _LEAK_BAND, k:] - matrix[k:, k:k + _LEAK_BAND].conj().T
-        if not np.abs(band).max() <= tol:
-            return False
-    return True
+    worst = 0.0
+    for k in range(0, matrix.shape[-1], _LEAK_BAND):
+        band = matrix[..., k:k + _LEAK_BAND, k:].conj()
+        band -= matrix[..., k:, k:k + _LEAK_BAND].swapaxes(-1, -2)
+        worst = np.maximum(worst, np.abs(band).max(axis=(-2, -1)))
+        del band  # before the next band is allocated
+    return worst <= tol
+
+
+def _unit_trace(matrix: np.ndarray, tol: float) -> np.ndarray:
+    """Whether ``|Tr M - 1| <= tol`` for each matrix of a ``(..., d, d)`` stack."""
+    return np.abs(np.trace(matrix, axis1=-2, axis2=-1) - 1.0) <= tol
+
+
+def _dense_min_eigenvalue(matrix: np.ndarray) -> np.ndarray:
+    """Smallest eigenvalue of the Hermitian part of each matrix of a ``(..., d, d)`` stack."""
+    return np.linalg.eigvalsh((matrix + matrix.conj().swapaxes(-1, -2)) / 2)[..., 0]
 
 
 @dataclass(frozen=True)
@@ -265,7 +291,9 @@ class FockOperator:
     function returning fresh instances, so values can be shared freely between
     threads.  Flags (hermitian, parity-even, unit-trace, positive semi-definite)
     are computed lazily per tolerance and cached, so a state validated once pays
-    for a single PSD decision.  From :data:`_BLOCK_MIN_MODES` modes, when the
+    for a single PSD decision.  Each flag hands the matrix to a kernel that
+    takes a ``(..., d, d)`` stack, so a batch of samples is checked by the same
+    code as one operator.  From :data:`_BLOCK_MIN_MODES` modes, when the
     parity blocks are taken, that decision is a Cholesky factorization of each
     block's Hermitian part shifted by ``tol/2`` (:func:`_cholesky_psd`); if it
     fails, and on the dense path, the verdict is ``min_eigenvalue() >= -tol``.
@@ -305,7 +333,7 @@ class FockOperator:
         )
 
     def is_unit_trace(self, tol: float = FLAG_TOL) -> bool:
-        return self._cached(f"tr@{tol}", lambda: abs(np.trace(self.matrix) - 1.0) <= tol)
+        return self._cached(f"tr@{tol}", lambda: _unit_trace(self.matrix, tol))
 
     def min_eigenvalue(self) -> float:
         """Smallest eigenvalue of the Hermitian part (meaningful for Hermitian input).
@@ -315,7 +343,7 @@ class FockOperator:
         """
         herm = _hermitian_blocks(self.matrix, self.layout.num_modes)
         if herm is None:
-            return float(np.linalg.eigvalsh((self.matrix + self.matrix.conj().T) / 2)[0])
+            return float(_dense_min_eigenvalue(self.matrix))
         return float(np.linalg.eigvalsh(herm)[:, 0].min())
 
     def _is_psd(self, tol: float) -> bool:

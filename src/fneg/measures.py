@@ -30,7 +30,7 @@ from .fock import (
     _sign_vector,
     as_spec,
 )
-from .ptranspose import parity_project, partial_trace, partial_transpose
+from .ptranspose import _fermionic_gather, parity_project, partial_trace, partial_transpose
 from .states import _fix_phase
 
 #: Singular values below this are treated as exact zeros of rank-deficient states.
@@ -95,7 +95,7 @@ def singular_values(op: FockOperator | np.ndarray) -> np.ndarray:
     blocks = _parity_blocks(op.matrix, op.layout.num_modes)
     if blocks is None:
         return np.linalg.svd(op.matrix, compute_uv=False)
-    if all(_hermitian_within(block, 0.0) for block in blocks):
+    if _hermitian_within(blocks, 0.0).all():
         values = np.abs(np.linalg.eigvalsh(blocks))
     else:
         values = np.linalg.svd(blocks, compute_uv=False)
@@ -120,15 +120,19 @@ def _pt_norm(rho: FockOperator, spec, flavor: str, tol: float) -> float:
     (-1)^{F_A}``, so ``rho^{T_A} (-1)^{F_A}`` (the columns scaled by the target
     parity) is Hermitian, and ``(-1)^{F_A}`` is unitary, so it has the singular
     values of ``rho^{T_A}``.  The bosonic transpose is Hermitian itself.  Both
-    let :func:`singular_values` take ``eigvalsh`` on the parity blocks; below
+    let :func:`singular_values` take ``eigvalsh`` on the parity blocks.  The
+    column sign is applied in place to the transpose, so no second d x d array
+    is built.  (Folding it into ``_SIGN_PHASE`` would flip the sign of entries
+    that are exactly zero, and ``eigvalsh`` can then round differently.)  Below
     :data:`_BLOCK_MIN_MODES` the blocks are not taken and the transpose is kept.
     """
-    spec = as_spec(spec)
-    pt = _validated_pt(rho, spec, flavor, tol)
     n = rho.layout.num_modes
-    if flavor == "fermionic" and n >= _BLOCK_MIN_MODES:
-        pt = FockOperator(rho.layout, pt.matrix * _sign_vector(n, spec.mask()), copy=False)
-    return trace_norm(pt)
+    if flavor != "fermionic" or n < _BLOCK_MIN_MODES:
+        return trace_norm(_validated_pt(rho, spec, flavor, tol))
+    rho.require_density_matrix(tol)
+    twin = _fermionic_gather(rho, spec, tol)
+    twin *= _sign_vector(n, as_spec(spec).mask())
+    return trace_norm(FockOperator(rho.layout, twin, copy=False))
 
 
 def negativity(

@@ -54,12 +54,14 @@ _SIGN_PHASE = np.array(
 
 
 @lru_cache(maxsize=256)
-def _gather_plan(num_modes: int, targets: tuple[int, ...], fermionic: bool):
+def _gather_plan(num_modes: int, targets: tuple[int, ...], fermionic: bool, stack_ndim: int = 0):
     """Axis order, axis reversals, input signs and output classes of :func:`_signed_gather`.
 
-    Only tuples and length-``2**N`` vectors are cached, never a d x d array:
-    ``sigma`` comes from :func:`_reorder_signs`, ``s`` and ``P`` from :func:`_sign_vector`.
-    Signs that are all +1 (leading targets) and the bosonic flavor's signs and
+    The axes and reversals are those of a ``(...,) + (2,)*2N`` tensor with
+    ``stack_ndim`` leading stack axes.  Only tuples and length-``2**N`` vectors
+    are cached, never a d x d array: ``sigma`` comes from
+    :func:`_reorder_signs`, ``s`` and ``P`` from :func:`_sign_vector`.  Signs
+    that are all +1 (leading targets) and the bosonic flavor's signs and
     classes are ``None``.
     """
     n = num_modes
@@ -70,8 +72,10 @@ def _gather_plan(num_modes: int, targets: tuple[int, ...], fermionic: bool):
         axes[ket], axes[n + ket] = n + ket, ket
         if fermionic:
             index[ket] = index[n + ket] = slice(None, None, -1)
+    axes = tuple(range(stack_ndim)) + tuple(stack_ndim + a for a in axes)
+    index = (slice(None),) * stack_ndim + tuple(index)
     if not fermionic:
-        return tuple(axes), tuple(index), None, None
+        return axes, index, None, None
     spec = SubsystemSpec(targets)
     sigma = _reorder_signs(n, leading_order_for(spec, n))
     # U_A = c_1 c_3 .. c_{2m-1} in the leading order: the p-th of the m sorted
@@ -81,13 +85,13 @@ def _gather_plan(num_modes: int, targets: tuple[int, ...], fermionic: bool):
     negative = sigma * _sign_vector(n, s_mask) < 0
     classes = 2 * negative + (_sign_vector(n, spec.mask()) < 0)
     classes.setflags(write=False)
-    return tuple(axes), tuple(index), None if (sigma > 0).all() else sigma, classes
+    return axes, index, None if (sigma > 0).all() else sigma, classes
 
 
 def _signed_gather(
     matrix: np.ndarray, num_modes: int, spec: SubsystemSpec, fermionic: bool
 ) -> np.ndarray:
-    """Partial transpose of ``matrix`` over ``spec``'s modes as one signed gather.
+    """Partial transpose over ``spec``'s modes of each matrix of a ``(..., d, d)`` stack.
 
     Swapping the ket and bra axes of every target mode makes ``out[r, c]``
     read the entry whose ket has the target bits of ``c`` and the other bits of
@@ -101,15 +105,17 @@ def _signed_gather(
     occupation rule's phase ``(-i)**(tau_A + tau_A') (-1)**((tau_A + tau_A')(tau_B + tau_B'))``
     takes this compact form only on parity-even input, which the callers check.
     """
-    n = num_modes
-    axes, index, sigma, classes = _gather_plan(n, spec.sorted_modes(), fermionic)
+    n, lead = num_modes, matrix.shape[:-2]
+    axes, index, sigma, classes = _gather_plan(n, spec.sorted_modes(), fermionic, len(lead))
     if sigma is not None:
         matrix = matrix * sigma[:, None]
-        matrix *= sigma[None, :]
-    tensor = matrix.reshape((2,) * (2 * n)).transpose(axes)[index]
+        matrix *= sigma
+    tensor = matrix.reshape(lead + (2,) * (2 * n)).transpose(axes)[index]
     if classes is None:
-        return np.ascontiguousarray(tensor).reshape(1 << n, 1 << n)
-    out = _SIGN_PHASE[classes[:, None], classes[None, :]]
+        return np.ascontiguousarray(tensor).reshape(matrix.shape)
+    # The phase table gathered to the output's shape is the output buffer.
+    rows = np.broadcast_to(classes[:, None], matrix.shape) if lead else classes[:, None]
+    out = _SIGN_PHASE[rows, classes]
     np.multiply(tensor, out.reshape(tensor.shape), out=out.reshape(tensor.shape))
     return out
 
@@ -122,6 +128,14 @@ def _resolve_spec(rho: FockOperator, spec) -> SubsystemSpec:
     return spec
 
 
+def _fermionic_gather(rho: FockOperator, spec, tol: float) -> np.ndarray:
+    """:func:`fermionic_pt`'s parity check and gather, as a writable matrix."""
+    if not rho.is_parity_even(tol):
+        raise ParityError("fermionic partial transpose is defined only on parity-even operators")
+    spec = _resolve_spec(rho, spec)
+    return _signed_gather(rho.matrix, rho.layout.num_modes, spec, fermionic=True)
+
+
 def fermionic_pt(rho: FockOperator, spec: SubsystemSpec, tol: float = FLAG_TOL) -> FockOperator:
     """Fermionic partial transpose of a parity-even operator over ``spec``.
 
@@ -129,11 +143,7 @@ def fermionic_pt(rho: FockOperator, spec: SubsystemSpec, tol: float = FLAG_TOL) 
     :func:`_signed_gather`.  The trace is preserved and the output is
     generally non-Hermitian.
     """
-    if not rho.is_parity_even(tol):
-        raise ParityError("fermionic partial transpose is defined only on parity-even operators")
-    spec = _resolve_spec(rho, spec)
-    mat = _signed_gather(rho.matrix, rho.layout.num_modes, spec, fermionic=True)
-    return FockOperator(rho.layout, mat, copy=False)
+    return FockOperator(rho.layout, _fermionic_gather(rho, spec, tol), copy=False)
 
 
 @lru_cache(maxsize=8)

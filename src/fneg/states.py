@@ -262,10 +262,32 @@ def random_pure(layout: ModeLayout, parity_sector: str, seed) -> FockOperator:
     return _density(layout, random_pure_vector(layout, parity_sector, seed))
 
 
-def _block_gaussian(rng: np.random.Generator, allowed: np.ndarray) -> np.ndarray:
-    dim = allowed.shape[0]
-    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    return np.where(allowed, g, 0.0)
+def _block_gaussian(draws: np.ndarray, allowed: np.ndarray) -> np.ndarray:
+    """Complex Gaussians ``draws[..., 0, :, :] + i draws[..., 1, :, :]``, 0 where not ``allowed``.
+
+    ``draws`` is a ``(..., 2, d, d)`` stack of standard normals, such as
+    ``rng.normal(size=(2, d, d))``; one call for a whole stack returns the
+    numbers of consecutive per-matrix calls.
+    """
+    return np.where(allowed, draws[..., 0, :, :] + 1j * draws[..., 1, :, :], 0.0)
+
+
+def _normalised_gram(g: np.ndarray) -> np.ndarray:
+    """``G G^+ / Tr(G G^+)`` for each matrix of a ``(..., d, d)`` stack."""
+    mat = g @ g.conj().swapaxes(-1, -2)
+    mat /= np.trace(mat, axis1=-2, axis2=-1)[..., None, None]
+    return mat
+
+
+def _parity_mask(num_modes: int) -> np.ndarray:
+    """Entries a globally parity-even operator may hold: both indices of equal parity."""
+    glob = _sign_vector(num_modes, (1 << num_modes) - 1)
+    return np.equal.outer(glob, glob)
+
+
+def _visibly_type_ii(mat: np.ndarray, num_modes: int, mask: int) -> np.ndarray:
+    """Whether ``|[(-1)^{F_mask}, M]|_max > TYPE_II_THRESHOLD`` for each matrix of a stack."""
+    return 2.0 * _parity_leak(mat, num_modes, mask) > TYPE_II_THRESHOLD
 
 
 def random_density(
@@ -282,8 +304,7 @@ def random_density(
     max-norm above :data:`TYPE_II_THRESHOLD`, resampled otherwise).
     """
     rng = _rng(seed)
-    glob = _sign_vector(layout.num_modes, layout.dim - 1)
-    allowed = np.equal.outer(glob, glob)
+    allowed = _parity_mask(layout.num_modes)
     if constraint != "any_physical":
         if spec is None:
             raise LayoutError(f"constraint {constraint!r} requires a subsystem spec")
@@ -294,13 +315,10 @@ def random_density(
             allowed &= np.equal.outer(sub, sub)
         elif constraint != "type_II":
             raise ValueError(f"unknown constraint {constraint!r}")
+    dim = layout.dim
     for _ in range(_RESAMPLE_BUDGET):
-        g = _block_gaussian(rng, allowed)
-        mat = g @ g.conj().T
-        mat /= np.trace(mat)
-        if constraint != "type_II" or (
-            2.0 * _parity_leak(mat, layout.num_modes, spec.mask()) > TYPE_II_THRESHOLD
-        ):
+        mat = _normalised_gram(_block_gaussian(rng.normal(size=(2, dim, dim)), allowed))
+        if constraint != "type_II" or _visibly_type_ii(mat, layout.num_modes, spec.mask()):
             return FockOperator(layout, mat, copy=False)
     raise SamplingError("type_II resampling budget exhausted")
 
@@ -309,7 +327,7 @@ def subsystem_parity_commutator_norm(rho: FockOperator, spec: SubsystemSpec) -> 
     """Max-norm of ``[(-1)^{F_spec}, rho]``, NaN when an entry is not finite."""
     spec = as_spec(spec)
     spec.validate(rho.layout)
-    return 2.0 * _parity_leak(rho.matrix, rho.layout.num_modes, spec.mask())
+    return float(2.0 * _parity_leak(rho.matrix, rho.layout.num_modes, spec.mask()))
 
 
 def random_separable(

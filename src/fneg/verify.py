@@ -19,17 +19,32 @@ import numpy as np
 
 from .errors import SamplingError
 from .fock import (
+    _BLOCK_MIN_MODES,
+    FLAG_TOL,
     FockOperator,
     ModeLayout,
     SubsystemSpec,
+    _dense_min_eigenvalue,
+    _hermitian_within,
+    _parity_leak,
     _sign_vector,
+    _unit_trace,
     embed_local,
     graded_tensor,
 )
 from .measures import log_negativity, negativity, pairwise_negativity, pi_abc, trace_norm, \
     tripartite_report
-from .ptranspose import fermionic_pt, full_transpose, partial_trace
-from .states import _block_gaussian, _rng, canonical_state, random_density, random_pure
+from .ptranspose import _signed_gather, fermionic_pt, full_transpose, partial_trace
+from .states import (
+    _block_gaussian,
+    _normalised_gram,
+    _parity_mask,
+    _rng,
+    _visibly_type_ii,
+    canonical_state,
+    random_density,
+    random_pure,
+)
 
 #: Probability weights below this are treated as empty measurement branches.
 _WEIGHT_FLOOR = 1e-12
@@ -81,8 +96,8 @@ def _fingerprint(matrix: np.ndarray) -> str:
 
 def random_even_operator(layout: ModeLayout, rng: np.random.Generator) -> FockOperator:
     """Generic (non-Hermitian) parity-even operator with Gaussian entries."""
-    signs = _sign_vector(layout.num_modes, layout.dim - 1)
-    return FockOperator(layout, _block_gaussian(rng, np.equal.outer(signs, signs)), copy=False)
+    draws = rng.normal(size=(2, layout.dim, layout.dim))
+    return FockOperator(layout, _block_gaussian(draws, _parity_mask(layout.num_modes)), copy=False)
 
 
 def random_even_hermitian(layout: ModeLayout, rng: np.random.Generator) -> FockOperator:
@@ -396,7 +411,8 @@ def _perturbation_instance(rng: np.random.Generator, m: int, eps_max: float):
         if gaps.min() < _GAP_GUARD:
             continue
         signs = _sign_vector(m, sub - 1)
-        delta = _block_gaussian(rng, np.not_equal.outer(signs, signs))
+        delta = _block_gaussian(rng.normal(size=(2, signs.size, signs.size)),
+                                np.not_equal.outer(signs, signs))
         delta /= np.linalg.norm(delta)
         return w, rho0, rho1, delta
     raise SamplingError("perturbation instance resampling budget exhausted")
@@ -492,6 +508,63 @@ def check_perturbation_expansion(
 # -- conjecture and inequality scans ------------------------------------------------
 
 
+#: Bytes of one stacked array in a :func:`conjecture_scan` chunk: 128 samples at
+#: d = 8.  Larger chunks gain no speed and raise the scan's peak memory.
+_CHUNK_BYTES = 1 << 17
+
+
+def _scan_sequential(rng, configs, start: int, stop: int):
+    """Matrices and negativities of samples ``start .. stop-1``, one ``negativity`` call each."""
+    mats, negs = [], []
+    for t in range(start, stop):
+        layout, _ = configs[t % len(configs)]
+        spec = layout.spec("A")
+        rho = random_density(layout, rng, constraint="type_II", spec=spec)
+        mats.append(rho.matrix)
+        negs.append(negativity(rho, spec))
+    return mats, np.array(negs)
+
+
+def _scan_stacked(rng, configs, start: int, stop: int):
+    """What :func:`_scan_sequential` returns, each stage run once per stack of one config's samples.
+
+    For samples below :data:`_BLOCK_MIN_MODES` modes.  One ``rng.normal`` call
+    returns the numbers of the per-sample draws, in their order, and every
+    stage is the per-sample stage's kernel on a stack, so each member equals
+    its sequential sample bit for bit.  ``None`` when any member would be
+    resampled as not type II, or fails a check of ``require_density_matrix``
+    or ``fermionic_pt``; the caller then replays the chunk sequentially.
+    """
+    tol = FLAG_TOL
+    cycle = np.arange(start, stop) % len(configs)
+    sizes = np.array([2 * layout.dim ** 2 for layout, _ in configs])[cycle]
+    offsets = np.cumsum(sizes) - sizes
+    draws = rng.normal(size=int(sizes.sum()))
+    mats = [None] * (stop - start)
+    negs = np.empty(stop - start)
+    for c, (layout, _) in enumerate(configs):
+        members = np.flatnonzero(cycle == c)
+        if not members.size:
+            continue
+        n, d, spec = layout.num_modes, layout.dim, layout.spec("A")
+        g = draws[offsets[members, None] + np.arange(2 * d * d)].reshape(-1, 2, d, d)
+        stack = _normalised_gram(_block_gaussian(g, _parity_mask(n)))
+        # The PSD test runs last: its eigvalsh needs the finite input the others prove.
+        valid = (
+            _visibly_type_ii(stack, n, spec.mask())
+            & _hermitian_within(stack, tol)
+            & _unit_trace(stack, tol)
+            & (2.0 * _parity_leak(stack, n, d - 1) <= tol)
+        )
+        if not (valid.all() and (_dense_min_eigenvalue(stack) >= -tol).all()):
+            return None
+        pt = _signed_gather(stack, n, spec, fermionic=True)
+        negs[members] = (np.linalg.svd(pt, compute_uv=False).sum(axis=-1) - 1.0) / 2.0
+        for i, mat in zip(members, stack):
+            mats[i] = mat
+    return mats, negs
+
+
 def conjecture_scan(
     seed=0,
     samples: int = 10000,
@@ -502,7 +575,19 @@ def conjecture_scan(
 
     Samples states whose commutator with a subsystem parity operator is
     visibly nonzero and records the minimum negativity; any sample below
-    ``threshold`` is dumped in full as a counterexample candidate.
+    ``threshold`` is dumped in full as a counterexample candidate.  Sample
+    ``t`` takes the ``t % len(configs)``-th bipartition, in the order of
+    ``num_modes`` and then ``m_a``.
+
+    Consecutive samples below :data:`fock._BLOCK_MIN_MODES` modes run in
+    chunks of about :data:`_CHUNK_BYTES` per stacked matrix array: each stage
+    (draw, ``G G^+`` normalisation, type-II test, the checks of
+    ``require_density_matrix``, transpose, SVD) runs once per chunk on a stack.
+    The draws are the ones ``random_density`` makes per sample, in the same
+    order, so the report equals a per-sample scan byte for byte.  A chunk in
+    which any sample would be resampled or fails a check is replayed from the
+    saved generator state through ``random_density`` and ``negativity``.
+    Samples of more modes take the parity-block path one at a time.
     """
     if samples < 1:
         raise ValueError("samples must be at least 1")
@@ -512,28 +597,43 @@ def conjecture_scan(
     for n in num_modes:
         for m_a in range(1, n):
             configs.append((ModeLayout.bipartite(m_a, n - m_a), m_a))
+    stacked = [layout.num_modes < _BLOCK_MIN_MODES for layout, _ in configs]
+    width = max((layout.dim for (layout, _), s in zip(configs, stacked) if s), default=1)
+    chunk = max(1, _CHUNK_BYTES // (16 * width * width))
     min_neg = np.inf
     min_info = None
     counterexamples = []
-    for t in range(samples):
-        layout, m_a = configs[t % len(configs)]
-        spec = layout.spec("A")
-        rho = random_density(layout, rng, constraint="type_II", spec=spec)
-        neg = negativity(rho, spec)
-        if neg < min_neg:
-            min_neg = neg
-            min_info = {"trial": t, "n": layout.num_modes, "m_a": m_a,
-                        "state": _fingerprint(rho.matrix)}
-        if neg < threshold:
+    start = 0
+    while start < samples:
+        stop, result = start + 1, None
+        if stacked[start % len(configs)]:
+            limit = min(start + chunk, samples)
+            while stop < limit and stacked[stop % len(configs)]:
+                stop += 1
+            state = rng.bit_generator.state
+            result = _scan_stacked(rng, configs, start, stop)
+            if result is None:
+                rng.bit_generator.state = state
+        mats, negs = result or _scan_sequential(rng, configs, start, stop)
+        first = int(np.argmin(negs))
+        if negs[first] < min_neg:
+            layout, m_a = configs[(start + first) % len(configs)]
+            min_neg = negs[first]
+            min_info = {"trial": start + first, "n": layout.num_modes, "m_a": m_a,
+                        "state": _fingerprint(mats[first])}
+        for i in np.flatnonzero(negs < threshold):
+            t = start + int(i)
+            layout, m_a = configs[t % len(configs)]
             counterexamples.append(
                 {
                     "trial": t,
                     "n": layout.num_modes,
                     "m_a": m_a,
-                    "negativity": float(neg),
-                    "matrix": [[z.real, z.imag] for z in rho.matrix.ravel()],
+                    "negativity": float(negs[i]),
+                    "matrix": [[z.real, z.imag] for z in mats[i].ravel()],
                 }
             )
+        start = stop
     violation = max(0.0, threshold - float(min_neg)) if counterexamples else 0.0
     diagnostics = [{"min_negativity": float(min_neg), "minimum_at": min_info,
                     "counterexamples": counterexamples}]

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
 
+from fneg import states as states_mod
+from fneg import verify as verify_mod
+from fneg.cli import main as cli_main
 from fneg.fock import ModeLayout, SubsystemSpec, parity_op
-from fneg.measures import trace_norm
+from fneg.measures import negativity, trace_norm
 from fneg.ptranspose import fermionic_pt, fermionic_pt_majorana
 from fneg.states import random_density
 from fneg.verify import (
@@ -17,6 +20,7 @@ from fneg.verify import (
     random_even_projector_set,
     random_even_unitary,
     trace_norm_prediction,
+    _fingerprint,
     _perturbation_instance,
 )
 
@@ -181,7 +185,93 @@ class TestPerturbationExpansion:
         assert rho.is_density_matrix()
 
 
+#: ``fneg --seed 7 verify conjecture`` as printed before the scan ran in chunks.
+_CONJECTURE_SEED7 = """{
+  "check_name": "conjecture_type_II",
+  "trials": 10000,
+  "max_violation": 0.0,
+  "tolerance": 0.0,
+  "passed": true,
+  "diagnostics": [
+    {
+      "min_negativity": 0.0011608826338441736,
+      "minimum_at": {
+        "trial": 156,
+        "n": 2,
+        "m_a": 1,
+        "state": "af89fbacfe92"
+      },
+      "counterexamples": []
+    }
+  ]
+}
+"""
+
+
+def _per_sample_scan(seed, samples, num_modes, threshold=1e-10) -> dict:
+    """The scan's diagnostics computed one ``random_density`` and ``negativity`` at a time."""
+    rng = np.random.default_rng(seed)
+    configs = [(ModeLayout.bipartite(m_a, n - m_a), m_a) for n in num_modes for m_a in range(1, n)]
+    min_neg, min_info, dumps = np.inf, None, []
+    for t in range(samples):
+        layout, m_a = configs[t % len(configs)]
+        spec = layout.spec("A")
+        rho = random_density(layout, rng, constraint="type_II", spec=spec)
+        neg = negativity(rho, spec)
+        if neg < min_neg:
+            min_neg = neg
+            min_info = {"trial": t, "n": layout.num_modes, "m_a": m_a,
+                        "state": _fingerprint(rho.matrix)}
+        if neg < threshold:
+            dumps.append({"trial": t, "n": layout.num_modes, "m_a": m_a, "negativity": float(neg),
+                          "matrix": [[z.real, z.imag] for z in rho.matrix.ravel()]})
+    return {"min_negativity": float(min_neg), "minimum_at": min_info, "counterexamples": dumps}
+
+
+def _count_replays(monkeypatch) -> list:
+    """Log every sample the scan draws through ``random_density`` instead of a stack."""
+    calls = []
+    monkeypatch.setattr(verify_mod, "random_density",
+                        lambda *a, **k: calls.append(a[0].num_modes) or random_density(*a, **k))
+    return calls
+
+
 class TestConjectureScan:
+    def test_cli_output_is_pinned(self, capsys):
+        assert cli_main(["--seed", "7", "verify", "conjecture"]) == 0
+        assert capsys.readouterr().out == _CONJECTURE_SEED7
+
+    @pytest.mark.parametrize("seed", [0, 3, 909])
+    @pytest.mark.parametrize("num_modes,samples", [((2, 3), 300), ((2, 3, 4, 5), 120)])
+    def test_chunks_equal_per_sample_scan(self, monkeypatch, seed, num_modes, samples):
+        # threshold 1.0 dumps every sample, so every matrix and negativity is compared
+        calls = _count_replays(monkeypatch)
+        report = conjecture_scan(seed=seed, samples=samples, num_modes=num_modes, threshold=1.0)
+        want = _per_sample_scan(seed, samples, num_modes, threshold=1.0)
+        assert len(want["counterexamples"]) == samples
+        assert report.diagnostics[0] == want
+        # only samples on the parity-block path (N = 5) go through random_density
+        assert calls == [dump["n"] for dump in want["counterexamples"] if dump["n"] >= 5]
+
+    @pytest.mark.parametrize("seed", [0, 3, 909])
+    def test_minimum_matches_per_sample_scan(self, seed):
+        report = conjecture_scan(seed=seed, samples=400, num_modes=(2, 3))
+        assert report.diagnostics[0] == _per_sample_scan(seed, 400, (2, 3))
+
+    def test_forced_resample_replays_the_chunk(self, monkeypatch):
+        # A few draws in a thousand now fail the type-II test, so some chunks replay.
+        monkeypatch.setattr(states_mod, "TYPE_II_THRESHOLD", 0.09)
+        calls = _count_replays(monkeypatch)
+        report = conjecture_scan(seed=5, samples=600, num_modes=(2, 3), threshold=1.0)
+        assert 0 < len(calls) < 600
+        assert report.diagnostics[0] == _per_sample_scan(5, 600, (2, 3), threshold=1.0)
+
+    def test_forced_counterexample_dump(self):
+        report = conjecture_scan(seed=11, samples=30, threshold=1.0)
+        want = _per_sample_scan(11, 30, (2, 3), threshold=1.0)
+        assert report.diagnostics[0]["counterexamples"] == want["counterexamples"]
+        assert not report.passed and report.max_violation == 1.0 - want["min_negativity"]
+
     def test_small_scan_finds_no_counterexample(self):
         report = conjecture_scan(seed=13, samples=400, num_modes=(2, 3))
         assert report.passed
