@@ -255,7 +255,7 @@ def _state_from_payload(payload: dict) -> FockOperator:
             raise StateValidationError(
                 f"matrix must have 4**num_modes = {dim * dim} entries, got {flat.size}"
             )
-        mat = flat.reshape(dim, dim)
+        mat, amps = flat.reshape(dim, dim), None
     elif "pure" in payload:
         amps = _complex_list(payload["pure"], "pure")
         n = _num_modes(payload.get("num_modes", max(amps.size.bit_length() - 1, 0)))
@@ -266,7 +266,6 @@ def _state_from_payload(payload: dict) -> FockOperator:
         norm = np.linalg.norm(amps)
         if abs(norm - 1.0) > 1e-8:
             raise StateValidationError(f"pure state norm {norm:.6f} is not 1")
-        mat = np.outer(amps, amps.conj())
     else:
         raise StateValidationError("state file needs a 'matrix' or 'pure' field")
     labels = payload.get("labels")
@@ -276,7 +275,7 @@ def _state_from_payload(payload: dict) -> FockOperator:
             and all(isinstance(lab, str) for lab in labels)):
         raise StateValidationError(f"labels must be a list of num_modes = {n} strings")
     layout = ModeLayout(n, tuple(labels))
-    rho = FockOperator(layout, mat)
+    rho = FockOperator(layout, mat) if amps is None else states._density(layout, amps)
     rho.require_density_matrix()
     return rho
 

@@ -45,7 +45,7 @@ def _sign_vector(num_modes: int, mask: int) -> np.ndarray:
     return signs
 
 
-_LEAK_BAND = 64  # rows per band of _leak_blocks and _hermitian_within; a band stays in cache
+_LEAK_BAND = 64  # rows per band of _leak_blocks and _hermitian_residual; a band stays in cache
 
 
 @lru_cache(maxsize=256)
@@ -100,60 +100,25 @@ def _parity_block_index(num_modes: int) -> tuple:
     return index[:, :, None], index[:, None, :]
 
 
-def _parity_blocks(matrix: np.ndarray, num_modes: int) -> np.ndarray | None:
-    """The even-even and odd-odd global-parity blocks as one ``(2, d/2, d/2)`` stack.
-
-    ``None`` below :data:`_BLOCK_MIN_MODES` modes, and unless every entry
-    coupling the two parities is exactly 0.0 and every entry is finite, so a
-    NaN or inf keeps the caller on its dense path.  Then ``matrix`` is
-    block-diagonal up to a permutation, and the stack has its singular values
-    and eigenvalues.  The off-blocks are tested without reading them into a
-    temporary: they hold no non-zero entry exactly when the blocks hold every
-    non-zero entry of ``matrix`` (NaN counts as non-zero).
-    """
-    if num_modes < _BLOCK_MIN_MODES:
-        return None
+def _gather_blocks(matrix: np.ndarray, num_modes: int) -> np.ndarray:
+    """The even-even and odd-odd global-parity blocks as one ``(2, d/2, d/2)`` stack."""
     rows, cols = _parity_block_index(num_modes)
-    blocks = matrix[rows, cols]
-    if np.count_nonzero(blocks) != np.count_nonzero(matrix) or not np.isfinite(blocks).all():
-        return None
-    return blocks
+    return matrix[rows, cols]
 
 
-def _hermitian_blocks(matrix: np.ndarray, num_modes: int) -> np.ndarray | None:
-    """Hermitian part of each :func:`_parity_blocks` block; ``None`` where that is ``None``."""
-    blocks = _parity_blocks(matrix, num_modes)
-    if blocks is None:
-        return None
-    return (blocks + blocks.conj().swapaxes(1, 2)) / 2
+def _hermitian_part(matrix: np.ndarray) -> np.ndarray:
+    """``(M + M^H)/2`` for each matrix of a ``(..., d, d)`` stack."""
+    return (matrix + matrix.conj().swapaxes(-1, -2)) / 2
 
 
-def _cholesky_psd(matrix: np.ndarray, num_modes: int, tol: float) -> bool:
-    """Whether a Cholesky factorization proves ``lambda_min >= -tol`` on the parity blocks.
-
-    Factors the Hermitian part of each block shifted by ``tol/2``, which
-    succeeds only if ``lambda_min >= -tol/2`` up to a backward error of about
-    ``d * eps * |M|``.  False proves nothing: the blocks were not taken, or
-    ``lambda_min`` lies below ``-tol/2``, so the caller decides by eigenvalue.
-    """
-    herm = _hermitian_blocks(matrix, num_modes)
-    if herm is None:
-        return False
-    diag = np.arange(herm.shape[-1])
-    herm[:, diag, diag] += tol / 2
-    try:
-        np.linalg.cholesky(herm)
-    except np.linalg.LinAlgError:
-        return False
-    return True
-
-
-def _hermitian_within(matrix: np.ndarray, tol: float) -> np.ndarray:
-    """Whether ``max |M - M^H| <= tol`` for each matrix of a ``(..., d, d)`` stack; False where NaN.
+def _hermitian_residual(matrix: np.ndarray) -> np.ndarray:
+    """``max |M - M^H|`` for each matrix of a ``(..., d, d)`` stack.
 
     Reads the upper triangle in row bands against the transposed column bands,
     so no d x d temporary is built.  A band holds ``conj(M) - M^T``, which has
     the moduli of ``M - M^H`` and needs no conjugated copy of the column band.
+    A matrix with an entry that is not finite gets NaN or inf, which fails
+    every ``<= tol`` test.
     """
     worst = 0.0
     for k in range(0, matrix.shape[-1], _LEAK_BAND):
@@ -161,7 +126,7 @@ def _hermitian_within(matrix: np.ndarray, tol: float) -> np.ndarray:
         band -= matrix[..., k:, k:k + _LEAK_BAND].swapaxes(-1, -2)
         worst = np.maximum(worst, np.abs(band).max(axis=(-2, -1)))
         del band  # before the next band is allocated
-    return worst <= tol
+    return worst
 
 
 def _unit_trace(matrix: np.ndarray, tol: float) -> np.ndarray:
@@ -171,7 +136,7 @@ def _unit_trace(matrix: np.ndarray, tol: float) -> np.ndarray:
 
 def _dense_min_eigenvalue(matrix: np.ndarray) -> np.ndarray:
     """Smallest eigenvalue of the Hermitian part of each matrix of a ``(..., d, d)`` stack."""
-    return np.linalg.eigvalsh((matrix + matrix.conj().swapaxes(-1, -2)) / 2)[..., 0]
+    return np.linalg.eigvalsh(_hermitian_part(matrix))[..., 0]
 
 
 @dataclass(frozen=True)
@@ -289,17 +254,30 @@ class FockOperator:
 
     Matrices are stored read-only; every operation in this package is a pure
     function returning fresh instances, so values can be shared freely between
-    threads.  Flags (hermitian, parity-even, unit-trace, positive semi-definite)
-    are computed lazily per tolerance and cached, so a state validated once pays
-    for a single PSD decision.  Each flag hands the matrix to a kernel that
-    takes a ``(..., d, d)`` stack, so a batch of samples is checked by the same
-    code as one operator.  From :data:`_BLOCK_MIN_MODES` modes, when the
-    parity blocks are taken, that decision is a Cholesky factorization of each
-    block's Hermitian part shifted by ``tol/2`` (:func:`_cholesky_psd`); if it
-    fails, and on the dense path, the verdict is ``min_eigenvalue() >= -tol``.
+    threads.  Two residuals are read once per operator, as floats: the
+    Hermiticity residual ``max |M - M^H|`` and the global-parity leak (the
+    largest entry between the even and odd sectors, NaN if an entry is not
+    finite).  ``is_hermitian`` and ``is_parity_even`` compare them with any
+    ``tol``.  The unit-trace and positive semi-definite flags are computed
+    lazily per tolerance and cached, so a state validated once pays for a
+    single PSD decision.  Each residual and flag hands the matrix to a kernel
+    that takes a ``(..., d, d)`` stack, so a batch of samples is checked by the
+    same code as one operator.
+
+    The operator has *exact blocks* from :data:`_BLOCK_MIN_MODES` modes when its
+    leak is exactly 0.0: every entry is finite and every entry between the
+    parity sectors is zero, so spectra are taken on the two diagonal blocks.
+    Then the PSD decision is a Cholesky factorization of each block's Hermitian
+    part shifted by ``tol/2`` (:meth:`_cholesky_psd`); if it fails, and on the
+    dense path, the verdict is ``min_eigenvalue() >= -tol``.
+
+    From :data:`_BLOCK_MIN_MODES` modes, ``_norms`` keeps the partial-transpose
+    trace norms behind :func:`fneg.measures.negativity` and its siblings, one
+    float per ``(flavor, target mask)``.  No matrix is cached: every cache
+    holds floats or bools, and all rely on the matrix being read-only.
     """
 
-    __slots__ = ("layout", "matrix", "_flags")
+    __slots__ = ("layout", "matrix", "_flags", "_norms")
 
     def __init__(self, layout: ModeLayout, matrix: np.ndarray, copy: bool = True):
         matrix = np.array(matrix, dtype=complex, copy=copy)
@@ -310,27 +288,47 @@ class FockOperator:
         matrix.setflags(write=False)
         self.layout = layout
         self.matrix = matrix
-        self._flags: dict[str, bool] = {}
+        self._flags: dict[str, bool | float] = {}
+        self._norms: dict[tuple[str, int], float] = {}
 
     # -- flags ---------------------------------------------------------------
 
-    def _cached(self, key: str, fn) -> bool:
+    def _cached(self, key: str, fn, kind=bool):
         if key not in self._flags:
-            self._flags[key] = bool(fn())
+            self._flags[key] = kind(fn())
         return self._flags[key]
 
+    def _hermitian_residual(self) -> float:
+        return self._cached("herm", lambda: _hermitian_residual(self.matrix), float)
+
+    def _parity_leak(self) -> float:
+        return self._cached(
+            "leak", lambda: _parity_leak(self.matrix, self.layout.num_modes, self.dim - 1), float
+        )
+
+    def _exact_blocks(self) -> bool:
+        return self.layout.num_modes >= _BLOCK_MIN_MODES and self._parity_leak() == 0.0
+
+    def _parity_blocks(self) -> np.ndarray | None:
+        """The two global-parity blocks as one ``(2, d/2, d/2)`` stack; ``None`` unless exact."""
+        if not self._exact_blocks():
+            return None
+        return _gather_blocks(self.matrix, self.layout.num_modes)
+
+    def _hermitian_blocks(self) -> np.ndarray | None:
+        """Hermitian part of each :meth:`_parity_blocks` block; ``None`` where that is ``None``."""
+        blocks = self._parity_blocks()
+        return None if blocks is None else _hermitian_part(blocks)
+
     def is_hermitian(self, tol: float = FLAG_TOL) -> bool:
-        return self._cached(f"herm@{tol}", lambda: _hermitian_within(self.matrix, tol))
+        return bool(self._hermitian_residual() <= tol)
 
     def is_parity_even(self, tol: float = FLAG_TOL) -> bool:
         """Whether ``(-1)^F M (-1)^F == M`` elementwise at the given tolerance.
 
         The difference is ``-2 M`` on the parity-changing blocks, exactly 0 elsewhere.
         """
-        return self._cached(
-            f"even@{tol}",
-            lambda: 2.0 * _parity_leak(self.matrix, self.layout.num_modes, self.dim - 1) <= tol,
-        )
+        return bool(2.0 * self._parity_leak() <= tol)
 
     def is_unit_trace(self, tol: float = FLAG_TOL) -> bool:
         return self._cached(f"tr@{tol}", lambda: _unit_trace(self.matrix, tol))
@@ -338,19 +336,36 @@ class FockOperator:
     def min_eigenvalue(self) -> float:
         """Smallest eigenvalue of the Hermitian part (meaningful for Hermitian input).
 
-        Taken on the two global-parity blocks (:func:`_parity_blocks`) when the
-        entries between them are exactly zero, on the whole matrix otherwise.
+        Taken on the two global-parity blocks when the operator has exact
+        blocks, on the whole matrix otherwise.
         """
-        herm = _hermitian_blocks(self.matrix, self.layout.num_modes)
+        herm = self._hermitian_blocks()
         if herm is None:
             return float(_dense_min_eigenvalue(self.matrix))
         return float(np.linalg.eigvalsh(herm)[:, 0].min())
 
+    def _cholesky_psd(self, tol: float) -> bool:
+        """Whether a Cholesky factorization proves ``lambda_min >= -tol`` on the parity blocks.
+
+        Factors the Hermitian part of each block shifted by ``tol/2``, which
+        succeeds only if ``lambda_min >= -tol/2`` up to a backward error of about
+        ``d * eps * |M|``.  False proves nothing: the blocks were not taken, or
+        ``lambda_min`` lies below ``-tol/2``, so the caller decides by eigenvalue.
+        """
+        herm = self._hermitian_blocks()
+        if herm is None:
+            return False
+        diag = np.arange(herm.shape[-1])
+        herm[:, diag, diag] += tol / 2
+        try:
+            np.linalg.cholesky(herm)
+        except np.linalg.LinAlgError:
+            return False
+        return True
+
     def _is_psd(self, tol: float) -> bool:
         return self._cached(
-            f"psd@{tol}",
-            lambda: _cholesky_psd(self.matrix, self.layout.num_modes, tol)
-            or self.min_eigenvalue() >= -tol,
+            f"psd@{tol}", lambda: self._cholesky_psd(tol) or self.min_eigenvalue() >= -tol
         )
 
     def is_density_matrix(self, tol: float = FLAG_TOL, require_parity: bool = True) -> bool:

@@ -25,12 +25,17 @@ from .fock import (
     FLAG_TOL,
     FockOperator,
     SubsystemSpec,
-    _hermitian_within,
-    _parity_blocks,
     _sign_vector,
     as_spec,
 )
-from .ptranspose import _fermionic_gather, parity_project, partial_trace, partial_transpose
+from .ptranspose import (
+    _resolve_spec,
+    _signed_gather,
+    bosonic_pt,
+    parity_project,
+    partial_trace,
+    partial_transpose,
+)
 from .states import _fix_phase
 
 #: Singular values below this are treated as exact zeros of rank-deficient states.
@@ -76,26 +81,27 @@ def singular_values(op: FockOperator | np.ndarray) -> np.ndarray:
 
     Both transposes keep global fermion parity, so ``rho^{T_A}`` of a
     parity-even state is block-diagonal in the global-parity basis.  For a
-    :class:`FockOperator` whose entries between the even and odd sectors are
-    exactly 0.0, the two diagonal blocks are solved in one batched call (about
-    a quarter of the work of the d x d solve) and the values are merged.  The
-    zero test is exact, not tolerance-based: dropping off-block entries up to a
-    tolerance could shift a trace norm by about ``d * tol``, while dropping
-    exact zeros changes nothing.  Blocks that are exactly Hermitian take
-    ``|eigvalsh|``, the singular values of a Hermitian matrix, at about half
-    the cost of the SVD; any others take the SVD.  That test is exact too,
-    because ``eigvalsh`` reads one triangle and would silently drop an
-    anti-Hermitian part of any size.  Either way the result equals the dense
-    SVD up to round-off.  Any other operator, an operator of fewer than five
-    modes (where the gather costs more than it saves) and a plain array take
-    the dense SVD.
+    :class:`FockOperator` with exact blocks (its once-read parity leak is 0.0:
+    entries between the even and odd sectors exactly 0.0, every entry finite),
+    the two diagonal blocks are solved in one batched call (about a quarter of
+    the work of the d x d solve) and the values are merged.  The zero test is
+    exact, not tolerance-based: dropping off-block entries up to a tolerance
+    could shift a trace norm by about ``d * tol``, while dropping exact zeros
+    changes nothing.  An operator whose once-read Hermiticity residual is 0.0
+    takes ``|eigvalsh|`` of its blocks, the singular values of a Hermitian
+    matrix, at about half the cost of the SVD; any other takes the SVD.  That
+    test is exact too, because ``eigvalsh`` reads one triangle and would
+    silently drop an anti-Hermitian part of any size.  Either way the result
+    equals the dense SVD up to round-off.  Any other operator, an operator of
+    fewer than five modes (where the gather costs more than it saves) and a
+    plain array take the dense SVD.
     """
     if not isinstance(op, FockOperator):
         return np.linalg.svd(np.asarray(op), compute_uv=False)
-    blocks = _parity_blocks(op.matrix, op.layout.num_modes)
+    blocks = op._parity_blocks()
     if blocks is None:
         return np.linalg.svd(op.matrix, compute_uv=False)
-    if _hermitian_within(blocks, 0.0).all():
+    if op._hermitian_residual() == 0.0:
         values = np.abs(np.linalg.eigvalsh(blocks))
     else:
         values = np.linalg.svd(blocks, compute_uv=False)
@@ -114,25 +120,66 @@ def _validated_pt(rho: FockOperator, spec, flavor: str, tol: float) -> FockOpera
 
 
 def _pt_norm(rho: FockOperator, spec, flavor: str, tol: float) -> float:
-    """Validate ``rho`` and return ``|rho^{T_A}|_1``, through a Hermitian twin of the transpose.
+    """Validate ``rho`` and return ``|rho^{T_A}|_1``, solved once per flavor and target set.
 
-    For a parity-even Hermitian ``rho``, ``(rho^{T_A})^+ = (-1)^{F_A} rho^{T_A}
-    (-1)^{F_A}``, so ``rho^{T_A} (-1)^{F_A}`` (the columns scaled by the target
-    parity) is Hermitian, and ``(-1)^{F_A}`` is unitary, so it has the singular
-    values of ``rho^{T_A}``.  The bosonic transpose is Hermitian itself.  Both
-    let :func:`singular_values` take ``eigvalsh`` on the parity blocks.  The
-    column sign is applied in place to the transpose, so no second d x d array
+    Every call validates: the flavor, ``rho`` as a density matrix at ``tol``
+    (parity-even for the fermionic flavor) and the target, which the fermionic
+    flavor needs proper.  Below :data:`_BLOCK_MIN_MODES` the transpose is then
+    taken and solved densely on every call.  From there the norm is kept in
+    ``rho._norms`` as a float, keyed by the flavor and the target mask, so
+    ``negativity``, ``log_negativity`` and ``bipartite_report`` share one solve
+    and ``(1, 3)`` and ``(3, 1)`` one entry.  A target and its complement do
+    not: their norms agree by theorem, and each is computed, so that the one
+    checks the other.
+
+    A miss hands the transpose to :func:`trace_norm` with ``rho``'s residuals,
+    so it is not scanned again.  Both transposes are signed permutations of
+    ``rho``'s entries, and the bit swap keeps the global parity ``p(row) +
+    p(col)``: the entries between the parity sectors are ``rho``'s own, NaN
+    included, so the transpose has ``rho``'s parity leak and has exact blocks
+    iff ``rho`` has.  The fermionic flavor is solved through its Hermitian twin
+    ``T = rho^{T_A} (-1)^{F_A}``: for parity-even Hermitian ``rho``,
+    ``(rho^{T_A})^+ = (-1)^{F_A} rho^{T_A} (-1)^{F_A}``, so ``T`` is Hermitian,
+    and ``(-1)^{F_A}`` is unitary, so ``T`` has the singular values of the
+    transpose.  The column sign is applied in place, so no second d x d array
     is built.  (Folding it into ``_SIGN_PHASE`` would flip the sign of entries
-    that are exactly zero, and ``eigvalsh`` can then round differently.)  Below
-    :data:`_BLOCK_MIN_MODES` the blocks are not taken and the transpose is kept.
+    that are exactly zero, and ``eigvalsh`` can then round differently.)  The
+    entries of ``T``, like those of the bosonic transpose, are ``rho``'s mirror
+    pairs times exact factors ``+-1`` and ``+-i``, so their mirror differences
+    have the moduli of ``rho``'s: the residuals are equal, and ``T`` is
+    Hermitian bit for bit exactly when ``rho`` is.  So ``eigvalsh`` runs iff
+    ``rho``'s residual is 0.0, the block SVD otherwise, and the dense SVD
+    without exact blocks, and every value is bit for bit that of the scanned
+    transpose (or twin).
     """
+    _check_flavor(flavor)
+    fermionic = flavor == "fermionic"
+    rho.require_density_matrix(tol, require_parity=fermionic)
+    if fermionic:
+        spec = _resolve_spec(rho, spec)
+    else:
+        spec = as_spec(spec)
+        spec.validate(rho.layout)
+    if rho.layout.num_modes < _BLOCK_MIN_MODES:
+        return trace_norm(partial_transpose(rho, spec, flavor))
+    key = (flavor, spec.mask())
+    if key not in rho._norms:
+        rho._norms[key] = _solve_pt_norm(rho, spec, flavor)
+    return rho._norms[key]
+
+
+def _solve_pt_norm(rho: FockOperator, spec: SubsystemSpec, flavor: str) -> float:
     n = rho.layout.num_modes
-    if flavor != "fermionic" or n < _BLOCK_MIN_MODES:
-        return trace_norm(_validated_pt(rho, spec, flavor, tol))
-    rho.require_density_matrix(tol)
-    twin = _fermionic_gather(rho, spec, tol)
-    twin *= _sign_vector(n, as_spec(spec).mask())
-    return trace_norm(FockOperator(rho.layout, twin, copy=False))
+    if flavor == "fermionic":
+        t = _signed_gather(rho.matrix, n, spec, fermionic=True)
+        t *= _sign_vector(n, spec.mask())
+    else:
+        t = bosonic_pt(rho, spec).matrix
+    t = FockOperator(rho.layout, t, copy=False)
+    # A signed permutation of rho's entries that keeps p(row) + p(col) and maps
+    # mirror pairs onto mirror pairs: it has rho's parity leak and residual.
+    t._flags.update(leak=rho._parity_leak(), herm=rho._hermitian_residual())
+    return trace_norm(t)
 
 
 def negativity(
@@ -185,7 +232,7 @@ def pt_moment(
 def entropy(rho: FockOperator, order="vN", tol: float = FLAG_TOL) -> float:
     """Von Neumann (``order='vN'``) or Renyi entropy ``log(Tr rho^n)/(1-n)``."""
     rho.require_density_matrix(tol, require_parity=False)
-    blocks = _parity_blocks(rho.matrix, rho.layout.num_modes)
+    blocks = rho._parity_blocks()
     evals = np.clip(np.linalg.eigvalsh(rho.matrix if blocks is None else blocks), 0.0, None)
     if order == "vN":
         nz = evals[evals > SINGULAR_FLOOR]

@@ -128,14 +128,6 @@ def _resolve_spec(rho: FockOperator, spec) -> SubsystemSpec:
     return spec
 
 
-def _fermionic_gather(rho: FockOperator, spec, tol: float) -> np.ndarray:
-    """:func:`fermionic_pt`'s parity check and gather, as a writable matrix."""
-    if not rho.is_parity_even(tol):
-        raise ParityError("fermionic partial transpose is defined only on parity-even operators")
-    spec = _resolve_spec(rho, spec)
-    return _signed_gather(rho.matrix, rho.layout.num_modes, spec, fermionic=True)
-
-
 def fermionic_pt(rho: FockOperator, spec: SubsystemSpec, tol: float = FLAG_TOL) -> FockOperator:
     """Fermionic partial transpose of a parity-even operator over ``spec``.
 
@@ -143,7 +135,11 @@ def fermionic_pt(rho: FockOperator, spec: SubsystemSpec, tol: float = FLAG_TOL) 
     :func:`_signed_gather`.  The trace is preserved and the output is
     generally non-Hermitian.
     """
-    return FockOperator(rho.layout, _fermionic_gather(rho, spec, tol), copy=False)
+    if not rho.is_parity_even(tol):
+        raise ParityError("fermionic partial transpose is defined only on parity-even operators")
+    spec = _resolve_spec(rho, spec)
+    mat = _signed_gather(rho.matrix, rho.layout.num_modes, spec, fermionic=True)
+    return FockOperator(rho.layout, mat, copy=False)
 
 
 @lru_cache(maxsize=8)

@@ -267,9 +267,14 @@ def _block_gaussian(draws: np.ndarray, allowed: np.ndarray) -> np.ndarray:
 
     ``draws`` is a ``(..., 2, d, d)`` stack of standard normals, such as
     ``rng.normal(size=(2, d, d))``; one call for a whole stack returns the
-    numbers of consecutive per-matrix calls.
+    numbers of consecutive per-matrix calls.  The two parts are written into
+    one complex output, so no complex temporary sits beside the draws.
     """
-    return np.where(allowed, draws[..., 0, :, :] + 1j * draws[..., 1, :, :], 0.0)
+    out = np.empty(draws.shape[:-3] + draws.shape[-2:], dtype=complex)
+    out.real = draws[..., 0, :, :]
+    out.imag = draws[..., 1, :, :]
+    np.copyto(out, 0.0, where=~allowed)
+    return out
 
 
 def _normalised_gram(g: np.ndarray) -> np.ndarray:

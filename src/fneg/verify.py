@@ -25,7 +25,7 @@ from .fock import (
     ModeLayout,
     SubsystemSpec,
     _dense_min_eigenvalue,
-    _hermitian_within,
+    _hermitian_residual,
     _parity_leak,
     _sign_vector,
     _unit_trace,
@@ -552,7 +552,7 @@ def _scan_stacked(rng, configs, start: int, stop: int):
         # The PSD test runs last: its eigvalsh needs the finite input the others prove.
         valid = (
             _visibly_type_ii(stack, n, spec.mask())
-            & _hermitian_within(stack, tol)
+            & (_hermitian_residual(stack) <= tol)
             & _unit_trace(stack, tol)
             & (2.0 * _parity_leak(stack, n, d - 1) <= tol)
         )

@@ -1,3 +1,7 @@
+import functools
+import importlib
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -22,11 +26,22 @@ def max_abs(a, b=None):
     return float(np.abs(m).max())
 
 
-def record_solves(monkeypatch, *names):
-    """Patch the named ``np.linalg`` solvers to log ``(name, input shape)`` per call."""
+def record_calls(monkeypatch, *names):
+    """Log ``(name, shape of the first argument)`` per call of each named function.
+
+    A bare name is an ``np.linalg`` solver (``"svd"``).  A dotted name is a
+    function of an ``fneg`` module (``"fneg.ptranspose._signed_gather"``); it is
+    patched in every ``fneg`` module that bound it, so calls through an imported
+    name are logged under its bare name too.
+    """
     log = []
     for name in names:
-        solve = getattr(np.linalg, name)
-        monkeypatch.setattr(np.linalg, name, lambda a, *args, name=name, solve=solve, **kw: (
-            log.append((name, a.shape)) or solve(a, *args, **kw)))
+        module, _, attr = name.rpartition(".")
+        home = importlib.import_module(module) if module else np.linalg
+        fn = getattr(home, attr)
+        wrapper = functools.wraps(fn)(lambda a, *args, attr=attr, fn=fn, **kw: (
+            log.append((attr, np.shape(a))) or fn(a, *args, **kw)))
+        for key, owner in list(sys.modules.items()):
+            if owner is home or key.startswith("fneg.") and getattr(owner, attr, None) is fn:
+                monkeypatch.setattr(owner, attr, wrapper)
     return log

@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from conftest import max_abs, random_even_operator, record_solves
+from conftest import max_abs, random_even_operator, record_calls
 from fneg.errors import LayoutError, ParityError, StateValidationError
 from fneg.fock import (
     FLAG_TOL,
@@ -250,7 +250,7 @@ class TestFockOperatorFlags:
 
     def test_psd_verdict_is_cached_per_tolerance(self, monkeypatch, rng):
         rho = random_density(ModeLayout.bipartite(2, 3), rng)
-        log = record_solves(monkeypatch, "cholesky", "eigvalsh")
+        log = record_calls(monkeypatch, "cholesky", "eigvalsh")
         rho.require_density_matrix()
         rho.require_density_matrix()
         assert rho.is_density_matrix()
@@ -276,7 +276,7 @@ class TestFockOperatorFlags:
         mat = rho + (target - lam) / (1 - d * target) * np.eye(d)
         op = FockOperator(ModeLayout(n, ("A",) * n), mat / np.trace(mat).real)
         assert abs(op.min_eigenvalue() - target) <= 1e-14
-        log = record_solves(monkeypatch, "cholesky", "eigvalsh")
+        log = record_calls(monkeypatch, "cholesky", "eigvalsh")
         assert op.is_density_matrix() is psd
         half = (2, d // 2, d // 2)
         assert log == [("cholesky", half)] + [("eigvalsh", half)] * fallback
@@ -286,6 +286,26 @@ class TestFockOperatorFlags:
         op = identity_op(ModeLayout(1, ("A",)))
         with pytest.raises(ValueError):
             op.matrix[0, 0] = 2.0
+
+    def test_uncopied_matrix_turns_read_only(self, rng):
+        # the residuals and the norm memo are kept per operator: its matrix may not change
+        arr = random_density(ModeLayout(5, ("A",) * 5), rng).matrix.copy()
+        op = FockOperator(ModeLayout(5, ("A",) * 5), arr, copy=False)
+        assert op.matrix is arr
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0, 0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            arr *= 2.0
+
+    def test_residuals_read_once_for_any_tolerance(self, monkeypatch, rng):
+        op = random_density(ModeLayout(6, ("A",) * 6), rng)
+        log = record_calls(monkeypatch, "fneg.fock._hermitian_residual", "fneg.fock._parity_leak")
+        for tol in (FLAG_TOL, 0.0, 1e-3):
+            assert op.is_hermitian(tol) and op.is_parity_even(tol)
+            op.require_density_matrix(max(tol, FLAG_TOL))
+        assert sorted(log) == [("_hermitian_residual", (64, 64)), ("_parity_leak", (64, 64))]
+        assert type(op._flags["herm"]) is float and op._flags["leak"] == 0.0
+        assert op._exact_blocks()
 
 
 class TestPermuteModes:

@@ -5,16 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import record_solves
+from conftest import record_calls
 from fneg.classify import pure3_class
-from fneg.errors import StateValidationError
+from fneg.errors import LayoutError, ParityError, StateValidationError
 from fneg.fock import (
     _BLOCK_MIN_MODES,
     FockOperator,
     ModeLayout,
     SubsystemSpec,
-    _hermitian_within,
-    _parity_blocks,
+    _hermitian_residual,
+    _parity_block_index,
     _sign_vector,
 )
 from fneg.measures import (
@@ -40,6 +40,7 @@ from fneg.measures import (
     tripartite_report,
 )
 from fneg.ptranspose import (
+    _signed_gather,
     bosonic_pt,
     fermionic_pt,
     fermionic_pt_majorana,
@@ -151,7 +152,7 @@ class TestParityBlockSpectra:
     def test_block_path_matches_dense(self, n):
         for op in _parity_block_operators(n, seed=100 + n):
             # small operators stay dense; from _BLOCK_MIN_MODES on the block path runs
-            assert (_parity_blocks(op.matrix, n) is not None) is (n >= _BLOCK_MIN_MODES)
+            assert (op._parity_blocks() is not None) is (n >= _BLOCK_MIN_MODES)
             dense = np.linalg.svd(op.matrix, compute_uv=False)
             assert np.abs(singular_values(op) - dense).max() <= 1e-12
             assert abs(trace_norm(op) - dense.sum()) <= 1e-12
@@ -171,7 +172,7 @@ class TestParityBlockSpectra:
         m[0, 1] = m[1, 0] = 1e-300
         want = (np.linalg.svd(t, compute_uv=False), np.linalg.eigvalsh(m)[0],
                 _dense_entropy(m, "vN"))
-        log = record_solves(monkeypatch, "svd", "eigvalsh", "cholesky")
+        log = record_calls(monkeypatch, "svd", "eigvalsh", "cholesky")
         assert np.abs(singular_values(FockOperator(rho.layout, t)) - want[0]).max() <= 1e-12
         state = FockOperator(rho.layout, m)
         assert abs(state.min_eigenvalue() - want[1]) <= 1e-12
@@ -186,12 +187,25 @@ class TestParityBlockSpectra:
         mat = np.eye(32, dtype=complex) / 32
         mat[pos] = np.nan
         op = FockOperator(ModeLayout.bipartite(1, 4), mat)
-        assert _parity_blocks(mat, 5) is None
+        assert op._parity_blocks() is None
         with pytest.raises(np.linalg.LinAlgError):
             trace_norm(op)
         assert not op.is_density_matrix()
         with pytest.raises(StateValidationError, match="unit-trace Hermitian"):
             negativity(op, S1)
+
+
+def _anti_hermitian_part(n: int, rng) -> np.ndarray:
+    """``1e-11 i K`` with K real, symmetric, parity-even and zero on the diagonal.
+
+    Added to a state it stays Hermitian within FLAG_TOL, but not exactly.
+    """
+    parity = _sign_vector(n, (1 << n) - 1)
+    k = rng.normal(size=(1 << n, 1 << n))
+    k = np.where(np.equal.outer(parity, parity), k + k.T, 0.0)
+    np.fill_diagonal(k, 0.0)
+    k /= np.abs(k).max()
+    return 1e-11j * k
 
 
 class TestHermitianTwin:
@@ -216,7 +230,7 @@ class TestHermitianTwin:
         for rho, spec, flavor in cases:
             pt = (fermionic_pt if flavor == "fermionic" else bosonic_pt)(rho, spec)
             want.append(np.linalg.svd(pt.matrix, compute_uv=False))
-        log = record_solves(monkeypatch, "svd", "eigvalsh")
+        log = record_calls(monkeypatch, "svd", "eigvalsh")
         half = (2, 1 << (n - 1), 1 << (n - 1))
         for (rho, spec, flavor), dense in zip(cases, want):
             assert abs(negativity(rho, spec, flavor) - (dense.sum() - 1) / 2) <= 1e-12
@@ -231,29 +245,22 @@ class TestHermitianTwin:
     def test_random_pure_takes_the_eigen_path(self, monkeypatch, n):
         # np.outer alone rounds mirror entries apart, which would force the block SVD
         rho = random_pure(ModeLayout(n, ("A",) * n), "odd", 90 + n)
-        assert _hermitian_within(rho.matrix, 0.0)
+        assert _hermitian_residual(rho.matrix) == 0.0
         spec = SubsystemSpec(tuple(range(1, n // 2 + 1)))
         dense = np.linalg.svd(fermionic_pt(rho, spec).matrix, compute_uv=False)
-        log = record_solves(monkeypatch, "svd", "eigvalsh")
+        log = record_calls(monkeypatch, "svd", "eigvalsh")
         assert abs(negativity(rho, spec) - (dense.sum() - 1) / 2) <= 1e-12
         assert log == [("eigvalsh", (2, 1 << (n - 1), 1 << (n - 1)))]
 
     @pytest.mark.parametrize("flavor", ["fermionic", "bosonic"])
     def test_anti_hermitian_part_takes_the_svd(self, monkeypatch, rng, flavor):
-        # i*eps*K with K real, symmetric, parity-even and zero on the diagonal: the
-        # state is Hermitian within FLAG_TOL, but not exactly
         rho = random_density(ModeLayout(6, ("A",) * 6), 77)
-        parity = _sign_vector(6, 63)
-        k = rng.normal(size=(64, 64))
-        k = np.where(np.equal.outer(parity, parity), k + k.T, 0.0)
-        np.fill_diagonal(k, 0.0)
-        k /= np.abs(k).max()
-        state = FockOperator(rho.layout, rho.matrix + 1e-11j * k)
+        state = FockOperator(rho.layout, rho.matrix + _anti_hermitian_part(6, rng))
         assert state.is_density_matrix() and not state.is_hermitian(0.0)
         spec = SubsystemSpec((1, 3, 5))
         pt = (fermionic_pt if flavor == "fermionic" else bosonic_pt)(state, spec)
         dense = np.linalg.svd(pt.matrix, compute_uv=False)
-        log = record_solves(monkeypatch, "svd", "eigvalsh")
+        log = record_calls(monkeypatch, "svd", "eigvalsh")
         assert abs(negativity(state, spec, flavor) - (dense.sum() - 1) / 2) <= 1e-12
         assert log == [("svd", (2, 32, 32))]
         # eigvalsh reads one triangle: taken on the twin it would miss the SVD answer
@@ -271,10 +278,159 @@ class TestHermitianTwin:
         specs = [SubsystemSpec(t) for m in range(1, n)
                  for t in itertools.combinations(range(1, n + 1), m)]
         want = [trace_norm(fermionic_pt_majorana(rho, spec).matrix) for spec in specs]
-        log = record_solves(monkeypatch, "svd", "eigvalsh")
+        log = record_calls(monkeypatch, "svd", "eigvalsh")
         for spec, norm in zip(specs, want):
             assert abs(negativity(rho, spec) - (norm - 1) / 2) <= 1e-12
         assert log == [("eigvalsh", (2, 16, 16))] * len(specs)
+
+
+def _scanned_blocks(matrix: np.ndarray, n: int):
+    """The exact-block verdict read off a matrix itself: non-zero counts and a finiteness pass."""
+    if n < _BLOCK_MIN_MODES:
+        return None
+    rows, cols = _parity_block_index(n)
+    blocks = matrix[rows, cols]
+    if np.count_nonzero(blocks) != np.count_nonzero(matrix) or not np.isfinite(blocks).all():
+        return None
+    return blocks
+
+
+def _scanned_twin(matrix: np.ndarray, n: int, spec: SubsystemSpec, flavor: str) -> np.ndarray:
+    """The transpose a negativity solves: the fermionic Hermitian twin, or the bosonic transpose."""
+    with np.errstate(invalid="ignore"):  # inf times an exact zero part of a phase
+        t = _signed_gather(matrix, n, spec, flavor == "fermionic")
+    if flavor == "fermionic":
+        t *= _sign_vector(n, spec.mask())
+    return t
+
+
+def _scanned_norm(t: np.ndarray, n: int):
+    """(solver, |t|_1) with every verdict read off ``t`` itself."""
+    blocks = _scanned_blocks(t, n)
+    if blocks is None:
+        return ("svd", t.shape), np.linalg.svd(t, compute_uv=False).sum()
+    if np.abs(blocks - blocks.conj().swapaxes(1, 2)).max() == 0.0:
+        solver, values = "eigvalsh", np.abs(np.linalg.eigvalsh(blocks))
+    else:
+        solver, values = "svd", np.linalg.svd(blocks, compute_uv=False)
+    return (solver, blocks.shape), np.sort(values, axis=None)[::-1].sum()
+
+
+class TestResidualShortcut:
+    """The norm path reads rho's once-read residuals instead of scanning the transpose.
+
+    Both transposes are signed permutations that keep p(row) + p(col), so the
+    verdicts taken on rho equal those taken on the transpose, and so do the
+    solver and every bit of the norm.
+    """
+
+    STATES = ("exact", "tiny_off_block", "nan_in_block", "inf_in_block", "nan_off_block",
+              "anti_hermitian")
+
+    @staticmethod
+    def _state(kind: str, n: int) -> FockOperator:
+        rho = random_density(ModeLayout(n, ("A",) * n), 300 + n)
+        m = rho.matrix.copy()
+        if kind == "tiny_off_block":
+            m[0, 1] = m[1, 0] = 1e-300  # |0..0> is even, |10..0> odd
+        elif kind in ("nan_in_block", "inf_in_block"):
+            m[0, 3] = np.nan if kind == "nan_in_block" else np.inf  # |0..0> and |110..0>
+        elif kind == "nan_off_block":
+            m[0, 1] = np.nan
+        elif kind == "anti_hermitian":
+            m += _anti_hermitian_part(n, np.random.default_rng(n))
+        return FockOperator(rho.layout, m, copy=False)
+
+    @pytest.mark.parametrize("n", range(5, 9))
+    @pytest.mark.parametrize("kind", STATES)
+    def test_verdicts_match_a_scan_of_the_transpose(self, monkeypatch, n, kind):
+        rho = self._state(kind, n)
+        targets = (tuple(range(1, n // 2 + 1)), tuple(range(1, n + 1, 2)), (n,))
+        valid = kind in ("exact", "tiny_off_block", "anti_hermitian")
+        assert rho.is_density_matrix() is valid
+        d, half = 1 << n, (2, 1 << (n - 1), 1 << (n - 1))
+        expected = {"exact": ("eigvalsh", half), "tiny_off_block": ("svd", (d, d)),
+                    "anti_hermitian": ("svd", half)}
+        for target, flavor in itertools.product(targets, ("fermionic", "bosonic")):
+            spec = SubsystemSpec(target)
+            t = _scanned_twin(rho.matrix, n, spec, flavor)
+            blocks = _scanned_blocks(t, n)
+            assert rho._exact_blocks() is (blocks is not None)
+            if blocks is not None:
+                exact = bool(np.abs(blocks - blocks.conj().swapaxes(1, 2)).max() == 0.0)
+                assert (rho._hermitian_residual() == 0.0) is exact
+            if valid:
+                solver, norm = _scanned_norm(t, n)
+                assert solver == expected[kind]
+                log = record_calls(monkeypatch, "svd", "eigvalsh")
+                assert negativity(rho, spec, flavor) == (norm - 1.0) / 2.0
+                assert log == [solver]
+                monkeypatch.undo()
+
+
+class TestNormMemo:
+    """One transpose and one spectral solve per (state, flavor, target set)."""
+
+    CALLS = ("svd", "eigvalsh", "fneg.ptranspose._signed_gather")
+
+    @pytest.mark.parametrize("n", [4, 6])
+    @pytest.mark.parametrize("flavor", ["fermionic", "bosonic"])
+    def test_one_transpose_and_one_solve_per_cut(self, monkeypatch, n, flavor):
+        rho = random_density(ModeLayout(n, ("A",) * n), 30 + n)
+        rho.require_density_matrix()  # the validation's own solves stay out of the log
+        spec = SubsystemSpec((1, 3))
+        log = record_calls(monkeypatch, *self.CALLS)
+        neg = negativity(rho, spec, flavor)
+        logneg = log_negativity(rho, spec, flavor)
+        report = bipartite_report(rho, spec, flavor)
+        assert report["negativity"] == neg and report["log_negativity"] == logneg
+        d = 1 << n
+        if n >= _BLOCK_MIN_MODES:
+            assert log == [("_signed_gather", (d, d)), ("eigvalsh", (2, d // 2, d // 2))]
+        else:  # no memo below the block path: each call transposes and solves
+            assert log == [("_signed_gather", (d, d)), ("svd", (d, d))] * 3
+            assert rho._norms == {}
+
+    def test_target_order_shares_an_entry_complement_and_flavor_do_not(self, monkeypatch):
+        rho = random_density(ModeLayout(6, ("A",) * 6), 5)
+        rho.require_density_matrix()
+        log = record_calls(monkeypatch, *self.CALLS)
+        first = negativity(rho, (1, 3))
+        assert negativity(rho, SubsystemSpec((3, 1))) == first
+        assert len(log) == 2
+        complement = negativity(rho, (2, 4, 5, 6))
+        assert len(log) == 4  # computed, not copied
+        assert abs(complement - first) <= 1e-12
+        negativity(rho, (1, 3), "bosonic")
+        assert len(log) == 6
+        assert sorted(rho._norms) == [("bosonic", 0b101), ("fermionic", 0b101),
+                                      ("fermionic", 0b111010)]
+        # floats only: no matrix is kept beside the state
+        assert all(type(v) is float for v in rho._norms.values())
+        assert all(type(v) in (bool, float) for v in rho._flags.values())
+
+    @pytest.mark.parametrize("flavor", ["fermionic", "bosonic"])
+    def test_every_check_runs_on_a_hit(self, flavor):
+        n = 6
+        m = random_density(ModeLayout(n, ("A",) * n), 8).matrix.copy()
+        m[0, 1] = m[1, 0] = 1e-9  # parity-even within 1e-6, not within FLAG_TOL
+        loose = FockOperator(ModeLayout(n, ("A",) * n), m)
+        spec = SubsystemSpec((1, 2))
+        negativity(loose, spec, flavor, tol=1e-6)
+        assert (flavor, spec.mask()) in loose._norms
+        if flavor == "fermionic":
+            with pytest.raises(ParityError):
+                negativity(loose, spec, flavor)
+            with pytest.raises(LayoutError, match="proper subsystem"):
+                negativity(loose, tuple(range(1, n + 1)), flavor, tol=1e-6)
+        with pytest.raises(ValueError, match="flavor"):
+            negativity(loose, spec, "majorana", tol=1e-6)
+        with pytest.raises(LayoutError, match="outside layout"):
+            negativity(loose, (1, n + 1), flavor, tol=1e-6)
+        state = FockOperator(loose.layout, m + _anti_hermitian_part(n, np.random.default_rng(2)))
+        log_negativity(state, spec, flavor, tol=1e-6)
+        with pytest.raises(StateValidationError, match="unit-trace Hermitian"):
+            log_negativity(state, spec, flavor, tol=1e-12)
 
 
 class TestNegativity:
@@ -573,7 +729,7 @@ class TestTripartiteMeasures:
 
     def test_only_a_pure_report_diagonalizes(self, monkeypatch):
         mixed, pure = _tripartite_state("mixed_111"), _tripartite_state("pure_even")
-        log = record_solves(monkeypatch, "eigh")
+        log = record_calls(monkeypatch, "eigh")
         tripartite_report(mixed)
         assert log == []
         tripartite_report(pure)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import fneg.states
 from conftest import max_abs
 from fneg.errors import LayoutError, StateValidationError
 from fneg.fock import ModeLayout, SubsystemSpec, majorana_op
@@ -153,6 +154,23 @@ class TestRandomDensity:
     def test_seed_determinism(self):
         lay = ModeLayout.tripartite()
         assert max_abs(random_density(lay, 3).matrix, random_density(lay, 3).matrix) == 0.0
+
+    @pytest.mark.parametrize("constraint", ["any_physical", "type_I", "type_II"])
+    def test_bits_match_the_where_of_a_complex_sum(self, monkeypatch, constraint):
+        # _block_gaussian writes both parts into one output; the old form built
+        # draws[0] + 1j * draws[1] and then np.where: every sample keeps its bits
+        def summed(draws, allowed):
+            return np.where(allowed, draws[..., 0, :, :] + 1j * draws[..., 1, :, :], 0.0)
+
+        for n in range(2, 11):
+            lay = ModeLayout.bipartite(1, n - 1)
+            spec = None if constraint == "any_physical" else SubsystemSpec((1,))
+            for seed in (0, 3, 909):
+                new = random_density(lay, seed, constraint, spec).matrix
+                with monkeypatch.context() as patch:
+                    patch.setattr(fneg.states, "_block_gaussian", summed)
+                    old = random_density(lay, seed, constraint, spec).matrix
+                assert new.tobytes() == old.tobytes()
 
 
 class TestRandomSeparable:
