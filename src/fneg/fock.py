@@ -139,6 +139,28 @@ def _dense_min_eigenvalue(matrix: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh(_hermitian_part(matrix))[..., 0]
 
 
+def _cholesky_psd(matrix: np.ndarray, tol: float) -> np.ndarray:
+    """Whether ``_dense_min_eigenvalue >= -tol`` for each matrix of a ``(..., d, d)`` stack.
+
+    One Cholesky factorization of every Hermitian part shifted by ``tol/2``.
+    It succeeds only if each ``lambda_min >= -tol/2`` up to a backward error of
+    about ``d * eps * |M|``, which proves every verdict true.  If any member
+    fails, the verdicts come from ``eigvalsh`` (:func:`_dense_min_eigenvalue`),
+    so they equal the eigenvalue test everywhere.
+    """
+    herm = _hermitian_part(matrix)
+    d = herm.shape[-1]
+    herm.reshape(*herm.shape[:-2], d * d)[..., ::d + 1] += tol / 2  # a view of the diagonals
+    try:
+        np.linalg.cholesky(herm)
+    except np.linalg.LinAlgError:
+        pass
+    else:
+        return np.ones(matrix.shape[:-2], dtype=bool)
+    del herm  # before the eigenvalue test builds its own Hermitian part
+    return _dense_min_eigenvalue(matrix) >= -tol
+
+
 @dataclass(frozen=True)
 class ModeLayout:
     """Number of modes plus a per-mode subsystem label.
@@ -267,9 +289,9 @@ class FockOperator:
     The operator has *exact blocks* from :data:`_BLOCK_MIN_MODES` modes when its
     leak is exactly 0.0: every entry is finite and every entry between the
     parity sectors is zero, so spectra are taken on the two diagonal blocks.
-    Then the PSD decision is a Cholesky factorization of each block's Hermitian
-    part shifted by ``tol/2`` (:meth:`_cholesky_psd`); if it fails, and on the
-    dense path, the verdict is ``min_eigenvalue() >= -tol``.
+    The PSD decision is :func:`_cholesky_psd` of those blocks, or of the whole
+    matrix without them: a Cholesky factorization of the Hermitian part shifted
+    by ``tol/2``, and ``min_eigenvalue() >= -tol`` if it fails.
 
     From :data:`_BLOCK_MIN_MODES` modes, ``_norms`` keeps the partial-transpose
     trace norms behind :func:`fneg.measures.negativity` and its siblings, one
@@ -315,10 +337,10 @@ class FockOperator:
             return None
         return _gather_blocks(self.matrix, self.layout.num_modes)
 
-    def _hermitian_blocks(self) -> np.ndarray | None:
-        """Hermitian part of each :meth:`_parity_blocks` block; ``None`` where that is ``None``."""
+    def _blocks_or_matrix(self) -> np.ndarray:
+        """:meth:`_parity_blocks`, or the ``(d, d)`` matrix where that is ``None``."""
         blocks = self._parity_blocks()
-        return None if blocks is None else _hermitian_part(blocks)
+        return self.matrix if blocks is None else blocks
 
     def is_hermitian(self, tol: float = FLAG_TOL) -> bool:
         return bool(self._hermitian_residual() <= tol)
@@ -339,33 +361,11 @@ class FockOperator:
         Taken on the two global-parity blocks when the operator has exact
         blocks, on the whole matrix otherwise.
         """
-        herm = self._hermitian_blocks()
-        if herm is None:
-            return float(_dense_min_eigenvalue(self.matrix))
-        return float(np.linalg.eigvalsh(herm)[:, 0].min())
-
-    def _cholesky_psd(self, tol: float) -> bool:
-        """Whether a Cholesky factorization proves ``lambda_min >= -tol`` on the parity blocks.
-
-        Factors the Hermitian part of each block shifted by ``tol/2``, which
-        succeeds only if ``lambda_min >= -tol/2`` up to a backward error of about
-        ``d * eps * |M|``.  False proves nothing: the blocks were not taken, or
-        ``lambda_min`` lies below ``-tol/2``, so the caller decides by eigenvalue.
-        """
-        herm = self._hermitian_blocks()
-        if herm is None:
-            return False
-        diag = np.arange(herm.shape[-1])
-        herm[:, diag, diag] += tol / 2
-        try:
-            np.linalg.cholesky(herm)
-        except np.linalg.LinAlgError:
-            return False
-        return True
+        return float(_dense_min_eigenvalue(self._blocks_or_matrix()).min())
 
     def _is_psd(self, tol: float) -> bool:
         return self._cached(
-            f"psd@{tol}", lambda: self._cholesky_psd(tol) or self.min_eigenvalue() >= -tol
+            f"psd@{tol}", lambda: _cholesky_psd(self._blocks_or_matrix(), tol).all()
         )
 
     def is_density_matrix(self, tol: float = FLAG_TOL, require_parity: bool = True) -> bool:
@@ -554,6 +554,12 @@ def leading_order_for(spec: SubsystemSpec, num_modes: int) -> tuple[int, ...]:
 # -- graded tensor product and local embedding ------------------------------------
 
 
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``np.kron`` of two matrices: the same ufunc multiply, without its generic set-up."""
+    out = a[:, None, :, None] * b[None, :, None, :]
+    return out.reshape(a.shape[0] * b.shape[0], a.shape[1] * b.shape[1])
+
+
 def graded_tensor(lhs: FockOperator, rhs: FockOperator) -> FockOperator:
     """Graded tensor product of two parity-even operators.
 
@@ -570,7 +576,7 @@ def graded_tensor(lhs: FockOperator, rhs: FockOperator) -> FockOperator:
     if n1 + n2 > MAX_MODES:
         raise LayoutError(f"combined system exceeds {MAX_MODES} modes")
     # rhs modes occupy the high bits: index = i_lhs + 2**n1 * i_rhs.
-    combined = np.kron(rhs.matrix, lhs.matrix)
+    combined = _kron(rhs.matrix, lhs.matrix)
     concat_labels = lhs.layout.labels + rhs.layout.labels
     all_labels = sorted(set(concat_labels))
     new_order = []
@@ -597,8 +603,9 @@ def embed_local(local: FockOperator, layout: ModeLayout, modes: Sequence[int]) -
     spec.validate(layout)
     n = layout.num_modes
     rest = 1 << (n - len(modes))
-    big = np.kron(np.eye(rest, dtype=complex), local.matrix)
-    # big lives on the ordering [modes..., rest...]; undo it.
+    big = _kron(np.eye(rest, dtype=complex), local.matrix)
+    # big lives on the ordering [modes..., rest...]; undo it unless that is the identity.
     order = modes + tuple(m for m in range(1, n + 1) if m not in modes)
-    mat = _permute_matrix(big, n, _inverse_order(order))
-    return FockOperator(layout, mat, copy=False)
+    if order != tuple(range(1, n + 1)):
+        big = _permute_matrix(big, n, _inverse_order(order))
+    return FockOperator(layout, big, copy=False)

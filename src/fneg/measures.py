@@ -25,7 +25,11 @@ from .fock import (
     FLAG_TOL,
     FockOperator,
     SubsystemSpec,
+    _cholesky_psd,
+    _hermitian_residual,
+    _parity_leak,
     _sign_vector,
+    _unit_trace,
     as_spec,
 )
 from .ptranspose import (
@@ -182,6 +186,33 @@ def _solve_pt_norm(rho: FockOperator, spec: SubsystemSpec, flavor: str) -> float
     return trace_norm(t)
 
 
+def _dense_pt_norms(
+    stack: np.ndarray, n: int, spec: SubsystemSpec, tol: float
+) -> np.ndarray | None:
+    """Fermionic ``|rho^{T_A}|_1`` of each state of a ``(k, d, d)`` stack on ``n`` modes.
+
+    What :func:`_pt_norm` computes below :data:`_BLOCK_MIN_MODES` modes, each
+    stage run once on the stack: the checks of ``require_density_matrix`` and
+    ``fermionic_pt`` (a proper target, Hermiticity residual, unit trace, global
+    parity leak, then the PSD test, which needs the finite input the others
+    prove), :func:`_signed_gather` and the dense SVD.  Every kernel acts member
+    by member, so each norm equals ``_pt_norm``'s bit for bit.  ``None`` when
+    any member fails a check; ``_pt_norm`` of that member raises the error.
+    """
+    d = 1 << n
+    if not set(spec.target_modes) < set(range(1, n + 1)):
+        return None
+    valid = (
+        (_hermitian_residual(stack) <= tol)
+        & _unit_trace(stack, tol)
+        & (2.0 * _parity_leak(stack, n, d - 1) <= tol)
+    )
+    if not (valid.all() and _cholesky_psd(stack, tol).all()):
+        return None
+    pt = _signed_gather(stack, n, spec, fermionic=True)
+    return np.linalg.svd(pt, compute_uv=False).sum(axis=-1)
+
+
 def negativity(
     rho: FockOperator, spec: SubsystemSpec, flavor: str = "fermionic", tol: float = FLAG_TOL
 ) -> float:
@@ -232,8 +263,7 @@ def pt_moment(
 def entropy(rho: FockOperator, order="vN", tol: float = FLAG_TOL) -> float:
     """Von Neumann (``order='vN'``) or Renyi entropy ``log(Tr rho^n)/(1-n)``."""
     rho.require_density_matrix(tol, require_parity=False)
-    blocks = rho._parity_blocks()
-    evals = np.clip(np.linalg.eigvalsh(rho.matrix if blocks is None else blocks), 0.0, None)
+    evals = np.clip(np.linalg.eigvalsh(rho._blocks_or_matrix()), 0.0, None)
     if order == "vN":
         nz = evals[evals > SINGULAR_FLOOR]
         return float(-(nz * np.log(nz)).sum())

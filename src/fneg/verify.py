@@ -24,17 +24,13 @@ from .fock import (
     FockOperator,
     ModeLayout,
     SubsystemSpec,
-    _dense_min_eigenvalue,
-    _hermitian_residual,
-    _parity_leak,
     _sign_vector,
-    _unit_trace,
     embed_local,
     graded_tensor,
 )
-from .measures import log_negativity, negativity, pairwise_negativity, pi_abc, trace_norm, \
-    tripartite_report
-from .ptranspose import _signed_gather, fermionic_pt, full_transpose, partial_trace
+from .measures import _dense_pt_norms, _pt_norm, log_negativity, negativity, pairwise_negativity, \
+    pi_abc, trace_norm, tripartite_report
+from .ptranspose import fermionic_pt, full_transpose, partial_trace
 from .states import (
     _block_gaussian,
     _normalised_gram,
@@ -271,32 +267,52 @@ def _measured_branches(sigma: FockOperator, r_mode: int, keep: SubsystemSpec):
     return branches
 
 
+def _trial_norms(jobs: dict[str, list]) -> dict[str, list[float]]:
+    """Fermionic ``|rho^{T_A}|_1`` of each ``(state, spec)`` job, keyed and ordered like ``jobs``.
+
+    Jobs below :data:`_BLOCK_MIN_MODES` modes are grouped by mode count and
+    target mask, and each group is checked, transposed and solved once by
+    :func:`fneg.measures._dense_pt_norms`; the others go through ``_pt_norm``
+    and its memo.  Every norm equals the one behind ``negativity`` bit for bit.
+    If any group fails a check, every job runs through ``_pt_norm`` in order,
+    so the first failing job raises ``negativity``'s own error.
+    """
+    flat = [job for group in jobs.values() for job in group]
+    groups: dict[tuple[int, int], list[int]] = {}
+    for i, (op, spec) in enumerate(flat):
+        if op.layout.num_modes < _BLOCK_MIN_MODES:
+            groups.setdefault((op.layout.num_modes, spec.mask()), []).append(i)
+    norms: list = [None] * len(flat)
+    for (n, _), members in groups.items():
+        stack = np.stack([flat[i][0].matrix for i in members])
+        solved = _dense_pt_norms(stack, n, flat[members[0]][1], FLAG_TOL)
+        if solved is None:
+            norms = [None] * len(flat)
+            break
+        for i, value in zip(members, solved.tolist()):
+            norms[i] = value
+    norms = iter([_pt_norm(op, spec, "fermionic", FLAG_TOL) if value is None else value
+                  for value, (op, spec) in zip(norms, flat)])
+    return {key: [next(norms) for _ in group] for key, group in jobs.items()}
+
+
 def _locc_trial(rng: np.random.Generator) -> tuple[float, dict]:
     n = int(rng.integers(2, 5))
     m_a = int(rng.integers(1, n))
     layout = ModeLayout.bipartite(m_a, n - m_a)
     spec_a = layout.spec("A")
+    modes_b = layout.spec("B").target_modes
     sub_a = ModeLayout(m_a, ("A",) * m_a)
     sub_b = ModeLayout(n - m_a, ("A",) * (n - m_a))
     rho = random_density(layout, rng)
-    base_neg = negativity(rho, spec_a)
-    base_logneg = float(np.log(2.0 * base_neg + 1.0))
-    viol = {}
 
     # (a) invariance under local parity-even unitaries
     u = embed_local(random_even_unitary(sub_a, rng), layout, spec_a.target_modes).matrix
-    u = u @ embed_local(
-        random_even_unitary(sub_b, rng), layout, layout.spec("B").target_modes
-    ).matrix
+    u = u @ embed_local(random_even_unitary(sub_b, rng), layout, modes_b).matrix
     rotated = FockOperator(layout, u @ rho.matrix @ u.conj().T, copy=False)
-    viol["local_unitary"] = abs(negativity(rotated, spec_a) - base_neg)
 
     # (b) appending an unentangled ancilla to A
-    anc = random_density(ModeLayout(1, ("A",)), rng)
-    appended = graded_tensor(rho, anc)
-    viol["ancilla_append"] = abs(
-        negativity(appended, appended.layout.spec("A")) - base_neg
-    )
+    appended = graded_tensor(rho, random_density(ModeLayout(1, ("A",)), rng))
 
     # (c) complete local projective measurements
     if rng.integers(0, 2):
@@ -305,19 +321,16 @@ def _locc_trial(rng: np.random.Generator) -> tuple[float, dict]:
     else:
         proj_a = parity_projector_pair(sub_a)
         proj_b = parity_projector_pair(sub_b)
-    avg = 0.0
+    embedded_b = [embed_local(pb, layout, modes_b).matrix for pb in proj_b]
+    outcomes = []
     for pa in proj_a:
         ea = embed_local(pa, layout, spec_a.target_modes).matrix
-        for pb in proj_b:
-            eb = embed_local(pb, layout, layout.spec("B").target_modes).matrix
+        for eb in embedded_b:
             op = ea @ eb
             projected = op @ rho.matrix @ op
             weight = float(np.real(np.trace(projected)))
-            if weight < _WEIGHT_FLOOR:
-                continue
-            branch = FockOperator(layout, projected / weight, copy=False)
-            avg += weight * negativity(branch, spec_a)
-    viol["projective"] = max(0.0, avg - base_neg)
+            if weight >= _WEIGHT_FLOOR:
+                outcomes.append((weight, FockOperator(layout, projected / weight, copy=False)))
 
     # (d) entangling an ancilla into A, measuring it, with and without averaging
     sigma = graded_tensor(rho, random_density(ModeLayout(1, ("A",)), rng))
@@ -330,24 +343,47 @@ def _locc_trial(rng: np.random.Generator) -> tuple[float, dict]:
         tilde_spec.target_modes,
     ).matrix
     evolved = FockOperator(big, u_ar @ sigma.matrix @ u_ar.conj().T, copy=False)
-    viol["unilocal_unitary"] = abs(negativity(evolved, tilde_spec) - base_neg)
     keep = SubsystemSpec(tuple(m for m in range(1, big.num_modes + 1) if m != r_mode))
     branches = _measured_branches(evolved, r_mode, keep)
-    avg_neg = sum(w * negativity(red, spec_a) for w, red in branches)
-    avg_logneg = sum(w * log_negativity(red, spec_a) for w, red in branches)
-    mixed = sum(w * red.matrix for w, red in branches)
-    mixed_neg = negativity(FockOperator(layout, mixed, copy=False), spec_a)
-    viol["ancilla_trace_selective"] = max(0.0, avg_neg - base_neg)
-    viol["ancilla_trace_averaged"] = max(0.0, mixed_neg - base_neg)
-    viol["ancilla_trace_logneg"] = max(0.0, avg_logneg - base_logneg)
+    mixed = FockOperator(layout, sum(w * red.matrix for w, red in branches), copy=False)
 
     # (e) additivity under stacking
     other = random_density(ModeLayout.bipartite(1, 1), rng)
     stacked = graded_tensor(rho, other)
+
+    # Every norm, in the order the checks read them.
+    norms = _trial_norms({
+        "rho": [(rho, spec_a)],
+        "rotated": [(rotated, spec_a)],
+        "appended": [(appended, appended.layout.spec("A"))],
+        "outcomes": [(state, spec_a) for _, state in outcomes],
+        "evolved": [(evolved, tilde_spec)],
+        "branches": [(red, spec_a) for _, red in branches],
+        "mixed": [(mixed, spec_a)],
+        "stacked": [(stacked, stacked.layout.spec("A"))],
+        "other": [(other, other.layout.spec("A"))],
+    })
+    neg = {key: [(x - 1.0) / 2.0 for x in values] for key, values in norms.items()}
+    base_neg = neg["rho"][0]
+    base_logneg = float(np.log(2.0 * base_neg + 1.0))
+    viol = {
+        "local_unitary": abs(neg["rotated"][0] - base_neg),
+        "ancilla_append": abs(neg["appended"][0] - base_neg),
+    }
+    avg = 0.0
+    for (weight, _), value in zip(outcomes, neg["outcomes"]):
+        avg += weight * value
+    viol["projective"] = max(0.0, avg - base_neg)
+    viol["unilocal_unitary"] = abs(neg["evolved"][0] - base_neg)
+    avg_neg = sum(w * x for (w, _), x in zip(branches, neg["branches"]))
+    avg_logneg = sum(w * float(np.log(x)) for (w, _), x in zip(branches, norms["branches"]))
+    viol["ancilla_trace_selective"] = max(0.0, avg_neg - base_neg)
+    viol["ancilla_trace_averaged"] = max(0.0, neg["mixed"][0] - base_neg)
+    viol["ancilla_trace_logneg"] = max(0.0, avg_logneg - base_logneg)
     viol["additivity"] = abs(
-        log_negativity(stacked, stacked.layout.spec("A"))
-        - log_negativity(rho, spec_a)
-        - log_negativity(other, other.layout.spec("A"))
+        float(np.log(norms["stacked"][0]))
+        - float(np.log(norms["rho"][0]))
+        - float(np.log(norms["other"][0]))
     )
 
     worst_name = max(viol, key=viol.get)
@@ -364,7 +400,15 @@ def _locc_trial(rng: np.random.Generator) -> tuple[float, dict]:
 
 def check_locc_monotonicity(seed=0, trials: int = 200, tolerance: float = 1e-10) -> CheckReport:
     """Local-unitary invariance, ancilla append/trace, projective measurements,
-    and additivity, scored by equality deviation or negative inequality slack."""
+    and additivity, scored by equality deviation or negative inequality slack.
+
+    Each trial draws and builds all of its states first, then takes their
+    negativities together (:func:`_trial_norms`): the states below
+    :data:`fock._BLOCK_MIN_MODES` modes that share a mode count and a target
+    are validated, transposed and solved as one stack.  The values equal one
+    ``negativity`` or ``log_negativity`` call per state bit for bit, and a
+    state that fails a check raises that call's error.
+    """
     if trials < 1:
         raise ValueError("trials must be at least 1")
     rng = _rng(seed)
@@ -535,7 +579,6 @@ def _scan_stacked(rng, configs, start: int, stop: int):
     resampled as not type II, or fails a check of ``require_density_matrix``
     or ``fermionic_pt``; the caller then replays the chunk sequentially.
     """
-    tol = FLAG_TOL
     cycle = np.arange(start, stop) % len(configs)
     sizes = np.array([2 * layout.dim ** 2 for layout, _ in configs])[cycle]
     offsets = np.cumsum(sizes) - sizes
@@ -549,17 +592,12 @@ def _scan_stacked(rng, configs, start: int, stop: int):
         n, d, spec = layout.num_modes, layout.dim, layout.spec("A")
         g = draws[offsets[members, None] + np.arange(2 * d * d)].reshape(-1, 2, d, d)
         stack = _normalised_gram(_block_gaussian(g, _parity_mask(n)))
-        # The PSD test runs last: its eigvalsh needs the finite input the others prove.
-        valid = (
-            _visibly_type_ii(stack, n, spec.mask())
-            & (_hermitian_residual(stack) <= tol)
-            & _unit_trace(stack, tol)
-            & (2.0 * _parity_leak(stack, n, d - 1) <= tol)
-        )
-        if not (valid.all() and (_dense_min_eigenvalue(stack) >= -tol).all()):
+        if not _visibly_type_ii(stack, n, spec.mask()).all():
             return None
-        pt = _signed_gather(stack, n, spec, fermionic=True)
-        negs[members] = (np.linalg.svd(pt, compute_uv=False).sum(axis=-1) - 1.0) / 2.0
+        norms = _dense_pt_norms(stack, n, spec, FLAG_TOL)
+        if norms is None:
+            return None
+        negs[members] = (norms - 1.0) / 2.0
         for i, mat in zip(members, stack):
             mats[i] = mat
     return mats, negs

@@ -6,10 +6,13 @@ import pytest
 from conftest import max_abs, random_even_operator, record_calls
 from fneg.errors import LayoutError, ParityError, StateValidationError
 from fneg.fock import (
+    _BLOCK_MIN_MODES,
     FLAG_TOL,
     FockOperator,
     ModeLayout,
     SubsystemSpec,
+    _kron,
+    _permute_matrix,
     _popcount_array,
     _sign_vector,
     annihilation_op,
@@ -263,7 +266,7 @@ class TestFockOperatorFlags:
         rho.require_density_matrix(tol=1e-8)
         assert log[3:] == [("cholesky", (2, 16, 16))]
 
-    @pytest.mark.parametrize("n", [5, 6])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     @pytest.mark.parametrize("shift, psd, fallback", [
         (-1.1, False, True), (-0.9, True, True), (0.0, True, False),
     ])
@@ -271,6 +274,7 @@ class TestFockOperatorFlags:
         # a unit-trace state whose smallest eigenvalue sits at shift * tol; shift 0
         # makes it rank-deficient.  The shifted Cholesky proves lambda_min >= -tol/2,
         # so it decides alone at 0 and leaves -0.9 and -1.1 to the eigenvalue fallback.
+        # It factors the parity blocks from _BLOCK_MIN_MODES on, the whole matrix below.
         rho = random_density(ModeLayout(n, ("A",) * n), 40 + n).matrix
         lam, target, d = np.linalg.eigvalsh(rho)[0], shift * FLAG_TOL, rho.shape[0]
         mat = rho + (target - lam) / (1 - d * target) * np.eye(d)
@@ -278,8 +282,8 @@ class TestFockOperatorFlags:
         assert abs(op.min_eigenvalue() - target) <= 1e-14
         log = record_calls(monkeypatch, "cholesky", "eigvalsh")
         assert op.is_density_matrix() is psd
-        half = (2, d // 2, d // 2)
-        assert log == [("cholesky", half)] + [("eigvalsh", half)] * fallback
+        shape = (2, d // 2, d // 2) if n >= _BLOCK_MIN_MODES else (d, d)
+        assert log == [("cholesky", shape)] + [("eigvalsh", shape)] * fallback
         assert op.is_density_matrix() is (op.min_eigenvalue() >= -FLAG_TOL)
 
     def test_matrix_read_only(self):
@@ -433,3 +437,26 @@ class TestEmbedLocal:
         lay = ModeLayout.bipartite(1, 1)
         with pytest.raises(ParityError):
             embed_local(creation_op(ModeLayout(1, ("A",)), 1), lay, (2,))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_leading_modes_embed_bitwise_as_through_the_permutation(self, n, rng):
+        # The identity order returns the Kronecker product itself; the permutation
+        # it skips made a plain copy with signs all +1.
+        lay = ModeLayout.bipartite(n, 2)
+        local = random_even_operator(ModeLayout(n, ("A",) * n), rng)
+        big = np.kron(np.eye(4, dtype=complex), local.matrix)
+        want = _permute_matrix(big, n + 2, tuple(range(1, n + 3)))
+        got = embed_local(local, lay, tuple(range(1, n + 1))).matrix
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("shapes", [((2, 2), (4, 4)), ((4, 4), (2, 2)), ((3, 2), (2, 5))])
+def test_kron_is_np_kron_bit_for_bit(shapes, rng):
+    # negative, zero and -0.0 parts, so the signs of zero products are compared too
+    values = np.array([-1.5, -0.0, 0.0, 2.25, -3.0, 1e-300])
+    a, b = (np.empty(s, dtype=complex) for s in shapes)
+    for m in (a, b):
+        m.real, m.imag = rng.choice(values, size=m.shape), rng.choice(values, size=m.shape)
+    assert (np.signbit(a.view(float)) & (a.view(float) == 0.0)).any()  # a -0.0 part
+    assert _kron(a, b).tobytes() == np.kron(a, b).tobytes()
+    assert _kron(a, b).shape == np.kron(a, b).shape

@@ -177,9 +177,10 @@ class TestParityBlockSpectra:
         state = FockOperator(rho.layout, m)
         assert abs(state.min_eigenvalue() - want[1]) <= 1e-12
         assert abs(entropy(state) - want[2]) <= 1e-12
-        # one svd, then eigvalsh for min_eigenvalue, entropy's PSD check and its
-        # spectrum; no Cholesky, which runs on parity blocks only
-        assert log == [("svd", (64, 64))] + [("eigvalsh", (64, 64))] * 3
+        # one svd, eigvalsh for min_eigenvalue, entropy's PSD check as one Cholesky
+        # and its spectrum by eigvalsh, every one on the whole 64 x 64 matrix
+        assert log == [("svd", (64, 64)), ("eigvalsh", (64, 64)), ("cholesky", (64, 64)),
+                       ("eigvalsh", (64, 64))]
 
     @pytest.mark.parametrize("pos", [(0, 0), (0, 1), (0, 3)])
     def test_nan_entry_keeps_dense_behaviour(self, pos):

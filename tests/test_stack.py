@@ -6,14 +6,17 @@ import numpy as np
 import pytest
 
 from fneg.fock import (
+    FLAG_TOL,
     FockOperator,
     ModeLayout,
     SubsystemSpec,
+    _cholesky_psd,
     _dense_min_eigenvalue,
     _hermitian_residual,
     _parity_leak,
     _unit_trace,
 )
+from fneg.measures import _dense_pt_norms, _pt_norm
 from fneg.ptranspose import _signed_gather
 from fneg.states import _block_gaussian, _normalised_gram, _parity_mask, random_density
 from fneg.verify import random_even_operator
@@ -68,6 +71,28 @@ class TestStackEqualsMembers:
         assert _unit_trace(stack, 1e-10).tolist() == [bool(_unit_trace(m, 1e-10)) for m in stack]
         assert _bits(_dense_min_eigenvalue(stack)) == _bits(
             [_dense_min_eigenvalue(m) for m in stack])
+
+    def test_cholesky_psd(self, n):
+        # one factorization for the stack; a member below -tol/2 sends it to eigvalsh
+        stack = _stack(n, n + 40)
+        verdicts = _cholesky_psd(stack, FLAG_TOL)
+        assert verdicts.tolist() == (_dense_min_eigenvalue(stack) >= -FLAG_TOL).tolist()
+        assert verdicts.tolist() == [bool(_cholesky_psd(m, FLAG_TOL)) for m in stack]
+        assert verdicts.any() and not verdicts.all()
+        states = stack[::3]
+        assert _cholesky_psd(states, FLAG_TOL).all()
+
+    def test_dense_pt_norms(self, n):
+        states = _stack(n, n + 50)[::3]
+        lay = ModeLayout.bipartite(1, n - 1)
+        for target in _targets(n):
+            spec = SubsystemSpec(target)
+            norms = _dense_pt_norms(states, n, spec, FLAG_TOL)
+            singles = [_pt_norm(FockOperator(lay, m), spec, "fermionic", FLAG_TOL) for m in states]
+            assert norms.tolist() == singles and _bits(norms) == _bits(singles)
+        # any member failing a check, or a target of every mode, fails the stack
+        assert _dense_pt_norms(_stack(n, n + 50), n, SubsystemSpec((1,)), FLAG_TOL) is None
+        assert _dense_pt_norms(states, n, SubsystemSpec(range(1, n + 1)), FLAG_TOL) is None
 
     @pytest.mark.parametrize("fermionic", [True, False])
     def test_signed_gather(self, n, fermionic):

@@ -1,14 +1,19 @@
+import hashlib
+
 import numpy as np
 import pytest
 
+from conftest import record_calls
 from fneg import states as states_mod
+from fneg.errors import ParityError
 from fneg import verify as verify_mod
 from fneg.cli import main as cli_main
-from fneg.fock import ModeLayout, SubsystemSpec, parity_op
-from fneg.measures import negativity, trace_norm
+from fneg.fock import FockOperator, ModeLayout, SubsystemSpec, embed_local, graded_tensor, parity_op
+from fneg.measures import log_negativity, negativity, trace_norm
 from fneg.ptranspose import fermionic_pt, fermionic_pt_majorana
 from fneg.states import random_density
 from fneg.verify import (
+    _WEIGHT_FLOOR,
     CheckReport,
     check_identity_suite,
     check_locc_monotonicity,
@@ -21,6 +26,7 @@ from fneg.verify import (
     random_even_unitary,
     trace_norm_prediction,
     _fingerprint,
+    _measured_branches,
     _perturbation_instance,
 )
 
@@ -86,7 +92,135 @@ class TestIdentitySuite:
         assert np.abs(lhs - rhs).max() <= 1e-12
 
 
+#: SHA-256 of ``fneg --seed 7 verify locc`` as printed before each trial's norms were batched.
+_LOCC_SEED7_SHA256 = "d72b4c08d25779a035b42259ac17910b8505c50ec6b200fc79fb6e7d44ab268e"
+
+
+def _per_call_locc_trial(rng) -> dict:
+    """One LOCC trial's diagnostics with one ``negativity`` or ``log_negativity`` call per value."""
+    n = int(rng.integers(2, 5))
+    m_a = int(rng.integers(1, n))
+    layout = ModeLayout.bipartite(m_a, n - m_a)
+    spec_a, modes_b = layout.spec("A"), layout.spec("B").target_modes
+    sub_a, sub_b = ModeLayout(m_a, ("A",) * m_a), ModeLayout(n - m_a, ("A",) * (n - m_a))
+    rho = random_density(layout, rng)
+    base_neg = negativity(rho, spec_a)
+    base_logneg = float(np.log(2.0 * base_neg + 1.0))
+    viol = {}
+    u = embed_local(random_even_unitary(sub_a, rng), layout, spec_a.target_modes).matrix
+    u = u @ embed_local(random_even_unitary(sub_b, rng), layout, modes_b).matrix
+    rotated = FockOperator(layout, u @ rho.matrix @ u.conj().T)
+    viol["local_unitary"] = abs(negativity(rotated, spec_a) - base_neg)
+    appended = graded_tensor(rho, random_density(ModeLayout(1, ("A",)), rng))
+    viol["ancilla_append"] = abs(negativity(appended, appended.layout.spec("A")) - base_neg)
+    if rng.integers(0, 2):
+        proj_a = random_even_projector_set(sub_a, rng, max_groups=3)
+        proj_b = random_even_projector_set(sub_b, rng, max_groups=3)
+    else:
+        proj_a, proj_b = parity_projector_pair(sub_a), parity_projector_pair(sub_b)
+    avg = 0.0
+    for pa in proj_a:
+        for pb in proj_b:
+            op = (embed_local(pa, layout, spec_a.target_modes).matrix
+                  @ embed_local(pb, layout, modes_b).matrix)
+            projected = op @ rho.matrix @ op
+            weight = float(np.real(np.trace(projected)))
+            if weight >= _WEIGHT_FLOOR:
+                avg += weight * negativity(FockOperator(layout, projected / weight), spec_a)
+    viol["projective"] = max(0.0, avg - base_neg)
+    sigma = graded_tensor(rho, random_density(ModeLayout(1, ("A",)), rng))
+    big, tilde_spec = sigma.layout, sigma.layout.spec("A")
+    r_mode = tilde_spec.target_modes[-1]
+    u_ar = embed_local(random_even_unitary(ModeLayout(m_a + 1, ("A",) * (m_a + 1)), rng), big,
+                       tilde_spec.target_modes).matrix
+    evolved = FockOperator(big, u_ar @ sigma.matrix @ u_ar.conj().T)
+    viol["unilocal_unitary"] = abs(negativity(evolved, tilde_spec) - base_neg)
+    keep = SubsystemSpec(tuple(m for m in range(1, big.num_modes + 1) if m != r_mode))
+    branches = _measured_branches(evolved, r_mode, keep)
+    avg_neg = sum(w * negativity(red, spec_a) for w, red in branches)
+    avg_logneg = sum(w * log_negativity(red, spec_a) for w, red in branches)
+    mixed = FockOperator(layout, sum(w * red.matrix for w, red in branches))
+    viol["ancilla_trace_selective"] = max(0.0, avg_neg - base_neg)
+    viol["ancilla_trace_averaged"] = max(0.0, negativity(mixed, spec_a) - base_neg)
+    viol["ancilla_trace_logneg"] = max(0.0, avg_logneg - base_logneg)
+    other = random_density(ModeLayout.bipartite(1, 1), rng)
+    stacked = graded_tensor(rho, other)
+    viol["additivity"] = abs(log_negativity(stacked, stacked.layout.spec("A"))
+                             - log_negativity(rho, spec_a)
+                             - log_negativity(other, other.layout.spec("A")))
+    worst = max(viol, key=viol.get)
+    return {"n": n, "m_a": m_a, "state": _fingerprint(rho.matrix),
+            "base_negativity": float(base_neg), "max_violation": float(viol[worst]),
+            "worst_check": worst}
+
+
+def _corrupt_first_branch(monkeypatch, kind: str) -> list:
+    """Make the first measured branch of every trial fail one check; log the states made."""
+    bad = []
+
+    def corrupted(sigma, r_mode, keep):
+        branches = _measured_branches(sigma, r_mode, keep)
+        (w, red), rest = branches[0], branches[1:]
+        m = red.matrix.copy()
+        if kind == "trace":
+            m *= 1.5
+        elif kind == "psd":  # a negative diagonal entry; |00..> and |11..> are both even
+            shift = m[0, 0].real + 0.1
+            m[0, 0] -= shift
+            m[3, 3] += shift
+        else:  # couples |00..> to the odd |10..>
+            m[0, 1] += 1e-6
+            m[1, 0] += 1e-6
+        bad.append(FockOperator(red.layout, m))
+        return [(w, bad[-1])] + rest
+
+    monkeypatch.setattr(verify_mod, "_measured_branches", corrupted)
+    return bad
+
+
 class TestLoccMonotonicity:
+    def test_cli_output_is_pinned(self, capsys):
+        assert cli_main(["--seed", "7", "verify", "locc"]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == _LOCC_SEED7_SHA256
+
+    @pytest.mark.parametrize("seed", [0, 7, 505])
+    def test_batched_report_equals_per_call_reference(self, seed):
+        report = check_locc_monotonicity(seed=seed, trials=30)
+        rng = np.random.default_rng(seed)
+        for t, diag in enumerate(report.diagnostics):
+            assert diag == {**_per_call_locc_trial(rng), "trial": t, "seed": seed}
+
+    @pytest.mark.parametrize("kind", ["trace", "psd", "parity"])
+    def test_failing_member_raises_negativitys_error(self, monkeypatch, kind):
+        bad = _corrupt_first_branch(monkeypatch, kind)
+        with pytest.raises(Exception) as batched:
+            check_locc_monotonicity(seed=7, trials=3)
+        with pytest.raises(Exception) as direct:
+            negativity(bad[0], bad[0].layout.spec("A"))
+        assert batched.type is direct.type
+        assert str(batched.value) == str(direct.value)
+        assert len(bad) == 1  # the first trial raised
+        assert kind != "parity" or batched.type is ParityError
+
+    def test_one_stacked_svd_per_group_and_trial(self, monkeypatch):
+        # Below five modes every norm comes from one stacked SVD per (modes, target)
+        # group of a trial; a (d, d) SVD there would be the per-call path.  Larger
+        # states are solved by _solve_pt_norm on their parity blocks.
+        log = record_calls(monkeypatch, "svd", "eigvalsh", "fneg.measures._solve_pt_norm")
+        report = check_locc_monotonicity(seed=7, trials=3)
+        stacked = [shape for k, (name, shape) in enumerate(log)
+                   if name == "svd" and (k == 0 or log[k - 1][0] != "_solve_pt_norm")]
+        groups = 0
+        for diag in report.diagnostics:
+            n, m_a = diag["n"], diag["m_a"]
+            # rho and its measured states; the ancilla-appended states; the stacked
+            # state; and the two-mode stacking partner
+            keys = {(n, m_a), (n + 1, m_a + 1), (n + 2, m_a + 1), (2, 1)}
+            groups += sum(1 for modes, _ in keys if modes < 5)
+        assert len(stacked) == groups
+        assert all(len(shape) == 3 and shape[-1] < 32 for shape in stacked)
+
     def test_small_run_passes(self):
         report = check_locc_monotonicity(seed=7, trials=25)
         assert report.passed
