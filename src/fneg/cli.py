@@ -59,7 +59,7 @@ def _emit_rows(rows: list[dict], columns: list[str], output: str) -> None:
 )
 @click.option(
     "--seed",
-    type=int,
+    type=click.IntRange(min=0),
     default=_DEFAULT_SEED,
     envvar="FNEG_SEED",
     show_default=True,
@@ -344,12 +344,15 @@ def _mode_counts(ctx, param, value):
 )
 @click.option("--trials", type=click.IntRange(min=1), default=None,
               help="Trial count, at least 1 (subject default).")
-@click.option("--seed", type=int, default=None, help="Override the global seed.")
+@click.option("--seed", type=click.IntRange(min=0), default=None, help="Override the global seed.")
 @click.option("--modes", default=None, callback=_mode_counts,
               help=f"Comma-separated mode counts in 2..{MAX_MODES} (identities/conjecture).")
 @click.pass_context
 def verify_cmd(ctx, subject, trials, seed, modes):
     """Run one randomized verification suite and print its report as JSON."""
+    if modes is not None and subject in ("locc", "perturbation"):
+        raise click.BadParameter(f"only identities and conjecture take it, not {subject}",
+                                 param_hint="'--modes'")
     seed = ctx.obj["seed"] if seed is None else seed
     trials = _VERIFY_DEFAULT_TRIALS[subject] if trials is None else trials
     if subject == "identities":

@@ -247,15 +247,21 @@ def check_identity_suite(
 # -- LOCC monotonicity -------------------------------------------------------------
 
 
-def _measured_branches(sigma: FockOperator, r_mode: int, keep: SubsystemSpec):
+def _parity_projectors(layout: ModeLayout, modes: tuple[int, ...], embedded: dict) -> list:
+    """:func:`parity_projector_pair` on ``modes``, embedded in ``layout`` once per ``embedded``."""
+    key = (layout, modes)
+    if key not in embedded:
+        local = ModeLayout(len(modes), ("A",) * len(modes))
+        embedded[key] = [embed_local(p, layout, modes).matrix for p in parity_projector_pair(local)]
+    return embedded[key]
+
+
+def _measured_branches(sigma: FockOperator, r_mode: int, keep: SubsystemSpec, embedded: dict):
     """Occupation-basis measurement of one ancilla mode: (weight, reduced state)."""
     layout = sigma.layout
     branches = []
-    for occ in (0, 1):
-        local = FockOperator(
-            ModeLayout(1, ("A",)), np.diag([1.0 - occ, float(occ)]).astype(complex)
-        )
-        proj = embed_local(local, layout, (r_mode,)).matrix
+    # |0><0| and |1><1| of one mode are its even and odd parity projectors
+    for proj in _parity_projectors(layout, (r_mode,), embedded):
         projected = proj @ sigma.matrix @ proj
         weight = float(np.real(np.trace(projected)))
         if weight < _WEIGHT_FLOOR:
@@ -267,47 +273,44 @@ def _measured_branches(sigma: FockOperator, r_mode: int, keep: SubsystemSpec):
     return branches
 
 
-def _trial_norms(jobs: dict[str, list]) -> dict[str, list[float]]:
-    """Fermionic ``|rho^{T_A}|_1`` of each ``(state, spec)`` job, keyed and ordered like ``jobs``.
+def _trial_norms(trials: list[dict[str, list]]) -> list[dict[str, list[float]]] | None:
+    """Each trial's jobs with each ``(state, spec)`` pair replaced by its ``|rho^{T_A}|_1``.
 
-    Jobs below :data:`_BLOCK_MIN_MODES` modes are grouped by mode count and
+    A job is such a pair below :data:`_BLOCK_MIN_MODES` modes, or a norm
+    already taken.  The pairs of all trials are grouped by mode count and
     target mask, and each group is checked, transposed and solved once by
-    :func:`fneg.measures._dense_pt_norms`; the others go through ``_pt_norm``
-    and its memo.  Every norm equals the one behind ``negativity`` bit for bit.
-    If any group fails a check, every job runs through ``_pt_norm`` in order,
-    so the first failing job raises ``negativity``'s own error.
+    :func:`fneg.measures._dense_pt_norms`: every norm equals the one behind
+    ``negativity`` bit for bit.  ``None`` if any group fails a check.
     """
-    flat = [job for group in jobs.values() for job in group]
+    flat = [job for jobs in trials for group in jobs.values() for job in group]
     groups: dict[tuple[int, int], list[int]] = {}
-    for i, (op, spec) in enumerate(flat):
-        if op.layout.num_modes < _BLOCK_MIN_MODES:
-            groups.setdefault((op.layout.num_modes, spec.mask()), []).append(i)
-    norms: list = [None] * len(flat)
+    for i, job in enumerate(flat):
+        if isinstance(job, tuple):
+            groups.setdefault((job[0].layout.num_modes, job[1].mask()), []).append(i)
     for (n, _), members in groups.items():
         stack = np.stack([flat[i][0].matrix for i in members])
         solved = _dense_pt_norms(stack, n, flat[members[0]][1], FLAG_TOL)
         if solved is None:
-            norms = [None] * len(flat)
-            break
+            return None
         for i, value in zip(members, solved.tolist()):
-            norms[i] = value
-    norms = iter([_pt_norm(op, spec, "fermionic", FLAG_TOL) if value is None else value
-                  for value, (op, spec) in zip(norms, flat)])
-    return {key: [next(norms) for _ in group] for key, group in jobs.items()}
+            flat[i] = value
+    norms = iter(flat)
+    return [{key: [next(norms) for _ in group] for key, group in jobs.items()} for jobs in trials]
 
 
-def _locc_trial(rng: np.random.Generator) -> tuple[float, dict]:
+def _build_locc_trial(rng: np.random.Generator, embedded: dict) -> tuple[dict, dict, dict]:
+    """Draw and build one LOCC trial: its first diagnostics, norm jobs and branch weights."""
     n = int(rng.integers(2, 5))
     m_a = int(rng.integers(1, n))
     layout = ModeLayout.bipartite(m_a, n - m_a)
     spec_a = layout.spec("A")
-    modes_b = layout.spec("B").target_modes
+    modes_a, modes_b = spec_a.target_modes, layout.spec("B").target_modes
     sub_a = ModeLayout(m_a, ("A",) * m_a)
     sub_b = ModeLayout(n - m_a, ("A",) * (n - m_a))
     rho = random_density(layout, rng)
 
     # (a) invariance under local parity-even unitaries
-    u = embed_local(random_even_unitary(sub_a, rng), layout, spec_a.target_modes).matrix
+    u = embed_local(random_even_unitary(sub_a, rng), layout, modes_a).matrix
     u = u @ embed_local(random_even_unitary(sub_b, rng), layout, modes_b).matrix
     rotated = FockOperator(layout, u @ rho.matrix @ u.conj().T, copy=False)
 
@@ -318,14 +321,14 @@ def _locc_trial(rng: np.random.Generator) -> tuple[float, dict]:
     if rng.integers(0, 2):
         proj_a = random_even_projector_set(sub_a, rng, max_groups=3)
         proj_b = random_even_projector_set(sub_b, rng, max_groups=3)
+        proj_a = [embed_local(p, layout, modes_a).matrix for p in proj_a]
+        proj_b = [embed_local(p, layout, modes_b).matrix for p in proj_b]
     else:
-        proj_a = parity_projector_pair(sub_a)
-        proj_b = parity_projector_pair(sub_b)
-    embedded_b = [embed_local(pb, layout, modes_b).matrix for pb in proj_b]
+        proj_a = _parity_projectors(layout, modes_a, embedded)
+        proj_b = _parity_projectors(layout, modes_b, embedded)
     outcomes = []
-    for pa in proj_a:
-        ea = embed_local(pa, layout, spec_a.target_modes).matrix
-        for eb in embedded_b:
+    for ea in proj_a:
+        for eb in proj_b:
             op = ea @ eb
             projected = op @ rho.matrix @ op
             weight = float(np.real(np.trace(projected)))
@@ -344,7 +347,7 @@ def _locc_trial(rng: np.random.Generator) -> tuple[float, dict]:
     ).matrix
     evolved = FockOperator(big, u_ar @ sigma.matrix @ u_ar.conj().T, copy=False)
     keep = SubsystemSpec(tuple(m for m in range(1, big.num_modes + 1) if m != r_mode))
-    branches = _measured_branches(evolved, r_mode, keep)
+    branches = _measured_branches(evolved, r_mode, keep, embedded)
     mixed = FockOperator(layout, sum(w * red.matrix for w, red in branches), copy=False)
 
     # (e) additivity under stacking
@@ -352,7 +355,7 @@ def _locc_trial(rng: np.random.Generator) -> tuple[float, dict]:
     stacked = graded_tensor(rho, other)
 
     # Every norm, in the order the checks read them.
-    norms = _trial_norms({
+    jobs = {
         "rho": [(rho, spec_a)],
         "rotated": [(rotated, spec_a)],
         "appended": [(appended, appended.layout.spec("A"))],
@@ -362,7 +365,13 @@ def _locc_trial(rng: np.random.Generator) -> tuple[float, dict]:
         "mixed": [(mixed, spec_a)],
         "stacked": [(stacked, stacked.layout.spec("A"))],
         "other": [(other, other.layout.spec("A"))],
-    })
+    }
+    weights = {"outcomes": [w for w, _ in outcomes], "branches": [w for w, _ in branches]}
+    return {"n": n, "m_a": m_a, "state": _fingerprint(rho.matrix)}, jobs, weights
+
+
+def _score_locc_trial(diag: dict, weights: dict, norms: dict) -> tuple[float, dict]:
+    """The worst violation of a built trial and its diagnostics, from its norms."""
     neg = {key: [(x - 1.0) / 2.0 for x in values] for key, values in norms.items()}
     base_neg = neg["rho"][0]
     base_logneg = float(np.log(2.0 * base_neg + 1.0))
@@ -370,13 +379,11 @@ def _locc_trial(rng: np.random.Generator) -> tuple[float, dict]:
         "local_unitary": abs(neg["rotated"][0] - base_neg),
         "ancilla_append": abs(neg["appended"][0] - base_neg),
     }
-    avg = 0.0
-    for (weight, _), value in zip(outcomes, neg["outcomes"]):
-        avg += weight * value
+    avg = sum(w * x for w, x in zip(weights["outcomes"], neg["outcomes"]))
     viol["projective"] = max(0.0, avg - base_neg)
     viol["unilocal_unitary"] = abs(neg["evolved"][0] - base_neg)
-    avg_neg = sum(w * x for (w, _), x in zip(branches, neg["branches"]))
-    avg_logneg = sum(w * float(np.log(x)) for (w, _), x in zip(branches, norms["branches"]))
+    avg_neg = sum(w * x for w, x in zip(weights["branches"], neg["branches"]))
+    avg_logneg = sum(w * float(np.log(x)) for w, x in zip(weights["branches"], norms["branches"]))
     viol["ancilla_trace_selective"] = max(0.0, avg_neg - base_neg)
     viol["ancilla_trace_averaged"] = max(0.0, neg["mixed"][0] - base_neg)
     viol["ancilla_trace_logneg"] = max(0.0, avg_logneg - base_logneg)
@@ -386,41 +393,71 @@ def _locc_trial(rng: np.random.Generator) -> tuple[float, dict]:
         - float(np.log(norms["other"][0]))
     )
 
-    worst_name = max(viol, key=viol.get)
-    diag = {
-        "n": n,
-        "m_a": m_a,
-        "state": _fingerprint(rho.matrix),
-        "base_negativity": float(base_neg),
-        "max_violation": float(viol[worst_name]),
-        "worst_check": worst_name,
-    }
-    return float(max(viol.values())), diag
+    worst = max(viol, key=viol.get)
+    return float(max(viol.values())), {**diag, "base_negativity": float(base_neg),
+                                       "max_violation": float(viol[worst]), "worst_check": worst}
+
+
+def _locc_chunk(rng: np.random.Generator, count: int, embedded: dict, min_modes: int):
+    """``(worst violation, diagnostics)`` of ``count`` trials; ``None`` if a stack fails a check.
+
+    A trial's states of ``min_modes`` or more modes are solved, one
+    ``_pt_norm`` each in check order, as soon as it is built, which frees
+    them; the others of all ``count`` trials are solved by :func:`_trial_norms`.
+    """
+    built = []
+    for _ in range(count):
+        diag, jobs, weights = _build_locc_trial(rng, embedded)
+        jobs = {key: [_pt_norm(op, spec, "fermionic", FLAG_TOL) if op.layout.num_modes >= min_modes
+                      else (op, spec) for op, spec in group] for key, group in jobs.items()}
+        built.append((diag, jobs, weights))
+    norms = _trial_norms([jobs for _, jobs, _ in built])
+    return None if norms is None else [_score_locc_trial(diag, weights, trial_norms)
+                                       for (diag, _, weights), trial_norms in zip(built, norms)]
+
+
+#: Trials whose norms :func:`check_locc_monotonicity` solves together.  Their small
+#: states stay alive until the solve: ``verify locc`` (seed 7) peaked at 40.0-40.1 MB
+#: with 8, as with 1, 40.2-40.3 MB with 12 and 48.5-48.7 MB with all 200.
+_LOCC_CHUNK = 8
 
 
 def check_locc_monotonicity(seed=0, trials: int = 200, tolerance: float = 1e-10) -> CheckReport:
     """Local-unitary invariance, ancilla append/trace, projective measurements,
     and additivity, scored by equality deviation or negative inequality slack.
 
-    Each trial draws and builds all of its states first, then takes their
-    negativities together (:func:`_trial_norms`): the states below
-    :data:`fock._BLOCK_MIN_MODES` modes that share a mode count and a target
-    are validated, transposed and solved as one stack.  The values equal one
-    ``negativity`` or ``log_negativity`` call per state bit for bit, and a
-    state that fails a check raises that call's error.
+    A chunk of :data:`_LOCC_CHUNK` trials builds all its states, in the draw
+    order of one trial at a time (:func:`_locc_chunk`).  States of
+    :data:`fock._BLOCK_MIN_MODES` or more modes are solved as soon as their
+    trial is built; the others are solved together.  The values equal one
+    ``negativity`` or ``log_negativity`` call per state bit for bit.  If a
+    build or a solve raises, or a stack fails a check, the generator state
+    saved before the chunk is restored and the chunk replayed with every state
+    solved as soon as its trial is built, so the first error is the per-call
+    one.  Parity projectors are embedded once per call.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
     rng = _rng(seed)
     base_seed = seed if isinstance(seed, int) else None
+    embedded: dict = {}
     worst = 0.0
     diagnostics = []
-    for t in range(trials):
-        dev, diag = _locc_trial(rng)
-        diag["trial"] = t
-        diag["seed"] = base_seed
-        diagnostics.append(diag)
-        worst = max(worst, dev)
+    for start in range(0, trials, _LOCC_CHUNK):
+        count = min(_LOCC_CHUNK, trials - start)
+        state = rng.bit_generator.state
+        try:
+            scored = _locc_chunk(rng, count, embedded, _BLOCK_MIN_MODES)
+        except Exception:  # the replay raises it again, after any earlier trial's error
+            scored = None
+        if scored is None:  # replay one trial, then its norms, at a time: the per-call order
+            rng.bit_generator.state = state
+            scored = _locc_chunk(rng, count, embedded, 0)
+        for t, (dev, diag) in enumerate(scored, start):
+            diag["trial"] = t
+            diag["seed"] = base_seed
+            diagnostics.append(diag)
+            worst = max(worst, dev)
     return _report("locc_monotonicity", trials, worst, tolerance, diagnostics)
 
 

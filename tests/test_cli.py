@@ -284,12 +284,23 @@ class TestMainExitCodes:
         (["verify", "identities", "--modes", "1"], "--modes"),
         (["verify", "conjecture", "--trials", "0"], "--trials"),
         (["verify", "locc", "--trials", "-3"], "--trials"),
+        (["--seed", "-1", "verify", "locc"], "--seed"),
+        (["verify", "locc", "--seed", "-5"], "--seed"),
+        (["--seed", "-1", "sweep", "werner"], "--seed"),
     ])
     def test_bad_verify_option_is_a_usage_error(self, capsys, args, option):
         assert main(args) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"usage error: Invalid value for '{option}'")
         assert "internal error" not in err
+
+    @pytest.mark.parametrize("subject", ["locc", "perturbation"])
+    def test_modes_is_refused_where_ignored(self, capsys, subject):
+        assert main(["verify", subject, "--modes", "5", "--trials", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""  # refused before any trial runs
+        assert captured.err == ("usage error: Invalid value for '--modes': only identities "
+                                f"and conjecture take it, not {subject}\n")
 
     def test_ok_path(self, capsys):
         assert main(["reproduce", "table1"]) == 0

@@ -13,6 +13,7 @@ from fneg.measures import log_negativity, negativity, trace_norm
 from fneg.ptranspose import fermionic_pt, fermionic_pt_majorana
 from fneg.states import random_density
 from fneg.verify import (
+    _LOCC_CHUNK,
     _WEIGHT_FLOOR,
     CheckReport,
     check_identity_suite,
@@ -27,6 +28,7 @@ from fneg.verify import (
     trace_norm_prediction,
     _fingerprint,
     _measured_branches,
+    _parity_projectors,
     _perturbation_instance,
 )
 
@@ -136,7 +138,7 @@ def _per_call_locc_trial(rng) -> dict:
     evolved = FockOperator(big, u_ar @ sigma.matrix @ u_ar.conj().T)
     viol["unilocal_unitary"] = abs(negativity(evolved, tilde_spec) - base_neg)
     keep = SubsystemSpec(tuple(m for m in range(1, big.num_modes + 1) if m != r_mode))
-    branches = _measured_branches(evolved, r_mode, keep)
+    branches = _measured_branches(evolved, r_mode, keep, {})
     avg_neg = sum(w * negativity(red, spec_a) for w, red in branches)
     avg_logneg = sum(w * log_negativity(red, spec_a) for w, red in branches)
     mixed = FockOperator(layout, sum(w * red.matrix for w, red in branches))
@@ -158,8 +160,8 @@ def _corrupt_first_branch(monkeypatch, kind: str) -> list:
     """Make the first measured branch of every trial fail one check; log the states made."""
     bad = []
 
-    def corrupted(sigma, r_mode, keep):
-        branches = _measured_branches(sigma, r_mode, keep)
+    def corrupted(*args):
+        branches = _measured_branches(*args)
         (w, red), rest = branches[0], branches[1:]
         m = red.matrix.copy()
         if kind == "trace":
@@ -178,15 +180,31 @@ def _corrupt_first_branch(monkeypatch, kind: str) -> list:
     return bad
 
 
+def _record_projector_caches(monkeypatch) -> list:
+    """Log ``(cache, its size)`` per ``_parity_projectors`` call, the size taken before the call."""
+    calls = []
+
+    def recording(layout, modes, embedded):
+        calls.append((embedded, len(embedded)))
+        return _parity_projectors(layout, modes, embedded)
+
+    monkeypatch.setattr(verify_mod, "_parity_projectors", recording)
+    return calls
+
+
 class TestLoccMonotonicity:
     def test_cli_output_is_pinned(self, capsys):
         assert cli_main(["--seed", "7", "verify", "locc"]) == 0
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode()).hexdigest() == _LOCC_SEED7_SHA256
 
+    @pytest.mark.parametrize("trials", [1, 7, 9, 30])
     @pytest.mark.parametrize("seed", [0, 7, 505])
-    def test_batched_report_equals_per_call_reference(self, seed):
-        report = check_locc_monotonicity(seed=seed, trials=30)
+    def test_batched_report_equals_per_call_reference(self, seed, trials):
+        # 1 and 7 trials fill part of one chunk, 9 spill one trial into a second
+        assert _LOCC_CHUNK == 8
+        report = check_locc_monotonicity(seed=seed, trials=trials)
+        assert len(report.diagnostics) == trials
         rng = np.random.default_rng(seed)
         for t, diag in enumerate(report.diagnostics):
             assert diag == {**_per_call_locc_trial(rng), "trial": t, "seed": seed}
@@ -200,26 +218,94 @@ class TestLoccMonotonicity:
             negativity(bad[0], bad[0].layout.spec("A"))
         assert batched.type is direct.type
         assert str(batched.value) == str(direct.value)
-        assert len(bad) == 1  # the first trial raised
+        # the chunk built all three trials; its replay stopped at the first, rebuilt bit for bit
+        assert len(bad) == 4
+        assert np.array_equal(bad[3].matrix, bad[0].matrix)
         assert kind != "parity" or batched.type is ParityError
 
-    def test_one_stacked_svd_per_group_and_trial(self, monkeypatch):
+    @pytest.mark.parametrize("corrupt", [False, True])
+    def test_build_error_is_raised_after_earlier_trials_errors(self, monkeypatch, corrupt):
+        # Building the third trial raises.  Per call, the first trial's norms are
+        # taken before that, so a bad first trial raises negativity's error first.
+        bad = _corrupt_first_branch(monkeypatch, "trace") if corrupt else []
+        patched = verify_mod._measured_branches
+        builds = []
+
+        def failing_third(*args):  # the third trial of the chunk and of its replay
+            builds.append(None)
+            if len(builds) % 3 == 0:
+                raise RuntimeError("third build")
+            return patched(*args)
+
+        monkeypatch.setattr(verify_mod, "_measured_branches", failing_third)
+        with pytest.raises(Exception) as batched:
+            check_locc_monotonicity(seed=7, trials=5)
+        if corrupt:
+            with pytest.raises(Exception) as direct:
+                negativity(bad[0], bad[0].layout.spec("A"))
+            assert (batched.type, str(batched.value)) == (direct.type, str(direct.value))
+            assert len(builds) == 3 + 1  # the replay stopped at the first trial
+        else:
+            assert str(batched.value) == "third build"
+            assert len(builds) == 3 + 3  # the replay built two trials, then raised again
+
+    def test_one_stacked_svd_per_group_and_chunk(self, monkeypatch):
         # Below five modes every norm comes from one stacked SVD per (modes, target)
-        # group of a trial; a (d, d) SVD there would be the per-call path.  Larger
-        # states are solved by _solve_pt_norm on their parity blocks.
+        # group of a chunk of trials; a (d, d) SVD there would be the per-call path.
+        # Larger states are solved by _solve_pt_norm on their parity blocks.
         log = record_calls(monkeypatch, "svd", "eigvalsh", "fneg.measures._solve_pt_norm")
-        report = check_locc_monotonicity(seed=7, trials=3)
+        report = check_locc_monotonicity(seed=7, trials=_LOCC_CHUNK + 3)
         stacked = [shape for k, (name, shape) in enumerate(log)
                    if name == "svd" and (k == 0 or log[k - 1][0] != "_solve_pt_norm")]
-        groups = 0
+        chunks: dict[int, set] = {}
         for diag in report.diagnostics:
             n, m_a = diag["n"], diag["m_a"]
             # rho and its measured states; the ancilla-appended states; the stacked
             # state; and the two-mode stacking partner
             keys = {(n, m_a), (n + 1, m_a + 1), (n + 2, m_a + 1), (2, 1)}
-            groups += sum(1 for modes, _ in keys if modes < 5)
-        assert len(stacked) == groups
+            chunks.setdefault(diag["trial"] // _LOCC_CHUNK, set()).update(
+                key for key in keys if key[0] < 5)
+        assert len(chunks) == 2
+        assert len(stacked) == sum(len(keys) for keys in chunks.values())
         assert all(len(shape) == 3 and shape[-1] < 32 for shape in stacked)
+        assert max(shape[0] for shape in stacked) > 10  # members of several trials
+
+    def test_projector_cache_holds_fresh_read_only_embeddings(self, monkeypatch):
+        calls = _record_projector_caches(monkeypatch)
+        check_locc_monotonicity(seed=7, trials=20)
+        cache = calls[0][0]
+        assert all(embedded is cache for embedded, _ in calls)
+        # ancilla occupation projectors and both halves' parity projectors
+        assert {len(modes) for _, modes in cache} >= {1, 2}
+        for (layout, modes), cached in cache.items():
+            local = ModeLayout(len(modes), ("A",) * len(modes))
+            fresh = [embed_local(p, layout, modes).matrix for p in parity_projector_pair(local)]
+            assert len(cached) == 2
+            for got, want in zip(cached, fresh):
+                assert got.dtype == want.dtype and np.array_equal(got, want)
+                assert not got.flags.writeable
+                with pytest.raises(ValueError):
+                    got[0, 0] = 2.0
+
+    def test_projector_cache_is_local_to_one_call(self, monkeypatch):
+        calls = _record_projector_caches(monkeypatch)
+        caches = []
+        for seed in (3, 11):
+            calls.clear()
+            report = check_locc_monotonicity(seed=seed, trials=9)
+            assert calls[0][1] == 0  # each call starts with an empty cache
+            assert all(embedded is calls[0][0] for embedded, _ in calls)
+            caches.append(calls[0][0])
+            rng = np.random.default_rng(seed)
+            for t, diag in enumerate(report.diagnostics):
+                assert diag == {**_per_call_locc_trial(rng), "trial": t, "seed": seed}
+        assert caches[0] is not caches[1]
+
+    def test_occupation_projectors_are_the_one_mode_parity_pair(self):
+        one_mode = ModeLayout(1, ("A",))
+        even, odd = parity_projector_pair(one_mode)
+        assert np.array_equal(even.matrix, np.diag([1.0, 0.0]).astype(complex))
+        assert np.array_equal(odd.matrix, np.diag([0.0, 1.0]).astype(complex))
 
     def test_small_run_passes(self):
         report = check_locc_monotonicity(seed=7, trials=25)
