@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 import sys
-from dataclasses import dataclass, field
 
 import click
 import numpy as np
@@ -48,14 +47,22 @@ def _emit_rows(rows: list[dict], columns: list[str], output: str) -> None:
         click.echo(",".join(cells))
 
 
+def _tolerance(ctx, param, value):
+    """``--tolerance`` in ``[0, inf)``; ``click.FloatRange`` alone would let NaN through."""
+    if not 0.0 <= value < float("inf"):
+        raise click.BadParameter(f"must be a finite number >= 0, got {value!r}")
+    return value
+
+
 @click.group()
 @click.option(
     "--tolerance",
     type=float,
     default=_DEFAULT_TOLERANCE,
     envvar="FNEG_TOLERANCE",
+    callback=_tolerance,
     show_default=True,
-    help="Absolute tolerance for value checks and zero thresholds.",
+    help="Absolute tolerance for value checks and zero thresholds, in [0, inf).",
 )
 @click.option(
     "--seed",
@@ -139,23 +146,6 @@ _WERNER_MEASURES = ("negativity", "log_negativity")
 _PSI_P_MEASURES = ("j_abc", "three_tangle", "n_abc", "pi_abc")
 
 
-@dataclass(frozen=True)
-class SweepRecord:
-    """One sweep row: parameter value, one entry per requested measure,
-    flavor tag, and (for classified families) the class label."""
-
-    parameter: float
-    values: dict[str, float]
-    flavor: str
-    label: str | None = field(default=None)
-
-    def as_row(self) -> dict:
-        row = {"p": self.parameter, **self.values}
-        if self.label is not None:
-            row["label"] = self.label
-        return row
-
-
 @cli.command()
 @click.argument("family", type=click.Choice(["werner", "psi_p"]))
 @click.option("--min", "p_min", type=float, default=0.0, show_default=True)
@@ -179,6 +169,9 @@ def sweep(ctx, family, p_min, p_max, steps, measure_list, flavor, normalized):
         if measure_list
         else available
     )
+    if not chosen:
+        raise click.BadParameter(f"names no measure; {family} takes {', '.join(available)}",
+                                 param_hint="'--measures'")
     unknown = [m for m in chosen if m not in available]
     if unknown:
         raise click.UsageError(f"unknown measures for {family}: {unknown}")
@@ -186,7 +179,7 @@ def sweep(ctx, family, p_min, p_max, steps, measure_list, flavor, normalized):
         raise click.UsageError("--normalized applies to the psi_p family only")
     grid = np.linspace(p_min, p_max, steps)
     spec1 = SubsystemSpec((1,))
-    records: list[SweepRecord] = []
+    rows = []
     if family == "werner":
         for p in grid:
             rho = states.canonical_state("werner", p=float(p))
@@ -194,8 +187,8 @@ def sweep(ctx, family, p_min, p_max, steps, measure_list, flavor, normalized):
             for m in chosen:
                 fn = negativity if m == "negativity" else log_negativity
                 values[m] = float(fn(rho, spec1, flavor))
-            records.append(SweepRecord(float(p), values, flavor))
-        _emit_rows([r.as_row() for r in records], ["p"] + list(chosen), output)
+            rows.append({"p": float(p), **values})
+        _emit_rows(rows, ["p"] + list(chosen), output)
         ctx.exit(EXIT_OK)
 
     ghz = tripartite_report(states.canonical_state("ghz"), flavor)
@@ -208,8 +201,8 @@ def sweep(ctx, family, p_min, p_max, steps, measure_list, flavor, normalized):
             label = classify_mod._pure3_verdict(raw.entries, classify_mod.DEFAULT_ZERO_THRESHOLD)
         else:
             label = classify_mod.pure3_class(rho)
-        records.append(SweepRecord(float(p), values, flavor, label.label))
-    _emit_rows([r.as_row() for r in records], ["p"] + list(chosen) + ["label"], output)
+        rows.append({"p": float(p), **values, "label": label.label})
+    _emit_rows(rows, ["p"] + list(chosen) + ["label"], output)
     ctx.exit(EXIT_OK)
 
 

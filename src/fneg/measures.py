@@ -117,12 +117,6 @@ def trace_norm(op: FockOperator | np.ndarray) -> float:
     return float(singular_values(op).sum())
 
 
-def _validated_pt(rho: FockOperator, spec, flavor: str, tol: float) -> FockOperator:
-    _check_flavor(flavor)
-    rho.require_density_matrix(tol, require_parity=(flavor == "fermionic"))
-    return partial_transpose(rho, as_spec(spec), flavor)
-
-
 def _pt_norm(rho: FockOperator, spec, flavor: str, tol: float) -> float:
     """Validate ``rho`` and return ``|rho^{T_A}|_1``, solved once per flavor and target set.
 
@@ -249,7 +243,9 @@ def pt_moment(
     """
     if n < 1:
         raise ValueError("moment order n must be a positive integer")
-    t = _validated_pt(rho, spec, flavor, tol).matrix
+    _check_flavor(flavor)
+    rho.require_density_matrix(tol, require_parity=(flavor == "fermionic"))
+    t = partial_transpose(rho, as_spec(spec), flavor).matrix
     tdag = t.conj().T
     prod = np.eye(t.shape[0], dtype=complex)
     for i in range(n):

@@ -390,31 +390,13 @@ def random_biseparable(
     """
     from .measures import negativity  # deferred: measures sits above states
 
-    if num_terms < 1:
-        raise ValueError("num_terms must be at least 1")
     rng = _rng(seed)
     first = as_spec(spec)
-    first.validate(layout)
-    rest = first.complement(layout)
-    build_order = first.sorted_modes() + rest.sorted_modes()
-    sub_a = ModeLayout(len(first), ("A",) * len(first))
-    sub_b = ModeLayout(len(rest), ("A",) * len(rest))
+    parts = [first, first.complement(layout)]
     other_labels = [lab for lab in layout.subsystems
                     if set(layout.modes_with_label(lab)) - set(first.target_modes)]
     for _ in range(_RESAMPLE_BUDGET):
-        weights = rng.dirichlet(np.ones(num_terms))
-        dim = layout.dim
-        total = np.zeros((dim, dim), dtype=complex)
-        for w in weights:
-            fa = random_density(sub_a, rng).matrix
-            fb = random_density(sub_b, rng).matrix
-            total += w * np.kron(fb, fa)
-        if build_order != tuple(range(1, layout.num_modes + 1)):
-            total = _permute_matrix(total, layout.num_modes, _inverse_order(build_order))
-        rho = FockOperator(layout, total, copy=False)
-        witnesses = [
-            negativity(rho, layout.spec(lab)) for lab in other_labels
-        ]
-        if all(w > min_witness for w in witnesses):
+        rho = random_separable(layout, parts, num_terms, rng)
+        if all(negativity(rho, layout.spec(lab)) > min_witness for lab in other_labels):
             return rho
     raise SamplingError("biseparable witness resampling budget exhausted")

@@ -24,13 +24,14 @@ from .fock import (
     FockOperator,
     ModeLayout,
     SubsystemSpec,
+    _hermitian_part,
     _sign_vector,
     embed_local,
     graded_tensor,
 )
 from .measures import _dense_pt_norms, _pt_norm, log_negativity, negativity, pairwise_negativity, \
     pi_abc, trace_norm, tripartite_report
-from .ptranspose import fermionic_pt, full_transpose, partial_trace
+from .ptranspose import fermionic_pt, full_transpose, parity_project, partial_trace
 from .states import (
     _block_gaussian,
     _normalised_gram,
@@ -41,9 +42,6 @@ from .states import (
     random_density,
     random_pure,
 )
-
-#: Probability weights below this are treated as empty measurement branches.
-_WEIGHT_FLOOR = 1e-12
 
 _GAP_GUARD = 5e-3
 _RESAMPLE_BUDGET = 500
@@ -98,7 +96,7 @@ def random_even_operator(layout: ModeLayout, rng: np.random.Generator) -> FockOp
 
 def random_even_hermitian(layout: ModeLayout, rng: np.random.Generator) -> FockOperator:
     g = random_even_operator(layout, rng).matrix
-    return FockOperator(layout, (g + g.conj().T) / 2.0, copy=False)
+    return FockOperator(layout, _hermitian_part(g), copy=False)
 
 
 def random_even_unitary(layout: ModeLayout, rng: np.random.Generator) -> FockOperator:
@@ -132,13 +130,16 @@ def random_even_projector_set(
     return projectors
 
 
+def _parity_projectors(layout: ModeLayout, modes: tuple[int, ...]) -> list[np.ndarray]:
+    """The even/odd parity projectors ``(1 +- (-1)^{F_modes})/2`` on ``layout``'s Fock space."""
+    signs = _sign_vector(layout.num_modes, SubsystemSpec(modes).mask())
+    return [np.diag(((1.0 + s * signs) / 2.0).astype(complex)) for s in (1.0, -1.0)]
+
+
 def parity_projector_pair(layout: ModeLayout) -> list[FockOperator]:
     """The even/odd parity projectors ``(1 +- (-1)^F)/2`` of a local system."""
-    signs = _sign_vector(layout.num_modes, layout.dim - 1)
-    return [
-        FockOperator(layout, np.diag(((1.0 + s * signs) / 2.0).astype(complex)), copy=False)
-        for s in (1.0, -1.0)
-    ]
+    modes = tuple(range(1, layout.num_modes + 1))
+    return [FockOperator(layout, p, copy=False) for p in _parity_projectors(layout, modes)]
 
 
 # -- identity suite ---------------------------------------------------------------
@@ -247,30 +248,12 @@ def check_identity_suite(
 # -- LOCC monotonicity -------------------------------------------------------------
 
 
-def _parity_projectors(layout: ModeLayout, modes: tuple[int, ...], embedded: dict) -> list:
-    """:func:`parity_projector_pair` on ``modes``, embedded in ``layout`` once per ``embedded``."""
-    key = (layout, modes)
-    if key not in embedded:
-        local = ModeLayout(len(modes), ("A",) * len(modes))
-        embedded[key] = [embed_local(p, layout, modes).matrix for p in parity_projector_pair(local)]
-    return embedded[key]
-
-
-def _measured_branches(sigma: FockOperator, r_mode: int, keep: SubsystemSpec, embedded: dict):
+def _measured_branches(sigma: FockOperator, r_mode: int, keep: SubsystemSpec):
     """Occupation-basis measurement of one ancilla mode: (weight, reduced state)."""
-    layout = sigma.layout
-    branches = []
     # |0><0| and |1><1| of one mode are its even and odd parity projectors
-    for proj in _parity_projectors(layout, (r_mode,), embedded):
-        projected = proj @ sigma.matrix @ proj
-        weight = float(np.real(np.trace(projected)))
-        if weight < _WEIGHT_FLOOR:
-            continue
-        reduced = partial_trace(
-            FockOperator(layout, projected / weight, copy=False), keep
-        )
-        branches.append((weight, reduced))
-    return branches
+    ancilla = SubsystemSpec((r_mode,))
+    projected = [parity_project(sigma, ancilla, sector) for sector in ("even", "odd")]
+    return [(w, partial_trace(state, keep)) for state, w in projected if state is not None]
 
 
 def _trial_norms(trials: list[dict[str, list]]) -> list[dict[str, list[float]]] | None:
@@ -298,7 +281,7 @@ def _trial_norms(trials: list[dict[str, list]]) -> list[dict[str, list[float]]] 
     return [{key: [next(norms) for _ in group] for key, group in jobs.items()} for jobs in trials]
 
 
-def _build_locc_trial(rng: np.random.Generator, embedded: dict) -> tuple[dict, dict, dict]:
+def _build_locc_trial(rng: np.random.Generator) -> tuple[dict, dict, dict]:
     """Draw and build one LOCC trial: its first diagnostics, norm jobs and branch weights."""
     n = int(rng.integers(2, 5))
     m_a = int(rng.integers(1, n))
@@ -324,15 +307,15 @@ def _build_locc_trial(rng: np.random.Generator, embedded: dict) -> tuple[dict, d
         proj_a = [embed_local(p, layout, modes_a).matrix for p in proj_a]
         proj_b = [embed_local(p, layout, modes_b).matrix for p in proj_b]
     else:
-        proj_a = _parity_projectors(layout, modes_a, embedded)
-        proj_b = _parity_projectors(layout, modes_b, embedded)
+        proj_a = _parity_projectors(layout, modes_a)
+        proj_b = _parity_projectors(layout, modes_b)
     outcomes = []
     for ea in proj_a:
         for eb in proj_b:
             op = ea @ eb
             projected = op @ rho.matrix @ op
             weight = float(np.real(np.trace(projected)))
-            if weight >= _WEIGHT_FLOOR:
+            if weight > FLAG_TOL:  # parity_project's empty-branch rule
                 outcomes.append((weight, FockOperator(layout, projected / weight, copy=False)))
 
     # (d) entangling an ancilla into A, measuring it, with and without averaging
@@ -347,7 +330,7 @@ def _build_locc_trial(rng: np.random.Generator, embedded: dict) -> tuple[dict, d
     ).matrix
     evolved = FockOperator(big, u_ar @ sigma.matrix @ u_ar.conj().T, copy=False)
     keep = SubsystemSpec(tuple(m for m in range(1, big.num_modes + 1) if m != r_mode))
-    branches = _measured_branches(evolved, r_mode, keep, embedded)
+    branches = _measured_branches(evolved, r_mode, keep)
     mixed = FockOperator(layout, sum(w * red.matrix for w, red in branches), copy=False)
 
     # (e) additivity under stacking
@@ -398,16 +381,18 @@ def _score_locc_trial(diag: dict, weights: dict, norms: dict) -> tuple[float, di
                                        "max_violation": float(viol[worst]), "worst_check": worst}
 
 
-def _locc_chunk(rng: np.random.Generator, count: int, embedded: dict, min_modes: int):
+def _locc_chunk(rng: np.random.Generator, count: int, min_modes: int):
     """``(worst violation, diagnostics)`` of ``count`` trials; ``None`` if a stack fails a check.
 
-    A trial's states of ``min_modes`` or more modes are solved, one
-    ``_pt_norm`` each in check order, as soon as it is built, which frees
-    them; the others of all ``count`` trials are solved by :func:`_trial_norms`.
+    Each trial is built by :func:`_build_locc_trial` from ``rng`` alone, so a
+    replay from a saved generator state rebuilds it bit for bit.  A trial's
+    states of ``min_modes`` or more modes are solved, one ``_pt_norm`` each in
+    check order, as soon as it is built, which frees them; the others of all
+    ``count`` trials are solved by :func:`_trial_norms`.
     """
     built = []
     for _ in range(count):
-        diag, jobs, weights = _build_locc_trial(rng, embedded)
+        diag, jobs, weights = _build_locc_trial(rng)
         jobs = {key: [_pt_norm(op, spec, "fermionic", FLAG_TOL) if op.layout.num_modes >= min_modes
                       else (op, spec) for op, spec in group] for key, group in jobs.items()}
         built.append((diag, jobs, weights))
@@ -434,25 +419,26 @@ def check_locc_monotonicity(seed=0, trials: int = 200, tolerance: float = 1e-10)
     build or a solve raises, or a stack fails a check, the generator state
     saved before the chunk is restored and the chunk replayed with every state
     solved as soon as its trial is built, so the first error is the per-call
-    one.  Parity projectors are embedded once per call.
+    one.  The ancilla is measured with :func:`fneg.ptranspose.parity_project`,
+    and every measurement drops an outcome of weight at most ``FLAG_TOL``, the
+    empty-sector rule of ``parity_project``.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
     rng = _rng(seed)
     base_seed = seed if isinstance(seed, int) else None
-    embedded: dict = {}
     worst = 0.0
     diagnostics = []
     for start in range(0, trials, _LOCC_CHUNK):
         count = min(_LOCC_CHUNK, trials - start)
         state = rng.bit_generator.state
         try:
-            scored = _locc_chunk(rng, count, embedded, _BLOCK_MIN_MODES)
+            scored = _locc_chunk(rng, count, _BLOCK_MIN_MODES)
         except Exception:  # the replay raises it again, after any earlier trial's error
             scored = None
         if scored is None:  # replay one trial, then its norms, at a time: the per-call order
             rng.bit_generator.state = state
-            scored = _locc_chunk(rng, count, embedded, 0)
+            scored = _locc_chunk(rng, count, 0)
         for t, (dev, diag) in enumerate(scored, start):
             diag["trial"] = t
             diag["seed"] = base_seed

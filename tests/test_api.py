@@ -1,4 +1,11 @@
+import ast
+from pathlib import Path
+
+import pytest
+
 import fneg
+
+SRC = Path(fneg.__file__).parent
 
 # The public surface: a change here is an API change and must say so.
 PUBLIC_NAMES = [
@@ -23,3 +30,41 @@ def test_all_is_pinned_and_resolves():
     assert sorted(fneg.__all__) == PUBLIC_NAMES
     for name in fneg.__all__:
         assert getattr(fneg, name) is not None, name
+
+
+def _unused_imports(source: str) -> list[str]:
+    """Names a module imports and never references, outside ``__future__`` and ``__all__``."""
+    tree = ast.parse(source)
+    imported, used, exported = {}, set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            exported.update(ast.literal_eval(node.value))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            annotation = node.returns
+        else:
+            annotation = getattr(node, "annotation", None)  # of an ast.arg or ast.AnnAssign
+        for part in ast.walk(annotation) if annotation is not None else ():
+            if isinstance(part, ast.Constant) and isinstance(part.value, str):
+                used.update(n.id for n in ast.walk(ast.parse(part.value, mode="eval"))
+                            if isinstance(n, ast.Name))
+    return sorted(f"{name} (line {line})" for name, line in imported.items()
+                  if name not in used and name not in exported)
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_module_imports_are_all_used(path):
+    assert _unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_unused_import_check_sees_string_annotations_and_exports():
+    source = ("from __future__ import annotations\nimport os\nfrom x import A, B, C\n"
+              "__all__ = ['C']\ndef f(a: 'A') -> None: ...\n")
+    assert _unused_imports(source) == ["B (line 3)", "os (line 2)"]

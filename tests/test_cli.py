@@ -261,16 +261,6 @@ class TestVerifyCommand:
             json.loads(a)["diagnostics"][0]["minimum_at"]
 
 
-class TestSweepRecord:
-    def test_row_shape(self):
-        from fneg.cli import SweepRecord
-
-        rec = SweepRecord(0.5, {"j_abc": 0.1}, "fermionic", "GHZ")
-        assert rec.as_row() == {"p": 0.5, "j_abc": 0.1, "label": "GHZ"}
-        bare = SweepRecord(0.0, {"negativity": 0.0}, "bosonic")
-        assert "label" not in bare.as_row()
-
-
 class TestMainExitCodes:
     def test_usage_error_is_internal(self):
         assert main(["sweep", "unknown-family"]) == 2
@@ -287,12 +277,21 @@ class TestMainExitCodes:
         (["--seed", "-1", "verify", "locc"], "--seed"),
         (["verify", "locc", "--seed", "-5"], "--seed"),
         (["--seed", "-1", "sweep", "werner"], "--seed"),
+        (["--tolerance", "nan", "reproduce", "paper-values"], "--tolerance"),
+        (["--tolerance", "inf", "reproduce", "paper-values"], "--tolerance"),
+        (["--tolerance", "-1", "reproduce", "table1"], "--tolerance"),
+        (["sweep", "werner", "--measures", ","], "--measures"),
     ])
     def test_bad_verify_option_is_a_usage_error(self, capsys, args, option):
         assert main(args) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"usage error: Invalid value for '{option}'")
         assert "internal error" not in err
+
+    def test_nan_tolerance_from_the_environment_is_a_usage_error(self, capsys, monkeypatch):
+        monkeypatch.setenv("FNEG_TOLERANCE", "nan")
+        assert main(["reproduce", "paper-values"]) == 2
+        assert capsys.readouterr().err.startswith("usage error: Invalid value for '--tolerance'")
 
     @pytest.mark.parametrize("subject", ["locc", "perturbation"])
     def test_modes_is_refused_where_ignored(self, capsys, subject):
