@@ -10,6 +10,7 @@ round-trip precision.  Exit codes: 0 ok, 1 value/verification mismatch,
 from __future__ import annotations
 
 import json
+import math
 import sys
 
 import click
@@ -51,6 +52,13 @@ def _tolerance(ctx, param, value):
     """``--tolerance`` in ``[0, inf)``; ``click.FloatRange`` alone would let NaN through."""
     if not 0.0 <= value < float("inf"):
         raise click.BadParameter(f"must be a finite number >= 0, got {value!r}")
+    return value
+
+
+def _finite(ctx, param, value):
+    """A finite float; ``type=float`` alone lets NaN and infinities through."""
+    if not math.isfinite(value):
+        raise click.BadParameter(f"must be a finite number, got {value!r}")
     return value
 
 
@@ -148,8 +156,8 @@ _PSI_P_MEASURES = ("j_abc", "three_tangle", "n_abc", "pi_abc")
 
 @cli.command()
 @click.argument("family", type=click.Choice(["werner", "psi_p"]))
-@click.option("--min", "p_min", type=float, default=0.0, show_default=True)
-@click.option("--max", "p_max", type=float, default=1.0, show_default=True)
+@click.option("--min", "p_min", type=float, default=0.0, show_default=True, callback=_finite)
+@click.option("--max", "p_max", type=float, default=1.0, show_default=True, callback=_finite)
 @click.option("--steps", type=int, default=101, show_default=True)
 @click.option("--measures", "measure_list", type=str, default=None,
               help="Comma-separated measure names (defaults per family).")
@@ -171,6 +179,10 @@ def sweep(ctx, family, p_min, p_max, steps, measure_list, flavor, normalized):
     )
     if not chosen:
         raise click.BadParameter(f"names no measure; {family} takes {', '.join(available)}",
+                                 param_hint="'--measures'")
+    repeated = sorted({m for m in chosen if chosen.count(m) > 1})
+    if repeated:
+        raise click.BadParameter(f"names {', '.join(repeated)} more than once",
                                  param_hint="'--measures'")
     unknown = [m for m in chosen if m not in available]
     if unknown:

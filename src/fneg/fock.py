@@ -525,13 +525,23 @@ def permute_modes(
     return FockOperator(new_layout, mat, copy=False)
 
 
-def _permute_matrix(matrix: np.ndarray, num_modes: int, new_order: tuple[int, ...]) -> np.ndarray:
+@lru_cache(maxsize=256)
+def _permute_plan(num_modes: int, new_order: tuple[int, ...]) -> tuple:
+    """The ``(2,)*2N`` axis order and the read-only signs (``None`` if all +1) of a reordering."""
     n = num_modes
     ket = [n - m for m in reversed(new_order)]  # C order: the first axis is mode N
-    signs = _reorder_signs(n, tuple(new_order)).reshape((2,) * n).transpose(ket).ravel()
-    out = matrix.reshape((2,) * (2 * n)).transpose(ket + [n + a for a in ket]).copy()
-    out = out.reshape(1 << n, 1 << n)
-    if (signs < 0).any():
+    signs = _reorder_signs(n, new_order).reshape((2,) * n).transpose(ket).ravel()
+    signs.setflags(write=False)
+    return tuple(ket + [n + a for a in ket]), signs if (signs < 0).any() else None
+
+
+def _permute_matrix(matrix: np.ndarray, num_modes: int, new_order: tuple[int, ...]) -> np.ndarray:
+    """:func:`permute_modes`' matrix for each matrix of a ``(..., d, d)`` stack."""
+    axes, signs = _permute_plan(num_modes, tuple(new_order))
+    k = matrix.ndim - 2
+    out = matrix.reshape(matrix.shape[:k] + (2,) * (2 * num_modes))
+    out = out.transpose(tuple(range(k)) + tuple(k + a for a in axes)).copy().reshape(matrix.shape)
+    if signs is not None:
         out *= signs[:, None]
         out *= signs[None, :]
     return out
@@ -555,9 +565,27 @@ def leading_order_for(spec: SubsystemSpec, num_modes: int) -> tuple[int, ...]:
 
 
 def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``np.kron`` of two matrices: the same ufunc multiply, without its generic set-up."""
-    out = a[:, None, :, None] * b[None, :, None, :]
-    return out.reshape(a.shape[0] * b.shape[0], a.shape[1] * b.shape[1])
+    """``np.kron`` of the matching matrices of two stacks, without its generic set-up."""
+    out = a[..., :, None, :, None] * b[..., None, :, None, :]
+    return out.reshape(out.shape[:-4] + (a.shape[-2] * b.shape[-2], a.shape[-1] * b.shape[-1]))
+
+
+def _require_even_stack(layout: ModeLayout, stack: np.ndarray) -> None:
+    """``require_parity_even`` of each matrix of a stack; the first that fails raises its error."""
+    leak = _parity_leak(stack, layout.num_modes, layout.dim - 1)
+    for member in stack[~(2.0 * leak <= FLAG_TOL)]:
+        FockOperator(layout, member).require_parity_even()
+
+
+def _density_verdicts(stack: np.ndarray, num_modes: int, tol: float) -> np.ndarray:
+    """False for a matrix of a ``(k, d, d)`` stack that fails ``require_density_matrix(tol)``.
+
+    The PSD test needs the finite input the others prove, so it runs only if
+    every member passes them: all True only if every member passes all.
+    """
+    leak = _parity_leak(stack, num_modes, (1 << num_modes) - 1)
+    valid = (_hermitian_residual(stack) <= tol) & _unit_trace(stack, tol) & (2.0 * leak <= tol)
+    return _cholesky_psd(stack, tol) if valid.all() else valid
 
 
 def graded_tensor(lhs: FockOperator, rhs: FockOperator) -> FockOperator:
@@ -572,19 +600,26 @@ def graded_tensor(lhs: FockOperator, rhs: FockOperator) -> FockOperator:
     """
     lhs.require_parity_even()
     rhs.require_parity_even()
-    n1, n2 = lhs.layout.num_modes, rhs.layout.num_modes
+    layout, mat = _graded_product(lhs.layout, rhs.layout, lhs.matrix, rhs.matrix)
+    return FockOperator(layout, mat, copy=False)
+
+
+def _graded_product(lhs_layout: ModeLayout, rhs_layout: ModeLayout, lhs: np.ndarray,
+                    rhs: np.ndarray) -> tuple:
+    """:func:`graded_tensor`'s layout and matrices for two ``(..., d, d)`` stacks, unchecked."""
+    n1, n2 = lhs_layout.num_modes, rhs_layout.num_modes
     if n1 + n2 > MAX_MODES:
         raise LayoutError(f"combined system exceeds {MAX_MODES} modes")
     # rhs modes occupy the high bits: index = i_lhs + 2**n1 * i_rhs.
-    combined = _kron(rhs.matrix, lhs.matrix)
-    concat_labels = lhs.layout.labels + rhs.layout.labels
+    combined = _kron(rhs, lhs)
+    concat_labels = lhs_layout.labels + rhs_layout.labels
     all_labels = sorted(set(concat_labels))
     new_order = []
     for lab in all_labels:
         new_order.extend(m + 1 for m, l in enumerate(concat_labels) if l == lab)
     new_labels = tuple(concat_labels[m - 1] for m in new_order)
     mat = _permute_matrix(combined, n1 + n2, tuple(new_order))
-    return FockOperator(ModeLayout(n1 + n2, new_labels), mat, copy=False)
+    return ModeLayout(n1 + n2, new_labels), mat
 
 
 def embed_local(local: FockOperator, layout: ModeLayout, modes: Sequence[int]) -> FockOperator:
@@ -596,16 +631,20 @@ def embed_local(local: FockOperator, layout: ModeLayout, modes: Sequence[int]) -
     the parity requirement is enforced.
     """
     local.require_parity_even()
+    return FockOperator(layout, _embedded(local.matrix, layout, modes), copy=False)
+
+
+def _embedded(local: np.ndarray, layout: ModeLayout, modes: Sequence[int]) -> np.ndarray:
+    """:func:`embed_local`'s matrices for a ``(..., d, d)`` stack of local matrices, unchecked."""
     modes = tuple(int(m) for m in modes)
-    if len(modes) != local.layout.num_modes:
+    if local.shape[-1] != 1 << len(modes):
         raise LayoutError("embedding requires one target mode per local mode")
     spec = SubsystemSpec(modes)
     spec.validate(layout)
     n = layout.num_modes
-    rest = 1 << (n - len(modes))
-    big = _kron(np.eye(rest, dtype=complex), local.matrix)
+    big = _kron(np.eye(1 << (n - len(modes)), dtype=complex), local)
     # big lives on the ordering [modes..., rest...]; undo it unless that is the identity.
     order = modes + tuple(m for m in range(1, n + 1) if m not in modes)
     if order != tuple(range(1, n + 1)):
         big = _permute_matrix(big, n, _inverse_order(order))
-    return FockOperator(layout, big, copy=False)
+    return big

@@ -25,11 +25,8 @@ from .fock import (
     FLAG_TOL,
     FockOperator,
     SubsystemSpec,
-    _cholesky_psd,
-    _hermitian_residual,
-    _parity_leak,
+    _density_verdicts,
     _sign_vector,
-    _unit_trace,
     as_spec,
 )
 from .ptranspose import (
@@ -187,21 +184,13 @@ def _dense_pt_norms(
 
     What :func:`_pt_norm` computes below :data:`_BLOCK_MIN_MODES` modes, each
     stage run once on the stack: the checks of ``require_density_matrix`` and
-    ``fermionic_pt`` (a proper target, Hermiticity residual, unit trace, global
-    parity leak, then the PSD test, which needs the finite input the others
-    prove), :func:`_signed_gather` and the dense SVD.  Every kernel acts member
-    by member, so each norm equals ``_pt_norm``'s bit for bit.  ``None`` when
-    any member fails a check; ``_pt_norm`` of that member raises the error.
+    ``fermionic_pt`` (a proper target, then :func:`fock._density_verdicts`),
+    :func:`_signed_gather` and the dense SVD.  Every kernel acts member by
+    member, so each norm equals ``_pt_norm``'s bit for bit.  ``None`` when any
+    member fails a check; ``_pt_norm`` of that member raises the error.
     """
-    d = 1 << n
-    if not set(spec.target_modes) < set(range(1, n + 1)):
-        return None
-    valid = (
-        (_hermitian_residual(stack) <= tol)
-        & _unit_trace(stack, tol)
-        & (2.0 * _parity_leak(stack, n, d - 1) <= tol)
-    )
-    if not (valid.all() and _cholesky_psd(stack, tol).all()):
+    if not (set(spec.target_modes) < set(range(1, n + 1))
+            and _density_verdicts(stack, n, tol).all()):
         return None
     pt = _signed_gather(stack, n, spec, fermionic=True)
     return np.linalg.svd(pt, compute_uv=False).sum(axis=-1)

@@ -240,13 +240,17 @@ def partial_trace(rho: FockOperator, keep: SubsystemSpec) -> FockOperator:
     kept = keep.sorted_modes()
     if len(kept) == n:
         return FockOperator(rho.layout, rho.matrix)
-    order = leading_order_for(keep, n)
-    mat = rho.matrix if order == tuple(range(1, n + 1)) else _permute_matrix(rho.matrix, n, order)
-    k = len(kept)
-    dk, dt = 1 << k, 1 << (n - k)
-    reduced = np.trace(mat.reshape(dt, dk, dt, dk), axis1=0, axis2=2)
     labels = tuple(rho.layout.labels[m - 1] for m in kept)
-    return FockOperator(ModeLayout(k, labels), reduced, copy=False)
+    return FockOperator(ModeLayout(len(kept), labels), _traced(rho.matrix, n, keep), copy=False)
+
+
+def _traced(matrix: np.ndarray, num_modes: int, keep: SubsystemSpec) -> np.ndarray:
+    """:func:`partial_trace`'s matrices for a ``(..., d, d)`` stack and a proper ``keep``."""
+    n = num_modes
+    order = leading_order_for(keep, n)
+    mat = matrix if order == tuple(range(1, n + 1)) else _permute_matrix(matrix, n, order)
+    dk, dt = 1 << len(keep), 1 << (n - len(keep))
+    return np.trace(mat.reshape(mat.shape[:-2] + (dt, dk, dt, dk)), axis1=-4, axis2=-2)
 
 
 class ProjectedState(NamedTuple):
@@ -276,10 +280,16 @@ def parity_project(
     rho.require_density_matrix(tol)
     spec = as_spec(spec)
     spec.validate(rho.layout)
-    signs = _sign_vector(rho.layout.num_modes, spec.mask())
-    keep = signs > 0 if sector == "even" else signs < 0
-    projected = np.where(keep[:, None] & keep[None, :], rho.matrix, 0.0)
-    weight = float(np.real(np.trace(projected)))
+    projected, weight = _sector_projection(rho.matrix, rho.layout.num_modes, spec.mask(), sector)
+    weight = float(weight)
     if weight <= tol:
         return ProjectedState(None, 0.0)
     return ProjectedState(FockOperator(rho.layout, projected / weight, copy=False), weight)
+
+
+def _sector_projection(matrix: np.ndarray, num_modes: int, mask: int, sector: str) -> tuple:
+    """``P M P`` and ``Re Tr(P M P)`` for each ``M`` of a stack, ``P`` a sector of a parity."""
+    signs = _sign_vector(num_modes, mask)
+    keep = signs > 0 if sector == "even" else signs < 0
+    projected = np.where(keep[:, None] & keep[None, :], matrix, 0.0)
+    return projected, np.real(np.trace(projected, axis1=-2, axis2=-1))

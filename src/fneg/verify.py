@@ -24,14 +24,17 @@ from .fock import (
     FockOperator,
     ModeLayout,
     SubsystemSpec,
+    _density_verdicts,
+    _embedded,
+    _graded_product,
     _hermitian_part,
+    _require_even_stack,
     _sign_vector,
     embed_local,
-    graded_tensor,
 )
 from .measures import _dense_pt_norms, _pt_norm, log_negativity, negativity, pairwise_negativity, \
     pi_abc, trace_norm, tripartite_report
-from .ptranspose import fermionic_pt, full_transpose, parity_project, partial_trace
+from .ptranspose import _sector_projection, _traced, fermionic_pt, full_transpose, partial_trace
 from .states import (
     _block_gaussian,
     _normalised_gram,
@@ -94,17 +97,35 @@ def random_even_operator(layout: ModeLayout, rng: np.random.Generator) -> FockOp
     return FockOperator(layout, _block_gaussian(draws, _parity_mask(layout.num_modes)), copy=False)
 
 
-def random_even_hermitian(layout: ModeLayout, rng: np.random.Generator) -> FockOperator:
-    g = random_even_operator(layout, rng).matrix
-    return FockOperator(layout, _hermitian_part(g), copy=False)
+def _even_hermitians(normals: np.ndarray, num_modes: int) -> np.ndarray:
+    """Hermitian parts of the parity-even Gaussians of a ``(..., 2, d, d)`` stack of normals."""
+    return _hermitian_part(_block_gaussian(normals, _parity_mask(num_modes)))
+
+
+def _unitaries(normals: np.ndarray, num_modes: int) -> np.ndarray:
+    """``exp(i H)`` for the Hermitian ``H`` of each member of :func:`_even_hermitians`."""
+    evals, vecs = np.linalg.eigh(_even_hermitians(normals, num_modes))
+    return (vecs * np.exp(1j * evals)[..., None, :]) @ vecs.conj().swapaxes(-1, -2)
 
 
 def random_even_unitary(layout: ModeLayout, rng: np.random.Generator) -> FockOperator:
     """``exp(i H)`` for a random parity-even Hermitian generator."""
-    h = random_even_hermitian(layout, rng).matrix
-    evals, vecs = np.linalg.eigh(h)
-    u = (vecs * np.exp(1j * evals)) @ vecs.conj().T
-    return FockOperator(layout, u, copy=False)
+    normals = rng.normal(size=(2, layout.dim, layout.dim))
+    return FockOperator(layout, _unitaries(normals, layout.num_modes), copy=False)
+
+
+def _draw_projector_set(rng: np.random.Generator, num_modes: int, max_groups: int | None) -> list:
+    """The draws of one projector set: its Hermitian's normals, group count and column groups."""
+    dim = 1 << num_modes
+    normals = rng.normal(size=(2, dim, dim))
+    n_groups = int(rng.integers(1, (max_groups or dim) + 1))
+    return [normals, n_groups, rng.integers(0, n_groups, size=dim)]
+
+
+def _projector_set(vecs: np.ndarray, n_groups: int, assignment: np.ndarray) -> list[np.ndarray]:
+    """The projectors onto each nonempty group of the columns of ``vecs``."""
+    groups = (vecs[:, assignment == g] for g in range(n_groups))
+    return [cols @ cols.conj().T for cols in groups if cols.shape[1]]
 
 
 def random_even_projector_set(
@@ -116,18 +137,10 @@ def random_even_projector_set(
     (each of definite parity) are randomly grouped, so ranks vary while
     completeness, orthogonality, and physicality hold by construction.
     """
-    h = random_even_hermitian(layout, rng).matrix
-    _, vecs = np.linalg.eigh(h)
-    dim = layout.dim
-    n_groups = int(rng.integers(1, (max_groups or dim) + 1))
-    assignment = rng.integers(0, n_groups, size=dim)
-    projectors = []
-    for g in range(n_groups):
-        cols = vecs[:, assignment == g]
-        if cols.shape[1] == 0:
-            continue
-        projectors.append(FockOperator(layout, cols @ cols.conj().T, copy=False))
-    return projectors
+    normals, n_groups, assignment = _draw_projector_set(rng, layout.num_modes, max_groups)
+    _, vecs = np.linalg.eigh(_even_hermitians(normals, layout.num_modes))
+    projectors = _projector_set(vecs, n_groups, assignment)
+    return [FockOperator(layout, p, copy=False) for p in projectors]
 
 
 def _parity_projectors(layout: ModeLayout, modes: tuple[int, ...]) -> list[np.ndarray]:
@@ -248,12 +261,39 @@ def check_identity_suite(
 # -- LOCC monotonicity -------------------------------------------------------------
 
 
-def _measured_branches(sigma: FockOperator, r_mode: int, keep: SubsystemSpec):
-    """Occupation-basis measurement of one ancilla mode: (weight, reduced state)."""
-    # |0><0| and |1><1| of one mode are its even and odd parity projectors
-    ancilla = SubsystemSpec((r_mode,))
-    projected = [parity_project(sigma, ancilla, sector) for sector in ("even", "odd")]
-    return [(w, partial_trace(state, keep)) for state, w in projected if state is not None]
+def _measured_branches(evolved: np.ndarray, big: ModeLayout, r_mode: int, reduced: ModeLayout):
+    """Each state's ``(weight, reduced state)`` branches, measuring the occupation of ``r_mode``.
+
+    The states, a stack on ``big``, are validated as ``parity_project`` validates
+    one, and measured by its kernel and ``partial_trace``'s.
+    """
+    for member in evolved[~_density_verdicts(evolved, big.num_modes, FLAG_TOL)]:
+        FockOperator(big, member).require_density_matrix()
+    keep = SubsystemSpec(tuple(m for m in range(1, big.num_modes + 1) if m != r_mode))
+    branches = [[] for _ in evolved]
+    for sector in ("even", "odd"):  # |0><0| and |1><1| of one mode are its parity projectors
+        projected, weights = _sector_projection(evolved, big.num_modes, 1 << (r_mode - 1), sector)
+        kept = np.flatnonzero(weights > FLAG_TOL)  # parity_project's empty-branch rule
+        states = _traced(projected[kept] / weights[kept, None, None], big.num_modes, keep)
+        for i, state in zip(kept, states):
+            branches[i].append((float(weights[i]), FockOperator(reduced, state, copy=False)))
+    return branches
+
+
+def _grouped(items, key) -> dict:
+    """``items`` in lists by ``key(item)``, each list and the groups in first-seen order."""
+    groups: dict = {}
+    for item in items:
+        groups.setdefault(key(item), []).append(item)
+    return groups
+
+
+def _restack(slots, fn) -> None:
+    """Set ``box[name]`` of each ``(box, name, key)`` slot from one ``fn(stack, key)`` per key."""
+    for key, members in _grouped(slots, lambda slot: slot[2]).items():
+        stack = np.stack([box[name] for box, name, _ in members])
+        for (box, name, _), value in zip(members, fn(stack, key)):
+            box[name] = value
 
 
 def _trial_norms(trials: list[dict[str, list]]) -> list[dict[str, list[float]]] | None:
@@ -266,11 +306,9 @@ def _trial_norms(trials: list[dict[str, list]]) -> list[dict[str, list[float]]] 
     ``negativity`` bit for bit.  ``None`` if any group fails a check.
     """
     flat = [job for jobs in trials for group in jobs.values() for job in group]
-    groups: dict[tuple[int, int], list[int]] = {}
-    for i, job in enumerate(flat):
-        if isinstance(job, tuple):
-            groups.setdefault((job[0].layout.num_modes, job[1].mask()), []).append(i)
-    for (n, _), members in groups.items():
+    pairs = [i for i, job in enumerate(flat) if isinstance(job, tuple)]
+    for (n, _), members in _grouped(
+            pairs, lambda i: (flat[i][0].layout.num_modes, flat[i][1].mask())).items():
         stack = np.stack([flat[i][0].matrix for i in members])
         solved = _dense_pt_norms(stack, n, flat[members[0]][1], FLAG_TOL)
         if solved is None:
@@ -281,76 +319,99 @@ def _trial_norms(trials: list[dict[str, list]]) -> list[dict[str, list[float]]] 
     return [{key: [next(norms) for _ in group] for key, group in jobs.items()} for jobs in trials]
 
 
-def _build_locc_trial(rng: np.random.Generator) -> tuple[dict, dict, dict]:
-    """Draw and build one LOCC trial: its first diagnostics, norm jobs and branch weights."""
+def _draw_locc_trial(rng: np.random.Generator) -> dict:
+    """Every generator call of one LOCC trial in the per-call order; none needs a built value."""
     n = int(rng.integers(2, 5))
     m_a = int(rng.integers(1, n))
+    draw = {name: rng.normal(size=(2, 1 << m, 1 << m))
+            for name, m in (("rho", n), ("u_a", m_a), ("u_b", n - m_a), ("append", 1))}
+    coin = rng.integers(0, 2)
+    draw["proj"] = [_draw_projector_set(rng, m, 3) for m in (m_a, n - m_a)] if coin else None
+    draw.update({name: rng.normal(size=(2, 1 << m, 1 << m))
+                 for name, m in (("sigma", 1), ("u_ar", m_a + 1), ("other", 2))})
+    return {"n": n, "m_a": m_a, **draw}
+
+
+def _build_locc_group(n: int, m_a: int, trials: list[dict]) -> None:
+    """Build the drawn trials of one ``(n, m_A)`` group as stacks.
+
+    Sets each trial's norm jobs, branch weights and diagnostics.  The parity
+    checks of ``embed_local`` and ``graded_tensor`` run on the stacks, in the
+    per-call order (:func:`fock._require_even_stack`).
+    """
     layout = ModeLayout.bipartite(m_a, n - m_a)
-    spec_a = layout.spec("A")
-    modes_a, modes_b = spec_a.target_modes, layout.spec("B").target_modes
-    sub_a = ModeLayout(m_a, ("A",) * m_a)
-    sub_b = ModeLayout(n - m_a, ("A",) * (n - m_a))
-    rho = random_density(layout, rng)
+    spec_a, spec_b = layout.spec("A"), layout.spec("B")
+    one, two = ModeLayout(1, ("A",)), ModeLayout.bipartite(1, 1)
+
+    def stack(name: str) -> np.ndarray:
+        return np.stack([t[name] for t in trials])
+
+    def embedded(local: np.ndarray, target: ModeLayout, modes: tuple[int, ...]) -> np.ndarray:
+        _require_even_stack(ModeLayout(len(modes), ("A",) * len(modes)), local)
+        return _embedded(local, target, modes)
+
+    def graded(rhs_layout: ModeLayout, rhs: np.ndarray) -> tuple[ModeLayout, np.ndarray]:
+        _require_even_stack(rhs_layout, rhs)  # rho, the left operand, is checked once below
+        return _graded_product(layout, rhs_layout, rho, rhs)
+
+    rho = stack("rho")
 
     # (a) invariance under local parity-even unitaries
-    u = embed_local(random_even_unitary(sub_a, rng), layout, modes_a).matrix
-    u = u @ embed_local(random_even_unitary(sub_b, rng), layout, modes_b).matrix
-    rotated = FockOperator(layout, u @ rho.matrix @ u.conj().T, copy=False)
+    u = (embedded(stack("u_a"), layout, spec_a.target_modes)
+         @ embedded(stack("u_b"), layout, spec_b.target_modes))
+    rotated = u @ rho @ u.conj().swapaxes(-1, -2)
 
     # (b) appending an unentangled ancilla to A
-    appended = graded_tensor(rho, random_density(ModeLayout(1, ("A",)), rng))
+    _require_even_stack(layout, rho)
+    big, appended = graded(one, stack("append"))
 
-    # (c) complete local projective measurements
-    if rng.integers(0, 2):
-        proj_a = random_even_projector_set(sub_a, rng, max_groups=3)
-        proj_b = random_even_projector_set(sub_b, rng, max_groups=3)
-        proj_a = [embed_local(p, layout, modes_a).matrix for p in proj_a]
-        proj_b = [embed_local(p, layout, modes_b).matrix for p in proj_b]
-    else:
-        proj_a = _parity_projectors(layout, modes_a)
-        proj_b = _parity_projectors(layout, modes_b)
-    outcomes = []
-    for ea in proj_a:
-        for eb in proj_b:
-            op = ea @ eb
-            projected = op @ rho.matrix @ op
-            weight = float(np.real(np.trace(projected)))
-            if weight > FLAG_TOL:  # parity_project's empty-branch rule
-                outcomes.append((weight, FockOperator(layout, projected / weight, copy=False)))
+    # (c) complete local projective measurements, by random projector sets or by parity
+    drawn = [t for t in trials if t["proj"]]
+    for side, spec in enumerate((spec_a, spec_b)):
+        sets = [_projector_set(*t["proj"][side]) for t in drawn]
+        if drawn:
+            local = np.stack([p for projectors in sets for p in projectors])
+            flat = iter(embedded(local, layout, spec.target_modes))
+            for t, projectors in zip(drawn, sets):
+                t["proj"][side] = [next(flat) for _ in projectors]
+    parity = [_parity_projectors(layout, spec.target_modes) for spec in (spec_a, spec_b)]
+    pairs = [(i, ea, eb) for i, t in enumerate(trials) for proj_a, proj_b in [t["proj"] or parity]
+             for ea in proj_a for eb in proj_b]
+    ops = np.stack([ea for _, ea, _ in pairs]) @ np.stack([eb for _, _, eb in pairs])
+    projected = ops @ rho[[i for i, _, _ in pairs]] @ ops
+    weights = np.real(np.trace(projected, axis1=-2, axis2=-1))
+    kept = np.flatnonzero(weights > FLAG_TOL)  # parity_project's empty-branch rule
+    outcomes = [[] for _ in trials]
+    for j, state in zip(kept, projected[kept] / weights[kept, None, None]):
+        outcomes[pairs[j][0]].append((float(weights[j]), FockOperator(layout, state, copy=False)))
 
     # (d) entangling an ancilla into A, measuring it, with and without averaging
-    sigma = graded_tensor(rho, random_density(ModeLayout(1, ("A",)), rng))
-    big = sigma.layout
+    _, sigma = graded(one, stack("sigma"))
     tilde_spec = big.spec("A")
-    r_mode = tilde_spec.target_modes[-1]
-    u_ar = embed_local(
-        random_even_unitary(ModeLayout(m_a + 1, ("A",) * (m_a + 1)), rng),
-        big,
-        tilde_spec.target_modes,
-    ).matrix
-    evolved = FockOperator(big, u_ar @ sigma.matrix @ u_ar.conj().T, copy=False)
-    keep = SubsystemSpec(tuple(m for m in range(1, big.num_modes + 1) if m != r_mode))
-    branches = _measured_branches(evolved, r_mode, keep)
-    mixed = FockOperator(layout, sum(w * red.matrix for w, red in branches), copy=False)
+    u_ar = embedded(stack("u_ar"), big, tilde_spec.target_modes)
+    evolved = u_ar @ sigma @ u_ar.conj().swapaxes(-1, -2)
+    branches = _measured_branches(evolved, big, tilde_spec.target_modes[-1], layout)
 
     # (e) additivity under stacking
-    other = random_density(ModeLayout.bipartite(1, 1), rng)
-    stacked = graded_tensor(rho, other)
+    wide, stacked = graded(two, stack("other"))
+    spec_wide, spec_two = wide.spec("A"), two.spec("A")
 
-    # Every norm, in the order the checks read them.
-    jobs = {
-        "rho": [(rho, spec_a)],
-        "rotated": [(rotated, spec_a)],
-        "appended": [(appended, appended.layout.spec("A"))],
-        "outcomes": [(state, spec_a) for _, state in outcomes],
-        "evolved": [(evolved, tilde_spec)],
-        "branches": [(red, spec_a) for _, red in branches],
-        "mixed": [(mixed, spec_a)],
-        "stacked": [(stacked, stacked.layout.spec("A"))],
-        "other": [(other, other.layout.spec("A"))],
-    }
-    weights = {"outcomes": [w for w, _ in outcomes], "branches": [w for w, _ in branches]}
-    return {"n": n, "m_a": m_a, "state": _fingerprint(rho.matrix)}, jobs, weights
+    for i, t in enumerate(trials):
+        mixed = sum(w * red.matrix for w, red in branches[i])
+        t["jobs"] = {  # every norm, in the order the checks read them
+            "rho": [(FockOperator(layout, rho[i], copy=False), spec_a)],
+            "rotated": [(FockOperator(layout, rotated[i], copy=False), spec_a)],
+            "appended": [(FockOperator(big, appended[i], copy=False), tilde_spec)],
+            "outcomes": [(state, spec_a) for _, state in outcomes[i]],
+            "evolved": [(FockOperator(big, evolved[i], copy=False), tilde_spec)],
+            "branches": [(red, spec_a) for _, red in branches[i]],
+            "mixed": [(FockOperator(layout, mixed, copy=False), spec_a)],
+            "stacked": [(FockOperator(wide, stacked[i], copy=False), spec_wide)],
+            "other": [(FockOperator(two, t["other"], copy=False), spec_two)],
+        }
+        t["weights"] = {"outcomes": [w for w, _ in outcomes[i]],
+                        "branches": [w for w, _ in branches[i]]}
+        t["diag"] = {"n": n, "m_a": m_a, "state": _fingerprint(rho[i])}
 
 
 def _score_locc_trial(diag: dict, weights: dict, norms: dict) -> tuple[float, dict]:
@@ -384,26 +445,37 @@ def _score_locc_trial(diag: dict, weights: dict, norms: dict) -> tuple[float, di
 def _locc_chunk(rng: np.random.Generator, count: int, min_modes: int):
     """``(worst violation, diagnostics)`` of ``count`` trials; ``None`` if a stack fails a check.
 
-    Each trial is built by :func:`_build_locc_trial` from ``rng`` alone, so a
-    replay from a saved generator state rebuilds it bit for bit.  A trial's
-    states of ``min_modes`` or more modes are solved, one ``_pt_norm`` each in
-    check order, as soon as it is built, which frees them; the others of all
-    ``count`` trials are solved by :func:`_trial_norms`.
+    The draw phase makes every generator call of the trials, one trial after
+    the other, so a replay from a saved generator state draws them bit for bit.
+    The build phase runs stage by stage on stacks: one Gram per mode count, one
+    ``eigh`` per local mode count (unitaries, then projector sets), then each
+    ``(n, m_A)`` group (:func:`_build_locc_group`), whose states of ``min_modes``
+    or more modes are solved next, in check order.  :func:`_trial_norms` solves
+    the rest.  With ``count`` 1 and ``min_modes`` 0 this is the per-call order.
     """
-    built = []
-    for _ in range(count):
-        diag, jobs, weights = _build_locc_trial(rng)
-        jobs = {key: [_pt_norm(op, spec, "fermionic", FLAG_TOL) if op.layout.num_modes >= min_modes
-                      else (op, spec) for op, spec in group] for key, group in jobs.items()}
-        built.append((diag, jobs, weights))
-    norms = _trial_norms([jobs for _, jobs, _ in built])
-    return None if norms is None else [_score_locc_trial(diag, weights, trial_norms)
-                                       for (diag, _, weights), trial_norms in zip(built, norms)]
+    trials = [_draw_locc_trial(rng) for _ in range(count)]
+    _restack([(t, name, m) for t in trials for name, m in
+              (("rho", t["n"]), ("append", 1), ("sigma", 1), ("other", 2))],
+             lambda normals, m: _normalised_gram(_block_gaussian(normals, _parity_mask(m))))
+    _restack([(t, name, m) for t in trials for name, m in
+              (("u_a", t["m_a"]), ("u_b", t["n"] - t["m_a"]), ("u_ar", t["m_a"] + 1))], _unitaries)
+    _restack([(drawn, 0, t["m_a"] if side == 0 else t["n"] - t["m_a"])
+              for t in trials if t["proj"] for side, drawn in enumerate(t["proj"])],
+             lambda normals, m: np.linalg.eigh(_even_hermitians(normals, m))[1])
+    for (n, m_a), group in _grouped(trials, lambda t: (t["n"], t["m_a"])).items():
+        _build_locc_group(n, m_a, group)
+        for t in group:
+            t["jobs"] = {key: [_pt_norm(op, spec, "fermionic", FLAG_TOL)
+                               if op.layout.num_modes >= min_modes else (op, spec)
+                               for op, spec in jobs] for key, jobs in t["jobs"].items()}
+    norms = _trial_norms([t["jobs"] for t in trials])
+    return None if norms is None else [_score_locc_trial(t["diag"], t["weights"], trial_norms)
+                                       for t, trial_norms in zip(trials, norms)]
 
 
-#: Trials whose norms :func:`check_locc_monotonicity` solves together.  Their small
-#: states stay alive until the solve: ``verify locc`` (seed 7) peaked at 40.0-40.1 MB
-#: with 8, as with 1, 40.2-40.3 MB with 12 and 48.5-48.7 MB with all 200.
+#: Trials that :func:`check_locc_monotonicity` draws, builds and solves together.  Their
+#: small states stay alive until the solve: ``verify locc`` (seed 7) peaked at 40.1 MB
+#: with 8, 39.8-39.9 MB with 1, 40.3 MB with 12 and 50.8 MB with all 200.
 _LOCC_CHUNK = 8
 
 
@@ -411,17 +483,17 @@ def check_locc_monotonicity(seed=0, trials: int = 200, tolerance: float = 1e-10)
     """Local-unitary invariance, ancilla append/trace, projective measurements,
     and additivity, scored by equality deviation or negative inequality slack.
 
-    A chunk of :data:`_LOCC_CHUNK` trials builds all its states, in the draw
-    order of one trial at a time (:func:`_locc_chunk`).  States of
+    A chunk of :data:`_LOCC_CHUNK` trials makes all its draws, then builds its
+    states stage by stage on stacks (:func:`_locc_chunk`).  States of
     :data:`fock._BLOCK_MIN_MODES` or more modes are solved as soon as their
-    trial is built; the others are solved together.  The values equal one
-    ``negativity`` or ``log_negativity`` call per state bit for bit.  If a
-    build or a solve raises, or a stack fails a check, the generator state
-    saved before the chunk is restored and the chunk replayed with every state
-    solved as soon as its trial is built, so the first error is the per-call
-    one.  The ancilla is measured with :func:`fneg.ptranspose.parity_project`,
-    and every measurement drops an outcome of weight at most ``FLAG_TOL``, the
-    empty-sector rule of ``parity_project``.
+    ``(n, m_A)`` group is built; the others are solved together.  The values
+    equal one ``negativity`` or ``log_negativity`` call per state bit for bit.
+    If a build or a solve raises, or a stack fails a check, the generator state
+    saved before the chunk is restored and the same code replays the chunk one
+    trial at a time, every state solved as soon as its trial is built, so the
+    first error is the per-call one.  The ancilla is measured with the kernels
+    of :func:`fneg.ptranspose.parity_project`, and every measurement drops an
+    outcome of weight at most ``FLAG_TOL``, ``parity_project``'s empty-sector rule.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
@@ -438,7 +510,7 @@ def check_locc_monotonicity(seed=0, trials: int = 200, tolerance: float = 1e-10)
             scored = None
         if scored is None:  # replay one trial, then its norms, at a time: the per-call order
             rng.bit_generator.state = state
-            scored = _locc_chunk(rng, count, 0)
+            scored = [result for _ in range(count) for result in _locc_chunk(rng, 1, 0)]
         for t, (dev, diag) in enumerate(scored, start):
             diag["trial"] = t
             diag["seed"] = base_seed

@@ -1,4 +1,6 @@
 import ast
+import re
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -68,3 +70,62 @@ def test_unused_import_check_sees_string_annotations_and_exports():
     source = ("from __future__ import annotations\nimport os\nfrom x import A, B, C\n"
               "__all__ = ['C']\ndef f(a: 'A') -> None: ...\n")
     assert _unused_imports(source) == ["B (line 3)", "os (line 2)"]
+
+
+def _unreferenced_functions(modules: dict[str, str], others: list[str], exempt: set[str]) -> list[str]:
+    """Module-level functions of ``modules`` (file name -> source) that no source references.
+
+    A reference is a name, an attribute, an imported name or a string equal to
+    the function's name, anywhere in ``modules`` or ``others`` outside the
+    function's own body.  Decorated functions are registered by their decorator
+    (click commands), and ``exempt`` names (``__all__``, entry points) are public.
+    """
+    def names(tree: ast.AST) -> Counter:
+        found = Counter()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                found[node.id] += 1
+            elif isinstance(node, ast.Attribute):
+                found[node.attr] += 1
+            elif isinstance(node, ast.alias):
+                found[node.name.split(".")[-1]] += 1
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                found[node.value] += 1
+        return found
+
+    trees = {name: ast.parse(source) for name, source in modules.items()}
+    total = sum((names(tree) for tree in trees.values()), Counter())
+    total += sum((names(ast.parse(source)) for source in others), Counter())
+    return sorted(
+        f"{module}:{node.name} (line {node.lineno})"
+        for module, tree in trees.items() for node in tree.body
+        if isinstance(node, ast.FunctionDef) and not node.decorator_list
+        and node.name not in exempt and total[node.name] == names(node)[node.name]
+    )
+
+
+def _entry_points() -> set[str]:
+    """The functions named by ``[project.scripts]`` in ``pyproject.toml``."""
+    text = (SRC.parents[1] / "pyproject.toml").read_text(encoding="utf-8")
+    scripts = text.split("[project.scripts]", 1)[1].split("\n[", 1)[0]
+    return set(re.findall(r'=\s*"[\w.]+:(\w+)"', scripts))
+
+
+def test_every_module_function_is_referenced():
+    modules = {path.name: path.read_text(encoding="utf-8") for path in sorted(SRC.glob("*.py"))}
+    tests = [path.read_text(encoding="utf-8") for path in sorted(Path(__file__).parent.glob("*.py"))]
+    assert _unreferenced_functions(modules, tests, set(fneg.__all__) | _entry_points()) == []
+
+
+def test_unreferenced_function_check_rules():
+    module = ("import click\n__all__ = ['api']\n"
+              "def api(): ...\n"
+              "def main(): ...\n"
+              "@click.command()\ndef cmd(): ...\n"
+              "def used(): ...\n"
+              "def by_string(): ...\n"
+              "def forked(n):\n    return forked(n - 1)\n"
+              "def dead(): ...\n")
+    others = ["from m import used\n", "setattr(m, 'by_string', None)\n"]
+    assert _unreferenced_functions({"m.py": module}, others, {"api", "main"}) == [
+        "m.py:dead (line 11)", "m.py:forked (line 9)"]

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -281,12 +282,21 @@ class TestMainExitCodes:
         (["--tolerance", "inf", "reproduce", "paper-values"], "--tolerance"),
         (["--tolerance", "-1", "reproduce", "table1"], "--tolerance"),
         (["sweep", "werner", "--measures", ","], "--measures"),
+        (["sweep", "werner", "--measures", "negativity,negativity", "--steps", "2"], "--measures"),
+        (["sweep", "psi_p", "--measures", "n_abc,j_abc,n_abc", "--steps", "2"], "--measures"),
+        (["sweep", "werner", "--max", "inf", "--steps", "2"], "--max"),
+        (["sweep", "werner", "--min", "nan", "--steps", "2"], "--min"),
+        (["sweep", "werner", "--min", "-inf", "--steps", "2"], "--min"),
+        (["sweep", "psi_p", "--max", "nan", "--steps", "2"], "--max"),
     ])
     def test_bad_verify_option_is_a_usage_error(self, capsys, args, option):
-        assert main(args) == 2
-        err = capsys.readouterr().err
-        assert err.startswith(f"usage error: Invalid value for '{option}'")
-        assert "internal error" not in err
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # numpy's RuntimeWarning on a NaN grid included
+            assert main(args) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"usage error: Invalid value for '{option}'")
+        assert "internal error" not in captured.err
+        assert captured.out == ""
 
     def test_nan_tolerance_from_the_environment_is_a_usage_error(self, capsys, monkeypatch):
         monkeypatch.setenv("FNEG_TOLERANCE", "nan")

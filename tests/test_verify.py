@@ -5,7 +5,7 @@ import pytest
 
 from conftest import record_calls
 from fneg import states as states_mod
-from fneg.errors import ParityError
+from fneg.errors import ParityError, StateValidationError
 from fneg import verify as verify_mod
 from fneg.cli import main as cli_main
 from fneg.fock import FLAG_TOL, FockOperator, ModeLayout, SubsystemSpec, embed_local, \
@@ -96,6 +96,13 @@ class TestIdentitySuite:
 #: SHA-256 of ``fneg --seed 7 verify locc`` as printed before each trial's norms were batched.
 _LOCC_SEED7_SHA256 = "d72b4c08d25779a035b42259ac17910b8505c50ec6b200fc79fb6e7d44ab268e"
 
+#: SHA-256 of ``fneg --seed <seed> verify locc`` as printed when each trial was built on its own.
+_LOCC_SHA256 = {
+    0: "c3861e677564f92c2d0d33150bd04aa36012e8bfc4758450b5142711e2847fdc",
+    7: _LOCC_SEED7_SHA256,
+    505: "92744ec25cf585d68ecab44f595c17c24421ad046e146f0a4198e5b3ac82edfe",
+}
+
 
 def _per_call_locc_trial(rng) -> dict:
     """One LOCC trial's diagnostics with one ``negativity`` or ``log_negativity`` call per value."""
@@ -166,30 +173,41 @@ def _corrupt_first_branch(monkeypatch, kind: str) -> list:
     bad = []
 
     def corrupted(*args):
-        branches = _measured_branches(*args)
-        (w, red), rest = branches[0], branches[1:]
-        m = red.matrix.copy()
-        if kind == "trace":
-            m *= 1.5
-        elif kind == "psd":  # a negative diagonal entry; |00..> and |11..> are both even
-            shift = m[0, 0].real + 0.1
-            m[0, 0] -= shift
-            m[3, 3] += shift
-        else:  # couples |00..> to the odd |10..>
-            m[0, 1] += 1e-6
-            m[1, 0] += 1e-6
-        bad.append(FockOperator(red.layout, m))
-        return [(w, bad[-1])] + rest
+        found = _measured_branches(*args)
+        for branches in found:  # one list of branches per trial of the stack
+            (w, red), rest = branches[0], branches[1:]
+            m = red.matrix.copy()
+            if kind == "trace":
+                m *= 1.5
+            elif kind == "psd":  # a negative diagonal entry; |00..> and |11..> are both even
+                shift = m[0, 0].real + 0.1
+                m[0, 0] -= shift
+                m[3, 3] += shift
+            else:  # couples |00..> to the odd |10..>
+                m[0, 1] += 1e-6
+                m[1, 0] += 1e-6
+            bad.append(FockOperator(red.layout, m))
+            branches[:] = [(w, bad[-1])] + rest
+        return found
 
     monkeypatch.setattr(verify_mod, "_measured_branches", corrupted)
     return bad
 
 
+def _odd_member(matrix: np.ndarray) -> np.ndarray:
+    """A copy of a matrix that couples the even ``|0..0>`` to the odd ``|10..0>``."""
+    out = matrix.copy()
+    out[..., 0, 1] += 1e-3
+    out[..., 1, 0] += 1e-3
+    return out
+
+
 class TestLoccMonotonicity:
-    def test_cli_output_is_pinned(self, capsys):
-        assert cli_main(["--seed", "7", "verify", "locc"]) == 0
+    @pytest.mark.parametrize("seed", sorted(_LOCC_SHA256))
+    def test_cli_output_is_pinned(self, capsys, seed):
+        assert cli_main(["--seed", str(seed), "verify", "locc"]) == 0
         out = capsys.readouterr().out
-        assert hashlib.sha256(out.encode()).hexdigest() == _LOCC_SEED7_SHA256
+        assert hashlib.sha256(out.encode()).hexdigest() == _LOCC_SHA256[seed]
 
     @pytest.mark.parametrize("trials", [1, 7, 9, 30])
     @pytest.mark.parametrize("seed", [0, 7, 505])
@@ -201,6 +219,95 @@ class TestLoccMonotonicity:
         rng = np.random.default_rng(seed)
         for t, diag in enumerate(report.diagnostics):
             assert diag == {**_per_call_locc_trial(rng), "trial": t, "seed": seed}
+
+    @pytest.mark.parametrize("seed", [0, 7, 505])
+    def test_reference_seeds_stack_several_trials(self, seed):
+        # The seeds above put two or more trials of one (n, m_A) group into one chunk,
+        # and draw both measurements of (c), so the reference sees stacks of several
+        # members, with random projector sets and parity projectors in one stack.
+        rng = np.random.default_rng(seed)
+        drawn = [verify_mod._draw_locc_trial(rng) for _ in range(30)]
+        groups: dict[tuple, list] = {}
+        for k, t in enumerate(drawn):
+            groups.setdefault((k // _LOCC_CHUNK, t["n"], t["m_a"]), []).append(t["proj"] is None)
+        assert max(len(coins) for coins in groups.values()) >= 2
+        assert any(set(coins) == {True, False} for coins in groups.values())
+
+    def test_one_odd_unitary_raises_embed_locals_error(self, monkeypatch):
+        # Trial 2's local unitary on B is made parity-odd.  At seed 7 trials 0 and 2
+        # share an (n, m_A) group, so in the chunk the odd member sits behind a good
+        # one.  The replay builds and solves trials 0 and 1, then raises at trial 2
+        # what embed_local raises; without the stacked check a norm would raise a
+        # StateValidationError, as the rotated state is no longer unit-trace.
+        draw, real = verify_mod._draw_locc_trial, verify_mod._unitaries
+        drawn, target, made = [], [], []
+
+        def tagged(rng):
+            drawn.append(draw(rng))
+            target.append(drawn[-1]["u_b"].copy())  # the build replaces the draws
+            return drawn[-1]
+
+        def odd(normals, m):
+            out = real(normals, m)
+            for i, member in enumerate(normals):
+                if np.array_equal(member, target[2]):
+                    out[i] = _odd_member(out[i])
+                    made.append(out[i])
+            return out
+
+        monkeypatch.setattr(verify_mod, "_draw_locc_trial", tagged)
+        monkeypatch.setattr(verify_mod, "_unitaries", odd)
+        with pytest.raises(ParityError) as batched:
+            check_locc_monotonicity(seed=7, trials=4)
+        n, m_a = drawn[2]["n"], drawn[2]["m_a"]
+        assert [(t["n"], t["m_a"]) for t in drawn[:3]].count((n, m_a)) == 2
+        assert len(drawn) == 4 + 3
+        assert np.array_equal(made[-1], made[0])
+        layout = ModeLayout.bipartite(m_a, n - m_a)
+        with pytest.raises(ParityError) as direct:
+            embed_local(FockOperator(ModeLayout(n - m_a, ("A",) * (n - m_a)), made[-1]), layout,
+                        layout.spec("B").target_modes)
+        assert str(batched.value) == str(direct.value)
+
+    @pytest.mark.parametrize("factor", ["ancilla", "state"])
+    def test_odd_graded_operand_raises_graded_tensors_error(self, monkeypatch, factor):
+        # Every one-mode ancilla, or every state and stacking partner, is made
+        # parity-odd.  The stacked check raises what graded_tensor raises on it;
+        # without it, the measurement would raise a ParityError with another message.
+        made = []
+        real = verify_mod._normalised_gram
+
+        def odd(g):
+            out = real(g)
+            if (out.shape[-1] == 2) == (factor == "ancilla"):
+                out = _odd_member(out)
+                made.append(out[0])
+            return out
+
+        monkeypatch.setattr(verify_mod, "_normalised_gram", odd)
+        with pytest.raises(ParityError) as batched:
+            check_locc_monotonicity(seed=7, trials=3)
+        one = ModeLayout(1, ("A",))
+        with pytest.raises(ParityError) as direct:
+            if factor == "ancilla":
+                graded_tensor(random_density(ModeLayout.bipartite(1, 1), 0),
+                              FockOperator(one, made[-1]))
+            else:
+                m = made[-1].shape[-1].bit_length() - 1
+                graded_tensor(FockOperator(ModeLayout.bipartite(1, m - 1), made[-1]),
+                              random_density(one, 0))
+        assert str(batched.value) == str(direct.value)
+
+    def test_evolved_state_is_validated_by_the_measurement(self, monkeypatch):
+        # Unitaries scaled by 1.1 stay parity-even, so every evolved state passes the
+        # embedding checks but has trace 1.21.  Per call, parity_project rejects it
+        # before any norm of its trial is taken; a norm would raise the same message.
+        real = verify_mod._unitaries
+        monkeypatch.setattr(verify_mod, "_unitaries", lambda *args: 1.1 * real(*args))
+        with pytest.raises(StateValidationError) as batched:
+            check_locc_monotonicity(seed=7, trials=3)
+        assert str(batched.value) == "operator is not a unit-trace Hermitian matrix"
+        assert "_measured_branches" in [entry.name for entry in batched.traceback]
 
     @pytest.mark.parametrize("kind", ["trace", "psd", "parity"])
     def test_failing_member_raises_negativitys_error(self, monkeypatch, kind):
@@ -218,29 +325,35 @@ class TestLoccMonotonicity:
 
     @pytest.mark.parametrize("corrupt", [False, True])
     def test_build_error_is_raised_after_earlier_trials_errors(self, monkeypatch, corrupt):
-        # Building the third trial raises.  Per call, the first trial's norms are
-        # taken before that, so a bad first trial raises negativity's error first.
+        # Building the third trial raises, in the chunk and in its replay.  Per call,
+        # the first trial's norms are taken before that, so a bad first trial raises
+        # negativity's error first.
         bad = _corrupt_first_branch(monkeypatch, "trace") if corrupt else []
-        patched = verify_mod._measured_branches
-        builds = []
+        draw, build = verify_mod._draw_locc_trial, verify_mod._build_locc_group
+        drawn = []
 
-        def failing_third(*args):  # the third trial of the chunk and of its replay
-            builds.append(None)
-            if len(builds) % 3 == 0:
+        def tagged(rng):  # the chunk draws trials 0-4, its replay 5, 6, 7, ...
+            drawn.append(draw(rng))
+            drawn[-1]["tag"] = len(drawn) - 1
+            return drawn[-1]
+
+        def failing_third(n, m_a, trials):
+            if any(t["tag"] % 5 == 2 for t in trials):
                 raise RuntimeError("third build")
-            return patched(*args)
+            return build(n, m_a, trials)
 
-        monkeypatch.setattr(verify_mod, "_measured_branches", failing_third)
+        monkeypatch.setattr(verify_mod, "_draw_locc_trial", tagged)
+        monkeypatch.setattr(verify_mod, "_build_locc_group", failing_third)
         with pytest.raises(Exception) as batched:
             check_locc_monotonicity(seed=7, trials=5)
         if corrupt:
             with pytest.raises(Exception) as direct:
                 negativity(bad[0], bad[0].layout.spec("A"))
             assert (batched.type, str(batched.value)) == (direct.type, str(direct.value))
-            assert len(builds) == 3 + 1  # the replay stopped at the first trial
+            assert len(drawn) == 5 + 1  # the replay stopped at the first trial
         else:
             assert str(batched.value) == "third build"
-            assert len(builds) == 3 + 3  # the replay built two trials, then raised again
+            assert len(drawn) == 5 + 3  # the replay built two trials, then raised again
 
     def test_one_stacked_svd_per_group_and_chunk(self, monkeypatch):
         # Below five modes every norm comes from one stacked SVD per (modes, target)
