@@ -240,13 +240,10 @@ def _complex_list(entries, what: str) -> np.ndarray:
 
 
 def _num_modes(value) -> int:
-    try:
-        n = int(value)
-    except (TypeError, ValueError, OverflowError):
-        n = 0
-    if not 1 <= n <= MAX_MODES:
+    """A JSON integer (an ``int``, not a ``bool``) in ``1..MAX_MODES``."""
+    if isinstance(value, bool) or not isinstance(value, int) or not 1 <= value <= MAX_MODES:
         raise StateValidationError(f"num_modes must be an integer in 1..{MAX_MODES}: {value!r}")
-    return n
+    return value
 
 
 def _state_from_payload(payload: dict) -> FockOperator:

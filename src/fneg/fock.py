@@ -570,11 +570,16 @@ def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out.reshape(out.shape[:-4] + (a.shape[-2] * b.shape[-2], a.shape[-1] * b.shape[-1]))
 
 
-def _require_even_stack(layout: ModeLayout, stack: np.ndarray) -> None:
-    """``require_parity_even`` of each matrix of a stack; the first that fails raises its error."""
+def _require_even_stack(layout: ModeLayout, stack: np.ndarray,
+                        check=FockOperator.require_parity_even) -> None:
+    """``require_parity_even``'s test of each matrix of a stack.
+
+    The first member that fails is handed, as a :class:`FockOperator`, to
+    ``check``: a per-call function whose parity error it raises.
+    """
     leak = _parity_leak(stack, layout.num_modes, layout.dim - 1)
     for member in stack[~(2.0 * leak <= FLAG_TOL)]:
-        FockOperator(layout, member).require_parity_even()
+        check(FockOperator(layout, member))
 
 
 def _density_verdicts(stack: np.ndarray, num_modes: int, tol: float) -> np.ndarray:

@@ -30,6 +30,7 @@ from .fock import (
     as_spec,
 )
 from .ptranspose import (
+    _check_flavor,
     _resolve_spec,
     _signed_gather,
     bosonic_pt,
@@ -41,15 +42,6 @@ from .states import _fix_phase
 
 #: Singular values below this are treated as exact zeros of rank-deficient states.
 SINGULAR_FLOOR = 1e-13
-
-FLAVORS = ("fermionic", "bosonic")
-
-
-def _check_flavor(flavor: str) -> str:
-    if flavor not in FLAVORS:
-        raise ValueError(f"transpose flavor must be one of {FLAVORS}, got {flavor!r}")
-    return flavor
-
 
 @dataclass(frozen=True)
 class MeasureReport:

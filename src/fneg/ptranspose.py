@@ -221,15 +221,22 @@ def full_transpose(op: FockOperator, tol: float = FLAG_TOL) -> FockOperator:
     return FockOperator(op.layout, mat, copy=False)
 
 
+FLAVORS = ("fermionic", "bosonic")
+
+
+def _check_flavor(flavor: str) -> str:
+    if flavor not in FLAVORS:
+        raise ValueError(f"transpose flavor must be one of {FLAVORS}, got {flavor!r}")
+    return flavor
+
+
 def partial_transpose(
     rho: FockOperator, spec: SubsystemSpec, flavor: str = "fermionic"
 ) -> FockOperator:
     """Dispatch between the fermionic and bosonic transpose flavors."""
-    if flavor == "fermionic":
+    if _check_flavor(flavor) == "fermionic":
         return fermionic_pt(rho, spec)
-    if flavor == "bosonic":
-        return bosonic_pt(rho, spec)
-    raise ValueError(f"unknown transpose flavor {flavor!r}")
+    return bosonic_pt(rho, spec)
 
 
 def partial_trace(rho: FockOperator, keep: SubsystemSpec) -> FockOperator:

@@ -373,30 +373,3 @@ def random_separable(
         total = _permute_matrix(total, layout.num_modes, _inverse_order(build_order))
     return FockOperator(layout, total, copy=False)
 
-
-def random_biseparable(
-    layout: ModeLayout,
-    spec,
-    num_terms: int,
-    seed,
-    min_witness: float = 1e-4,
-) -> FockOperator:
-    """Mixture ``sum_i w_i rho_spec,i (x) rho_rest,i`` with entangled remainder.
-
-    The remainder factors are unconstrained physical density matrices, so the
-    state is biseparable across ``spec`` vs the rest by construction; samples
-    whose remaining one-vs-rest negativities fall below ``min_witness`` are
-    rejected so the biseparable class witnesses are strictly positive.
-    """
-    from .measures import negativity  # deferred: measures sits above states
-
-    rng = _rng(seed)
-    first = as_spec(spec)
-    parts = [first, first.complement(layout)]
-    other_labels = [lab for lab in layout.subsystems
-                    if set(layout.modes_with_label(lab)) - set(first.target_modes)]
-    for _ in range(_RESAMPLE_BUDGET):
-        rho = random_separable(layout, parts, num_terms, rng)
-        if all(negativity(rho, layout.spec(lab)) > min_witness for lab in other_labels):
-            return rho
-    raise SamplingError("biseparable witness resampling budget exhausted")

@@ -34,7 +34,7 @@ from .fock import (
 )
 from .measures import _dense_pt_norms, _pt_norm, log_negativity, negativity, pairwise_negativity, \
     pi_abc, trace_norm, tripartite_report
-from .ptranspose import _sector_projection, _traced, fermionic_pt, full_transpose, partial_trace
+from .ptranspose import _sector_projection, _signed_gather, _traced, fermionic_pt, partial_trace
 from .states import (
     _block_gaussian,
     _normalised_gram,
@@ -108,12 +108,6 @@ def _unitaries(normals: np.ndarray, num_modes: int) -> np.ndarray:
     return (vecs * np.exp(1j * evals)[..., None, :]) @ vecs.conj().swapaxes(-1, -2)
 
 
-def random_even_unitary(layout: ModeLayout, rng: np.random.Generator) -> FockOperator:
-    """``exp(i H)`` for a random parity-even Hermitian generator."""
-    normals = rng.normal(size=(2, layout.dim, layout.dim))
-    return FockOperator(layout, _unitaries(normals, layout.num_modes), copy=False)
-
-
 def _draw_projector_set(rng: np.random.Generator, num_modes: int, max_groups: int | None) -> list:
     """The draws of one projector set: its Hermitian's normals, group count and column groups."""
     dim = 1 << num_modes
@@ -128,107 +122,71 @@ def _projector_set(vecs: np.ndarray, n_groups: int, assignment: np.ndarray) -> l
     return [cols @ cols.conj().T for cols in groups if cols.shape[1]]
 
 
-def random_even_projector_set(
-    layout: ModeLayout, rng: np.random.Generator, max_groups: int | None = None
-) -> list[FockOperator]:
-    """Complete orthogonal set of parity-even projectors.
-
-    Built from the eigenbasis of a random parity-even Hermitian: eigenvectors
-    (each of definite parity) are randomly grouped, so ranks vary while
-    completeness, orthogonality, and physicality hold by construction.
-    """
-    normals, n_groups, assignment = _draw_projector_set(rng, layout.num_modes, max_groups)
-    _, vecs = np.linalg.eigh(_even_hermitians(normals, layout.num_modes))
-    projectors = _projector_set(vecs, n_groups, assignment)
-    return [FockOperator(layout, p, copy=False) for p in projectors]
-
-
 def _parity_projectors(layout: ModeLayout, modes: tuple[int, ...]) -> list[np.ndarray]:
     """The even/odd parity projectors ``(1 +- (-1)^{F_modes})/2`` on ``layout``'s Fock space."""
     signs = _sign_vector(layout.num_modes, SubsystemSpec(modes).mask())
     return [np.diag(((1.0 + s * signs) / 2.0).astype(complex)) for s in (1.0, -1.0)]
 
 
-def parity_projector_pair(layout: ModeLayout) -> list[FockOperator]:
-    """The even/odd parity projectors ``(1 +- (-1)^F)/2`` of a local system."""
-    modes = tuple(range(1, layout.num_modes + 1))
-    return [FockOperator(layout, p, copy=False) for p in _parity_projectors(layout, modes)]
-
-
 # -- identity suite ---------------------------------------------------------------
 
 
 def _identity_trial(rng: np.random.Generator, n: int) -> tuple[float, dict]:
+    """The worst deviation and the diagnostics of one trial of :func:`check_identity_suite`.
+
+    The parity checks run in the per-call order: ``embed_local``'s of each
+    side's local operators, then ``fermionic_pt``'s of the nine distinct
+    transpose inputs; the first member that fails raises through that call.
+    Every other per-call check is of one of these matrices or of a transpose
+    of one, a signed permutation that keeps the parity leak bit for bit.
+    """
     m_a = int(rng.integers(1, n))
     layout = ModeLayout.bipartite(m_a, n - m_a)
-    spec_a = layout.spec("A")
-    spec_b = layout.spec("B")
-    modes_a = spec_a.target_modes
-    modes_b = spec_b.target_modes
-    sub_a = ModeLayout(m_a, ("A",) * m_a)
-    sub_b = ModeLayout(n - m_a, ("A",) * (n - m_a))
+    spec_a, spec_b = layout.spec("A"), layout.spec("B")
+    r = random_density(layout, rng).matrix
+    embedded = []  # X, Y and their full transposes on each side
+    for spec in (spec_a, spec_b):
+        m = len(spec)
+        sub = ModeLayout(m, ("A",) * m)
+        local = np.stack([random_even_operator(sub, rng).matrix for _ in "xy"])
+        _require_even_stack(sub, local, lambda op: embed_local(op, layout, spec.target_modes))
+        local_t = _signed_gather(local, m, SubsystemSpec(tuple(range(1, m + 1))), fermionic=True)
+        embedded.append(_embedded(np.concatenate([local, local_t]), layout, spec.target_modes))
+    (ea, eya, ea_t, eya_t), (eb, eyb, eb_t, eyb_t) = embedded
 
-    rho = random_density(layout, rng)
-    x_a = random_even_operator(sub_a, rng)
-    y_a = random_even_operator(sub_a, rng)
-    x_b = random_even_operator(sub_b, rng)
-    y_b = random_even_operator(sub_b, rng)
-
-    ea = embed_local(x_a, layout, modes_a).matrix
-    eya = embed_local(y_a, layout, modes_a).matrix
-    eb = embed_local(x_b, layout, modes_b).matrix
-    eyb = embed_local(y_b, layout, modes_b).matrix
-    ea_t = embed_local(full_transpose(x_a), layout, modes_a).matrix
-    eya_t = embed_local(full_transpose(y_a), layout, modes_a).matrix
-    eb_t = embed_local(full_transpose(x_b), layout, modes_b).matrix
-    eyb_t = embed_local(full_transpose(y_b), layout, modes_b).matrix
-
-    def pt_a(mat: np.ndarray) -> np.ndarray:
-        return fermionic_pt(FockOperator(layout, mat, copy=False), spec_a).matrix
-
-    def pt_b(mat: np.ndarray) -> np.ndarray:
-        return fermionic_pt(FockOperator(layout, mat, copy=False), spec_b).matrix
-
-    def tr_full(mat: np.ndarray) -> np.ndarray:
-        return full_transpose(FockOperator(layout, mat, copy=False)).matrix
-
-    r = rho.matrix
+    sandwich = ea @ eb @ r @ eya @ eyb
+    eye = np.eye(layout.dim, dtype=complex)
+    inputs = np.stack([r, r @ eb, eb @ r, r @ ea, ea @ r, r @ ea @ eb, ea @ eb @ r, sandwich, eye])
+    _require_even_stack(layout, inputs, lambda op: fermionic_pt(op, spec_a))
+    t = _signed_gather(inputs, n, spec_a, fermionic=True)
+    t_a = t[0]
+    twice = [0, 1, 3, 5, 7]  # rho, rho X_B, rho X_A, rho X_A X_B and the sandwich
+    t_b = _signed_gather(np.concatenate([inputs[[0, 7]], t[twice]]), n, spec_b, fermionic=True)
+    everything = SubsystemSpec(tuple(range(1, n + 1)))
+    full = _signed_gather(inputs[twice], n, everything, fermionic=True)
     p_a = _sign_vector(n, spec_a.mask())
-    t_a = pt_a(r)
-    t_b = pt_b(r)
     deviations = {
-        "rho_xb_right": np.abs(pt_a(r @ eb) - t_a @ eb).max(),
-        "rho_xb_left": np.abs(pt_a(eb @ r) - eb @ t_a).max(),
-        "rho_xa_right": np.abs(pt_a(r @ ea) - ea_t @ t_a).max(),
-        "rho_xa_left": np.abs(pt_a(ea @ r) - t_a @ ea_t).max(),
-        "rho_xaxb_right": np.abs(pt_a(r @ ea @ eb) - ea_t @ t_a @ eb).max(),
-        "rho_xaxb_left": np.abs(pt_a(ea @ eb @ r) - eb @ t_a @ ea_t).max(),
-        "sandwich_ta": np.abs(
-            pt_a(ea @ eb @ r @ eya @ eyb) - eya_t @ eb @ t_a @ ea_t @ eyb
-        ).max(),
-        "sandwich_tb": np.abs(
-            pt_b(ea @ eb @ r @ eya @ eyb) - ea @ eyb_t @ t_b @ eya @ eb_t
-        ).max(),
-        "successive_plain": np.abs(pt_b(t_a) - tr_full(r)).max(),
-        "successive_xb": np.abs(pt_b(pt_a(r @ eb)) - tr_full(r @ eb)).max(),
-        "successive_xa": np.abs(pt_b(pt_a(r @ ea)) - tr_full(r @ ea)).max(),
-        "successive_xaxb": np.abs(pt_b(pt_a(r @ ea @ eb)) - tr_full(r @ ea @ eb)).max(),
-        "successive_sandwich": np.abs(
-            pt_b(pt_a(ea @ eb @ r @ eya @ eyb)) - tr_full(ea @ eb @ r @ eya @ eyb)
-        ).max(),
-        "double_ta": np.abs(pt_a(t_a) - p_a[:, None] * r * p_a[None, :]).max(),
-        "identity_fixed": np.abs(pt_a(np.eye(layout.dim, dtype=complex))
-                                 - np.eye(layout.dim)).max(),
+        "rho_xb_right": np.abs(t[1] - t_a @ eb).max(),
+        "rho_xb_left": np.abs(t[2] - eb @ t_a).max(),
+        "rho_xa_right": np.abs(t[3] - ea_t @ t_a).max(),
+        "rho_xa_left": np.abs(t[4] - t_a @ ea_t).max(),
+        "rho_xaxb_right": np.abs(t[5] - ea_t @ t_a @ eb).max(),
+        "rho_xaxb_left": np.abs(t[6] - eb @ t_a @ ea_t).max(),
+        "sandwich_ta": np.abs(t[7] - eya_t @ eb @ t_a @ ea_t @ eyb).max(),
+        "sandwich_tb": np.abs(t_b[1] - ea @ eyb_t @ t_b[0] @ eya @ eb_t).max(),
+        "successive_plain": np.abs(t_b[2] - full[0]).max(),
+        "successive_xb": np.abs(t_b[3] - full[1]).max(),
+        "successive_xa": np.abs(t_b[4] - full[2]).max(),
+        "successive_xaxb": np.abs(t_b[5] - full[3]).max(),
+        "successive_sandwich": np.abs(t_b[6] - full[4]).max(),
+        "double_ta": np.abs(_signed_gather(t_a, n, spec_a, fermionic=True)
+                            - p_a[:, None] * r * p_a[None, :]).max(),
+        "identity_fixed": np.abs(t[8] - np.eye(layout.dim)).max(),
     }
-    worst_name = max(deviations, key=deviations.get)
-    diag = {
-        "n": n,
-        "m_a": m_a,
-        "state": _fingerprint(r),
-        "max_violation": float(deviations[worst_name]),
-        "worst_identity": worst_name,
-    }
-    return float(max(deviations.values())), diag
+    worst = max(deviations, key=deviations.get)
+    return float(deviations[worst]), {"n": n, "m_a": m_a, "state": _fingerprint(r),
+                                      "max_violation": float(deviations[worst]),
+                                      "worst_identity": worst}
 
 
 def check_identity_suite(
@@ -240,6 +198,14 @@ def check_identity_suite(
     transposes, consistency of successive partial transposes with the full
     transpose, the parity-conjugation involution, and invariance of the
     identity operator.
+
+    A trial draws what a per-call trial draws, in the same order, and works on
+    stacks: each side's two local operators are checked, transposed and
+    embedded together with their transposes, and the nine distinct transpose
+    inputs are checked and transposed over A as one stack, six signed gathers
+    a trial in all (:func:`_identity_trial`).  Every deviation is bit for bit
+    the per-call one, and the first parity-odd local operator or transpose
+    input raises ``embed_local``'s or ``fermionic_pt``'s error.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")

@@ -6,7 +6,10 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from fneg.fock import FockOperator
+from fneg.errors import SamplingError
+from fneg.fock import FockOperator, ModeLayout, as_spec
+from fneg.measures import negativity
+from fneg.states import _RESAMPLE_BUDGET, _rng, random_separable
 from fneg.verify import random_even_operator  # noqa: F401  used by the test modules
 
 settings.register_profile("repro", derandomize=True)
@@ -45,3 +48,29 @@ def record_calls(monkeypatch, *names):
             if owner is home or key.startswith("fneg.") and getattr(owner, attr, None) is fn:
                 monkeypatch.setattr(owner, attr, wrapper)
     return log
+
+
+def random_biseparable(
+    layout: ModeLayout,
+    spec,
+    num_terms: int,
+    seed,
+    min_witness: float = 1e-4,
+) -> FockOperator:
+    """Mixture ``sum_i w_i rho_spec,i (x) rho_rest,i`` with entangled remainder.
+
+    The remainder factors are unconstrained physical density matrices, so the
+    state is biseparable across ``spec`` vs the rest by construction; samples
+    whose remaining one-vs-rest negativities fall below ``min_witness`` are
+    rejected so the biseparable class witnesses are strictly positive.
+    """
+    rng = _rng(seed)
+    first = as_spec(spec)
+    parts = [first, first.complement(layout)]
+    other_labels = [lab for lab in layout.subsystems
+                    if set(layout.modes_with_label(lab)) - set(first.target_modes)]
+    for _ in range(_RESAMPLE_BUDGET):
+        rho = random_separable(layout, parts, num_terms, rng)
+        if all(negativity(rho, layout.spec(lab)) > min_witness for lab in other_labels):
+            return rho
+    raise SamplingError("biseparable witness resampling budget exhausted")

@@ -28,7 +28,6 @@ from fneg.states import (
     canonical_state,
     pure_vector_from_coeffs,
     PureCoeffs,
-    random_biseparable,
     random_density,
     random_separable,
 )
@@ -39,7 +38,7 @@ from fneg.verify import (
     check_perturbation_expansion,
     conjecture_scan,
 )
-from conftest import random_even_operator
+from conftest import random_biseparable, random_even_operator
 
 
 def _verdict(number: int, description: str, ok: bool, detail: str) -> None:

@@ -76,9 +76,12 @@ def _unreferenced_functions(modules: dict[str, str], others: list[str], exempt: 
     """Module-level functions of ``modules`` (file name -> source) that no source references.
 
     A reference is a name, an attribute, an imported name or a string equal to
-    the function's name, anywhere in ``modules`` or ``others`` outside the
-    function's own body.  Decorated functions are registered by their decorator
-    (click commands), and ``exempt`` names (``__all__``, entry points) are public.
+    the function's name, outside the function's own body.  A private function
+    (leading underscore) may be referenced anywhere in ``modules`` or
+    ``others`` (the tests); any other must be referenced in ``modules``, so
+    test-only public API is flagged.  Decorated functions are registered by
+    their decorator (click commands), and ``exempt`` names (``__all__``, entry
+    points) are public.
     """
     def names(tree: ast.AST) -> Counter:
         found = Counter()
@@ -94,13 +97,15 @@ def _unreferenced_functions(modules: dict[str, str], others: list[str], exempt: 
         return found
 
     trees = {name: ast.parse(source) for name, source in modules.items()}
-    total = sum((names(tree) for tree in trees.values()), Counter())
-    total += sum((names(ast.parse(source)) for source in others), Counter())
+    in_src = sum((names(tree) for tree in trees.values()), Counter())
+    anywhere = in_src + sum((names(ast.parse(source)) for source in others), Counter())
     return sorted(
         f"{module}:{node.name} (line {node.lineno})"
         for module, tree in trees.items() for node in tree.body
         if isinstance(node, ast.FunctionDef) and not node.decorator_list
-        and node.name not in exempt and total[node.name] == names(node)[node.name]
+        and node.name not in exempt
+        and (anywhere if node.name.startswith("_") else in_src)[node.name]
+        == names(node)[node.name]
     )
 
 
@@ -119,13 +124,18 @@ def test_every_module_function_is_referenced():
 
 def test_unreferenced_function_check_rules():
     module = ("import click\n__all__ = ['api']\n"
-              "def api(): ...\n"
+              "def api():\n    return _used(), getattr(m, 'by_string')\n"
               "def main(): ...\n"
               "@click.command()\ndef cmd(): ...\n"
-              "def used(): ...\n"
+              "def _used(): ...\n"
               "def by_string(): ...\n"
               "def forked(n):\n    return forked(n - 1)\n"
-              "def dead(): ...\n")
-    others = ["from m import used\n", "setattr(m, 'by_string', None)\n"]
+              "def dead(): ...\n"
+              "def test_only(): ...\n"
+              "def _test_helper(): ...\n"
+              "def _by_test_string(): ...\n")
+    # tests reference private functions, never public ones
+    others = ["from m import test_only, _test_helper\n", "m.test_only()\n",
+              "setattr(m, '_by_test_string', None)\n"]
     assert _unreferenced_functions({"m.py": module}, others, {"api", "main"}) == [
-        "m.py:dead (line 11)", "m.py:forked (line 9)"]
+        "m.py:dead (line 12)", "m.py:forked (line 10)", "m.py:test_only (line 13)"]

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import random_biseparable
 from fneg.errors import StateValidationError
 from fneg.fock import FockOperator, ModeLayout, SubsystemSpec
 from fneg.classify import (
@@ -15,7 +16,6 @@ from fneg.states import (
     PureCoeffs,
     biseparable_example,
     canonical_state,
-    random_biseparable,
     random_density,
     random_pure,
     random_separable,

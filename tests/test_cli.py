@@ -185,12 +185,13 @@ class TestClassifyCommand:
         path.write_text(json.dumps(payload))
         assert main(["classify", str(path)]) == 4
 
-    @pytest.mark.parametrize("modes", ["x", float("inf"), 0, 13, 100000])
+    @pytest.mark.parametrize("modes", ["x", float("inf"), 0, 13, 100000, 2.5, 2.0, True, "2"])
     def test_bad_num_modes_exits_4(self, tmp_path, capsys, modes):
+        # only a JSON integer is read: 2.0 and "2" would fit the 16 entries, true would be 1
         path = tmp_path / "modes.json"
         path.write_text(json.dumps({"num_modes": modes, "matrix": [[0.25, 0.0]] * 16}))
         assert main(["classify", str(path)]) == 4
-        assert "num_modes" in capsys.readouterr().err
+        assert f"num_modes must be an integer in 1..12: {modes!r}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("labels", [5, ["A", ["B"]], ["A"]])
     def test_bad_labels_exits_4(self, tmp_path, capsys, labels):

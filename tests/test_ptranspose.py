@@ -16,7 +16,7 @@ from fneg.fock import (
     majorana_op,
     parity_op,
 )
-from fneg.measures import trace_norm
+from fneg.measures import negativity, trace_norm
 from fneg.ptranspose import (
     bosonic_pt,
     fermionic_pt,
@@ -24,6 +24,7 @@ from fneg.ptranspose import (
     full_transpose,
     parity_project,
     partial_trace,
+    partial_transpose,
 )
 from fneg.states import canonical_state, random_density, random_pure
 
@@ -193,6 +194,17 @@ class TestBosonicPT:
         lay = ModeLayout.bipartite(1, 1)
         odd = creation_op(lay, 1)
         bosonic_pt(odd, SubsystemSpec((1,)))  # no parity requirement
+
+    @pytest.mark.parametrize("flavor", ["x", "Fermionic", None])
+    def test_unknown_flavor_is_one_error(self, flavor):
+        # the transpose dispatch and the measures refuse a flavor with one message
+        rho = canonical_state("majorana_dimer")
+        with pytest.raises(ValueError) as direct:
+            partial_transpose(rho, SubsystemSpec((1,)), flavor)
+        with pytest.raises(ValueError) as measured:
+            negativity(rho, SubsystemSpec((1,)), flavor)
+        assert str(direct.value) == str(measured.value) == (
+            f"transpose flavor must be one of ('fermionic', 'bosonic'), got {flavor!r}")
 
 
 class TestPartialTrace:

@@ -11,7 +11,7 @@ from fneg.cli import main as cli_main
 from fneg.fock import FLAG_TOL, FockOperator, ModeLayout, SubsystemSpec, embed_local, \
     graded_tensor, parity_op
 from fneg.measures import log_negativity, negativity, trace_norm
-from fneg.ptranspose import fermionic_pt, fermionic_pt_majorana, partial_trace
+from fneg.ptranspose import fermionic_pt, fermionic_pt_majorana, full_transpose, partial_trace
 from fneg.states import random_density
 from fneg.verify import (
     _LOCC_CHUNK,
@@ -20,28 +20,50 @@ from fneg.verify import (
     check_locc_monotonicity,
     check_perturbation_expansion,
     conjecture_scan,
-    parity_projector_pair,
     perturbed_state,
     pi_inequality_scan,
-    random_even_projector_set,
-    random_even_unitary,
     trace_norm_prediction,
+    _draw_projector_set,
+    _even_hermitians,
     _fingerprint,
     _measured_branches,
+    _parity_projectors,
     _perturbation_instance,
+    _projector_set,
+    _unitaries,
 )
+
+
+def _even_unitary(layout: ModeLayout, rng) -> FockOperator:
+    """One local unitary as ``verify locc`` draws and builds it."""
+    normals = rng.normal(size=(2, layout.dim, layout.dim))
+    return FockOperator(layout, _unitaries(normals, layout.num_modes))
+
+
+def _even_projector_set(layout: ModeLayout, rng) -> list[FockOperator]:
+    """One set of at most three local projectors as ``verify locc`` draws and builds it."""
+    normals, n_groups, assignment = _draw_projector_set(rng, layout.num_modes, 3)
+    _, vecs = np.linalg.eigh(_even_hermitians(normals, layout.num_modes))
+    return [FockOperator(layout, p) for p in _projector_set(vecs, n_groups, assignment)]
+
+
+def _parity_pair(layout: ModeLayout) -> list[FockOperator]:
+    """The even/odd projectors ``(1 +- (-1)^F)/2`` of a whole local system."""
+    modes = tuple(range(1, layout.num_modes + 1))
+    return [FockOperator(layout, p) for p in _parity_projectors(layout, modes)]
 
 
 class TestHelpers:
     def test_unitary_is_unitary_and_even(self, rng):
+        # a stack of three, as the LOCC build draws them
         lay = ModeLayout(2, ("A", "A"))
-        u = random_even_unitary(lay, rng)
-        assert np.abs(u.matrix @ u.matrix.conj().T - np.eye(4)).max() <= 1e-12
-        assert u.is_parity_even()
+        for u in _unitaries(rng.normal(size=(3, 2, 4, 4)), 2):
+            assert np.abs(u @ u.conj().T - np.eye(4)).max() <= 1e-12
+            assert FockOperator(lay, u).is_parity_even()
 
     def test_projector_set_complete_orthogonal(self, rng):
         lay = ModeLayout(2, ("A", "A"))
-        projs = random_even_projector_set(lay, rng, max_groups=3)
+        projs = _even_projector_set(lay, rng)
         total = sum(p.matrix for p in projs)
         assert np.abs(total - np.eye(4)).max() <= 1e-12
         for i, p in enumerate(projs):
@@ -52,45 +74,17 @@ class TestHelpers:
 
     def test_parity_projector_pair(self):
         lay = ModeLayout(2, ("A", "A"))
-        even, odd = parity_projector_pair(lay)
+        even, odd = _parity_pair(lay)
         assert np.allclose(np.diag(even.matrix), [1, 0, 0, 1])
         assert np.allclose(np.diag(odd.matrix), [0, 1, 1, 0])
+        # on a subset of the modes: the parity of mode 2 alone
+        even, odd = _parity_projectors(lay, (2,))
+        assert np.array_equal(np.diag(even).real, [1, 1, 0, 0])
+        assert np.array_equal(np.diag(odd).real, [0, 0, 1, 1])
 
     def test_report_invariant(self):
         rep = CheckReport("demo", 1, 2e-11, 1e-11, passed=(2e-11 <= 1e-11))
         assert rep.passed == (rep.max_violation <= rep.tolerance)
-
-
-class TestIdentitySuite:
-    def test_small_run_passes(self):
-        report = check_identity_suite(seed=5, trials=15, modes=(2, 3))
-        assert report.passed
-        assert report.max_violation <= 1e-11
-        assert len(report.diagnostics) == 15
-
-    def test_identity_operator_trivial_case(self):
-        # X_A = X_B = identity reduces every family to PT(rho) = PT(rho)
-        report = check_identity_suite(seed=1, trials=4, modes=(2,))
-        assert report.passed
-
-    @pytest.mark.parametrize("m_a", [1, 2])
-    def test_parity_operator_as_local(self, m_a, rng):
-        # X_A = (-1)^{F_A} transposes to (-1)^{m_A} X_A under Majorana reversal
-        # (each mode contributes i c c whose reversal flips sign), so
-        # [rho X_A]^{T_A} = (-1)^{m_A} X_A rho^{T_A}.
-        from fneg.fock import FockOperator, parity_op
-        from fneg.ptranspose import full_transpose
-
-        lay = ModeLayout.bipartite(m_a, 2)
-        spec = lay.spec("A")
-        sub = ModeLayout(m_a, ("A",) * m_a)
-        local_t = full_transpose(parity_op(sub)).matrix
-        assert np.abs(local_t - ((-1.0) ** m_a) * parity_op(sub).matrix).max() == 0.0
-        rho = random_density(lay, rng)
-        pa = parity_op(lay, spec).matrix
-        lhs = fermionic_pt(FockOperator(lay, rho.matrix @ pa), spec).matrix
-        rhs = ((-1.0) ** m_a) * pa @ fermionic_pt(rho, spec).matrix
-        assert np.abs(lhs - rhs).max() <= 1e-12
 
 
 #: SHA-256 of ``fneg --seed 7 verify locc`` as printed before each trial's norms were batched.
@@ -101,6 +95,14 @@ _LOCC_SHA256 = {
     0: "c3861e677564f92c2d0d33150bd04aa36012e8bfc4758450b5142711e2847fdc",
     7: _LOCC_SEED7_SHA256,
     505: "92744ec25cf585d68ecab44f595c17c24421ad046e146f0a4198e5b3ac82edfe",
+}
+
+#: SHA-256 of ``fneg --seed <seed> verify identities [--modes ...]`` as printed when every
+#: transpose of a trial was one ``fermionic_pt`` or ``full_transpose`` call.
+_IDENTITY_SHA256 = {
+    (7, None): "b8709c9e253bff6be2461ddfd39d73aa1727956f680cf23ff4af12f0d02761ad",
+    (1234, None): "b1cca5b22f0c95e01037d4636ee03b718333643fe739a14bcaa57adba107512d",
+    (7, "2,3,4,5,6"): "e432fd4be17710c58e925382fc0b1e25b7c758471e08c9d5c0b329d691094f42",
 }
 
 
@@ -115,17 +117,16 @@ def _per_call_locc_trial(rng) -> dict:
     base_neg = negativity(rho, spec_a)
     base_logneg = float(np.log(2.0 * base_neg + 1.0))
     viol = {}
-    u = embed_local(random_even_unitary(sub_a, rng), layout, spec_a.target_modes).matrix
-    u = u @ embed_local(random_even_unitary(sub_b, rng), layout, modes_b).matrix
+    u = embed_local(_even_unitary(sub_a, rng), layout, spec_a.target_modes).matrix
+    u = u @ embed_local(_even_unitary(sub_b, rng), layout, modes_b).matrix
     rotated = FockOperator(layout, u @ rho.matrix @ u.conj().T)
     viol["local_unitary"] = abs(negativity(rotated, spec_a) - base_neg)
     appended = graded_tensor(rho, random_density(ModeLayout(1, ("A",)), rng))
     viol["ancilla_append"] = abs(negativity(appended, appended.layout.spec("A")) - base_neg)
     if rng.integers(0, 2):
-        proj_a = random_even_projector_set(sub_a, rng, max_groups=3)
-        proj_b = random_even_projector_set(sub_b, rng, max_groups=3)
+        proj_a, proj_b = _even_projector_set(sub_a, rng), _even_projector_set(sub_b, rng)
     else:
-        proj_a, proj_b = parity_projector_pair(sub_a), parity_projector_pair(sub_b)
+        proj_a, proj_b = _parity_pair(sub_a), _parity_pair(sub_b)
     avg = 0.0
     for pa in proj_a:
         for pb in proj_b:
@@ -139,13 +140,13 @@ def _per_call_locc_trial(rng) -> dict:
     sigma = graded_tensor(rho, random_density(ModeLayout(1, ("A",)), rng))
     big, tilde_spec = sigma.layout, sigma.layout.spec("A")
     r_mode = tilde_spec.target_modes[-1]
-    u_ar = embed_local(random_even_unitary(ModeLayout(m_a + 1, ("A",) * (m_a + 1)), rng), big,
+    u_ar = embed_local(_even_unitary(ModeLayout(m_a + 1, ("A",) * (m_a + 1)), rng), big,
                        tilde_spec.target_modes).matrix
     evolved = FockOperator(big, u_ar @ sigma.matrix @ u_ar.conj().T)
     viol["unilocal_unitary"] = abs(negativity(evolved, tilde_spec) - base_neg)
     keep = SubsystemSpec(tuple(m for m in range(1, big.num_modes + 1) if m != r_mode))
     branches = []
-    for p in parity_projector_pair(ModeLayout(1, ("A",))):  # dense occupation projectors
+    for p in _parity_pair(ModeLayout(1, ("A",))):  # dense occupation projectors
         e = embed_local(p, big, (r_mode,)).matrix
         projected = e @ evolved.matrix @ e
         weight = float(np.real(np.trace(projected)))
@@ -200,6 +201,195 @@ def _odd_member(matrix: np.ndarray) -> np.ndarray:
     out[..., 0, 1] += 1e-3
     out[..., 1, 0] += 1e-3
     return out
+
+
+def _per_call_identity_trial(rng, n: int) -> tuple[float, dict]:
+    """One identity trial with one ``embed_local``, ``fermionic_pt`` or ``full_transpose`` call
+    per operator; the state and local operators come from ``verify``'s own samplers."""
+    m_a = int(rng.integers(1, n))
+    layout = ModeLayout.bipartite(m_a, n - m_a)
+    spec_a = layout.spec("A")
+    spec_b = layout.spec("B")
+    modes_a = spec_a.target_modes
+    modes_b = spec_b.target_modes
+    sub_a = ModeLayout(m_a, ("A",) * m_a)
+    sub_b = ModeLayout(n - m_a, ("A",) * (n - m_a))
+
+    rho = verify_mod.random_density(layout, rng)
+    x_a = verify_mod.random_even_operator(sub_a, rng)
+    y_a = verify_mod.random_even_operator(sub_a, rng)
+    x_b = verify_mod.random_even_operator(sub_b, rng)
+    y_b = verify_mod.random_even_operator(sub_b, rng)
+
+    ea = embed_local(x_a, layout, modes_a).matrix
+    eya = embed_local(y_a, layout, modes_a).matrix
+    eb = embed_local(x_b, layout, modes_b).matrix
+    eyb = embed_local(y_b, layout, modes_b).matrix
+    ea_t = embed_local(full_transpose(x_a), layout, modes_a).matrix
+    eya_t = embed_local(full_transpose(y_a), layout, modes_a).matrix
+    eb_t = embed_local(full_transpose(x_b), layout, modes_b).matrix
+    eyb_t = embed_local(full_transpose(y_b), layout, modes_b).matrix
+
+    def pt_a(mat: np.ndarray) -> np.ndarray:
+        return fermionic_pt(FockOperator(layout, mat, copy=False), spec_a).matrix
+
+    def pt_b(mat: np.ndarray) -> np.ndarray:
+        return fermionic_pt(FockOperator(layout, mat, copy=False), spec_b).matrix
+
+    def tr_full(mat: np.ndarray) -> np.ndarray:
+        return full_transpose(FockOperator(layout, mat, copy=False)).matrix
+
+    r = rho.matrix
+    p_a = verify_mod._sign_vector(n, spec_a.mask())
+    t_a = pt_a(r)
+    t_b = pt_b(r)
+    deviations = {
+        "rho_xb_right": np.abs(pt_a(r @ eb) - t_a @ eb).max(),
+        "rho_xb_left": np.abs(pt_a(eb @ r) - eb @ t_a).max(),
+        "rho_xa_right": np.abs(pt_a(r @ ea) - ea_t @ t_a).max(),
+        "rho_xa_left": np.abs(pt_a(ea @ r) - t_a @ ea_t).max(),
+        "rho_xaxb_right": np.abs(pt_a(r @ ea @ eb) - ea_t @ t_a @ eb).max(),
+        "rho_xaxb_left": np.abs(pt_a(ea @ eb @ r) - eb @ t_a @ ea_t).max(),
+        "sandwich_ta": np.abs(
+            pt_a(ea @ eb @ r @ eya @ eyb) - eya_t @ eb @ t_a @ ea_t @ eyb
+        ).max(),
+        "sandwich_tb": np.abs(
+            pt_b(ea @ eb @ r @ eya @ eyb) - ea @ eyb_t @ t_b @ eya @ eb_t
+        ).max(),
+        "successive_plain": np.abs(pt_b(t_a) - tr_full(r)).max(),
+        "successive_xb": np.abs(pt_b(pt_a(r @ eb)) - tr_full(r @ eb)).max(),
+        "successive_xa": np.abs(pt_b(pt_a(r @ ea)) - tr_full(r @ ea)).max(),
+        "successive_xaxb": np.abs(pt_b(pt_a(r @ ea @ eb)) - tr_full(r @ ea @ eb)).max(),
+        "successive_sandwich": np.abs(
+            pt_b(pt_a(ea @ eb @ r @ eya @ eyb)) - tr_full(ea @ eb @ r @ eya @ eyb)
+        ).max(),
+        "double_ta": np.abs(pt_a(t_a) - p_a[:, None] * r * p_a[None, :]).max(),
+        "identity_fixed": np.abs(pt_a(np.eye(layout.dim, dtype=complex))
+                                 - np.eye(layout.dim)).max(),
+    }
+    worst_name = max(deviations, key=deviations.get)
+    diag = {
+        "n": n,
+        "m_a": m_a,
+        "state": _fingerprint(r),
+        "max_violation": float(deviations[worst_name]),
+        "worst_identity": worst_name,
+    }
+    return float(max(deviations.values())), diag
+
+
+def _odd_draws(monkeypatch, name: str, index: int) -> tuple[list, list]:
+    """Make the ``index``-th draw of ``verify``'s sampler ``name`` parity-odd.
+
+    Returns the log of draws, which a test clears to start counting again, and
+    the odd operators made.
+    """
+    real, calls, made = getattr(verify_mod, name), [], []
+
+    def odd(layout, rng):
+        calls.append(real(layout, rng))
+        if len(calls) - 1 != index:
+            return calls[-1]
+        made.append(FockOperator(layout, _odd_member(calls[-1].matrix)))
+        return made[-1]
+
+    monkeypatch.setattr(verify_mod, name, odd)
+    return calls, made
+
+
+class TestIdentitySuite:
+    def test_small_run_passes(self):
+        report = check_identity_suite(seed=5, trials=15, modes=(2, 3))
+        assert report.passed
+        assert report.max_violation <= 1e-11
+        assert len(report.diagnostics) == 15
+
+    def test_identity_operator_trivial_case(self):
+        # X_A = X_B = identity reduces every family to PT(rho) = PT(rho)
+        report = check_identity_suite(seed=1, trials=4, modes=(2,))
+        assert report.passed
+
+    @pytest.mark.parametrize("m_a", [1, 2])
+    def test_parity_operator_as_local(self, m_a, rng):
+        # X_A = (-1)^{F_A} transposes to (-1)^{m_A} X_A under Majorana reversal
+        # (each mode contributes i c c whose reversal flips sign), so
+        # [rho X_A]^{T_A} = (-1)^{m_A} X_A rho^{T_A}.
+        from fneg.fock import FockOperator, parity_op
+        from fneg.ptranspose import full_transpose
+
+        lay = ModeLayout.bipartite(m_a, 2)
+        spec = lay.spec("A")
+        sub = ModeLayout(m_a, ("A",) * m_a)
+        local_t = full_transpose(parity_op(sub)).matrix
+        assert np.abs(local_t - ((-1.0) ** m_a) * parity_op(sub).matrix).max() == 0.0
+        rho = random_density(lay, rng)
+        pa = parity_op(lay, spec).matrix
+        lhs = fermionic_pt(FockOperator(lay, rho.matrix @ pa), spec).matrix
+        rhs = ((-1.0) ** m_a) * pa @ fermionic_pt(rho, spec).matrix
+        assert np.abs(lhs - rhs).max() <= 1e-12
+
+    @pytest.mark.parametrize("seed,modes", list(_IDENTITY_SHA256))
+    def test_cli_output_is_pinned(self, capsys, seed, modes):
+        args = ["--seed", str(seed), "verify", "identities"] + (["--modes", modes] if modes else [])
+        assert cli_main(args) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == _IDENTITY_SHA256[seed, modes]
+
+    @pytest.mark.parametrize("seed", range(24))
+    def test_stacked_trials_equal_per_call_reference(self, seed):
+        modes = (2, 3, 4, 5, 6)
+        report = check_identity_suite(seed=seed, trials=len(modes), modes=modes)
+        rng = np.random.default_rng(seed)
+        for t, diag in enumerate(report.diagnostics):
+            dev, want = _per_call_identity_trial(rng, modes[t])
+            assert diag == {**want, "trial": t, "seed": seed}
+            assert diag["max_violation"] == dev
+
+    def test_transposes_are_six_stacked_gathers(self, monkeypatch):
+        # At most 8 a trial (the per-call suite took 30): two for the local
+        # operators, and one each over A, over B, over all modes and for the
+        # double transpose.  The per-call functions run only to raise an error.
+        log = record_calls(monkeypatch, "fneg.ptranspose._signed_gather",
+                           "fneg.ptranspose.fermionic_pt", "fneg.ptranspose.full_transpose",
+                           "fneg.fock.embed_local")
+        check_identity_suite(seed=3, trials=9, modes=(2, 3, 4))
+        assert log and all(name == "_signed_gather" for name, _ in log)
+        assert len(log) == 6 * 9
+
+    @pytest.mark.parametrize("index", range(4))
+    def test_odd_local_operator_raises_embed_locals_error(self, monkeypatch, index):
+        # X_A, Y_A, X_B or Y_B of the first trial is parity-odd.  Without the
+        # stacked check of the local operators, the products would fail the
+        # transpose check, which raises fermionic_pt's message.
+        calls, made = _odd_draws(monkeypatch, "random_even_operator", index)
+        with pytest.raises(Exception) as batched:
+            check_identity_suite(seed=7, trials=2, modes=(3,))
+        calls.clear()
+        with pytest.raises(Exception) as per_call:
+            _per_call_identity_trial(np.random.default_rng(7), 3)
+        assert len(made) == 2 and np.array_equal(made[0].matrix, made[1].matrix)
+        assert batched.type is per_call.type is ParityError
+        assert str(batched.value) == str(per_call.value)
+        m = made[0].layout.num_modes
+        with pytest.raises(ParityError) as direct:
+            embed_local(made[0], made[0].layout, tuple(range(1, m + 1)))
+        assert str(batched.value) == str(direct.value)
+
+    def test_odd_transpose_input_raises_fermionic_pts_error(self, monkeypatch):
+        # The state of the first trial is parity-odd, so every transpose input
+        # is.  Without the stacked check the trial would not raise at all.
+        calls, made = _odd_draws(monkeypatch, "random_density", 0)
+        with pytest.raises(Exception) as batched:
+            check_identity_suite(seed=7, trials=2, modes=(3,))
+        calls.clear()
+        with pytest.raises(Exception) as per_call:
+            _per_call_identity_trial(np.random.default_rng(7), 3)
+        assert len(made) == 2 and np.array_equal(made[0].matrix, made[1].matrix)
+        assert batched.type is per_call.type is ParityError
+        assert str(batched.value) == str(per_call.value)
+        with pytest.raises(ParityError) as direct:
+            fermionic_pt(made[0], made[0].layout.spec("A"))
+        assert str(batched.value) == str(direct.value)
 
 
 class TestLoccMonotonicity:
@@ -378,7 +568,7 @@ class TestLoccMonotonicity:
 
     def test_occupation_projectors_are_the_one_mode_parity_pair(self):
         one_mode = ModeLayout(1, ("A",))
-        even, odd = parity_projector_pair(one_mode)
+        even, odd = _parity_pair(one_mode)
         assert np.array_equal(even.matrix, np.diag([1.0, 0.0]).astype(complex))
         assert np.array_equal(odd.matrix, np.diag([0.0, 1.0]).astype(complex))
 
@@ -409,8 +599,8 @@ class TestLoccMonotonicity:
         base = negativity(rho, spec_a)
         avg = 0.0
         one_mode = ModeLayout(1, ("A",))
-        for pa in parity_projector_pair(one_mode):
-            for pb in parity_projector_pair(one_mode):
+        for pa in _parity_pair(one_mode):
+            for pb in _parity_pair(one_mode):
                 op = embed_local(pa, lay, (1,)).matrix @ embed_local(pb, lay, (2,)).matrix
                 projected = op @ rho.matrix @ op
                 weight = float(np.real(np.trace(projected)))
