@@ -97,12 +97,12 @@ def cli(ctx, tolerance, seed, output):
 
 
 _TABLE1_EXEMPLARS = [
-    ("product_000", (1.0, 0.0, 0.0, 0.0), "A-B-C"),
-    ("bc_pair", (1 / np.sqrt(2), 0.0, 1 / np.sqrt(2), 0.0), "A-BC"),
-    ("ac_pair", (1 / np.sqrt(2), 0.0, 0.0, 1 / np.sqrt(2)), "B-AC"),
-    ("ab_pair", (1 / np.sqrt(2), 1 / np.sqrt(2), 0.0, 0.0), "C-AB"),
-    ("w_state", None, "W"),
-    ("ghz_state", None, "GHZ"),
+    ("product_000", states.PureCoeffs((1.0, 0.0, 0.0, 0.0), "even"), "A-B-C"),
+    ("bc_pair", states.PureCoeffs((1 / np.sqrt(2), 0.0, 1 / np.sqrt(2), 0.0), "even"), "A-BC"),
+    ("ac_pair", states.PureCoeffs((1 / np.sqrt(2), 0.0, 0.0, 1 / np.sqrt(2)), "even"), "B-AC"),
+    ("ab_pair", states.PureCoeffs((1 / np.sqrt(2), 1 / np.sqrt(2), 0.0, 0.0), "even"), "C-AB"),
+    ("w_state", states._SECTOR_POINTS["w"], "W"),
+    ("ghz_state", states._SECTOR_POINTS["ghz"], "GHZ"),
 ]
 
 
@@ -131,13 +131,8 @@ def reproduce(ctx, target):
         ctx.exit(EXIT_OK)
     rows = []
     mismatch = False
-    for name, lambdas, expected in _TABLE1_EXEMPLARS:
-        if lambdas is None:
-            state = states.canonical_state("w" if expected == "W" else "ghz")
-            label = classify_mod.pure3_class(state, threshold=tolerance)
-        else:
-            coeffs = states.PureCoeffs(lambdas, "even")
-            label = classify_mod.pure3_class(coeffs, threshold=tolerance)
+    for name, coeffs, expected in _TABLE1_EXEMPLARS:
+        label = classify_mod.pure3_class(coeffs, threshold=tolerance)
         ok = label.label == expected
         mismatch |= not ok
         rows.append(

@@ -230,6 +230,9 @@ class SubsystemSpec:
     target_modes: tuple[int, ...]
 
     def __post_init__(self):
+        for m in self.target_modes:
+            if isinstance(m, bool) or not isinstance(m, (int, np.integer)):
+                raise LayoutError(f"spec modes must be integers, got {m!r}")
         modes = tuple(int(m) for m in self.target_modes)
         object.__setattr__(self, "target_modes", modes)
         if not modes:
@@ -266,7 +269,7 @@ class SubsystemSpec:
 def as_spec(spec: "SubsystemSpec | Iterable[int] | int") -> SubsystemSpec:
     if isinstance(spec, SubsystemSpec):
         return spec
-    if isinstance(spec, int):
+    if isinstance(spec, (int, np.integer)):
         return SubsystemSpec((spec,))
     return SubsystemSpec(tuple(spec))
 
@@ -302,7 +305,7 @@ class FockOperator:
     __slots__ = ("layout", "matrix", "_flags", "_norms")
 
     def __init__(self, layout: ModeLayout, matrix: np.ndarray, copy: bool = True):
-        matrix = np.array(matrix, dtype=complex, copy=copy)
+        matrix = np.array(matrix, dtype=complex) if copy else np.asarray(matrix, dtype=complex)
         if matrix.shape != (layout.dim, layout.dim):
             raise LayoutError(
                 f"matrix shape {matrix.shape} does not match layout dimension {layout.dim}"
@@ -471,16 +474,6 @@ def parity_op(layout: ModeLayout, spec: SubsystemSpec | None = None) -> FockOper
         mask = spec.mask()
     signs = _sign_vector(layout.num_modes, mask)
     return FockOperator(layout, np.diag(signs.astype(complex)), copy=False)
-
-
-def basis_vector(layout: ModeLayout, occupations: Sequence[int]) -> np.ndarray:
-    """Unit vector for the normal-ordered basis state with the given occupations."""
-    if len(occupations) != layout.num_modes:
-        raise LayoutError("need one occupation number per mode")
-    index = sum((1 << j) for j, n in enumerate(occupations) if n)
-    vec = np.zeros(layout.dim, dtype=complex)
-    vec[index] = 1.0
-    return vec
 
 
 # -- mode permutation with Jordan-Wigner signs -----------------------------------

@@ -382,10 +382,7 @@ def amplitude_tensor(vec: np.ndarray) -> np.ndarray:
     vec = np.asarray(vec, dtype=complex)
     if vec.shape != (8,):
         raise ValueError("expected a state vector on three modes (length 8)")
-    a = np.zeros((2, 2, 2), dtype=complex)
-    for i in range(8):
-        a[i & 1, (i >> 1) & 1, (i >> 2) & 1] = vec[i]
-    return a
+    return vec.reshape(2, 2, 2).transpose().copy()  # bit j-1 of the index is n_j
 
 
 def pure_state_vector(rho: FockOperator, tol: float = 1e-8) -> np.ndarray:

@@ -28,8 +28,6 @@ from .fock import (
     _permute_matrix,
     _sign_vector,
     as_spec,
-    basis_vector,
-    creation_op,
     majorana_op,
 )
 
@@ -89,50 +87,32 @@ def _density(layout: ModeLayout, vec: np.ndarray) -> FockOperator:
     return FockOperator(layout, m, copy=False)
 
 
-def _two_mode_pure_vector(coeffs: PureCoeffs) -> np.ndarray:
-    l0, l1 = coeffs.lambdas
-    vec = np.zeros(4, dtype=complex)
-    if coeffs.parity_sector == "even":
-        vec[0b00] = l0  # |00>
-        vec[0b11] = l1  # f1+ f2+ |0>
-    else:
-        vec[0b01] = l0  # f1+ |0>
-        vec[0b10] = l1  # f2+ |0>
-    return vec
-
-
-def _three_mode_pure_vector(coeffs: PureCoeffs) -> np.ndarray:
-    l0, l1, l2, l3 = coeffs.lambdas
-    vec = np.zeros(8, dtype=complex)
-    if coeffs.parity_sector == "even":
-        vec[0b000] = l0
-        vec[0b011] = l1  # f1+ f2+ |0>
-        vec[0b110] = l2  # f2+ f3+ |0>
-        vec[0b101] = l3  # f1+ f3+ |0>
-    else:
-        vec[0b100] = l0  # f3+ |0>
-        vec[0b111] = l1  # f1+ f2+ f3+ |0>
-        vec[0b010] = l2  # f2+ |0>
-        vec[0b001] = l3  # f1+ |0>
-    return vec
+#: Occupation basis index (bit ``j-1`` is ``n_j``) of each sector amplitude
+#: ``lambda_k``, keyed by (modes, parity sector).
+_SECTOR_BASIS = {
+    (2, "even"): [0b00, 0b11],  # |0>, f1+ f2+ |0>
+    (2, "odd"): [0b01, 0b10],  # f1+ |0>, f2+ |0>
+    (3, "even"): [0b000, 0b011, 0b110, 0b101],  # |0>, f1+ f2+ |0>, f2+ f3+ |0>, f1+ f3+ |0>
+    (3, "odd"): [0b100, 0b111, 0b010, 0b001],  # f3+ |0>, f1+ f2+ f3+ |0>, f2+ |0>, f1+ |0>
+}
 
 
 def pure_vector_from_coeffs(coeffs: PureCoeffs) -> tuple[np.ndarray, ModeLayout]:
-    if coeffs.num_modes == 2:
-        return _two_mode_pure_vector(coeffs), ModeLayout.bipartite(1, 1)
-    return _three_mode_pure_vector(coeffs), ModeLayout.tripartite()
+    """State vector (``coeffs.lambdas`` placed by :data:`_SECTOR_BASIS`) and layout."""
+    vec = np.zeros(1 << coeffs.num_modes, dtype=complex)
+    vec[_SECTOR_BASIS[coeffs.num_modes, coeffs.parity_sector]] = coeffs.lambdas
+    return vec, ModeLayout.bipartite(1, 1) if coeffs.num_modes == 2 else ModeLayout.tripartite()
 
 
-def _w_vector() -> np.ndarray:
-    vec = np.zeros(8, dtype=complex)
-    vec[0b001] = vec[0b010] = vec[0b100] = 1.0 / np.sqrt(3.0)
-    return vec
-
-
-def _ghz_vector() -> np.ndarray:
-    vec = np.zeros(8, dtype=complex)
-    vec[0b001] = vec[0b010] = vec[0b100] = vec[0b111] = 0.5
-    return vec
+#: The singlet, W and GHZ states as points of the sector-amplitude parametrization.
+_SECTOR_POINTS = {
+    "singlet": PureCoeffs((1.0 / np.sqrt(2.0), -1.0 / np.sqrt(2.0)), "odd"),
+    "w": PureCoeffs((1.0 / np.sqrt(3.0), 0.0, 1.0 / np.sqrt(3.0), 1.0 / np.sqrt(3.0)), "odd"),
+    "ghz": PureCoeffs((0.5, 0.5, 0.5, 0.5), "odd"),
+}
+_GHZ, _W = (pure_vector_from_coeffs(_SECTOR_POINTS[name])[0] for name in ("ghz", "w"))
+_GHZ.setflags(write=False)
+_W.setflags(write=False)
 
 
 def canonical_vector(name: str, **params) -> tuple[np.ndarray, ModeLayout]:
@@ -143,32 +123,26 @@ def canonical_vector(name: str, **params) -> tuple[np.ndarray, ModeLayout]:
     The global phase is fixed by making the first nonzero amplitude real
     and positive.
     """
-    if name == "singlet":
-        vec = np.zeros(4, dtype=complex)
-        vec[0b01] = 1.0 / np.sqrt(2.0)
-        vec[0b10] = -1.0 / np.sqrt(2.0)
-        return _fix_phase(vec), ModeLayout.bipartite(1, 1)
-    if name == "w":
-        return _w_vector(), ModeLayout.tripartite()
-    if name == "ghz":
-        return _ghz_vector(), ModeLayout.tripartite()
     if name == "psi_p":
         p = float(params["p"])
         if not 0.0 <= p <= 1.0:
             raise StateValidationError(f"psi_p parameter must be in [0, 1], got {p}")
-        vec = np.sqrt(p) * _ghz_vector() - np.sqrt(1.0 - p) * _w_vector()
+        vec = np.sqrt(p) * _GHZ - np.sqrt(1.0 - p) * _W
         norm = np.linalg.norm(vec)
         if norm < 1e-12:
             raise StateValidationError("psi_p superposition collapsed to zero")
         return _fix_phase(vec / norm), ModeLayout.tripartite()
-    if name in ("two_mode_pure", "three_mode_pure"):
+    if name in _SECTOR_POINTS:
+        coeffs = _SECTOR_POINTS[name]
+    elif name in ("two_mode_pure", "three_mode_pure"):
         coeffs = PureCoeffs(tuple(params["lambdas"]), params["parity"])
         want = 2 if name == "two_mode_pure" else 3
         if coeffs.num_modes != want:
             raise StateValidationError(f"{name} expects {2 * want - 2} amplitudes")
-        vec, layout = pure_vector_from_coeffs(coeffs)
-        return _fix_phase(vec), layout
-    raise ValueError(f"unknown pure canonical state {name!r}")
+    else:
+        raise ValueError(f"unknown pure canonical state {name!r}")
+    vec, layout = pure_vector_from_coeffs(coeffs)
+    return _fix_phase(vec), layout
 
 
 def majorana_dimer_state() -> FockOperator:
@@ -228,15 +202,9 @@ def biseparable_example(alpha: complex = 0.8) -> FockOperator:
     ``B(AC)`` and ``C(AB)`` cuts for ``alpha != 0``, yet the reduced BC state
     is separable.
     """
-    layout = ModeLayout.tripartite()
-    vac = basis_vector(layout, (0, 0, 0))
-    f1 = creation_op(layout, 1).matrix
-    f2 = creation_op(layout, 2).matrix
-    f3 = creation_op(layout, 3).matrix
-    norm = 1.0 / np.sqrt(1.0 + abs(alpha) ** 2)
-    psi_plus = norm * (vac + alpha * f2 @ f3 @ vac)
-    psi_minus = norm * (vac - alpha * f2 @ f3 @ vac)
-    top = f1 @ psi_plus
+    norm = 1.0 / np.sqrt(1.0 + abs(alpha) ** 2)  # f_1^+ |Psi_+> is parity odd, |Psi_-> even
+    top, layout = pure_vector_from_coeffs(PureCoeffs((0.0, norm * alpha, 0.0, norm), "odd"))
+    psi_minus, _ = pure_vector_from_coeffs(PureCoeffs((norm, 0.0, -norm * alpha, 0.0), "even"))
     mat = 0.5 * (np.outer(top, top.conj()) + np.outer(psi_minus, psi_minus.conj()))
     return FockOperator(layout, mat, copy=False)
 

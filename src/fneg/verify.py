@@ -21,6 +21,7 @@ from .errors import SamplingError
 from .fock import (
     _BLOCK_MIN_MODES,
     FLAG_TOL,
+    MAX_MODES,
     FockOperator,
     ModeLayout,
     SubsystemSpec,
@@ -189,6 +190,14 @@ def _identity_trial(rng: np.random.Generator, n: int) -> tuple[float, dict]:
                                       "worst_identity": worst}
 
 
+def _mode_counts(modes) -> tuple[int, ...]:
+    """``modes`` (an integer or an iterable) as a non-empty tuple of mode counts in 2..MAX_MODES."""
+    modes = (modes,) if isinstance(modes, (int, np.integer)) else tuple(modes)
+    if not modes or not all(isinstance(m, (int, np.integer)) and 2 <= m <= MAX_MODES for m in modes):
+        raise ValueError(f"need at least one integer mode count, each in 2..{MAX_MODES}, got {modes}")
+    return modes
+
+
 def check_identity_suite(
     seed=0, trials: int = 100, modes=(2, 3, 4), tolerance: float = 1e-11
 ) -> CheckReport:
@@ -209,9 +218,9 @@ def check_identity_suite(
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
+    modes = _mode_counts(modes)
     rng = _rng(seed)
     base_seed = seed if isinstance(seed, int) else None
-    modes = (modes,) if isinstance(modes, int) else tuple(modes)
     worst = 0.0
     diagnostics = []
     for t in range(trials):
@@ -690,8 +699,8 @@ def conjecture_scan(
     """
     if samples < 1:
         raise ValueError("samples must be at least 1")
+    num_modes = _mode_counts(num_modes)
     rng = _rng(seed)
-    num_modes = (num_modes,) if isinstance(num_modes, int) else tuple(num_modes)
     configs = []
     for n in num_modes:
         for m_a in range(1, n):
@@ -745,6 +754,8 @@ def pi_inequality_scan(seed=0, samples: int = 300, flavor: str = "fermionic") ->
     Informational only: violation counts are reported but never gate a pass
     (the fermionic-flavor status of the inequality is an open question).
     """
+    if samples < 1:
+        raise ValueError("samples must be at least 1")
     rng = _rng(seed)
     layout = ModeLayout.tripartite()
     violations = 0

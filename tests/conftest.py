@@ -29,6 +29,14 @@ def max_abs(a, b=None):
     return float(np.abs(m).max())
 
 
+def basis_vector(layout: ModeLayout, occupations) -> np.ndarray:
+    """Normal-ordered basis state with occupation ``occupations[j-1]`` in mode j."""
+    assert len(occupations) == layout.num_modes
+    vec = np.zeros(layout.dim, dtype=complex)
+    vec[sum(1 << j for j, n in enumerate(occupations) if n)] = 1.0
+    return vec
+
+
 def record_calls(monkeypatch, *names):
     """Log ``(name, shape of the first argument)`` per call of each named function.
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import warnings
 
@@ -38,6 +39,16 @@ class TestReproduce:
         result = invoke(runner, ["reproduce", "table1"])
         assert result.exit_code == 0
         assert result.output.count("true") == 6
+
+    @pytest.mark.parametrize("output,digest", [
+        ("csv", "94e1d1e75e2f332c14509a1a73f961a5ecfbef21b9d2488f2f3398e03af2632a"),
+        ("json", "1fa521db8a60a186c676b8dd3d2e6af4926bef7e8581bffb10ae1b21f0a88028"),
+    ])
+    def test_table1_output_is_pinned(self, runner, output, digest):
+        # every exemplar's row, label and formatting, byte for byte
+        result = invoke(runner, ["--output", output, "reproduce", "table1"])
+        assert result.exit_code == 0
+        assert hashlib.sha256(result.output.encode()).hexdigest() == digest
 
     def test_deterministic_output(self, runner):
         first = invoke(runner, ["reproduce", "paper-values"]).output

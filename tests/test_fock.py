@@ -1,9 +1,10 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
 
-from conftest import max_abs, random_even_operator, record_calls
+from conftest import basis_vector, max_abs, random_even_operator, record_calls
 from fneg.errors import LayoutError, ParityError, StateValidationError
 from fneg.fock import (
     _BLOCK_MIN_MODES,
@@ -16,7 +17,6 @@ from fneg.fock import (
     _popcount_array,
     _sign_vector,
     annihilation_op,
-    basis_vector,
     creation_op,
     embed_local,
     graded_tensor,
@@ -58,6 +58,21 @@ class TestModeLayout:
             SubsystemSpec((3,)).validate(lay)
         with pytest.raises(LayoutError):
             SubsystemSpec((1, 1))
+
+    @pytest.mark.parametrize("modes", [(1.9,), (True,), ("1",), (np.float64(1.0),)])
+    def test_spec_rejects_non_integer_modes(self, modes):
+        # int() would truncate each of these to mode 1
+        with pytest.raises(LayoutError, match=re.escape(repr(modes[0]))):
+            SubsystemSpec(modes)
+        with pytest.raises(LayoutError):
+            negativity(canonical_state("singlet"), modes)
+
+    def test_spec_takes_numpy_integers(self):
+        spec = SubsystemSpec((np.int64(2), np.uint8(1)))
+        assert spec.target_modes == (2, 1)
+        assert all(type(m) is int for m in spec.target_modes)
+        rho = canonical_state("singlet")
+        assert negativity(rho, np.int64(1)) == negativity(rho, 1)
 
 
 class TestCreationOperators:
@@ -300,6 +315,12 @@ class TestFockOperatorFlags:
             arr[0, 0] = 1.0
         with pytest.raises(ValueError, match="read-only"):
             arr *= 2.0
+
+    @pytest.mark.parametrize("matrix", [np.eye(2) / 2, [[0.5, 0], [0, 0.5]]])
+    def test_uncopied_real_or_list_input_is_converted(self, matrix):
+        op = FockOperator(ModeLayout(1, ("A",)), matrix, copy=False)
+        assert op.matrix.dtype == complex
+        assert np.array_equal(op.matrix, np.eye(2) / 2)
 
     def test_residuals_read_once_for_any_tolerance(self, monkeypatch, rng):
         op = random_density(ModeLayout(6, ("A",) * 6), rng)

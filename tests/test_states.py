@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 import fneg.states
-from conftest import max_abs
+from conftest import basis_vector, max_abs
 from fneg.errors import LayoutError, StateValidationError
-from fneg.fock import ModeLayout, SubsystemSpec, majorana_op
+from fneg.fock import ModeLayout, SubsystemSpec, creation_op, majorana_op
 from fneg.states import (
     PureCoeffs,
     biseparable_example,
@@ -94,6 +94,105 @@ class TestCanonicalStates:
         rho = biseparable_example(0.8)
         assert rho.is_density_matrix()
         assert rho.layout.labels == ("A", "B", "C")
+
+
+# The literal per-sector builders that ``states._SECTOR_BASIS`` replaced, kept as
+# the reference: bit j-1 of a basis index is the occupation n_j.
+
+
+def _two_mode_pure_vector(coeffs: PureCoeffs) -> np.ndarray:
+    l0, l1 = coeffs.lambdas
+    vec = np.zeros(4, dtype=complex)
+    if coeffs.parity_sector == "even":
+        vec[0b00] = l0  # |00>
+        vec[0b11] = l1  # f1+ f2+ |0>
+    else:
+        vec[0b01] = l0  # f1+ |0>
+        vec[0b10] = l1  # f2+ |0>
+    return vec
+
+
+def _three_mode_pure_vector(coeffs: PureCoeffs) -> np.ndarray:
+    l0, l1, l2, l3 = coeffs.lambdas
+    vec = np.zeros(8, dtype=complex)
+    if coeffs.parity_sector == "even":
+        vec[0b000] = l0
+        vec[0b011] = l1  # f1+ f2+ |0>
+        vec[0b110] = l2  # f2+ f3+ |0>
+        vec[0b101] = l3  # f1+ f3+ |0>
+    else:
+        vec[0b100] = l0  # f3+ |0>
+        vec[0b111] = l1  # f1+ f2+ f3+ |0>
+        vec[0b010] = l2  # f2+ |0>
+        vec[0b001] = l3  # f1+ |0>
+    return vec
+
+
+def _w_vector() -> np.ndarray:
+    vec = np.zeros(8, dtype=complex)
+    vec[0b001] = vec[0b010] = vec[0b100] = 1.0 / np.sqrt(3.0)
+    return vec
+
+
+def _ghz_vector() -> np.ndarray:
+    vec = np.zeros(8, dtype=complex)
+    vec[0b001] = vec[0b010] = vec[0b100] = vec[0b111] = 0.5
+    return vec
+
+
+def _singlet_vector() -> np.ndarray:
+    vec = np.zeros(4, dtype=complex)
+    vec[0b01] = 1.0 / np.sqrt(2.0)
+    vec[0b10] = -1.0 / np.sqrt(2.0)
+    return fneg.states._fix_phase(vec)
+
+
+def _psi_p_vector(p: float) -> np.ndarray:
+    vec = np.sqrt(p) * _ghz_vector() - np.sqrt(1.0 - p) * _w_vector()
+    return fneg.states._fix_phase(vec / np.linalg.norm(vec))
+
+
+class TestSectorTable:
+    """``canonical_vector`` is bit for bit the literal builders above."""
+
+    @pytest.mark.parametrize("name,reference", [
+        ("singlet", _singlet_vector), ("w", _w_vector), ("ghz", _ghz_vector)])
+    def test_named_points(self, name, reference):
+        vec, layout = canonical_vector(name)
+        assert vec.tobytes() == reference().tobytes()
+        assert layout.num_modes == (2 if name == "singlet" else 3)
+
+    def test_psi_p_grid(self):
+        for p in np.linspace(0.0, 1.0, 101):
+            assert canonical_vector("psi_p", p=p)[0].tobytes() == _psi_p_vector(p).tobytes()
+
+    @pytest.mark.parametrize("parity", ["even", "odd"])
+    @pytest.mark.parametrize("name,count,reference", [
+        ("two_mode_pure", 2, _two_mode_pure_vector),
+        ("three_mode_pure", 4, _three_mode_pure_vector)])
+    def test_random_amplitudes(self, rng, name, count, reference, parity):
+        for _ in range(20):
+            lams = rng.normal(size=count) + 1j * rng.normal(size=count)
+            coeffs = PureCoeffs(tuple(lams / np.linalg.norm(lams)), parity)
+            want = fneg.states._fix_phase(reference(coeffs))
+            vec, _ = canonical_vector(name, lambdas=coeffs.lambdas, parity=parity)
+            assert vec.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("alpha", [0.8, 0.0, -0.5, 2.0, 0.6 + 0.2j, 1j, 0.8 + 0j])
+    def test_biseparable_example_matches_creation_operators(self, alpha):
+        layout = ModeLayout.tripartite()
+        vac = basis_vector(layout, (0, 0, 0))
+        f1, f2, f3 = (creation_op(layout, j).matrix for j in (1, 2, 3))
+        norm = 1.0 / np.sqrt(1.0 + abs(alpha) ** 2)
+        top = f1 @ (norm * (vac + alpha * f2 @ f3 @ vac))
+        psi_minus = norm * (vac - alpha * f2 @ f3 @ vac)
+        mat = 0.5 * (np.outer(top, top.conj()) + np.outer(psi_minus, psi_minus.conj()))
+        assert biseparable_example(alpha).matrix.tobytes() == mat.tobytes()
+
+    def test_named_vectors_are_fresh(self):
+        vec, _ = canonical_vector("ghz")
+        vec[0] = 1.0
+        assert canonical_vector("ghz")[0].tobytes() == _ghz_vector().tobytes()
 
 
 class TestPureCoeffs:

@@ -787,3 +787,18 @@ class TestPiInequalityScan:
         assert report.passed  # informational: never gates
         summary = report.diagnostics[0]
         assert "violations" in summary and "worst_slack" in summary
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: conjecture_scan(samples=1, num_modes=(1,)), "mode count"),
+    (lambda: conjecture_scan(samples=1, num_modes=()), "mode count"),
+    (lambda: conjecture_scan(samples=1, num_modes=(2, 13)), "mode count"),
+    (lambda: conjecture_scan(samples=1, num_modes=(2.5,)), "mode count"),
+    (lambda: check_identity_suite(trials=1, modes=()), "mode count"),
+    (lambda: check_identity_suite(trials=1, modes=(1,)), "mode count"),
+    (lambda: pi_inequality_scan(samples=0), "samples must be at least 1"),
+], ids=["conjecture_one_mode", "conjecture_no_modes", "conjecture_too_many_modes",
+        "conjecture_float_modes", "identities_no_modes", "identities_one_mode", "pi_no_samples"])
+def test_degenerate_inputs_raise_value_error(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
