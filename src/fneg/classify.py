@@ -58,6 +58,11 @@ class ParityType(NamedTuple):
     commutator_norm: float
 
 
+def _check_threshold(threshold: float) -> None:
+    if not 0.0 <= threshold < np.inf:  # NaN fails too
+        raise ValueError(f"threshold must be a finite number >= 0, got {threshold!r}")
+
+
 def _is_marginal(value: float, threshold: float) -> bool:
     return threshold / _MARGINAL_BAND < value < threshold * _MARGINAL_BAND
 
@@ -92,9 +97,11 @@ def two_mode_separable(
     """
     if rho.layout.num_modes != 2:
         raise StateValidationError("two_mode_separable expects a two-mode state")
+    _check_threshold(threshold)
     rho.require_density_matrix(tol)
     if structural_threshold is None:
         structural_threshold = float(np.sqrt(threshold))
+    _check_threshold(structural_threshold)
     neg = negativity(rho, SubsystemSpec((1,)), "fermionic", tol)
     off = off_diagonal_norm(rho)
     neg_separable = neg <= threshold
@@ -157,6 +164,7 @@ def pure3_class(
     Accepts sector amplitudes or a pure density matrix; mixed input is
     rejected.
     """
+    _check_threshold(threshold)
     if isinstance(state, PureCoeffs):
         if state.num_modes != 3:
             raise StateValidationError("pure3_class expects three-mode amplitudes")
@@ -186,6 +194,7 @@ def mixed3_classify(
     """
     if rho.layout.num_modes != 3:
         raise StateValidationError("mixed3_classify expects a three-mode state")
+    _check_threshold(threshold)
     rho.require_density_matrix(tol)
     wit = _tri_witnesses(rho, tol)
     values = [wit["negativity_A"], wit["negativity_B"], wit["negativity_C"]]

@@ -26,6 +26,7 @@ from .fock import (
     FockOperator,
     SubsystemSpec,
     _density_verdicts,
+    _gather_blocks,
     _sign_vector,
     as_spec,
 )
@@ -33,7 +34,6 @@ from .ptranspose import (
     _check_flavor,
     _resolve_spec,
     _signed_gather,
-    bosonic_pt,
     parity_project,
     partial_trace,
     partial_transpose,
@@ -117,27 +117,8 @@ def _pt_norm(rho: FockOperator, spec, flavor: str, tol: float) -> float:
     ``negativity``, ``log_negativity`` and ``bipartite_report`` share one solve
     and ``(1, 3)`` and ``(3, 1)`` one entry.  A target and its complement do
     not: their norms agree by theorem, and each is computed, so that the one
-    checks the other.
-
-    A miss hands the transpose to :func:`trace_norm` with ``rho``'s residuals,
-    so it is not scanned again.  Both transposes are signed permutations of
-    ``rho``'s entries, and the bit swap keeps the global parity ``p(row) +
-    p(col)``: the entries between the parity sectors are ``rho``'s own, NaN
-    included, so the transpose has ``rho``'s parity leak and has exact blocks
-    iff ``rho`` has.  The fermionic flavor is solved through its Hermitian twin
-    ``T = rho^{T_A} (-1)^{F_A}``: for parity-even Hermitian ``rho``,
-    ``(rho^{T_A})^+ = (-1)^{F_A} rho^{T_A} (-1)^{F_A}``, so ``T`` is Hermitian,
-    and ``(-1)^{F_A}`` is unitary, so ``T`` has the singular values of the
-    transpose.  The column sign is applied in place, so no second d x d array
-    is built.  (Folding it into ``_SIGN_PHASE`` would flip the sign of entries
-    that are exactly zero, and ``eigvalsh`` can then round differently.)  The
-    entries of ``T``, like those of the bosonic transpose, are ``rho``'s mirror
-    pairs times exact factors ``+-1`` and ``+-i``, so their mirror differences
-    have the moduli of ``rho``'s: the residuals are equal, and ``T`` is
-    Hermitian bit for bit exactly when ``rho`` is.  So ``eigvalsh`` runs iff
-    ``rho``'s residual is 0.0, the block SVD otherwise, and the dense SVD
-    without exact blocks, and every value is bit for bit that of the scanned
-    transpose (or twin).
+    checks the other.  A miss runs :func:`_pt_norms` on ``rho`` alone with
+    ``rho``'s residuals, so the transpose is not scanned again.
     """
     _check_flavor(flavor)
     fermionic = flavor == "fermionic"
@@ -147,45 +128,68 @@ def _pt_norm(rho: FockOperator, spec, flavor: str, tol: float) -> float:
     else:
         spec = as_spec(spec)
         spec.validate(rho.layout)
-    if rho.layout.num_modes < _BLOCK_MIN_MODES:
+    n = rho.layout.num_modes
+    if n < _BLOCK_MIN_MODES:
         return trace_norm(partial_transpose(rho, spec, flavor))
     key = (flavor, spec.mask())
     if key not in rho._norms:
-        rho._norms[key] = _solve_pt_norm(rho, spec, flavor)
+        residuals = [[rho._parity_leak()], [rho._hermitian_residual()]]
+        norms = _pt_norms(rho.matrix[None], n, spec, fermionic, residuals=residuals)
+        rho._norms[key] = float(norms[0])
     return rho._norms[key]
 
 
-def _solve_pt_norm(rho: FockOperator, spec: SubsystemSpec, flavor: str) -> float:
-    n = rho.layout.num_modes
-    if flavor == "fermionic":
-        t = _signed_gather(rho.matrix, n, spec, fermionic=True)
-        t *= _sign_vector(n, spec.mask())
-    else:
-        t = bosonic_pt(rho, spec).matrix
-    t = FockOperator(rho.layout, t, copy=False)
-    # A signed permutation of rho's entries that keeps p(row) + p(col) and maps
-    # mirror pairs onto mirror pairs: it has rho's parity leak and residual.
-    t._flags.update(leak=rho._parity_leak(), herm=rho._hermitian_residual())
-    return trace_norm(t)
-
-
-def _dense_pt_norms(
-    stack: np.ndarray, n: int, spec: SubsystemSpec, tol: float
+def _pt_norms(
+    stack: np.ndarray, n: int, spec: SubsystemSpec, fermionic: bool = True,
+    tol: float = FLAG_TOL, residuals=None,
 ) -> np.ndarray | None:
-    """Fermionic ``|rho^{T_A}|_1`` of each state of a ``(k, d, d)`` stack on ``n`` modes.
+    """``|rho^{T_A}|_1`` of each state of a ``(k, d, d)`` stack on ``n`` modes, as in ``_pt_norm``.
 
-    What :func:`_pt_norm` computes below :data:`_BLOCK_MIN_MODES` modes, each
-    stage run once on the stack: the checks of ``require_density_matrix`` and
-    ``fermionic_pt`` (a proper target, then :func:`fock._density_verdicts`),
-    :func:`_signed_gather` and the dense SVD.  Every kernel acts member by
-    member, so each norm equals ``_pt_norm``'s bit for bit.  ``None`` when any
-    member fails a check; ``_pt_norm`` of that member raises the error.
+    ``residuals``, each member's parity leak and Hermiticity residual, mark a
+    stack its caller has validated.  Without them the stack is checked as
+    ``_pt_norm`` checks a state for the fermionic flavor: a proper target, then
+    :func:`fock._density_verdicts`; ``None`` if any member fails.  One
+    :func:`_signed_gather` transposes the stack; below :data:`_BLOCK_MIN_MODES`
+    modes each member takes the dense SVD.  From there the fermionic transpose
+    is solved through its Hermitian twin ``T = rho^{T_A} (-1)^{F_A}`` (for
+    parity-even Hermitian ``rho``, ``(rho^{T_A})^+ = (-1)^{F_A} rho^{T_A}
+    (-1)^{F_A}``; the unitary sign keeps the singular values).  The column sign
+    is applied in place: no second array, and no sign flip of exact zeros, as
+    folding it into ``_SIGN_PHASE`` would make, on which ``eigvalsh`` can round
+    differently.  Both transposes keep ``p(row) + p(col)`` and map ``rho``'s
+    mirror pairs onto mirror pairs times exact ``+-1`` and ``+-i``, so they have
+    ``rho``'s leak and residual.  A member whose leak is 0.0 has exact parity
+    blocks, gathered once: ``|eigvalsh|`` if its residual is 0.0 (``eigvalsh``
+    reads one triangle), the block SVD otherwise; the others take the dense
+    SVD.  Values are summed as :func:`trace_norm` sums them, and every kernel
+    acts member by member, so each norm equals ``negativity``'s bit for bit.
     """
-    if not (set(spec.target_modes) < set(range(1, n + 1))
-            and _density_verdicts(stack, n, tol).all()):
-        return None
-    pt = _signed_gather(stack, n, spec, fermionic=True)
-    return np.linalg.svd(pt, compute_uv=False).sum(axis=-1)
+    if residuals is None:
+        if fermionic and not set(spec.target_modes) < set(range(1, n + 1)):
+            return None
+        verdicts, *residuals = _density_verdicts(stack, n, tol)
+        if not verdicts.all():
+            return None
+    t = _signed_gather(stack, n, spec, fermionic)
+    if n < _BLOCK_MIN_MODES:
+        return np.linalg.svd(t, compute_uv=False).sum(axis=-1)
+    if fermionic:
+        t *= _sign_vector(n, spec.mask())
+    leak, herm = np.asarray(residuals)
+    exact = leak == 0.0
+    norms = np.empty(len(t))
+    if not exact.all():
+        norms[~exact] = np.linalg.svd(t[~exact], compute_uv=False).sum(axis=-1)
+    if exact.any():  # a uniform stack is solved without a copy
+        blocks = _gather_blocks(t if exact.all() else t[exact], n)
+        hermitian = herm[exact] == 0.0
+        for chosen, spectrum in ((hermitian, lambda b: np.abs(np.linalg.eigvalsh(b))),
+                                 (~hermitian, lambda b: np.linalg.svd(b, compute_uv=False))):
+            if chosen.any():
+                values = spectrum(blocks if chosen.all() else blocks[chosen])
+                values = np.sort(values.reshape(len(values), -1))[:, ::-1]
+                norms[np.flatnonzero(exact)[chosen]] = values.sum(axis=-1)
+    return norms
 
 
 def negativity(
@@ -245,6 +249,8 @@ def entropy(rho: FockOperator, order="vN", tol: float = FLAG_TOL) -> float:
         nz = evals[evals > SINGULAR_FLOOR]
         return float(-(nz * np.log(nz)).sum())
     n = float(order)
+    if not np.isfinite(n):
+        raise ValueError(f"Renyi order must be finite, got {order!r}")
     if n <= 0:
         raise ValueError("Renyi order must be positive")
     if n == 1.0:

@@ -42,7 +42,10 @@ PARITY_SECTORS = ("even", "odd")
 def _rng(seed) -> np.random.Generator:
     if isinstance(seed, np.random.Generator):
         return seed
-    return np.random.default_rng(seed)
+    try:
+        return np.random.default_rng(seed)
+    except TypeError as err:  # a float or a string: numpy's SeedSequence error
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}") from err
 
 
 @dataclass(frozen=True)

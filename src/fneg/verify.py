@@ -14,12 +14,12 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import SamplingError
 from .fock import (
-    _BLOCK_MIN_MODES,
     FLAG_TOL,
     MAX_MODES,
     FockOperator,
@@ -33,7 +33,7 @@ from .fock import (
     _sign_vector,
     embed_local,
 )
-from .measures import _dense_pt_norms, _pt_norm, log_negativity, negativity, pairwise_negativity, \
+from .measures import _pt_norm, _pt_norms, log_negativity, negativity, pairwise_negativity, \
     pi_abc, trace_norm, tripartite_report
 from .ptranspose import _sector_projection, _signed_gather, _traced, fermionic_pt, partial_trace
 from .states import (
@@ -83,6 +83,14 @@ def _report(name: str, trials: int, max_violation: float, tolerance: float,
         passed=bool(max_violation <= tolerance),
         diagnostics=diagnostics,
     )
+
+
+def _check_run(trials: int, tolerance: float) -> None:
+    """Raise ``ValueError`` unless ``trials >= 1`` and ``tolerance`` is a finite number >= 0."""
+    if trials < 1:
+        raise ValueError("trials must be at least 1")
+    if not 0.0 <= tolerance < np.inf:  # NaN fails too
+        raise ValueError(f"tolerance must be a finite number >= 0, got {tolerance!r}")
 
 
 def _fingerprint(matrix: np.ndarray) -> str:
@@ -216,8 +224,7 @@ def check_identity_suite(
     the per-call one, and the first parity-odd local operator or transpose
     input raises ``embed_local``'s or ``fermionic_pt``'s error.
     """
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
+    _check_run(trials, tolerance)
     modes = _mode_counts(modes)
     rng = _rng(seed)
     base_seed = seed if isinstance(seed, int) else None
@@ -236,23 +243,29 @@ def check_identity_suite(
 # -- LOCC monotonicity -------------------------------------------------------------
 
 
-def _measured_branches(evolved: np.ndarray, big: ModeLayout, r_mode: int, reduced: ModeLayout):
-    """Each state's ``(weight, reduced state)`` branches, measuring the occupation of ``r_mode``.
+def _measured_branches(evolved: np.ndarray, big: ModeLayout, r_mode: int):
+    """The branches of measuring the occupation of ``r_mode`` on each state of a stack on ``big``.
 
-    The states, a stack on ``big``, are validated as ``parity_project`` validates
-    one, and measured by its kernel and ``partial_trace``'s.
+    The states are validated as ``parity_project`` validates one, and measured
+    by its kernel and ``partial_trace``'s.  Returns the branches' owners (the
+    index of their state), weights and reduced states, a stack, each state's
+    branches in a row, the even one first; and each state's parity leak and
+    Hermiticity residual, which the validation read.
     """
-    for member in evolved[~_density_verdicts(evolved, big.num_modes, FLAG_TOL)]:
+    verdicts, *residuals = _density_verdicts(evolved, big.num_modes, FLAG_TOL)
+    for member in evolved[~verdicts]:
         FockOperator(big, member).require_density_matrix()
     keep = SubsystemSpec(tuple(m for m in range(1, big.num_modes + 1) if m != r_mode))
-    branches = [[] for _ in evolved]
+    owners, weights, states = [], [], []
     for sector in ("even", "odd"):  # |0><0| and |1><1| of one mode are its parity projectors
-        projected, weights = _sector_projection(evolved, big.num_modes, 1 << (r_mode - 1), sector)
-        kept = np.flatnonzero(weights > FLAG_TOL)  # parity_project's empty-branch rule
-        states = _traced(projected[kept] / weights[kept, None, None], big.num_modes, keep)
-        for i, state in zip(kept, states):
-            branches[i].append((float(weights[i]), FockOperator(reduced, state, copy=False)))
-    return branches
+        projected, found = _sector_projection(evolved, big.num_modes, 1 << (r_mode - 1), sector)
+        kept = np.flatnonzero(found > FLAG_TOL)  # parity_project's empty-branch rule
+        owners.append(kept)
+        weights.append(found[kept])
+        states.append(_traced(projected[kept] / found[kept, None, None], big.num_modes, keep))
+    order = np.argsort(np.concatenate(owners), kind="stable")
+    return (np.concatenate(owners)[order], np.concatenate(weights)[order],
+            np.concatenate(states)[order], np.array(residuals))
 
 
 def _grouped(items, key) -> dict:
@@ -271,27 +284,48 @@ def _restack(slots, fn) -> None:
             box[name] = value
 
 
-def _trial_norms(trials: list[dict[str, list]]) -> list[dict[str, list[float]]] | None:
-    """Each trial's jobs with each ``(state, spec)`` pair replaced by its ``|rho^{T_A}|_1``.
+class _Jobs(NamedTuple):
+    """Norms to take: a stack of states on one layout, with one target, in check order."""
 
-    A job is such a pair below :data:`_BLOCK_MIN_MODES` modes, or a norm
-    already taken.  The pairs of all trials are grouped by mode count and
-    target mask, and each group is checked, transposed and solved once by
-    :func:`fneg.measures._dense_pt_norms`: every norm equals the one behind
-    ``negativity`` bit for bit.  ``None`` if any group fails a check.
+    name: str  # the check that reads them
+    owners: np.ndarray  # the trial of each state
+    states: np.ndarray
+    layout: ModeLayout
+    spec: SubsystemSpec
+    residuals: np.ndarray | None = None  # each state's parity leak and residual, if validated
+
+
+def _job_norms(jobs: list[_Jobs], trials: int, per_call: bool) -> list[dict] | None:
+    """Each trial's ``|rho^{T_A}|_1`` values, in lists by check, from one stage's ``jobs``.
+
+    The jobs are stacked by mode count, target mask and whether their states
+    come validated, and each stack is checked, transposed and solved once by
+    :func:`fneg.measures._pt_norms`: every norm equals the one behind
+    ``negativity`` bit for bit.  If a stack fails a check: ``None``, or with
+    ``per_call`` one ``_pt_norm`` call per state, in check order, which raises
+    the per-call error.
     """
-    flat = [job for jobs in trials for group in jobs.values() for job in group]
-    pairs = [i for i, job in enumerate(flat) if isinstance(job, tuple)]
-    for (n, _), members in _grouped(
-            pairs, lambda i: (flat[i][0].layout.num_modes, flat[i][1].mask())).items():
-        stack = np.stack([flat[i][0].matrix for i in members])
-        solved = _dense_pt_norms(stack, n, flat[members[0]][1], FLAG_TOL)
-        if solved is None:
+    norms = [None] * len(jobs)
+    for (n, _, checked), members in _grouped(range(len(jobs)), lambda i: (
+            jobs[i].layout.num_modes, jobs[i].spec.mask(), jobs[i].residuals is not None)).items():
+        parts = [jobs[i] for i in members]
+        stack = parts[0].states if len(parts) == 1 else np.concatenate([j.states for j in parts])
+        residuals = np.concatenate([j.residuals for j in parts], axis=-1) if checked else None
+        solved = _pt_norms(stack, n, parts[0].spec, residuals=residuals)
+        if solved is None and not per_call:
             return None
-        for i, value in zip(members, solved.tolist()):
-            flat[i] = value
-    norms = iter(flat)
-    return [{key: [next(norms) for _ in group] for key, group in jobs.items()} for jobs in trials]
+        if solved is None:
+            norms = [[_pt_norm(FockOperator(job.layout, state), job.spec, "fermionic", FLAG_TOL)
+                      for state in job.states] for job in jobs]
+            break
+        ends = np.cumsum([len(job.states) for job in parts])[:-1]
+        for i, values in zip(members, np.split(solved, ends)):
+            norms[i] = values
+    found = [{job.name: [] for job in jobs} for _ in range(trials)]
+    for job, values in zip(jobs, norms):
+        for i, value in zip(job.owners, values):
+            found[i][job.name].append(float(value))
+    return found
 
 
 def _draw_locc_trial(rng: np.random.Generator) -> dict:
@@ -307,16 +341,18 @@ def _draw_locc_trial(rng: np.random.Generator) -> dict:
     return {"n": n, "m_a": m_a, **draw}
 
 
-def _build_locc_group(n: int, m_a: int, trials: list[dict]) -> None:
+def _build_locc_group(n: int, m_a: int, trials: list[dict]) -> list[_Jobs]:
     """Build the drawn trials of one ``(n, m_A)`` group as stacks.
 
-    Sets each trial's norm jobs, branch weights and diagnostics.  The parity
+    Sets each trial's branch weights and diagnostics and returns the norm jobs
+    of stages (a) to (d), in check order.  The validated evolved states come
+    with the residuals that :func:`_measured_branches` read.  The parity
     checks of ``embed_local`` and ``graded_tensor`` run on the stacks, in the
     per-call order (:func:`fock._require_even_stack`).
     """
     layout = ModeLayout.bipartite(m_a, n - m_a)
     spec_a, spec_b = layout.spec("A"), layout.spec("B")
-    one, two = ModeLayout(1, ("A",)), ModeLayout.bipartite(1, 1)
+    one = ModeLayout(1, ("A",))
 
     def stack(name: str) -> np.ndarray:
         return np.stack([t[name] for t in trials])
@@ -356,37 +392,47 @@ def _build_locc_group(n: int, m_a: int, trials: list[dict]) -> None:
     projected = ops @ rho[[i for i, _, _ in pairs]] @ ops
     weights = np.real(np.trace(projected, axis1=-2, axis2=-1))
     kept = np.flatnonzero(weights > FLAG_TOL)  # parity_project's empty-branch rule
-    outcomes = [[] for _ in trials]
-    for j, state in zip(kept, projected[kept] / weights[kept, None, None]):
-        outcomes[pairs[j][0]].append((float(weights[j]), FockOperator(layout, state, copy=False)))
+    outcomes = _Jobs("outcomes", np.array([pairs[j][0] for j in kept], dtype=int),
+                     projected[kept] / weights[kept, None, None], layout, spec_a)
 
     # (d) entangling an ancilla into A, measuring it, with and without averaging
     _, sigma = graded(one, stack("sigma"))
     tilde_spec = big.spec("A")
     u_ar = embedded(stack("u_ar"), big, tilde_spec.target_modes)
     evolved = u_ar @ sigma @ u_ar.conj().swapaxes(-1, -2)
-    branches = _measured_branches(evolved, big, tilde_spec.target_modes[-1], layout)
-
-    # (e) additivity under stacking
-    wide, stacked = graded(two, stack("other"))
-    spec_wide, spec_two = wide.spec("A"), two.spec("A")
+    owners, branch_weights, reduced, checked = _measured_branches(
+        evolved, big, tilde_spec.target_modes[-1])
+    mixed = np.stack([sum(w * red for w, red in zip(branch_weights[owners == i],
+                                                     reduced[owners == i]))
+                      for i in range(len(trials))])
 
     for i, t in enumerate(trials):
-        mixed = sum(w * red.matrix for w, red in branches[i])
-        t["jobs"] = {  # every norm, in the order the checks read them
-            "rho": [(FockOperator(layout, rho[i], copy=False), spec_a)],
-            "rotated": [(FockOperator(layout, rotated[i], copy=False), spec_a)],
-            "appended": [(FockOperator(big, appended[i], copy=False), tilde_spec)],
-            "outcomes": [(state, spec_a) for _, state in outcomes[i]],
-            "evolved": [(FockOperator(big, evolved[i], copy=False), tilde_spec)],
-            "branches": [(red, spec_a) for _, red in branches[i]],
-            "mixed": [(FockOperator(layout, mixed, copy=False), spec_a)],
-            "stacked": [(FockOperator(wide, stacked[i], copy=False), spec_wide)],
-            "other": [(FockOperator(two, t["other"], copy=False), spec_two)],
-        }
-        t["weights"] = {"outcomes": [w for w, _ in outcomes[i]],
-                        "branches": [w for w, _ in branches[i]]}
+        t["weights"] = {"outcomes": weights[kept][outcomes.owners == i].tolist(),
+                        "branches": branch_weights[owners == i].tolist()}
         t["diag"] = {"n": n, "m_a": m_a, "state": _fingerprint(rho[i])}
+    every = np.arange(len(trials))
+    return [_Jobs("rho", every, rho, layout, spec_a),
+            _Jobs("rotated", every, rotated, layout, spec_a),
+            _Jobs("appended", every, appended, big, tilde_spec),
+            outcomes,
+            _Jobs("evolved", every, evolved, big, tilde_spec, checked),
+            _Jobs("branches", owners, reduced, layout, spec_a),
+            _Jobs("mixed", every, mixed, layout, spec_a)]
+
+
+def _build_locc_stacking(n: int, m_a: int, trials: list[dict]) -> list[_Jobs]:
+    """(e) additivity under stacking: the norm jobs of ``rho (x) other`` and ``other``.
+
+    Built after the other stages' norms are taken and their states released,
+    since these states are the largest.
+    """
+    layout, two = ModeLayout.bipartite(m_a, n - m_a), ModeLayout.bipartite(1, 1)
+    other = np.stack([t["other"] for t in trials])
+    _require_even_stack(two, other)
+    wide, stacked = _graded_product(layout, two, np.stack([t["rho"] for t in trials]), other)
+    every = np.arange(len(trials))
+    return [_Jobs("stacked", every, stacked, wide, wide.spec("A")),
+            _Jobs("other", every, other, two, two.spec("A"))]
 
 
 def _score_locc_trial(diag: dict, weights: dict, norms: dict) -> tuple[float, dict]:
@@ -417,16 +463,19 @@ def _score_locc_trial(diag: dict, weights: dict, norms: dict) -> tuple[float, di
                                        "max_violation": float(viol[worst]), "worst_check": worst}
 
 
-def _locc_chunk(rng: np.random.Generator, count: int, min_modes: int):
+def _locc_chunk(rng: np.random.Generator, count: int):
     """``(worst violation, diagnostics)`` of ``count`` trials; ``None`` if a stack fails a check.
 
     The draw phase makes every generator call of the trials, one trial after
     the other, so a replay from a saved generator state draws them bit for bit.
     The build phase runs stage by stage on stacks: one Gram per mode count, one
     ``eigh`` per local mode count (unitaries, then projector sets), then each
-    ``(n, m_A)`` group (:func:`_build_locc_group`), whose states of ``min_modes``
-    or more modes are solved next, in check order.  :func:`_trial_norms` solves
-    the rest.  With ``count`` 1 and ``min_modes`` 0 this is the per-call order.
+    ``(n, m_A)`` group in slices of :data:`_LOCC_SLICE_BYTES`.  A slice's stages
+    (a) to (d) are built (:func:`_build_locc_group`) and their norms solved on
+    stacks (:func:`_job_norms`), then stage (e) (:func:`_build_locc_stacking`);
+    each stage's states are released once solved.  A single trial whose stack
+    fails a check takes its norms one ``_pt_norm`` call at a time, in check
+    order, which raises the per-call error.
     """
     trials = [_draw_locc_trial(rng) for _ in range(count)]
     _restack([(t, name, m) for t in trials for name, m in
@@ -437,21 +486,32 @@ def _locc_chunk(rng: np.random.Generator, count: int, min_modes: int):
     _restack([(drawn, 0, t["m_a"] if side == 0 else t["n"] - t["m_a"])
               for t in trials if t["proj"] for side, drawn in enumerate(t["proj"])],
              lambda normals, m: np.linalg.eigh(_even_hermitians(normals, m))[1])
+    scored = {}
     for (n, m_a), group in _grouped(trials, lambda t: (t["n"], t["m_a"])).items():
-        _build_locc_group(n, m_a, group)
-        for t in group:
-            t["jobs"] = {key: [_pt_norm(op, spec, "fermionic", FLAG_TOL)
-                               if op.layout.num_modes >= min_modes else (op, spec)
-                               for op, spec in jobs] for key, jobs in t["jobs"].items()}
-    norms = _trial_norms([t["jobs"] for t in trials])
-    return None if norms is None else [_score_locc_trial(t["diag"], t["weights"], trial_norms)
-                                       for t, trial_norms in zip(trials, norms)]
+        step = max(1, _LOCC_SLICE_BYTES >> (2 * n + 8))  # 2**(2n + 8) bytes: one stacked state
+        for part in (group[k:k + step] for k in range(0, len(group), step)):
+            norms = [{} for _ in part]
+            for build in (_build_locc_group, _build_locc_stacking):  # each stage's states die here
+                solved = _job_norms(build(n, m_a, part), len(part), per_call=count == 1)
+                if solved is None:
+                    return None
+                for trial_norms, found in zip(norms, solved):
+                    trial_norms.update(found)
+            for t, trial_norms in zip(part, norms):
+                scored[id(t)] = _score_locc_trial(t["diag"], t["weights"], trial_norms)
+                t.clear()  # the trial's draws
+    return [scored[id(t)] for t in trials]
 
 
-#: Trials that :func:`check_locc_monotonicity` draws, builds and solves together.  Their
-#: small states stay alive until the solve: ``verify locc`` (seed 7) peaked at 40.1 MB
-#: with 8, 39.8-39.9 MB with 1, 40.3 MB with 12 and 50.8 MB with all 200.
-_LOCC_CHUNK = 8
+#: Trials that :func:`check_locc_monotonicity` draws together.  A slice's states
+#: are released once solved, so a chunk holds little more than its draws.
+_LOCC_CHUNK = 64
+
+#: Bytes of the largest states (``n + 2`` modes, stacked) of the trials of one
+#: ``(n, m_A)`` group that :func:`_locc_chunk` builds and solves at a time: 2
+#: trials of n = 4, 8 of n = 3, 32 of n = 2.  A slice's temporaries take a few
+#: times these bytes, so this sets the peak memory of ``verify locc``.
+_LOCC_SLICE_BYTES = 1 << 17
 
 
 def check_locc_monotonicity(seed=0, trials: int = 200, tolerance: float = 1e-10) -> CheckReport:
@@ -459,19 +519,17 @@ def check_locc_monotonicity(seed=0, trials: int = 200, tolerance: float = 1e-10)
     and additivity, scored by equality deviation or negative inequality slack.
 
     A chunk of :data:`_LOCC_CHUNK` trials makes all its draws, then builds its
-    states stage by stage on stacks (:func:`_locc_chunk`).  States of
-    :data:`fock._BLOCK_MIN_MODES` or more modes are solved as soon as their
-    ``(n, m_A)`` group is built; the others are solved together.  The values
-    equal one ``negativity`` or ``log_negativity`` call per state bit for bit.
-    If a build or a solve raises, or a stack fails a check, the generator state
-    saved before the chunk is restored and the same code replays the chunk one
-    trial at a time, every state solved as soon as its trial is built, so the
-    first error is the per-call one.  The ancilla is measured with the kernels
-    of :func:`fneg.ptranspose.parity_project`, and every measurement drops an
-    outcome of weight at most ``FLAG_TOL``, ``parity_project``'s empty-sector rule.
+    states stage by stage on stacks and solves their norms on stacks as soon as
+    they are built (:func:`_locc_chunk`).  The values equal one ``negativity``
+    or ``log_negativity`` call per state bit for bit.  If a build or a solve
+    raises, or a stack fails a check, the generator state saved before the
+    chunk is restored and the same code replays the chunk one trial at a time,
+    so the first error is the per-call one.  The ancilla is measured with the
+    kernels of :func:`fneg.ptranspose.parity_project`, and every measurement
+    drops an outcome of weight at most ``FLAG_TOL``, ``parity_project``'s
+    empty-sector rule.
     """
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
+    _check_run(trials, tolerance)
     rng = _rng(seed)
     base_seed = seed if isinstance(seed, int) else None
     worst = 0.0
@@ -480,12 +538,12 @@ def check_locc_monotonicity(seed=0, trials: int = 200, tolerance: float = 1e-10)
         count = min(_LOCC_CHUNK, trials - start)
         state = rng.bit_generator.state
         try:
-            scored = _locc_chunk(rng, count, _BLOCK_MIN_MODES)
+            scored = _locc_chunk(rng, count)
         except Exception:  # the replay raises it again, after any earlier trial's error
             scored = None
         if scored is None:  # replay one trial, then its norms, at a time: the per-call order
             rng.bit_generator.state = state
-            scored = [result for _ in range(count) for result in _locc_chunk(rng, 1, 0)]
+            scored = [result for _ in range(count) for result in _locc_chunk(rng, 1)]
         for t, (dev, diag) in enumerate(scored, start):
             diag["trial"] = t
             diag["seed"] = base_seed
@@ -583,8 +641,9 @@ def check_perturbation_expansion(
     every odd-order correction vanishes identically and the stated cubic
     bracket cannot be met; the report carries the measured ratios.
     """
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
+    if not 0.0 <= min_pass_fraction <= 1.0:  # NaN fails too
+        raise ValueError(f"min_pass_fraction must be in [0, 1], got {min_pass_fraction!r}")
+    _check_run(trials, 1.0 - min_pass_fraction)
     epsilons = tuple(float(e) for e in epsilons)
     if len(epsilons) < 2 or any(e <= 0 for e in epsilons) or any(
         nxt >= prev for prev, nxt in zip(epsilons, epsilons[1:])
@@ -622,8 +681,9 @@ def check_perturbation_expansion(
 # -- conjecture and inequality scans ------------------------------------------------
 
 
-#: Bytes of one stacked array in a :func:`conjecture_scan` chunk: 128 samples at
-#: d = 8.  Larger chunks gain no speed and raise the scan's peak memory.
+#: Bytes of the matrices of one :func:`conjecture_scan` chunk, each sample counted
+#: at its own d: 128 samples at d = 8.  Larger chunks gain no speed and raise the
+#: scan's peak memory.
 _CHUNK_BYTES = 1 << 17
 
 
@@ -642,12 +702,12 @@ def _scan_sequential(rng, configs, start: int, stop: int):
 def _scan_stacked(rng, configs, start: int, stop: int):
     """What :func:`_scan_sequential` returns, each stage run once per stack of one config's samples.
 
-    For samples below :data:`_BLOCK_MIN_MODES` modes.  One ``rng.normal`` call
-    returns the numbers of the per-sample draws, in their order, and every
-    stage is the per-sample stage's kernel on a stack, so each member equals
-    its sequential sample bit for bit.  ``None`` when any member would be
-    resampled as not type II, or fails a check of ``require_density_matrix``
-    or ``fermionic_pt``; the caller then replays the chunk sequentially.
+    One ``rng.normal`` call returns the numbers of the per-sample draws, in
+    their order, and every stage is the per-sample stage's kernel on a stack,
+    so each member equals its sequential sample bit for bit.  ``None`` when any
+    member would be resampled as not type II, or fails a check of
+    ``require_density_matrix`` or ``fermionic_pt``; the caller then replays the
+    chunk sequentially.
     """
     cycle = np.arange(start, stop) % len(configs)
     sizes = np.array([2 * layout.dim ** 2 for layout, _ in configs])[cycle]
@@ -664,7 +724,7 @@ def _scan_stacked(rng, configs, start: int, stop: int):
         stack = _normalised_gram(_block_gaussian(g, _parity_mask(n)))
         if not _visibly_type_ii(stack, n, spec.mask()).all():
             return None
-        norms = _dense_pt_norms(stack, n, spec, FLAG_TOL)
+        norms = _pt_norms(stack, n, spec)
         if norms is None:
             return None
         negs[members] = (norms - 1.0) / 2.0
@@ -687,15 +747,14 @@ def conjecture_scan(
     ``t`` takes the ``t % len(configs)``-th bipartition, in the order of
     ``num_modes`` and then ``m_a``.
 
-    Consecutive samples below :data:`fock._BLOCK_MIN_MODES` modes run in
-    chunks of about :data:`_CHUNK_BYTES` per stacked matrix array: each stage
-    (draw, ``G G^+`` normalisation, type-II test, the checks of
-    ``require_density_matrix``, transpose, SVD) runs once per chunk on a stack.
-    The draws are the ones ``random_density`` makes per sample, in the same
-    order, so the report equals a per-sample scan byte for byte.  A chunk in
-    which any sample would be resampled or fails a check is replayed from the
-    saved generator state through ``random_density`` and ``negativity``.
-    Samples of more modes take the parity-block path one at a time.
+    The samples run in chunks whose matrices take at most :data:`_CHUNK_BYTES`,
+    each sample counted at its own dimension: each stage (draw, ``G G^+``
+    normalisation, type-II test, the checks of ``require_density_matrix``,
+    transpose, spectrum) runs once per chunk on a stack of each config's
+    samples.  The draws are the ones ``random_density`` makes per sample, in the
+    same order, so the report equals a per-sample scan byte for byte.  A chunk
+    in which any sample would be resampled or fails a check is replayed from
+    the saved generator state through ``random_density`` and ``negativity``.
     """
     if samples < 1:
         raise ValueError("samples must be at least 1")
@@ -705,23 +764,20 @@ def conjecture_scan(
     for n in num_modes:
         for m_a in range(1, n):
             configs.append((ModeLayout.bipartite(m_a, n - m_a), m_a))
-    stacked = [layout.num_modes < _BLOCK_MIN_MODES for layout, _ in configs]
-    width = max((layout.dim for (layout, _), s in zip(configs, stacked) if s), default=1)
-    chunk = max(1, _CHUNK_BYTES // (16 * width * width))
+    size = [16 * layout.dim ** 2 for layout, _ in configs]  # bytes of one sample's matrix
     min_neg = np.inf
     min_info = None
     counterexamples = []
     start = 0
     while start < samples:
-        stop, result = start + 1, None
-        if stacked[start % len(configs)]:
-            limit = min(start + chunk, samples)
-            while stop < limit and stacked[stop % len(configs)]:
-                stop += 1
-            state = rng.bit_generator.state
-            result = _scan_stacked(rng, configs, start, stop)
-            if result is None:
-                rng.bit_generator.state = state
+        stop, used = start + 1, size[start % len(configs)]
+        while stop < samples and used + size[stop % len(configs)] <= _CHUNK_BYTES:
+            used += size[stop % len(configs)]
+            stop += 1
+        state = rng.bit_generator.state
+        result = _scan_stacked(rng, configs, start, stop)
+        if result is None:
+            rng.bit_generator.state = state
         mats, negs = result or _scan_sequential(rng, configs, start, stop)
         first = int(np.argmin(negs))
         if negs[first] < min_neg:

@@ -25,6 +25,21 @@ LAY2 = ModeLayout.bipartite(1, 1)
 LAY3 = ModeLayout.tripartite()
 
 
+@pytest.mark.parametrize("threshold", [np.nan, np.inf, -1e-9])
+@pytest.mark.parametrize("classify,state", [
+    (two_mode_separable, "majorana_dimer"), (pure3_class, "ghz"), (mixed3_classify, "ghz"),
+], ids=["two_mode", "pure3", "mixed3"])
+def test_bad_threshold_is_rejected(classify, state, threshold):
+    # two_mode_separable(threshold=nan) returned "inseparable"
+    with pytest.raises(ValueError, match="threshold must be a finite number >= 0"):
+        classify(canonical_state(state), threshold=threshold)
+
+
+def test_bad_structural_threshold_is_rejected():
+    with pytest.raises(ValueError, match="threshold must be a finite number >= 0"):
+        two_mode_separable(canonical_state("majorana_dimer"), structural_threshold=np.nan)
+
+
 class TestTwoModeSeparable:
     def test_maximally_mixed_is_separable(self):
         rho = FockOperator(LAY2, np.eye(4, dtype=complex) / 4)

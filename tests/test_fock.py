@@ -276,8 +276,9 @@ class TestFockOperatorFlags:
         assert log == [("cholesky", (2, 16, 16))]
         negativity(rho, SubsystemSpec((1, 2)))
         negativity(rho, SubsystemSpec((1, 3)), "bosonic")
-        # no second PSD decision; each negativity makes one eigensolve of its transpose's blocks
-        assert log[1:] == [("eigvalsh", (2, 16, 16))] * 2
+        # no second PSD decision; each negativity makes one eigensolve of its transpose's
+        # blocks, in the stacked kernel on a stack of one state
+        assert log[1:] == [("eigvalsh", (1, 2, 16, 16))] * 2
         rho.require_density_matrix(tol=1e-8)
         assert log[3:] == [("cholesky", (2, 16, 16))]
 

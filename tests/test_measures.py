@@ -210,7 +210,11 @@ def _anti_hermitian_part(n: int, rng) -> np.ndarray:
 
 
 class TestHermitianTwin:
-    """From _BLOCK_MIN_MODES, exactly Hermitian parity blocks take |eigvalsh| instead of the SVD."""
+    """From _BLOCK_MIN_MODES, exactly Hermitian parity blocks take |eigvalsh| instead of the SVD.
+
+    ``negativity`` solves there through the stacked kernel on a stack of one state,
+    so its solvers see the shapes of a one-member stack.
+    """
 
     @pytest.mark.parametrize("n", range(5, 11))
     def test_eigen_path_matches_dense_svd(self, monkeypatch, n):
@@ -235,7 +239,7 @@ class TestHermitianTwin:
         half = (2, 1 << (n - 1), 1 << (n - 1))
         for (rho, spec, flavor), dense in zip(cases, want):
             assert abs(negativity(rho, spec, flavor) - (dense.sum() - 1) / 2) <= 1e-12
-            assert log == [("eigvalsh", half)]
+            assert log == [("eigvalsh", (1, *half))]
             log.clear()
             if flavor == "bosonic":
                 assert np.abs(singular_values(bosonic_pt(rho, spec)) - dense).max() <= 1e-12
@@ -251,7 +255,7 @@ class TestHermitianTwin:
         dense = np.linalg.svd(fermionic_pt(rho, spec).matrix, compute_uv=False)
         log = record_calls(monkeypatch, "svd", "eigvalsh")
         assert abs(negativity(rho, spec) - (dense.sum() - 1) / 2) <= 1e-12
-        assert log == [("eigvalsh", (2, 1 << (n - 1), 1 << (n - 1)))]
+        assert log == [("eigvalsh", (1, 2, 1 << (n - 1), 1 << (n - 1)))]
 
     @pytest.mark.parametrize("flavor", ["fermionic", "bosonic"])
     def test_anti_hermitian_part_takes_the_svd(self, monkeypatch, rng, flavor):
@@ -263,7 +267,7 @@ class TestHermitianTwin:
         dense = np.linalg.svd(pt.matrix, compute_uv=False)
         log = record_calls(monkeypatch, "svd", "eigvalsh")
         assert abs(negativity(state, spec, flavor) - (dense.sum() - 1) / 2) <= 1e-12
-        assert log == [("svd", (2, 32, 32))]
+        assert log == [("svd", (1, 2, 32, 32))]
         # eigvalsh reads one triangle: taken on the twin it would miss the SVD answer
         twin = pt.matrix * (_sign_vector(6, spec.mask()) if flavor == "fermionic" else 1.0)
         lower = np.tril(twin) + np.tril(twin, -1).conj().T
@@ -282,7 +286,7 @@ class TestHermitianTwin:
         log = record_calls(monkeypatch, "svd", "eigvalsh")
         for spec, norm in zip(specs, want):
             assert abs(negativity(rho, spec) - (norm - 1) / 2) <= 1e-12
-        assert log == [("eigvalsh", (2, 16, 16))] * len(specs)
+        assert log == [("eigvalsh", (1, 2, 16, 16))] * len(specs)
 
 
 def _scanned_blocks(matrix: np.ndarray, n: int):
@@ -365,7 +369,7 @@ class TestResidualShortcut:
                 assert solver == expected[kind]
                 log = record_calls(monkeypatch, "svd", "eigvalsh")
                 assert negativity(rho, spec, flavor) == (norm - 1.0) / 2.0
-                assert log == [solver]
+                assert log == [(solver[0], (1, *solver[1]))]  # a stack of one state
                 monkeypatch.undo()
 
 
@@ -386,8 +390,8 @@ class TestNormMemo:
         report = bipartite_report(rho, spec, flavor)
         assert report["negativity"] == neg and report["log_negativity"] == logneg
         d = 1 << n
-        if n >= _BLOCK_MIN_MODES:
-            assert log == [("_signed_gather", (d, d)), ("eigvalsh", (2, d // 2, d // 2))]
+        if n >= _BLOCK_MIN_MODES:  # the stacked kernel on a stack of one state
+            assert log == [("_signed_gather", (1, d, d)), ("eigvalsh", (1, 2, d // 2, d // 2))]
         else:  # no memo below the block path: each call transposes and solves
             assert log == [("_signed_gather", (d, d)), ("svd", (d, d))] * 3
             assert rho._norms == {}
@@ -537,6 +541,12 @@ class TestEntropy:
             entropy(rho, 1)
         with pytest.raises(ValueError):
             entropy(rho, -2)
+
+    @pytest.mark.parametrize("order", [np.nan, np.inf, -np.inf])
+    def test_non_finite_order_is_rejected(self, order):
+        # NaN returned nan; inf returned nan with two RuntimeWarnings
+        with pytest.raises(ValueError, match="Renyi order must be finite"):
+            entropy(canonical_state("majorana_dimer"), order)
 
 
 class TestMutualInformation:

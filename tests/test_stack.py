@@ -1,5 +1,6 @@
 """The private kernels take ``(..., d, d)`` stacks: each member equals the kernel on that member."""
 
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -11,14 +12,17 @@ from fneg.fock import (
     ModeLayout,
     SubsystemSpec,
     _cholesky_psd,
+    _density_verdicts,
     _dense_min_eigenvalue,
     _hermitian_residual,
     _parity_leak,
+    _sign_vector,
     _unit_trace,
 )
-from fneg.measures import _dense_pt_norms, _pt_norm
+from fneg.measures import _pt_norm, _pt_norms, trace_norm
 from fneg.ptranspose import _signed_gather
-from fneg.states import _block_gaussian, _normalised_gram, _parity_mask, random_density
+from fneg.states import _block_gaussian, _normalised_gram, _parity_mask, random_density, \
+    random_pure
 from fneg.verify import random_even_operator
 
 MODES = (2, 3, 4)
@@ -82,18 +86,6 @@ class TestStackEqualsMembers:
         states = stack[::3]
         assert _cholesky_psd(states, FLAG_TOL).all()
 
-    def test_dense_pt_norms(self, n):
-        states = _stack(n, n + 50)[::3]
-        lay = ModeLayout.bipartite(1, n - 1)
-        for target in _targets(n):
-            spec = SubsystemSpec(target)
-            norms = _dense_pt_norms(states, n, spec, FLAG_TOL)
-            singles = [_pt_norm(FockOperator(lay, m), spec, "fermionic", FLAG_TOL) for m in states]
-            assert norms.tolist() == singles and _bits(norms) == _bits(singles)
-        # any member failing a check, or a target of every mode, fails the stack
-        assert _dense_pt_norms(_stack(n, n + 50), n, SubsystemSpec((1,)), FLAG_TOL) is None
-        assert _dense_pt_norms(states, n, SubsystemSpec(range(1, n + 1)), FLAG_TOL) is None
-
     @pytest.mark.parametrize("fermionic", [True, False])
     def test_signed_gather(self, n, fermionic):
         stack = _stack(n, n + 30)
@@ -114,6 +106,70 @@ class TestStackEqualsMembers:
         mats = _normalised_gram(_block_gaussian(draws, _parity_mask(n)))
         singles = [_normalised_gram(_block_gaussian(g, _parity_mask(n))) for g in apart]
         assert _bits(mats) == _bits(singles)
+
+
+def _kernel_states(n: int, seed: int) -> np.ndarray:
+    """Valid states: two exactly Hermitian, one with a Hermiticity residual, one leaky.
+
+    The residual (1e-13) and the parity leak (1e-12) are within FLAG_TOL, so from
+    five modes the four members take |eigvalsh| of the blocks, |eigvalsh|, the
+    block SVD and the dense SVD.
+    """
+    rng = np.random.default_rng(seed)
+    lay = ModeLayout(n, ("A",) * n)
+    mixed, pure = random_density(lay, rng).matrix, random_pure(lay, "even", rng).matrix
+    residual, leaky = mixed.copy(), mixed.copy()
+    residual[0, 0] += 1e-13j
+    leaky[0, 1] += 1e-12  # |0..0> is even, |10..0> odd
+    leaky[1, 0] += 1e-12
+    return np.stack([mixed, pure, residual, leaky])
+
+
+def _twin_norm(rho: FockOperator, spec: SubsystemSpec, fermionic: bool) -> float:
+    """A norm from five modes as solved before the stacked kernel: ``trace_norm`` of the twin."""
+    n = rho.layout.num_modes
+    t = _signed_gather(rho.matrix, n, spec, fermionic)
+    if fermionic:
+        t *= _sign_vector(n, spec.mask())
+    twin = FockOperator(rho.layout, t, copy=False)
+    twin._flags.update(leak=rho._parity_leak(), herm=rho._hermitian_residual())
+    return trace_norm(twin)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_pt_norms_equal_pt_norm(n):
+    states = _kernel_states(n, 70 + n)
+    lay = ModeLayout(n, ("A",) * n)
+    verdicts, leak, herm = _density_verdicts(states, n, FLAG_TOL)
+    assert verdicts.all()
+    assert (leak == 0.0).tolist() == [True, True, True, False]
+    if n > 1:  # the one-mode Gram keeps an imaginary part of 3e-19 on its diagonal
+        assert (herm == 0.0).tolist() == [True, True, False, True]
+    targets = [t for t in _targets(n) if t] + [tuple(range(1, n + 1))]
+    for target, fermionic in itertools.product(targets, (True, False)):
+        spec = SubsystemSpec(target)
+        if fermionic and len(target) == n:  # not a proper target
+            assert _pt_norms(states, n, spec) is None
+            continue
+        flavor = "fermionic" if fermionic else "bosonic"
+        ops = [FockOperator(lay, m) for m in states]
+        singles = [_pt_norm(op, spec, flavor, FLAG_TOL) for op in ops]
+        kernel = _pt_norms(states, n, spec, fermionic, residuals=(leak, herm))
+        assert _bits(kernel) == _bits(singles)
+        if n >= 5:
+            assert _bits([_twin_norm(op, spec, fermionic) for op in ops]) == _bits(singles)
+        if fermionic:  # checked by the kernel itself
+            assert _bits(_pt_norms(states, n, spec)) == _bits(singles)
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_pt_norms_fail_on_a_non_finite_member(n, value):
+    states = _kernel_states(n, 80 + n)
+    states[2, 0, 0] = value
+    with np.errstate(invalid="ignore"):  # inf - inf in the Hermiticity residual
+        assert _pt_norms(states, n, SubsystemSpec((1,))) is None
+    assert _pt_norms(states[[0, 1, 3]], n, SubsystemSpec((1,))) is not None
 
 
 @pytest.mark.parametrize("n", MODES)

@@ -254,6 +254,12 @@ class TestRandomDensity:
         lay = ModeLayout.tripartite()
         assert max_abs(random_density(lay, 3).matrix, random_density(lay, 3).matrix) == 0.0
 
+    @pytest.mark.parametrize("seed", [1.5, 2.0, "7"])
+    def test_non_integer_seed_is_rejected(self, seed):
+        # numpy's SeedSequence raised a TypeError
+        with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+            random_density(ModeLayout.bipartite(1, 1), seed)
+
     @pytest.mark.parametrize("constraint", ["any_physical", "type_I", "type_II"])
     def test_bits_match_the_where_of_a_complex_sum(self, monkeypatch, constraint):
         # _block_gaussian writes both parts into one output; the old form built

@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -173,11 +174,11 @@ def _corrupt_first_branch(monkeypatch, kind: str) -> list:
     """Make the first measured branch of every trial fail one check; log the states made."""
     bad = []
 
-    def corrupted(*args):
-        found = _measured_branches(*args)
-        for branches in found:  # one list of branches per trial of the stack
-            (w, red), rest = branches[0], branches[1:]
-            m = red.matrix.copy()
+    def corrupted(evolved, big, r_mode):
+        owners, weights, states, residuals = _measured_branches(evolved, big, r_mode)
+        states = states.copy()
+        for first in np.unique(owners, return_index=True)[1]:  # one row of branches per trial
+            m = states[first]
             if kind == "trace":
                 m *= 1.5
             elif kind == "psd":  # a negative diagonal entry; |00..> and |11..> are both even
@@ -187,9 +188,8 @@ def _corrupt_first_branch(monkeypatch, kind: str) -> list:
             else:  # couples |00..> to the odd |10..>
                 m[0, 1] += 1e-6
                 m[1, 0] += 1e-6
-            bad.append(FockOperator(red.layout, m))
-            branches[:] = [(w, bad[-1])] + rest
-        return found
+            bad.append(FockOperator(ModeLayout.bipartite(r_mode - 1, big.num_modes - r_mode), m))
+        return owners, weights, states, residuals
 
     monkeypatch.setattr(verify_mod, "_measured_branches", corrupted)
     return bad
@@ -399,11 +399,11 @@ class TestLoccMonotonicity:
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode()).hexdigest() == _LOCC_SHA256[seed]
 
-    @pytest.mark.parametrize("trials", [1, 7, 9, 30])
+    @pytest.mark.parametrize("trials", [1, _LOCC_CHUNK - 1, _LOCC_CHUNK + 1, 30])
     @pytest.mark.parametrize("seed", [0, 7, 505])
     def test_batched_report_equals_per_call_reference(self, seed, trials):
-        # 1 and 7 trials fill part of one chunk, 9 spill one trial into a second
-        assert _LOCC_CHUNK == 8
+        # 1 and _LOCC_CHUNK - 1 trials fill part of one chunk, _LOCC_CHUNK + 1 spill
+        # one trial into a second; 30 is the CLI's `verify locc --trials 30`
         report = check_locc_monotonicity(seed=seed, trials=trials)
         assert len(report.diagnostics) == trials
         rng = np.random.default_rng(seed)
@@ -508,9 +508,10 @@ class TestLoccMonotonicity:
             negativity(bad[0], bad[0].layout.spec("A"))
         assert batched.type is direct.type
         assert str(batched.value) == str(direct.value)
-        # the chunk built all three trials; its replay stopped at the first, rebuilt bit for bit
-        assert len(bad) == 4
-        assert np.array_equal(bad[3].matrix, bad[0].matrix)
+        # the chunk stopped at its first group, trials 0 and 2 at seed 7, which failed;
+        # its replay stopped at the first trial, rebuilt bit for bit
+        assert len(bad) == 3
+        assert np.array_equal(bad[2].matrix, bad[0].matrix)
         assert kind != "parity" or batched.type is ParityError
 
     @pytest.mark.parametrize("corrupt", [False, True])
@@ -545,26 +546,78 @@ class TestLoccMonotonicity:
             assert str(batched.value) == "third build"
             assert len(drawn) == 5 + 3  # the replay built two trials, then raised again
 
-    def test_one_stacked_svd_per_group_and_chunk(self, monkeypatch):
-        # Below five modes every norm comes from one stacked SVD per (modes, target)
-        # group of a chunk of trials; a (d, d) SVD there would be the per-call path.
-        # Larger states are solved by _solve_pt_norm on their parity blocks.
-        log = record_calls(monkeypatch, "svd", "eigvalsh", "fneg.measures._solve_pt_norm")
-        report = check_locc_monotonicity(seed=7, trials=_LOCC_CHUNK + 3)
-        stacked = [shape for k, (name, shape) in enumerate(log)
-                   if name == "svd" and (k == 0 or log[k - 1][0] != "_solve_pt_norm")]
-        chunks: dict[int, set] = {}
+    def test_one_kernel_call_per_stack_of_each_slice(self, monkeypatch):
+        # A chunk's (n, m_A) groups are built in slices of at most
+        # _LOCC_SLICE_BYTES >> (2n + 8) trials, and each slice is solved as soon as it
+        # is built, one _pt_norms call per (modes, target mask) stack: stages (a)-(d),
+        # the validated evolved states in a stack of their own, then stage (e).  No
+        # norm goes through the per-call _pt_norm.
+        log = record_calls(monkeypatch, "fneg.measures._pt_norms", "fneg.measures._pt_norm")
+        trials = 2 * _LOCC_CHUNK + 3
+        report = check_locc_monotonicity(seed=7, trials=trials)
+        assert all(name == "_pt_norms" for name, _ in log)
+        groups: dict[tuple, int] = {}
         for diag in report.diagnostics:
-            n, m_a = diag["n"], diag["m_a"]
-            # rho and its measured states; the ancilla-appended states; the stacked
-            # state; and the two-mode stacking partner
-            keys = {(n, m_a), (n + 1, m_a + 1), (n + 2, m_a + 1), (2, 1)}
-            chunks.setdefault(diag["trial"] // _LOCC_CHUNK, set()).update(
-                key for key in keys if key[0] < 5)
-        assert len(chunks) == 2
-        assert len(stacked) == sum(len(keys) for keys in chunks.values())
-        assert all(len(shape) == 3 and shape[-1] < 32 for shape in stacked)
-        assert max(shape[0] for shape in stacked) > 10  # members of several trials
+            key = (diag["trial"] // _LOCC_CHUNK, diag["n"], diag["m_a"])
+            groups[key] = groups.get(key, 0) + 1
+        kernel = [(shape[-1].bit_length() - 1, shape[0]) for _, shape in log]
+        want = []  # (modes, members) of each stack, in solve order
+        for (_, n, _), count in groups.items():
+            step = max(1, verify_mod._LOCC_SLICE_BYTES >> (2 * n + 8))
+            for k in [min(step, count - start) for start in range(0, count, step)]:
+                # rho, the rotated, measured and mixed states, at least five a trial;
+                # the appended and the evolved states; the stacked states and partners
+                first = kernel[len(want)][1]
+                assert first >= 5 * k
+                want += [(n, first), (n + 1, k), (n + 1, k), (n + 2, k), (2, k)]
+        assert kernel == want
+        assert max(members for _, members in kernel) > 10  # members of several trials
+
+    def test_five_mode_stacks_are_validated_once(self, monkeypatch):
+        # One PSD verdict per stack of five-mode states in each slice of a group: the
+        # evolved states of n = 4 in _measured_branches, whose residuals their norms
+        # reuse, and in the kernel the appended states of n = 4 and the stacked
+        # states of n = 3.  Every verdict factors a stack: a (k, d, d) stack, or
+        # (k, 2, d/2, d/2) parity blocks when every member has exact blocks.
+        log = record_calls(monkeypatch, "fneg.fock._cholesky_psd")
+        report = check_locc_monotonicity(seed=7, trials=9)
+        assert all(len(shape) == 3 or len(shape) == 4 and shape[1] == 2 for _, shape in log)
+        five = [shape for _, shape in log
+                if shape[1:] == (32, 32) or shape[1:] == (2, 16, 16)]
+        groups: dict[tuple, int] = {}
+        for diag in report.diagnostics:
+            key = (diag["trial"] // _LOCC_CHUNK, diag["n"], diag["m_a"])
+            groups[key] = groups.get(key, 0) + 1
+        slices = {n: sum(-(-count // max(1, verify_mod._LOCC_SLICE_BYTES >> (2 * n + 8)))
+                         for (_, m, _), count in groups.items() if m == n) for n in (3, 4)}
+        assert slices[3] and slices[4]
+        assert len(five) == 2 * slices[4] + slices[3]
+
+    def test_peak_memory_stays_bounded(self):
+        # The tracemalloc peak of a warm check_locc_monotonicity(seed=7) was 1.15 MB with
+        # chunks of 8 trials whose small states lived until the end of the chunk, and is
+        # 1.0 MB with chunks of 64 whose slices release their states once solved.  A
+        # chunk of 64 that held its states peaked near 5 MB.
+        check_locc_monotonicity(seed=7)  # the cached gather plans and sign tables
+        tracemalloc.start()
+        try:
+            check_locc_monotonicity(seed=7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < (1.15 + 1.0) * 1e6
+
+    @pytest.mark.parametrize("chunk", [1, 8, _LOCC_CHUNK])
+    def test_report_does_not_depend_on_the_chunk_size(self, monkeypatch, chunk):
+        want = check_locc_monotonicity(seed=505, trials=_LOCC_CHUNK + 5).to_dict()
+        monkeypatch.setattr(verify_mod, "_LOCC_CHUNK", chunk)
+        assert check_locc_monotonicity(seed=505, trials=_LOCC_CHUNK + 5).to_dict() == want
+
+    @pytest.mark.parametrize("slice_bytes", [0, 1 << 30])  # one trial; a whole group
+    def test_report_does_not_depend_on_the_slice_size(self, monkeypatch, slice_bytes):
+        want = check_locc_monotonicity(seed=7, trials=_LOCC_CHUNK + 5).to_dict()
+        monkeypatch.setattr(verify_mod, "_LOCC_SLICE_BYTES", slice_bytes)
+        assert check_locc_monotonicity(seed=7, trials=_LOCC_CHUNK + 5).to_dict() == want
 
     def test_occupation_projectors_are_the_one_mode_parity_pair(self):
         one_mode = ModeLayout(1, ("A",))
@@ -735,8 +788,8 @@ class TestConjectureScan:
         want = _per_sample_scan(seed, samples, num_modes, threshold=1.0)
         assert len(want["counterexamples"]) == samples
         assert report.diagnostics[0] == want
-        # only samples on the parity-block path (N = 5) go through random_density
-        assert calls == [dump["n"] for dump in want["counterexamples"] if dump["n"] >= 5]
+        # five-mode samples are stacked too: no sample goes through random_density
+        assert calls == []
 
     @pytest.mark.parametrize("seed", [0, 3, 909])
     def test_minimum_matches_per_sample_scan(self, seed):
@@ -797,8 +850,15 @@ class TestPiInequalityScan:
     (lambda: check_identity_suite(trials=1, modes=()), "mode count"),
     (lambda: check_identity_suite(trials=1, modes=(1,)), "mode count"),
     (lambda: pi_inequality_scan(samples=0), "samples must be at least 1"),
+    (lambda: check_locc_monotonicity(trials=1, tolerance=np.nan), "tolerance must be"),
+    (lambda: check_locc_monotonicity(trials=1, tolerance=-1.0), "tolerance must be"),
+    (lambda: check_identity_suite(trials=1, tolerance=np.nan), "tolerance must be"),
+    (lambda: check_perturbation_expansion(trials=1, min_pass_fraction=np.nan), "min_pass_fraction"),
+    (lambda: check_perturbation_expansion(trials=1, min_pass_fraction=2.0), "min_pass_fraction"),
 ], ids=["conjecture_one_mode", "conjecture_no_modes", "conjecture_too_many_modes",
-        "conjecture_float_modes", "identities_no_modes", "identities_one_mode", "pi_no_samples"])
+        "conjecture_float_modes", "identities_no_modes", "identities_one_mode", "pi_no_samples",
+        "locc_nan_tolerance", "locc_negative_tolerance", "identities_nan_tolerance",
+        "perturbation_nan_fraction", "perturbation_fraction_above_one"])
 def test_degenerate_inputs_raise_value_error(call, message):
     with pytest.raises(ValueError, match=message):
         call()
