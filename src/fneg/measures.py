@@ -70,35 +70,51 @@ def singular_values(op: FockOperator | np.ndarray) -> np.ndarray:
 
     Never evaluated by squaring into ``A A^+``: that inflates the absolute
     error of vanishing singular values to sqrt(machine epsilon), which would
-    swamp the 1e-10 zero tests on rank-deficient states.
-
-    Both transposes keep global fermion parity, so ``rho^{T_A}`` of a
-    parity-even state is block-diagonal in the global-parity basis.  For a
-    :class:`FockOperator` with exact blocks (its once-read parity leak is 0.0:
-    entries between the even and odd sectors exactly 0.0, every entry finite),
-    the two diagonal blocks are solved in one batched call (about a quarter of
-    the work of the d x d solve) and the values are merged.  The zero test is
-    exact, not tolerance-based: dropping off-block entries up to a tolerance
-    could shift a trace norm by about ``d * tol``, while dropping exact zeros
-    changes nothing.  An operator whose once-read Hermiticity residual is 0.0
-    takes ``|eigvalsh|`` of its blocks, the singular values of a Hermitian
-    matrix, at about half the cost of the SVD; any other takes the SVD.  That
-    test is exact too, because ``eigvalsh`` reads one triangle and would
-    silently drop an anti-Hermitian part of any size.  Either way the result
-    equals the dense SVD up to round-off.  Any other operator, an operator of
-    fewer than five modes (where the gather costs more than it saves) and a
-    plain array take the dense SVD.
+    swamp the 1e-10 zero tests on rank-deficient states.  A
+    :class:`FockOperator` with exact blocks is solved by :func:`_spectra` on
+    its two parity blocks; any other operator and a plain array take the
+    dense SVD.
     """
     if not isinstance(op, FockOperator):
         return np.linalg.svd(np.asarray(op), compute_uv=False)
-    blocks = op._parity_blocks()
-    if blocks is None:
+    if not op._exact_blocks():
         return np.linalg.svd(op.matrix, compute_uv=False)
-    if op._hermitian_residual() == 0.0:
-        values = np.abs(np.linalg.eigvalsh(blocks))
-    else:
-        values = np.linalg.svd(blocks, compute_uv=False)
-    return np.sort(values, axis=None)[::-1]
+    return _spectra(op.matrix[None], op.layout.num_modes, [True], [op._hermitian_residual()])[0]
+
+
+def _spectra(t: np.ndarray, n: int, exact, herm) -> np.ndarray:
+    """Singular values of each matrix of a ``(k, d, d)`` stack on ``n`` modes, each row descending.
+
+    Both transposes keep global fermion parity, so ``rho^{T_A}`` of a
+    parity-even state is block-diagonal in the global-parity basis.  The
+    members marked ``exact`` have exact blocks (from five modes, where the
+    gather costs less than it saves: a once-read parity leak of 0.0, so the
+    entries between the sectors are exactly 0.0 and every entry is finite).
+    Their two blocks are gathered once and solved in one batched call, about a
+    quarter of the work of the d x d solve, and the values are merged.
+    ``herm`` holds their Hermiticity residuals, read only there: a residual of
+    0.0 takes ``|eigvalsh|`` of the blocks, at about half the cost of the SVD,
+    any other the block SVD.  Both tests are exact, not tolerance-based:
+    dropping off-block entries up to a tolerance could shift a trace norm by
+    about ``d * tol``, and ``eigvalsh`` reads one triangle, so it would drop an
+    anti-Hermitian part of any size.  The other members take the dense SVD.
+    Every kernel acts member by member, and a uniform stack is solved without
+    a copy.
+    """
+    exact = np.asarray(exact)
+    if not exact.any():
+        return np.linalg.svd(t, compute_uv=False)
+    values = np.empty(t.shape[:2])
+    if not exact.all():
+        values[~exact] = np.linalg.svd(t[~exact], compute_uv=False)
+    blocks = _gather_blocks(t if exact.all() else t[exact], n)
+    hermitian = np.asarray(herm)[exact] == 0.0
+    for chosen, spectrum in ((hermitian, lambda b: np.abs(np.linalg.eigvalsh(b))),
+                             (~hermitian, lambda b: np.linalg.svd(b, compute_uv=False))):
+        if chosen.any():
+            found = spectrum(blocks if chosen.all() else blocks[chosen])
+            values[np.flatnonzero(exact)[chosen]] = np.sort(found.reshape(len(found), -1))[:, ::-1]
+    return values
 
 
 def trace_norm(op: FockOperator | np.ndarray) -> float:
@@ -140,8 +156,7 @@ def _pt_norm(rho: FockOperator, spec, flavor: str, tol: float) -> float:
 
 
 def _pt_norms(
-    stack: np.ndarray, n: int, spec: SubsystemSpec, fermionic: bool = True,
-    tol: float = FLAG_TOL, residuals=None,
+    stack: np.ndarray, n: int, spec: SubsystemSpec, fermionic: bool = True, residuals=None
 ) -> np.ndarray | None:
     """``|rho^{T_A}|_1`` of each state of a ``(k, d, d)`` stack on ``n`` modes, as in ``_pt_norm``.
 
@@ -158,38 +173,22 @@ def _pt_norms(
     folding it into ``_SIGN_PHASE`` would make, on which ``eigvalsh`` can round
     differently.  Both transposes keep ``p(row) + p(col)`` and map ``rho``'s
     mirror pairs onto mirror pairs times exact ``+-1`` and ``+-i``, so they have
-    ``rho``'s leak and residual.  A member whose leak is 0.0 has exact parity
-    blocks, gathered once: ``|eigvalsh|`` if its residual is 0.0 (``eigvalsh``
-    reads one triangle), the block SVD otherwise; the others take the dense
-    SVD.  Values are summed as :func:`trace_norm` sums them, and every kernel
-    acts member by member, so each norm equals ``negativity``'s bit for bit.
+    ``rho``'s leak and residual, and :func:`_spectra` solves each member as
+    :func:`singular_values` would.  Values are summed as :func:`trace_norm`
+    sums them, so each norm equals ``negativity``'s bit for bit.
     """
     if residuals is None:
         if fermionic and not set(spec.target_modes) < set(range(1, n + 1)):
             return None
-        verdicts, *residuals = _density_verdicts(stack, n, tol)
+        verdicts, *residuals = _density_verdicts(stack, n, FLAG_TOL)
         if not verdicts.all():
             return None
     t = _signed_gather(stack, n, spec, fermionic)
-    if n < _BLOCK_MIN_MODES:
-        return np.linalg.svd(t, compute_uv=False).sum(axis=-1)
-    if fermionic:
+    blocked = n >= _BLOCK_MIN_MODES
+    if fermionic and blocked:
         t *= _sign_vector(n, spec.mask())
     leak, herm = np.asarray(residuals)
-    exact = leak == 0.0
-    norms = np.empty(len(t))
-    if not exact.all():
-        norms[~exact] = np.linalg.svd(t[~exact], compute_uv=False).sum(axis=-1)
-    if exact.any():  # a uniform stack is solved without a copy
-        blocks = _gather_blocks(t if exact.all() else t[exact], n)
-        hermitian = herm[exact] == 0.0
-        for chosen, spectrum in ((hermitian, lambda b: np.abs(np.linalg.eigvalsh(b))),
-                                 (~hermitian, lambda b: np.linalg.svd(b, compute_uv=False))):
-            if chosen.any():
-                values = spectrum(blocks if chosen.all() else blocks[chosen])
-                values = np.sort(values.reshape(len(values), -1))[:, ::-1]
-                norms[np.flatnonzero(exact)[chosen]] = values.sum(axis=-1)
-    return norms
+    return _spectra(t, n, (leak == 0.0) & blocked, herm).sum(axis=-1)
 
 
 def negativity(

@@ -641,9 +641,10 @@ def check_perturbation_expansion(
     every odd-order correction vanishes identically and the stated cubic
     bracket cannot be met; the report carries the measured ratios.
     """
+    if trials < 1:
+        raise ValueError("trials must be at least 1")
     if not 0.0 <= min_pass_fraction <= 1.0:  # NaN fails too
         raise ValueError(f"min_pass_fraction must be in [0, 1], got {min_pass_fraction!r}")
-    _check_run(trials, 1.0 - min_pass_fraction)
     epsilons = tuple(float(e) for e in epsilons)
     if len(epsilons) < 2 or any(e <= 0 for e in epsilons) or any(
         nxt >= prev for prev, nxt in zip(epsilons, epsilons[1:])
@@ -755,6 +756,8 @@ def conjecture_scan(
     same order, so the report equals a per-sample scan byte for byte.  A chunk
     in which any sample would be resampled or fails a check is replayed from
     the saved generator state through ``random_density`` and ``negativity``.
+    A sample larger than :data:`_CHUNK_BYTES` (from seven modes) takes that
+    per-sample path at once.
     """
     if samples < 1:
         raise ValueError("samples must be at least 1")
@@ -774,10 +777,12 @@ def conjecture_scan(
         while stop < samples and used + size[stop % len(configs)] <= _CHUNK_BYTES:
             used += size[stop % len(configs)]
             stop += 1
-        state = rng.bit_generator.state
-        result = _scan_stacked(rng, configs, start, stop)
-        if result is None:
-            rng.bit_generator.state = state
+        result = None
+        if used <= _CHUNK_BYTES:  # a larger sample runs alone, without a stacked copy
+            state = rng.bit_generator.state
+            result = _scan_stacked(rng, configs, start, stop)
+            if result is None:
+                rng.bit_generator.state = state
         mats, negs = result or _scan_sequential(rng, configs, start, stop)
         first = int(np.argmin(negs))
         if negs[first] < min_neg:

@@ -173,6 +173,27 @@ def test_pt_norms_fail_on_a_non_finite_member(n, value):
 
 
 @pytest.mark.parametrize("n", MODES)
+def test_pt_norms_fail_on_an_invalid_member(n):
+    # non-Hermitian even operators and Hermitian states with a parity-odd part
+    assert _pt_norms(_stack(n, n + 50), n, SubsystemSpec((1,))) is None
+
+
+@pytest.mark.parametrize("n", [5, 6])
+def test_block_psd_fails_a_member_alone(n):
+    # 2 rho - |psi><psi| is exactly Hermitian, of unit trace and with exact blocks,
+    # and its even block has a negative eigenvalue: only the block Cholesky fails it
+    states = _kernel_states(n, 90 + n)[:3]
+    stack = np.concatenate([states, [2.0 * states[0] - states[1]]])
+    lay = ModeLayout(n, ("A",) * n)
+    verdicts, leak, herm = _density_verdicts(stack, n, FLAG_TOL)
+    assert (leak == 0.0).all() and herm[3] == 0.0
+    singles = [FockOperator(lay, m).is_density_matrix() for m in stack]
+    assert verdicts.tolist() == singles == [True, True, True, False]
+    assert _pt_norms(stack, n, SubsystemSpec((1,))) is None
+    assert _pt_norms(states, n, SubsystemSpec((1,))) is not None
+
+
+@pytest.mark.parametrize("n", MODES)
 @pytest.mark.parametrize("value", [np.nan, np.inf])
 def test_non_finite_member_fails_alone(n, value):
     stack = np.stack([random_density(ModeLayout.bipartite(1, n - 1), seed).matrix
