@@ -19,8 +19,8 @@ from typing import Mapping, NamedTuple
 import numpy as np
 
 from .errors import ClassificationError, StateValidationError
-from .fock import FLAG_TOL, FockOperator, SubsystemSpec, as_spec
-from .measures import _PURITY_TOL, _purity, j_abc, negativity, one_vs_rest_negativities
+from .fock import FLAG_TOL, FockOperator, SubsystemSpec, _check_nonnegative, as_spec
+from .measures import _is_pure, _purity, j_abc, negativity, one_vs_rest_negativities
 from .states import PureCoeffs, _density, pure_vector_from_coeffs, subsystem_parity_commutator_norm
 
 #: Witnesses below this count as zero; configurable per call.
@@ -58,11 +58,6 @@ class ParityType(NamedTuple):
     commutator_norm: float
 
 
-def _check_threshold(threshold: float) -> None:
-    if not 0.0 <= threshold < np.inf:  # NaN fails too
-        raise ValueError(f"threshold must be a finite number >= 0, got {threshold!r}")
-
-
 def _is_marginal(value: float, threshold: float) -> bool:
     return threshold / _MARGINAL_BAND < value < threshold * _MARGINAL_BAND
 
@@ -72,6 +67,7 @@ def subsystem_parity_type(
 ) -> ParityType:
     """Type I iff the state commutes with the spec's parity operator."""
     norm = subsystem_parity_commutator_norm(rho, as_spec(spec))
+    _check_nonnegative("threshold", threshold)
     return ParityType("type_I" if norm <= threshold else "type_II", norm)
 
 
@@ -97,11 +93,11 @@ def two_mode_separable(
     """
     if rho.layout.num_modes != 2:
         raise StateValidationError("two_mode_separable expects a two-mode state")
-    _check_threshold(threshold)
+    _check_nonnegative("threshold", threshold)
     rho.require_density_matrix(tol)
     if structural_threshold is None:
         structural_threshold = float(np.sqrt(threshold))
-    _check_threshold(structural_threshold)
+    _check_nonnegative("threshold", structural_threshold)
     neg = negativity(rho, SubsystemSpec((1,)), "fermionic", tol)
     off = off_diagonal_norm(rho)
     neg_separable = neg <= threshold
@@ -164,7 +160,7 @@ def pure3_class(
     Accepts sector amplitudes or a pure density matrix; mixed input is
     rejected.
     """
-    _check_threshold(threshold)
+    _check_nonnegative("threshold", threshold)
     if isinstance(state, PureCoeffs):
         if state.num_modes != 3:
             raise StateValidationError("pure3_class expects three-mode amplitudes")
@@ -175,9 +171,8 @@ def pure3_class(
         if rho.layout.num_modes != 3:
             raise StateValidationError("pure3_class expects a three-mode state")
         rho.require_density_matrix(tol)
-        purity = _purity(rho)
-        if abs(purity - 1.0) > _PURITY_TOL:
-            raise StateValidationError(f"state is mixed (purity {purity:.6f})")
+        if not _is_pure(rho):
+            raise StateValidationError(f"state is mixed (purity {_purity(rho):.6f})")
     return _pure3_verdict(_tri_witnesses(rho, tol), threshold)
 
 
@@ -194,7 +189,7 @@ def mixed3_classify(
     """
     if rho.layout.num_modes != 3:
         raise StateValidationError("mixed3_classify expects a three-mode state")
-    _check_threshold(threshold)
+    _check_nonnegative("threshold", threshold)
     rho.require_density_matrix(tol)
     wit = _tri_witnesses(rho, tol)
     values = [wit["negativity_A"], wit["negativity_B"], wit["negativity_C"]]

@@ -20,7 +20,7 @@ from . import classify as classify_mod
 from . import states, verify
 from .errors import FnegError, LayoutError, ParityError, StateValidationError
 from .fock import MAX_MODES, FockOperator, ModeLayout, SubsystemSpec
-from .measures import _PURITY_TOL, _purity, log_negativity, negativity, tripartite_report
+from .measures import _is_pure, log_negativity, negativity, tripartite_report
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -298,7 +298,7 @@ def classify_cmd(ctx, state_file):
     if n == 2:
         label = classify_mod.two_mode_separable(rho, threshold=threshold)
     elif n == 3:
-        if abs(_purity(rho) - 1.0) <= _PURITY_TOL:
+        if _is_pure(rho):
             label = classify_mod.pure3_class(rho, threshold=threshold)
         else:
             label = classify_mod.mixed3_classify(rho, threshold=threshold)

@@ -31,6 +31,20 @@ MAX_MODES = 12
 FLAG_TOL = 1e-10
 
 
+def _check_count(name: str, value) -> None:
+    """Raise unless ``value`` is an ``int`` or ``np.integer`` (not a bool) of at least 1."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+    if value < 1:
+        raise ValueError(f"{name} must be at least 1")
+
+
+def _check_nonnegative(name: str, value) -> None:
+    """Raise ``ValueError`` unless ``value`` is a finite number >= 0 (NaN fails)."""
+    if not 0.0 <= value < np.inf:
+        raise ValueError(f"{name} must be a finite number >= 0, got {value!r}")
+
+
 def _popcount_array(a: np.ndarray) -> np.ndarray:
     if hasattr(np, "bitwise_count"):
         return np.bitwise_count(a)
@@ -91,6 +105,17 @@ def _parity_leak(matrix: np.ndarray, num_modes: int, mask: int) -> np.ndarray:
 _BLOCK_MIN_MODES = 5
 
 
+def _exact(leak, num_modes: int):
+    """Whether a parity leak, a stack of them, or a function returning them marks exact blocks.
+
+    From :data:`_BLOCK_MIN_MODES` modes a leak of exactly 0.0 does: every entry
+    is finite and none lies between the sectors.  Below, plain ``False``, no call.
+    """
+    if num_modes < _BLOCK_MIN_MODES:
+        return False
+    return (leak() if callable(leak) else leak) == 0.0
+
+
 @lru_cache(maxsize=64)
 def _parity_block_index(num_modes: int) -> tuple:
     """Row and column indexers that gather the even-even and odd-odd global-parity blocks."""
@@ -121,11 +146,12 @@ def _hermitian_residual(matrix: np.ndarray) -> np.ndarray:
     every ``<= tol`` test.
     """
     worst = 0.0
-    for k in range(0, matrix.shape[-1], _LEAK_BAND):
-        band = matrix[..., k:k + _LEAK_BAND, k:].conj()
-        band -= matrix[..., k:, k:k + _LEAK_BAND].swapaxes(-1, -2)
-        worst = np.maximum(worst, np.abs(band).max(axis=(-2, -1)))
-        del band  # before the next band is allocated
+    with np.errstate(invalid="ignore"):  # inf - inf on an infinite diagonal entry is NaN
+        for k in range(0, matrix.shape[-1], _LEAK_BAND):
+            band = matrix[..., k:k + _LEAK_BAND, k:].conj()
+            band -= matrix[..., k:, k:k + _LEAK_BAND].swapaxes(-1, -2)
+            worst = np.maximum(worst, np.abs(band).max(axis=(-2, -1)))
+            del band  # before the next band is allocated
     return worst
 
 
@@ -289,12 +315,10 @@ class FockOperator:
     that takes a ``(..., d, d)`` stack, so a batch of samples is checked by the
     same code as one operator.
 
-    The operator has *exact blocks* from :data:`_BLOCK_MIN_MODES` modes when its
-    leak is exactly 0.0: every entry is finite and every entry between the
-    parity sectors is zero, so spectra are taken on the two diagonal blocks.
-    The PSD decision is :func:`_cholesky_psd` of those blocks, or of the whole
-    matrix without them: a Cholesky factorization of the Hermitian part shifted
-    by ``tol/2``, and ``min_eigenvalue() >= -tol`` if it fails.
+    When the operator has exact blocks (:func:`_exact`), spectra are taken on
+    the two diagonal blocks.  The PSD decision is :func:`_cholesky_psd` of those
+    blocks, or of the whole matrix without them: a Cholesky factorization of the
+    Hermitian part shifted by ``tol/2``, and ``min_eigenvalue() >= -tol`` if it fails.
 
     From :data:`_BLOCK_MIN_MODES` modes, ``_norms`` keeps the partial-transpose
     trace norms behind :func:`fneg.measures.negativity` and its siblings, one
@@ -332,18 +356,13 @@ class FockOperator:
         )
 
     def _exact_blocks(self) -> bool:
-        return self.layout.num_modes >= _BLOCK_MIN_MODES and self._parity_leak() == 0.0
-
-    def _parity_blocks(self) -> np.ndarray | None:
-        """The two global-parity blocks as one ``(2, d/2, d/2)`` stack; ``None`` unless exact."""
-        if not self._exact_blocks():
-            return None
-        return _gather_blocks(self.matrix, self.layout.num_modes)
+        return bool(_exact(self._parity_leak, self.layout.num_modes))
 
     def _blocks_or_matrix(self) -> np.ndarray:
-        """:meth:`_parity_blocks`, or the ``(d, d)`` matrix where that is ``None``."""
-        blocks = self._parity_blocks()
-        return self.matrix if blocks is None else blocks
+        """The two global-parity blocks as one ``(2, d/2, d/2)`` stack if exact, else the matrix."""
+        if self._exact_blocks():
+            return _gather_blocks(self.matrix, self.layout.num_modes)
+        return self.matrix
 
     def is_hermitian(self, tol: float = FLAG_TOL) -> bool:
         return bool(self._hermitian_residual() <= tol)
@@ -589,7 +608,7 @@ def _density_verdicts(stack: np.ndarray, num_modes: int, tol: float) -> tuple:
     leak = _parity_leak(stack, num_modes, (1 << num_modes) - 1)
     herm = _hermitian_residual(stack)
     valid = (herm <= tol) & _unit_trace(stack, tol) & (2.0 * leak <= tol)
-    if valid.all() and num_modes >= _BLOCK_MIN_MODES and (leak == 0.0).all():
+    if valid.all() and np.all(_exact(leak, num_modes)):
         valid = _cholesky_psd(_gather_blocks(stack, num_modes), tol).all(axis=-1)
     elif valid.all():
         valid = _cholesky_psd(stack, tol)

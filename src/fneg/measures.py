@@ -26,6 +26,7 @@ from .fock import (
     FockOperator,
     SubsystemSpec,
     _density_verdicts,
+    _exact,
     _gather_blocks,
     _sign_vector,
     as_spec,
@@ -87,10 +88,8 @@ def _spectra(t: np.ndarray, n: int, exact, herm) -> np.ndarray:
 
     Both transposes keep global fermion parity, so ``rho^{T_A}`` of a
     parity-even state is block-diagonal in the global-parity basis.  The
-    members marked ``exact`` have exact blocks (from five modes, where the
-    gather costs less than it saves: a once-read parity leak of 0.0, so the
-    entries between the sectors are exactly 0.0 and every entry is finite).
-    Their two blocks are gathered once and solved in one batched call, about a
+    members marked ``exact`` have exact blocks (:func:`fock._exact`).  Their
+    two blocks are gathered once and solved in one batched call, about a
     quarter of the work of the d x d solve, and the values are merged.
     ``herm`` holds their Hermiticity residuals, read only there: a residual of
     0.0 takes ``|eigvalsh|`` of the blocks, at about half the cost of the SVD,
@@ -184,11 +183,10 @@ def _pt_norms(
         if not verdicts.all():
             return None
     t = _signed_gather(stack, n, spec, fermionic)
-    blocked = n >= _BLOCK_MIN_MODES
-    if fermionic and blocked:
+    if fermionic and n >= _BLOCK_MIN_MODES:
         t *= _sign_vector(n, spec.mask())
     leak, herm = np.asarray(residuals)
-    return _spectra(t, n, (leak == 0.0) & blocked, herm).sum(axis=-1)
+    return _spectra(t, n, _exact(leak, n), herm).sum(axis=-1)
 
 
 def negativity(
@@ -393,7 +391,7 @@ def amplitude_tensor(vec: np.ndarray) -> np.ndarray:
 def pure_state_vector(rho: FockOperator, tol: float = 1e-8) -> np.ndarray:
     """Extract the state vector of a pure density matrix, phase-fixed."""
     evals, vecs = np.linalg.eigh(rho.matrix)
-    if abs(evals[-1] - 1.0) > tol:
+    if not abs(evals[-1] - 1.0) <= tol:  # NaN fails
         raise StateValidationError("operator is not a pure-state density matrix")
     return _fix_phase(vecs[:, -1])
 
@@ -409,7 +407,7 @@ def three_tangle(state: FockOperator | np.ndarray, tol: float = 1e-8) -> float:
     else:
         vec = np.asarray(state, dtype=complex)
         norm = np.linalg.norm(vec)
-        if abs(norm - 1.0) > tol:
+        if not abs(norm - 1.0) <= tol:  # NaN fails
             raise StateValidationError("state vector is not normalized")
     return float(abs(cayley_hdet(amplitude_tensor(vec))))
 
@@ -423,6 +421,11 @@ def _purity(rho: FockOperator) -> float:
     """``Tr rho^2`` as ``sum |rho_ij|^2`` (equal for Hermitian ``rho``), in O(d^2)."""
     m = rho.matrix
     return float(np.vdot(m, m).real)
+
+
+def _is_pure(rho: FockOperator) -> bool:
+    """Whether ``|Tr rho^2 - 1| <= _PURITY_TOL``: the one test of a pure state (NaN fails)."""
+    return abs(_purity(rho) - 1.0) <= _PURITY_TOL
 
 
 def _n_abc(negs: Mapping[str, float]) -> float:
@@ -459,8 +462,8 @@ def tripartite_report(
 
     The eight negativities behind them (three one-vs-rest, three pairwise
     reduced, two sector-projected for ``j_abc``) are each evaluated once.
-    ``three_tangle`` is reported only for three modes with ``|Tr rho^2 - 1| <=
-    1e-8``, the purity test by which ``fneg classify`` routes states: the
+    ``three_tangle`` is reported only for three-mode states that pass
+    :func:`_is_pure`, the test by which ``fneg classify`` routes states: the
     tangle is not defined on mixed states or on parties of more than one mode.
     """
     negs = one_vs_rest_negativities(rho, flavor, tol)
@@ -472,6 +475,6 @@ def tripartite_report(
         "n_abc": _n_abc(negs),
         "pi_abc": _pi_abc(negs, rho, flavor, tol),
     }
-    if rho.layout.num_modes == 3 and abs(_purity(rho) - 1.0) <= _PURITY_TOL:
+    if rho.layout.num_modes == 3 and _is_pure(rho):
         entries["three_tangle"] = three_tangle(rho)
     return MeasureReport(entries, tolerance=tol, transpose_flavor=flavor)

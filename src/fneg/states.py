@@ -23,6 +23,7 @@ from .fock import (
     FockOperator,
     ModeLayout,
     SubsystemSpec,
+    _check_count,
     _inverse_order,
     _parity_leak,
     _permute_matrix,
@@ -67,7 +68,7 @@ class PureCoeffs:
             raise StateValidationError("lambdas must have length 2 or 4")
         if self.parity_sector not in PARITY_SECTORS:
             raise StateValidationError(f"parity_sector must be one of {PARITY_SECTORS}")
-        if abs(sum(abs(x) ** 2 for x in lams) - 1.0) > 1e-10:
+        if not abs(sum(abs(x) ** 2 for x in lams) - 1.0) <= 1e-10:  # NaN fails
             raise StateValidationError("lambdas are not normalized")
 
     @property
@@ -318,8 +319,7 @@ def random_separable(
     factor) or an iterable of specs partitioning all modes.  Mixture weights
     are drawn uniformly from the simplex.
     """
-    if num_terms < 1:
-        raise ValueError("num_terms must be at least 1")
+    _check_count("num_terms", num_terms)
     rng = _rng(seed)
     if isinstance(spec, SubsystemSpec) or (spec and isinstance(next(iter(spec)), int)):
         first = as_spec(spec)

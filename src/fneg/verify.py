@@ -25,6 +25,8 @@ from .fock import (
     FockOperator,
     ModeLayout,
     SubsystemSpec,
+    _check_count,
+    _check_nonnegative,
     _density_verdicts,
     _embedded,
     _graded_product,
@@ -49,6 +51,14 @@ from .states import (
 
 _GAP_GUARD = 5e-3
 _RESAMPLE_BUDGET = 500
+
+#: Bytes of the matrices that one stack of a check holds: a slice of the
+#: largest states (``n + 2`` modes) of one ``(n, m_A)`` group of ``verify
+#: locc`` (2 trials of n = 4, 8 of n = 3, 32 of n = 2), or a chunk of
+#: ``conjecture_scan`` samples, each counted at its own d (128 at d = 8).  A
+#: stack's temporaries take a few times these bytes, so this sets the peak
+#: memory of both; larger stacks gain no speed.
+_STACK_BYTES = 1 << 17
 
 
 @dataclass
@@ -85,12 +95,21 @@ def _report(name: str, trials: int, max_violation: float, tolerance: float,
     )
 
 
-def _check_run(trials: int, tolerance: float) -> None:
-    """Raise ``ValueError`` unless ``trials >= 1`` and ``tolerance`` is a finite number >= 0."""
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
-    if not 0.0 <= tolerance < np.inf:  # NaN fails too
-        raise ValueError(f"tolerance must be a finite number >= 0, got {tolerance!r}")
+def _replayed(rng: np.random.Generator, stacked, replay):
+    """``stacked()``; if it raises or returns ``None``, ``replay()`` from the same generator state.
+
+    A stacked run draws what the per-call run draws, in the same order, so the
+    replay draws it again bit for bit, and raises the per-call error first.
+    """
+    state = rng.bit_generator.state
+    try:
+        result = stacked()
+    except Exception:  # the replay raises it again, after any earlier per-call error
+        result = None
+    if result is None:
+        rng.bit_generator.state = state
+        result = replay()
+    return result
 
 
 def _fingerprint(matrix: np.ndarray) -> str:
@@ -224,7 +243,8 @@ def check_identity_suite(
     the per-call one, and the first parity-odd local operator or transpose
     input raises ``embed_local``'s or ``fermionic_pt``'s error.
     """
-    _check_run(trials, tolerance)
+    _check_count("trials", trials)
+    _check_nonnegative("tolerance", tolerance)
     modes = _mode_counts(modes)
     rng = _rng(seed)
     base_seed = seed if isinstance(seed, int) else None
@@ -295,15 +315,14 @@ class _Jobs(NamedTuple):
     residuals: np.ndarray | None = None  # each state's parity leak and residual, if validated
 
 
-def _job_norms(jobs: list[_Jobs], trials: int, per_call: bool) -> list[dict] | None:
+def _job_norms(jobs: list[_Jobs], trials: int) -> list[dict]:
     """Each trial's ``|rho^{T_A}|_1`` values, in lists by check, from one stage's ``jobs``.
 
     The jobs are stacked by mode count, target mask and whether their states
     come validated, and each stack is checked, transposed and solved once by
     :func:`fneg.measures._pt_norms`: every norm equals the one behind
-    ``negativity`` bit for bit.  If a stack fails a check: ``None``, or with
-    ``per_call`` one ``_pt_norm`` call per state, in check order, which raises
-    the per-call error.
+    ``negativity`` bit for bit.  If a stack fails a check, every state takes
+    one ``_pt_norm`` call, in check order, which raises the per-call error.
     """
     norms = [None] * len(jobs)
     for (n, _, checked), members in _grouped(range(len(jobs)), lambda i: (
@@ -312,8 +331,6 @@ def _job_norms(jobs: list[_Jobs], trials: int, per_call: bool) -> list[dict] | N
         stack = parts[0].states if len(parts) == 1 else np.concatenate([j.states for j in parts])
         residuals = np.concatenate([j.residuals for j in parts], axis=-1) if checked else None
         solved = _pt_norms(stack, n, parts[0].spec, residuals=residuals)
-        if solved is None and not per_call:
-            return None
         if solved is None:
             norms = [[_pt_norm(FockOperator(job.layout, state), job.spec, "fermionic", FLAG_TOL)
                       for state in job.states] for job in jobs]
@@ -463,19 +480,17 @@ def _score_locc_trial(diag: dict, weights: dict, norms: dict) -> tuple[float, di
                                        "max_violation": float(viol[worst]), "worst_check": worst}
 
 
-def _locc_chunk(rng: np.random.Generator, count: int):
-    """``(worst violation, diagnostics)`` of ``count`` trials; ``None`` if a stack fails a check.
+def _locc_chunk(rng: np.random.Generator, count: int) -> list[tuple[float, dict]]:
+    """``(worst violation, diagnostics)`` of each of ``count`` trials.
 
     The draw phase makes every generator call of the trials, one trial after
     the other, so a replay from a saved generator state draws them bit for bit.
     The build phase runs stage by stage on stacks: one Gram per mode count, one
     ``eigh`` per local mode count (unitaries, then projector sets), then each
-    ``(n, m_A)`` group in slices of :data:`_LOCC_SLICE_BYTES`.  A slice's stages
+    ``(n, m_A)`` group in slices of :data:`_STACK_BYTES`.  A slice's stages
     (a) to (d) are built (:func:`_build_locc_group`) and their norms solved on
     stacks (:func:`_job_norms`), then stage (e) (:func:`_build_locc_stacking`);
-    each stage's states are released once solved.  A single trial whose stack
-    fails a check takes its norms one ``_pt_norm`` call at a time, in check
-    order, which raises the per-call error.
+    each stage's states are released once solved.
     """
     trials = [_draw_locc_trial(rng) for _ in range(count)]
     _restack([(t, name, m) for t in trials for name, m in
@@ -488,14 +503,11 @@ def _locc_chunk(rng: np.random.Generator, count: int):
              lambda normals, m: np.linalg.eigh(_even_hermitians(normals, m))[1])
     scored = {}
     for (n, m_a), group in _grouped(trials, lambda t: (t["n"], t["m_a"])).items():
-        step = max(1, _LOCC_SLICE_BYTES >> (2 * n + 8))  # 2**(2n + 8) bytes: one stacked state
+        step = max(1, _STACK_BYTES >> (2 * n + 8))  # 2**(2n + 8) bytes: one stacked state
         for part in (group[k:k + step] for k in range(0, len(group), step)):
             norms = [{} for _ in part]
             for build in (_build_locc_group, _build_locc_stacking):  # each stage's states die here
-                solved = _job_norms(build(n, m_a, part), len(part), per_call=count == 1)
-                if solved is None:
-                    return None
-                for trial_norms, found in zip(norms, solved):
+                for trial_norms, found in zip(norms, _job_norms(build(n, m_a, part), len(part))):
                     trial_norms.update(found)
             for t, trial_norms in zip(part, norms):
                 scored[id(t)] = _score_locc_trial(t["diag"], t["weights"], trial_norms)
@@ -507,12 +519,6 @@ def _locc_chunk(rng: np.random.Generator, count: int):
 #: are released once solved, so a chunk holds little more than its draws.
 _LOCC_CHUNK = 64
 
-#: Bytes of the largest states (``n + 2`` modes, stacked) of the trials of one
-#: ``(n, m_A)`` group that :func:`_locc_chunk` builds and solves at a time: 2
-#: trials of n = 4, 8 of n = 3, 32 of n = 2.  A slice's temporaries take a few
-#: times these bytes, so this sets the peak memory of ``verify locc``.
-_LOCC_SLICE_BYTES = 1 << 17
-
 
 def check_locc_monotonicity(seed=0, trials: int = 200, tolerance: float = 1e-10) -> CheckReport:
     """Local-unitary invariance, ancilla append/trace, projective measurements,
@@ -522,28 +528,23 @@ def check_locc_monotonicity(seed=0, trials: int = 200, tolerance: float = 1e-10)
     states stage by stage on stacks and solves their norms on stacks as soon as
     they are built (:func:`_locc_chunk`).  The values equal one ``negativity``
     or ``log_negativity`` call per state bit for bit.  If a build or a solve
-    raises, or a stack fails a check, the generator state saved before the
-    chunk is restored and the same code replays the chunk one trial at a time,
+    raises, the chunk is replayed one trial at a time (:func:`_replayed`), and
+    a trial's stack that fails a check takes one ``_pt_norm`` call per state,
     so the first error is the per-call one.  The ancilla is measured with the
     kernels of :func:`fneg.ptranspose.parity_project`, and every measurement
     drops an outcome of weight at most ``FLAG_TOL``, ``parity_project``'s
     empty-sector rule.
     """
-    _check_run(trials, tolerance)
+    _check_count("trials", trials)
+    _check_nonnegative("tolerance", tolerance)
     rng = _rng(seed)
     base_seed = seed if isinstance(seed, int) else None
     worst = 0.0
     diagnostics = []
     for start in range(0, trials, _LOCC_CHUNK):
         count = min(_LOCC_CHUNK, trials - start)
-        state = rng.bit_generator.state
-        try:
-            scored = _locc_chunk(rng, count)
-        except Exception:  # the replay raises it again, after any earlier trial's error
-            scored = None
-        if scored is None:  # replay one trial, then its norms, at a time: the per-call order
-            rng.bit_generator.state = state
-            scored = [result for _ in range(count) for result in _locc_chunk(rng, 1)]
+        scored = _replayed(rng, lambda: _locc_chunk(rng, count),
+                           lambda: [result for _ in range(count) for result in _locc_chunk(rng, 1)])
         for t, (dev, diag) in enumerate(scored, start):
             diag["trial"] = t
             diag["seed"] = base_seed
@@ -641,15 +642,15 @@ def check_perturbation_expansion(
     every odd-order correction vanishes identically and the stated cubic
     bracket cannot be met; the report carries the measured ratios.
     """
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
+    _check_count("trials", trials)
     if not 0.0 <= min_pass_fraction <= 1.0:  # NaN fails too
         raise ValueError(f"min_pass_fraction must be in [0, 1], got {min_pass_fraction!r}")
     epsilons = tuple(float(e) for e in epsilons)
-    if len(epsilons) < 2 or any(e <= 0 for e in epsilons) or any(
-        nxt >= prev for prev, nxt in zip(epsilons, epsilons[1:])
-    ):
+    # 0 < each epsilon < the one before it, so the first is positive too; NaN fails
+    if len(epsilons) < 2 or not all(0 < nxt < prev for prev, nxt in zip(epsilons, epsilons[1:])):
         raise ValueError("epsilons must be a decreasing positive sequence")
+    if not -np.inf < ratio_bounds[0] <= ratio_bounds[1] < np.inf:  # NaN fails too
+        raise ValueError(f"ratio_bounds must be finite with lo <= hi, got {ratio_bounds!r}")
     rng = _rng(seed)
     diagnostics = []
     failures = 0
@@ -682,12 +683,6 @@ def check_perturbation_expansion(
 # -- conjecture and inequality scans ------------------------------------------------
 
 
-#: Bytes of the matrices of one :func:`conjecture_scan` chunk, each sample counted
-#: at its own d: 128 samples at d = 8.  Larger chunks gain no speed and raise the
-#: scan's peak memory.
-_CHUNK_BYTES = 1 << 17
-
-
 def _scan_sequential(rng, configs, start: int, stop: int):
     """Matrices and negativities of samples ``start .. stop-1``, one ``negativity`` call each."""
     mats, negs = [], []
@@ -707,8 +702,7 @@ def _scan_stacked(rng, configs, start: int, stop: int):
     their order, and every stage is the per-sample stage's kernel on a stack,
     so each member equals its sequential sample bit for bit.  ``None`` when any
     member would be resampled as not type II, or fails a check of
-    ``require_density_matrix`` or ``fermionic_pt``; the caller then replays the
-    chunk sequentially.
+    ``require_density_matrix`` or ``fermionic_pt``.
     """
     cycle = np.arange(start, stop) % len(configs)
     sizes = np.array([2 * layout.dim ** 2 for layout, _ in configs])[cycle]
@@ -748,20 +742,20 @@ def conjecture_scan(
     ``t`` takes the ``t % len(configs)``-th bipartition, in the order of
     ``num_modes`` and then ``m_a``.
 
-    The samples run in chunks whose matrices take at most :data:`_CHUNK_BYTES`,
+    The samples run in chunks whose matrices take at most :data:`_STACK_BYTES`,
     each sample counted at its own dimension: each stage (draw, ``G G^+``
     normalisation, type-II test, the checks of ``require_density_matrix``,
     transpose, spectrum) runs once per chunk on a stack of each config's
     samples.  The draws are the ones ``random_density`` makes per sample, in the
     same order, so the report equals a per-sample scan byte for byte.  A chunk
-    in which any sample would be resampled or fails a check is replayed from
-    the saved generator state through ``random_density`` and ``negativity``.
-    A sample larger than :data:`_CHUNK_BYTES` (from seven modes) takes that
+    that raises, or in which any sample would be resampled or fails a check, is
+    replayed through ``random_density`` and ``negativity`` (:func:`_replayed`).
+    A sample larger than :data:`_STACK_BYTES` (from seven modes) takes that
     per-sample path at once.
     """
-    if samples < 1:
-        raise ValueError("samples must be at least 1")
+    _check_count("samples", samples)
     num_modes = _mode_counts(num_modes)
+    _check_nonnegative("threshold", threshold)
     rng = _rng(seed)
     configs = []
     for n in num_modes:
@@ -774,16 +768,12 @@ def conjecture_scan(
     start = 0
     while start < samples:
         stop, used = start + 1, size[start % len(configs)]
-        while stop < samples and used + size[stop % len(configs)] <= _CHUNK_BYTES:
+        while stop < samples and used + size[stop % len(configs)] <= _STACK_BYTES:
             used += size[stop % len(configs)]
             stop += 1
-        result = None
-        if used <= _CHUNK_BYTES:  # a larger sample runs alone, without a stacked copy
-            state = rng.bit_generator.state
-            result = _scan_stacked(rng, configs, start, stop)
-            if result is None:
-                rng.bit_generator.state = state
-        mats, negs = result or _scan_sequential(rng, configs, start, stop)
+        mats, negs = _replayed(  # a sample larger than the budget runs alone, without a stack
+            rng, lambda: _scan_stacked(rng, configs, start, stop) if used <= _STACK_BYTES else None,
+            lambda: _scan_sequential(rng, configs, start, stop))
         first = int(np.argmin(negs))
         if negs[first] < min_neg:
             layout, m_a = configs[(start + first) % len(configs)]
@@ -815,8 +805,7 @@ def pi_inequality_scan(seed=0, samples: int = 300, flavor: str = "fermionic") ->
     Informational only: violation counts are reported but never gate a pass
     (the fermionic-flavor status of the inequality is an open question).
     """
-    if samples < 1:
-        raise ValueError("samples must be at least 1")
+    _check_count("samples", samples)
     rng = _rng(seed)
     layout = ModeLayout.tripartite()
     violations = 0

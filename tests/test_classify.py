@@ -40,6 +40,12 @@ def test_bad_structural_threshold_is_rejected():
         two_mode_separable(canonical_state("majorana_dimer"), structural_threshold=np.nan)
 
 
+def test_bad_parity_type_threshold_is_rejected():
+    # subsystem_parity_type(threshold=nan) returned type_II
+    with pytest.raises(ValueError, match="threshold must be a finite number >= 0"):
+        subsystem_parity_type(canonical_state("ghz"), SubsystemSpec((1,)), threshold=np.nan)
+
+
 class TestTwoModeSeparable:
     def test_maximally_mixed_is_separable(self):
         rho = FockOperator(LAY2, np.eye(4, dtype=complex) / 4)

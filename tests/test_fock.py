@@ -12,7 +12,10 @@ from fneg.fock import (
     FockOperator,
     ModeLayout,
     SubsystemSpec,
+    _density_verdicts,
+    _exact,
     _kron,
+    _parity_leak,
     _permute_matrix,
     _popcount_array,
     _sign_vector,
@@ -301,6 +304,40 @@ class TestFockOperatorFlags:
         shape = (2, d // 2, d // 2) if n >= _BLOCK_MIN_MODES else (d, d)
         assert log == [("cholesky", shape)] + [("eigvalsh", shape)] * fallback
         assert op.is_density_matrix() is (op.min_eigenvalue() >= -FLAG_TOL)
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_exact_is_each_block_test_it_replaced(self, n):
+        # _exact_blocks, _density_verdicts and _pt_norms each tested N >= _BLOCK_MIN_MODES
+        # and a leak of exactly 0.0 themselves; a small operator's leak was never read
+        lay = ModeLayout(n, ("A",) * n)
+        state = random_density(lay, 60 + n).matrix
+        leaky, broken = state.copy(), state.copy()
+        leaky[0, 1] = leaky[1, 0] = 1e-300  # |0..0> is even, |10..0> odd
+        broken[0, 0] = np.nan
+        blocked = n >= _BLOCK_MIN_MODES
+        for members in ([state, state], [leaky], [broken], [state, leaky, broken, state]):
+            stack = np.stack(members)
+            leak = _parity_leak(stack, n, lay.dim - 1)
+            exact = _exact(leak, n)
+            assert np.broadcast_to(exact, leak.shape).tolist() == ((leak == 0.0) & blocked).tolist()
+            assert bool(np.all(exact)) is (blocked and bool((leak == 0.0).all()))
+            want = [blocked and float(x) == 0.0 for x in leak]
+            assert [FockOperator(lay, m)._exact_blocks() for m in stack] == want
+        if not blocked:
+            assert _exact(lambda: pytest.fail("a small operator's leak was read"), n) is False
+
+    @pytest.mark.parametrize("n", [2, 7])
+    def test_infinite_diagonal_entry_fails_validation(self, n):
+        # inf - inf in the Hermiticity residual warned (an error under this suite's
+        # filterwarnings) before the validation error could be raised
+        rho = canonical_state("singlet") if n == 2 else random_density(ModeLayout.bipartite(1, 6), 3)
+        bad = rho.matrix.copy()
+        bad[0, 0] = np.inf
+        with pytest.raises(StateValidationError, match="not a unit-trace Hermitian matrix"):
+            negativity(FockOperator(rho.layout, bad), SubsystemSpec((1,)))
+        verdicts, _, herm = _density_verdicts(np.stack([rho.matrix, bad]), n, FLAG_TOL)
+        assert verdicts.tolist() == [True, False]
+        assert herm[0] <= FLAG_TOL and np.isnan(herm[1])
 
     def test_matrix_read_only(self):
         op = identity_op(ModeLayout(1, ("A",)))

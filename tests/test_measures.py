@@ -1,4 +1,5 @@
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import record_calls
 from fneg.classify import pure3_class
+from fneg.cli import main as cli_main
 from fneg.errors import LayoutError, ParityError, StateValidationError
 from fneg.fock import (
     _BLOCK_MIN_MODES,
@@ -20,6 +22,7 @@ from fneg.fock import (
 from fneg.measures import (
     SINGULAR_FLOOR,
     MeasureReport,
+    _is_pure,
     amplitude_tensor,
     bipartite_report,
     cayley_hdet,
@@ -152,7 +155,7 @@ class TestParityBlockSpectra:
     def test_block_path_matches_dense(self, n):
         for op in _parity_block_operators(n, seed=100 + n):
             # small operators stay dense; from _BLOCK_MIN_MODES on the block path runs
-            assert (op._parity_blocks() is not None) is (n >= _BLOCK_MIN_MODES)
+            assert op._exact_blocks() is (n >= _BLOCK_MIN_MODES)
             dense = np.linalg.svd(op.matrix, compute_uv=False)
             assert np.abs(singular_values(op) - dense).max() <= 1e-12
             assert abs(trace_norm(op) - dense.sum()) <= 1e-12
@@ -188,7 +191,7 @@ class TestParityBlockSpectra:
         mat = np.eye(32, dtype=complex) / 32
         mat[pos] = np.nan
         op = FockOperator(ModeLayout.bipartite(1, 4), mat)
-        assert op._parity_blocks() is None
+        assert not op._exact_blocks()
         with pytest.raises(np.linalg.LinAlgError):
             trace_norm(op)
         assert not op.is_density_matrix()
@@ -659,6 +662,14 @@ class TestTangle:
         with pytest.raises(StateValidationError):
             three_tangle(canonical_state("majorana_triple"))
 
+    def test_rejects_nan_vector(self):
+        with pytest.raises(StateValidationError, match="not normalized"):  # returned NaN
+            three_tangle(np.full(8, np.nan))
+        infinite = np.eye(8, dtype=complex) / 8
+        infinite[0, 0] = np.inf  # its eigenvalues are NaN; the tangle was 0.0
+        with pytest.raises(StateValidationError, match="not a pure-state density matrix"):
+            three_tangle(FockOperator(ModeLayout.tripartite(), infinite))
+
 
 def _tripartite_state(kind: str) -> FockOperator:
     if kind.startswith("pure"):
@@ -746,20 +757,30 @@ class TestTripartiteMeasures:
         tripartite_report(pure)
         assert log == [("eigh", (8, 8))]
 
-    @pytest.mark.parametrize("eps", [1e-10, 1e-8, 1e-6])
-    def test_tangle_gate_is_the_classifier_purity_test(self, eps):
-        # Tr rho^2 = 1 - 1.75 eps and lambda_max = 1 - 0.875 eps: at eps = 1e-8 only
-        # the eigenvalue passes 1e-8, and the report follows the classifier's Tr rho^2
+    @pytest.mark.parametrize("eps", [1e-10, (1e-8 - 1e-12) / 1.75, (1e-8 + 1e-12) / 1.75, 1e-8,
+                                     1e-6])
+    def test_tangle_gate_is_the_classifier_purity_test(self, tmp_path, capsys, eps):
+        # Tr rho^2 = 1 - 1.75 eps (+ 0.875 eps^2) and lambda_max = 1 - 0.875 eps: at
+        # eps = 1e-8 only the eigenvalue passes 1e-8.  The report, pure3_class and the
+        # routing of fneg classify follow one Tr rho^2 test, also 1e-12 from its bound.
         psi = _tripartite_state("pure_odd")
         rho = FockOperator(psi.layout, (1 - eps) * psi.matrix + eps * np.eye(8) / 8)
+        pure = 1.75 * eps <= 1e-8
+        assert _is_pure(rho) is pure
         report = tripartite_report(rho)
-        if eps < 1e-8:
+        if pure:
             assert abs(report["three_tangle"] - three_tangle(psi)) <= 1e-9
             assert pure3_class(rho).label == pure3_class(psi).label
         else:
             assert "three_tangle" not in report.entries
             with pytest.raises(StateValidationError, match="state is mixed"):
                 pure3_class(rho)
+        path = tmp_path / "state.json"
+        matrix = [[z.real, z.imag] for z in rho.matrix.ravel()]
+        path.write_text(json.dumps({"num_modes": 3, "matrix": matrix}))
+        assert cli_main(["classify", str(path)]) == 0
+        label = json.loads(capsys.readouterr().out)["label"]
+        assert (label == pure3_class(psi).label) is pure  # else mixed3_classify's label
 
     def test_pairwise_negativity_matches_reduction(self):
         ghz = canonical_state("ghz")

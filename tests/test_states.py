@@ -201,6 +201,8 @@ class TestPureCoeffs:
             PureCoeffs((1.0, 0.0, 0.0), "even")
         with pytest.raises(StateValidationError):
             PureCoeffs((0.9, 0.1), "even")
+        with pytest.raises(StateValidationError, match="not normalized"):  # returned a NaN state
+            canonical_state("two_mode_pure", lambdas=(np.nan, 1.0), parity="even")
         coeffs = PureCoeffs((0.6, 0.8), "odd")
         assert coeffs.num_modes == 2
 
@@ -317,6 +319,8 @@ class TestRandomSeparable:
     def test_num_terms_validation(self, rng):
         with pytest.raises(ValueError):
             random_separable(ModeLayout.bipartite(1, 1), SubsystemSpec((1,)), 0, rng)
+        with pytest.raises(TypeError, match="num_terms must be an integer"):
+            random_separable(ModeLayout.bipartite(1, 1), SubsystemSpec((1,)), 2.5, rng)
 
     def test_vacuum_product(self):
         from fneg.fock import FockOperator, graded_tensor

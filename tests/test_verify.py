@@ -1,4 +1,5 @@
 import hashlib
+import json
 import tracemalloc
 
 import numpy as np
@@ -548,7 +549,7 @@ class TestLoccMonotonicity:
 
     def test_one_kernel_call_per_stack_of_each_slice(self, monkeypatch):
         # A chunk's (n, m_A) groups are built in slices of at most
-        # _LOCC_SLICE_BYTES >> (2n + 8) trials, and each slice is solved as soon as it
+        # _STACK_BYTES >> (2n + 8) trials, and each slice is solved as soon as it
         # is built, one _pt_norms call per (modes, target mask) stack: stages (a)-(d),
         # the validated evolved states in a stack of their own, then stage (e).  No
         # norm goes through the per-call _pt_norm.
@@ -563,7 +564,7 @@ class TestLoccMonotonicity:
         kernel = [(shape[-1].bit_length() - 1, shape[0]) for _, shape in log]
         want = []  # (modes, members) of each stack, in solve order
         for (_, n, _), count in groups.items():
-            step = max(1, verify_mod._LOCC_SLICE_BYTES >> (2 * n + 8))
+            step = max(1, verify_mod._STACK_BYTES >> (2 * n + 8))
             for k in [min(step, count - start) for start in range(0, count, step)]:
                 # rho, the rotated, measured and mixed states, at least five a trial;
                 # the appended and the evolved states; the stacked states and partners
@@ -588,7 +589,7 @@ class TestLoccMonotonicity:
         for diag in report.diagnostics:
             key = (diag["trial"] // _LOCC_CHUNK, diag["n"], diag["m_a"])
             groups[key] = groups.get(key, 0) + 1
-        slices = {n: sum(-(-count // max(1, verify_mod._LOCC_SLICE_BYTES >> (2 * n + 8)))
+        slices = {n: sum(-(-count // max(1, verify_mod._STACK_BYTES >> (2 * n + 8)))
                          for (_, m, _), count in groups.items() if m == n) for n in (3, 4)}
         assert slices[3] and slices[4]
         assert len(five) == 2 * slices[4] + slices[3]
@@ -616,7 +617,7 @@ class TestLoccMonotonicity:
     @pytest.mark.parametrize("slice_bytes", [0, 1 << 30])  # one trial; a whole group
     def test_report_does_not_depend_on_the_slice_size(self, monkeypatch, slice_bytes):
         want = check_locc_monotonicity(seed=7, trials=_LOCC_CHUNK + 5).to_dict()
-        monkeypatch.setattr(verify_mod, "_LOCC_SLICE_BYTES", slice_bytes)
+        monkeypatch.setattr(verify_mod, "_STACK_BYTES", slice_bytes)
         assert check_locc_monotonicity(seed=7, trials=_LOCC_CHUNK + 5).to_dict() == want
 
     def test_occupation_projectors_are_the_one_mode_parity_pair(self):
@@ -804,6 +805,27 @@ class TestConjectureScan:
         assert 0 < len(calls) < 600
         assert report.diagnostics[0] == _per_sample_scan(5, 600, (2, 3), threshold=1.0)
 
+    def test_stacked_error_replays_the_chunk(self, monkeypatch):
+        # The first chunk's stacked run draws, then raises; its samples are replayed
+        # from the saved generator state one random_density at a time.  The parent
+        # let the error through.
+        want = conjecture_scan(seed=5, samples=300, num_modes=(2, 3), threshold=1.0).to_dict()
+        real, raised = verify_mod._scan_stacked, []
+
+        def failing_once(*args):
+            result = real(*args)  # the draws are made either way
+            if raised:
+                return result
+            raised.append(True)
+            raise np.linalg.LinAlgError("stacked")
+
+        monkeypatch.setattr(verify_mod, "_scan_stacked", failing_once)
+        calls = _count_replays(monkeypatch)
+        report = conjecture_scan(seed=5, samples=300, num_modes=(2, 3), threshold=1.0)
+        assert raised and 0 < len(calls) < 300
+        assert json.dumps(report.to_dict()) == json.dumps(want)
+        assert report.diagnostics[0] == _per_sample_scan(5, 300, (2, 3), threshold=1.0)
+
     def test_forced_counterexample_dump(self):
         report = conjecture_scan(seed=11, samples=30, threshold=1.0)
         want = _per_sample_scan(11, 30, (2, 3), threshold=1.0)
@@ -855,10 +877,38 @@ class TestPiInequalityScan:
     (lambda: check_identity_suite(trials=1, tolerance=np.nan), "tolerance must be"),
     (lambda: check_perturbation_expansion(trials=1, min_pass_fraction=np.nan), "min_pass_fraction"),
     (lambda: check_perturbation_expansion(trials=1, min_pass_fraction=2.0), "min_pass_fraction"),
+    # these four returned passing reports, and a NaN epsilon raised a ParityError
+    (lambda: conjecture_scan(samples=1, threshold=np.nan), "threshold must be a finite number"),
+    (lambda: conjecture_scan(samples=1, threshold=-1.0), "threshold must be a finite number"),
+    (lambda: check_perturbation_expansion(trials=1, epsilons=(np.nan, 1e-3)), "epsilons"),
+    (lambda: check_perturbation_expansion(trials=1, ratio_bounds=(np.nan, 10.0)), "ratio_bounds"),
+    (lambda: check_perturbation_expansion(trials=1, ratio_bounds=(10.0, 6.0)), "ratio_bounds"),
 ], ids=["conjecture_one_mode", "conjecture_no_modes", "conjecture_too_many_modes",
         "conjecture_float_modes", "identities_no_modes", "identities_one_mode", "pi_no_samples",
         "locc_nan_tolerance", "locc_negative_tolerance", "identities_nan_tolerance",
-        "perturbation_nan_fraction", "perturbation_fraction_above_one"])
+        "perturbation_nan_fraction", "perturbation_fraction_above_one",
+        "conjecture_nan_threshold", "conjecture_negative_threshold", "perturbation_nan_epsilon",
+        "perturbation_nan_ratio_bound", "perturbation_inverted_ratio_bounds"])
 def test_degenerate_inputs_raise_value_error(call, message):
     with pytest.raises(ValueError, match=message):
         call()
+
+
+@pytest.mark.parametrize("call,name", [
+    (lambda: check_identity_suite(trials=True), "trials"),
+    (lambda: check_identity_suite(trials=2.5), "trials"),
+    (lambda: check_locc_monotonicity(trials=2.5), "trials"),
+    (lambda: check_perturbation_expansion(trials=2.5), "trials"),
+    (lambda: conjecture_scan(samples=2.5), "samples"),
+    (lambda: pi_inequality_scan(samples=2.5), "samples"),
+], ids=["identities_bool", "identities_float", "locc_float", "perturbation_float",
+        "conjecture_float", "pi_float"])
+def test_non_integer_counts_raise_type_error(call, name):
+    # a bool ran as one trial, samples=2.5 passed, the other floats raised numpy's TypeError
+    with pytest.raises(TypeError, match=f"{name} must be an integer, got"):
+        call()
+
+
+def test_numpy_integer_counts_are_accepted():
+    assert check_identity_suite(seed=3, trials=np.int64(2)).trials == 2
+    assert conjecture_scan(seed=3, samples=np.int32(5)).passed
