@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -52,12 +52,13 @@ from .states import (
 _GAP_GUARD = 5e-3
 _RESAMPLE_BUDGET = 500
 
-#: Bytes of the matrices that one stack of a check holds: a slice of the
-#: largest states (``n + 2`` modes) of one ``(n, m_A)`` group of ``verify
-#: locc`` (2 trials of n = 4, 8 of n = 3, 32 of n = 2), or a chunk of
-#: ``conjecture_scan`` samples, each counted at its own d (128 at d = 8).  A
-#: stack's temporaries take a few times these bytes, so this sets the peak
-#: memory of both; larger stacks gain no speed.
+#: Bytes of the matrices that one stack of a check holds: the largest states
+#: (``n + 2`` modes) of one ``(n, m_A)`` bucket of ``verify locc`` (2 trials
+#: of n = 4, 8 of n = 3, 32 of n = 2), a slice of one ``verify identities``
+#: trial's transpose inputs, or a chunk of ``conjecture_scan`` samples, each
+#: counted at its own d (128 at d = 8).  A stack's temporaries take a few
+#: times these bytes, so this sets the peak memory of each; larger stacks
+#: gain no speed.
 _STACK_BYTES = 1 << 17
 
 
@@ -296,14 +297,6 @@ def _grouped(items, key) -> dict:
     return groups
 
 
-def _restack(slots, fn) -> None:
-    """Set ``box[name]`` of each ``(box, name, key)`` slot from one ``fn(stack, key)`` per key."""
-    for key, members in _grouped(slots, lambda slot: slot[2]).items():
-        stack = np.stack([box[name] for box, name, _ in members])
-        for (box, name, _), value in zip(members, fn(stack, key)):
-            box[name] = value
-
-
 class _Jobs(NamedTuple):
     """Norms to take: a stack of states on one layout, with one target, in check order."""
 
@@ -358,12 +351,19 @@ def _draw_locc_trial(rng: np.random.Generator) -> dict:
     return {"n": n, "m_a": m_a, **draw}
 
 
-def _build_locc_group(n: int, m_a: int, trials: list[dict]) -> list[_Jobs]:
-    """Build the drawn trials of one ``(n, m_A)`` group as stacks.
+def _gram(normals: np.ndarray, num_modes: int) -> np.ndarray:
+    """``random_density``'s state from each member of a ``(..., 2, d, d)`` stack of normals."""
+    return _normalised_gram(_block_gaussian(normals, _parity_mask(num_modes)))
 
-    Sets each trial's branch weights and diagnostics and returns the norm jobs
-    of stages (a) to (d), in check order.  The validated evolved states come
-    with the residuals that :func:`_measured_branches` read.  The parity
+
+def _build_locc_group(n: int, m_a: int, trials: Sequence[dict]) -> list[_Jobs]:
+    """Build the drawn trials of one ``(n, m_A)`` bucket as stacks.
+
+    Each state, unitary and projector set is made from the stacked draws of
+    the bucket: one ``G G^+`` normalisation or ``eigh`` per kind.  Sets each
+    trial's branch weights and diagnostics and returns the norm jobs of stages
+    (a) to (d), in check order, ``rho``'s first.  The validated evolved states
+    come with the residuals that :func:`_measured_branches` read.  The parity
     checks of ``embed_local`` and ``graded_tensor`` run on the stacks, in the
     per-call order (:func:`fock._require_even_stack`).
     """
@@ -382,28 +382,29 @@ def _build_locc_group(n: int, m_a: int, trials: list[dict]) -> list[_Jobs]:
         _require_even_stack(rhs_layout, rhs)  # rho, the left operand, is checked once below
         return _graded_product(layout, rhs_layout, rho, rhs)
 
-    rho = stack("rho")
+    rho = _gram(stack("rho"), n)
 
     # (a) invariance under local parity-even unitaries
-    u = (embedded(stack("u_a"), layout, spec_a.target_modes)
-         @ embedded(stack("u_b"), layout, spec_b.target_modes))
+    u = (embedded(_unitaries(stack("u_a"), m_a), layout, spec_a.target_modes)
+         @ embedded(_unitaries(stack("u_b"), n - m_a), layout, spec_b.target_modes))
     rotated = u @ rho @ u.conj().swapaxes(-1, -2)
 
     # (b) appending an unentangled ancilla to A
     _require_even_stack(layout, rho)
-    big, appended = graded(one, stack("append"))
+    big, appended = graded(one, _gram(stack("append"), 1))
 
     # (c) complete local projective measurements, by random projector sets or by parity
-    drawn = [t for t in trials if t["proj"]]
-    for side, spec in enumerate((spec_a, spec_b)):
-        sets = [_projector_set(*t["proj"][side]) for t in drawn]
-        if drawn:
-            local = np.stack([p for projectors in sets for p in projectors])
-            flat = iter(embedded(local, layout, spec.target_modes))
-            for t, projectors in zip(drawn, sets):
-                t["proj"][side] = [next(flat) for _ in projectors]
+    drawn = [t["proj"] for t in trials if t["proj"]]
+    sides = []  # each drawn trial's embedded projectors on A, then on B
+    for side, spec in enumerate((spec_a, spec_b) if drawn else ()):
+        vecs = np.linalg.eigh(_even_hermitians(np.stack([p[side][0] for p in drawn]), len(spec)))[1]
+        sets = [_projector_set(v, *p[side][1:]) for v, p in zip(vecs, drawn)]
+        flat = iter(embedded(np.stack([p for s in sets for p in s]), layout, spec.target_modes))
+        sides.append([[next(flat) for _ in s] for s in sets])
+    chosen = zip(*sides)
     parity = [_parity_projectors(layout, spec.target_modes) for spec in (spec_a, spec_b)]
-    pairs = [(i, ea, eb) for i, t in enumerate(trials) for proj_a, proj_b in [t["proj"] or parity]
+    pairs = [(i, ea, eb) for i, t in enumerate(trials)
+             for proj_a, proj_b in [next(chosen) if t["proj"] else parity]
              for ea in proj_a for eb in proj_b]
     ops = np.stack([ea for _, ea, _ in pairs]) @ np.stack([eb for _, _, eb in pairs])
     projected = ops @ rho[[i for i, _, _ in pairs]] @ ops
@@ -413,9 +414,9 @@ def _build_locc_group(n: int, m_a: int, trials: list[dict]) -> list[_Jobs]:
                      projected[kept] / weights[kept, None, None], layout, spec_a)
 
     # (d) entangling an ancilla into A, measuring it, with and without averaging
-    _, sigma = graded(one, stack("sigma"))
+    _, sigma = graded(one, _gram(stack("sigma"), 1))
     tilde_spec = big.spec("A")
-    u_ar = embedded(stack("u_ar"), big, tilde_spec.target_modes)
+    u_ar = embedded(_unitaries(stack("u_ar"), m_a + 1), big, tilde_spec.target_modes)
     evolved = u_ar @ sigma @ u_ar.conj().swapaxes(-1, -2)
     owners, branch_weights, reduced, checked = _measured_branches(
         evolved, big, tilde_spec.target_modes[-1])
@@ -437,16 +438,16 @@ def _build_locc_group(n: int, m_a: int, trials: list[dict]) -> list[_Jobs]:
             _Jobs("mixed", every, mixed, layout, spec_a)]
 
 
-def _build_locc_stacking(n: int, m_a: int, trials: list[dict]) -> list[_Jobs]:
+def _build_locc_stacking(n: int, m_a: int, rho: np.ndarray, trials: Sequence[dict]) -> list[_Jobs]:
     """(e) additivity under stacking: the norm jobs of ``rho (x) other`` and ``other``.
 
     Built after the other stages' norms are taken and their states released,
     since these states are the largest.
     """
     layout, two = ModeLayout.bipartite(m_a, n - m_a), ModeLayout.bipartite(1, 1)
-    other = np.stack([t["other"] for t in trials])
+    other = _gram(np.stack([t["other"] for t in trials]), 2)
     _require_even_stack(two, other)
-    wide, stacked = _graded_product(layout, two, np.stack([t["rho"] for t in trials]), other)
+    wide, stacked = _graded_product(layout, two, rho, other)
     every = np.arange(len(trials))
     return [_Jobs("stacked", every, stacked, wide, wide.spec("A")),
             _Jobs("other", every, other, two, two.spec("A"))]
@@ -480,60 +481,57 @@ def _score_locc_trial(diag: dict, weights: dict, norms: dict) -> tuple[float, di
                                        "max_violation": float(viol[worst]), "worst_check": worst}
 
 
-def _locc_chunk(rng: np.random.Generator, count: int) -> list[tuple[float, dict]]:
-    """``(worst violation, diagnostics)`` of each of ``count`` trials.
+def _locc_trials(rng: np.random.Generator, trials: int, budget: int) -> list[tuple[float, dict]]:
+    """``(worst violation, diagnostics)`` of each of ``trials`` trials, in buckets of ``budget`` bytes.
 
-    The draw phase makes every generator call of the trials, one trial after
-    the other, so a replay from a saved generator state draws them bit for bit.
-    The build phase runs stage by stage on stacks: one Gram per mode count, one
-    ``eigh`` per local mode count (unitaries, then projector sets), then each
-    ``(n, m_A)`` group in slices of :data:`_STACK_BYTES`.  A slice's stages
-    (a) to (d) are built (:func:`_build_locc_group`) and their norms solved on
-    stacks (:func:`_job_norms`), then stage (e) (:func:`_build_locc_stacking`);
-    each stage's states are released once solved.
+    Each trial makes every generator call of a per-call trial, in its order,
+    into the bucket of its ``(n, m_A)``.  A bucket that holds ``budget`` bytes
+    of its largest states (the stacked ones, ``2**(2n + 8)`` bytes a trial),
+    or at least one trial, is built and solved at once: stages (a) to (d)
+    (:func:`_build_locc_group`), then stage (e) (:func:`_build_locc_stacking`),
+    each stage's states solved on stacks (:func:`_job_norms`) and released.
+    The other buckets are built when the trials run out.
     """
-    trials = [_draw_locc_trial(rng) for _ in range(count)]
-    _restack([(t, name, m) for t in trials for name, m in
-              (("rho", t["n"]), ("append", 1), ("sigma", 1), ("other", 2))],
-             lambda normals, m: _normalised_gram(_block_gaussian(normals, _parity_mask(m))))
-    _restack([(t, name, m) for t in trials for name, m in
-              (("u_a", t["m_a"]), ("u_b", t["n"] - t["m_a"]), ("u_ar", t["m_a"] + 1))], _unitaries)
-    _restack([(drawn, 0, t["m_a"] if side == 0 else t["n"] - t["m_a"])
-              for t in trials if t["proj"] for side, drawn in enumerate(t["proj"])],
-             lambda normals, m: np.linalg.eigh(_even_hermitians(normals, m))[1])
-    scored = {}
-    for (n, m_a), group in _grouped(trials, lambda t: (t["n"], t["m_a"])).items():
-        step = max(1, _STACK_BYTES >> (2 * n + 8))  # 2**(2n + 8) bytes: one stacked state
-        for part in (group[k:k + step] for k in range(0, len(group), step)):
-            norms = [{} for _ in part]
-            for build in (_build_locc_group, _build_locc_stacking):  # each stage's states die here
-                for trial_norms, found in zip(norms, _job_norms(build(n, m_a, part), len(part))):
-                    trial_norms.update(found)
-            for t, trial_norms in zip(part, norms):
-                scored[id(t)] = _score_locc_trial(t["diag"], t["weights"], trial_norms)
-                t.clear()  # the trial's draws
-    return [scored[id(t)] for t in trials]
+    scored = [None] * trials
+    buckets: dict = {}
 
+    def flush(key: tuple[int, int]) -> None:
+        ks, drawn = zip(*buckets.pop(key))
+        jobs = _build_locc_group(*key, drawn)
+        rho, norms = jobs[0].states, _job_norms(jobs, len(drawn))
+        del jobs  # stage (e)'s states are the largest
+        for trial_norms, found in zip(norms, _job_norms(_build_locc_stacking(*key, rho, drawn),
+                                                         len(drawn))):
+            trial_norms.update(found)
+        for k, t, trial_norms in zip(ks, drawn, norms):
+            scored[k] = _score_locc_trial(t["diag"], t["weights"], trial_norms)
 
-#: Trials that :func:`check_locc_monotonicity` draws together.  A slice's states
-#: are released once solved, so a chunk holds little more than its draws.
-_LOCC_CHUNK = 64
+    for k in range(trials):
+        t = _draw_locc_trial(rng)
+        key = (t["n"], t["m_a"])
+        buckets.setdefault(key, []).append((k, t))
+        if len(buckets[key]) == max(1, budget >> (2 * t["n"] + 8)):
+            flush(key)
+    for key in list(buckets):
+        flush(key)
+    return scored
 
 
 def check_locc_monotonicity(seed=0, trials: int = 200, tolerance: float = 1e-10) -> CheckReport:
     """Local-unitary invariance, ancilla append/trace, projective measurements,
     and additivity, scored by equality deviation or negative inequality slack.
 
-    A chunk of :data:`_LOCC_CHUNK` trials makes all its draws, then builds its
-    states stage by stage on stacks and solves their norms on stacks as soon as
-    they are built (:func:`_locc_chunk`).  The values equal one ``negativity``
-    or ``log_negativity`` call per state bit for bit.  If a build or a solve
-    raises, the chunk is replayed one trial at a time (:func:`_replayed`), and
-    a trial's stack that fails a check takes one ``_pt_norm`` call per state,
-    so the first error is the per-call one.  The ancilla is measured with the
-    kernels of :func:`fneg.ptranspose.parity_project`, and every measurement
-    drops an outcome of weight at most ``FLAG_TOL``, ``parity_project``'s
-    empty-sector rule.
+    Trials are drawn one at a time into a bucket per ``(n, m_A)``, and each
+    bucket is built stage by stage on stacks of :data:`_STACK_BYTES` and
+    solved on stacks (:func:`_locc_trials`).  The values equal one
+    ``negativity`` or ``log_negativity`` call per state bit for bit.  If
+    anything raises, the whole check is replayed from the generator state of
+    the call, one trial at a time (:func:`_replayed`), and a trial's stack
+    that fails a check takes one ``_pt_norm`` call per state, so the first
+    error is the per-call one.  The ancilla is measured with the kernels of
+    :func:`fneg.ptranspose.parity_project`, and every measurement drops an
+    outcome of weight at most ``FLAG_TOL``, ``parity_project``'s empty-sector
+    rule.
     """
     _check_count("trials", trials)
     _check_nonnegative("tolerance", tolerance)
@@ -541,15 +539,13 @@ def check_locc_monotonicity(seed=0, trials: int = 200, tolerance: float = 1e-10)
     base_seed = seed if isinstance(seed, int) else None
     worst = 0.0
     diagnostics = []
-    for start in range(0, trials, _LOCC_CHUNK):
-        count = min(_LOCC_CHUNK, trials - start)
-        scored = _replayed(rng, lambda: _locc_chunk(rng, count),
-                           lambda: [result for _ in range(count) for result in _locc_chunk(rng, 1)])
-        for t, (dev, diag) in enumerate(scored, start):
-            diag["trial"] = t
-            diag["seed"] = base_seed
-            diagnostics.append(diag)
-            worst = max(worst, dev)
+    scored = _replayed(rng, lambda: _locc_trials(rng, trials, _STACK_BYTES),
+                       lambda: _locc_trials(rng, trials, 0))
+    for t, (dev, diag) in enumerate(scored):
+        diag["trial"] = t
+        diag["seed"] = base_seed
+        diagnostics.append(diag)
+        worst = max(worst, dev)
     return _report("locc_monotonicity", trials, worst, tolerance, diagnostics)
 
 
@@ -716,7 +712,7 @@ def _scan_stacked(rng, configs, start: int, stop: int):
             continue
         n, d, spec = layout.num_modes, layout.dim, layout.spec("A")
         g = draws[offsets[members, None] + np.arange(2 * d * d)].reshape(-1, 2, d, d)
-        stack = _normalised_gram(_block_gaussian(g, _parity_mask(n)))
+        stack = _gram(g, n)
         if not _visibly_type_ii(stack, n, spec.mask()).all():
             return None
         norms = _pt_norms(stack, n, spec)

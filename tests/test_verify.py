@@ -16,7 +16,6 @@ from fneg.measures import log_negativity, negativity, trace_norm
 from fneg.ptranspose import fermionic_pt, fermionic_pt_majorana, full_transpose, partial_trace
 from fneg.states import random_density
 from fneg.verify import (
-    _LOCC_CHUNK,
     CheckReport,
     check_identity_suite,
     check_locc_monotonicity,
@@ -202,6 +201,18 @@ def _odd_member(matrix: np.ndarray) -> np.ndarray:
     out[..., 0, 1] += 1e-3
     out[..., 1, 0] += 1e-3
     return out
+
+
+def _flushes(groups) -> list[tuple[int, list[int]]]:
+    """``(n, trials)`` of each bucket ``verify locc`` builds, in build order, for the
+    ``(n, m_A)`` of each trial: a bucket is built once it holds
+    ``max(1, _STACK_BYTES >> (2n + 8))`` trials, the rest when the trials run out."""
+    open_buckets, built = {}, []
+    for k, (n, m_a) in enumerate(groups):
+        open_buckets.setdefault((n, m_a), []).append(k)
+        if len(open_buckets[n, m_a]) == max(1, verify_mod._STACK_BYTES >> (2 * n + 8)):
+            built.append((n, open_buckets.pop((n, m_a))))
+    return built + [(n, ks) for (n, _), ks in open_buckets.items()]
 
 
 def _per_call_identity_trial(rng, n: int) -> tuple[float, dict]:
@@ -400,11 +411,12 @@ class TestLoccMonotonicity:
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode()).hexdigest() == _LOCC_SHA256[seed]
 
-    @pytest.mark.parametrize("trials", [1, _LOCC_CHUNK - 1, _LOCC_CHUNK + 1, 30])
+    # At seed 7 trial 2 fills the first bucket, of (n, m_A) = (4, 2): 1 and 2 trials build
+    # every bucket when the trials run out, 3 builds one as it fills.  Buckets of n = 3
+    # fill too at 33 trials (seed 0) and 65 (every seed), and part-filled ones are left.
+    @pytest.mark.parametrize("trials", [1, 2, 3, 30, 33, 65])
     @pytest.mark.parametrize("seed", [0, 7, 505])
     def test_batched_report_equals_per_call_reference(self, seed, trials):
-        # 1 and _LOCC_CHUNK - 1 trials fill part of one chunk, _LOCC_CHUNK + 1 spill
-        # one trial into a second; 30 is the CLI's `verify locc --trials 30`
         report = check_locc_monotonicity(seed=seed, trials=trials)
         assert len(report.diagnostics) == trials
         rng = np.random.default_rng(seed)
@@ -413,29 +425,29 @@ class TestLoccMonotonicity:
 
     @pytest.mark.parametrize("seed", [0, 7, 505])
     def test_reference_seeds_stack_several_trials(self, seed):
-        # The seeds above put two or more trials of one (n, m_A) group into one chunk,
+        # The seeds above put two or more trials of one (n, m_A) group into one bucket,
         # and draw both measurements of (c), so the reference sees stacks of several
         # members, with random projector sets and parity projectors in one stack.
         rng = np.random.default_rng(seed)
         drawn = [verify_mod._draw_locc_trial(rng) for _ in range(30)]
-        groups: dict[tuple, list] = {}
-        for k, t in enumerate(drawn):
-            groups.setdefault((k // _LOCC_CHUNK, t["n"], t["m_a"]), []).append(t["proj"] is None)
-        assert max(len(coins) for coins in groups.values()) >= 2
-        assert any(set(coins) == {True, False} for coins in groups.values())
+        buckets = [[drawn[k]["proj"] is None for k in ks]
+                   for _, ks in _flushes([(t["n"], t["m_a"]) for t in drawn])]
+        assert max(len(coins) for coins in buckets) >= 2
+        assert any(set(coins) == {True, False} for coins in buckets)
 
     def test_one_odd_unitary_raises_embed_locals_error(self, monkeypatch):
         # Trial 2's local unitary on B is made parity-odd.  At seed 7 trials 0 and 2
-        # share an (n, m_A) group, so in the chunk the odd member sits behind a good
-        # one.  The replay builds and solves trials 0 and 1, then raises at trial 2
-        # what embed_local raises; without the stacked check a norm would raise a
-        # StateValidationError, as the rotated state is no longer unit-trace.
+        # fill an (n, m_A) = (4, 2) bucket of two, built as trial 2 is drawn, so the odd
+        # member sits behind a good one.  The replay builds and solves trials 0 and 1,
+        # then raises at trial 2 what embed_local raises; without the stacked check a
+        # norm would raise a StateValidationError, as the rotated state is no longer
+        # unit-trace.
         draw, real = verify_mod._draw_locc_trial, verify_mod._unitaries
         drawn, target, made = [], [], []
 
         def tagged(rng):
             drawn.append(draw(rng))
-            target.append(drawn[-1]["u_b"].copy())  # the build replaces the draws
+            target.append(drawn[-1]["u_b"])
             return drawn[-1]
 
         def odd(normals, m):
@@ -452,7 +464,7 @@ class TestLoccMonotonicity:
             check_locc_monotonicity(seed=7, trials=4)
         n, m_a = drawn[2]["n"], drawn[2]["m_a"]
         assert [(t["n"], t["m_a"]) for t in drawn[:3]].count((n, m_a)) == 2
-        assert len(drawn) == 4 + 3
+        assert len(drawn) == 3 + 3
         assert np.array_equal(made[-1], made[0])
         layout = ModeLayout.bipartite(m_a, n - m_a)
         with pytest.raises(ParityError) as direct:
@@ -509,28 +521,28 @@ class TestLoccMonotonicity:
             negativity(bad[0], bad[0].layout.spec("A"))
         assert batched.type is direct.type
         assert str(batched.value) == str(direct.value)
-        # the chunk stopped at its first group, trials 0 and 2 at seed 7, which failed;
-        # its replay stopped at the first trial, rebuilt bit for bit
+        # the bucketed run stopped at its first bucket, trials 0 and 2 at seed 7, which
+        # failed; its replay stopped at the first trial, rebuilt bit for bit
         assert len(bad) == 3
         assert np.array_equal(bad[2].matrix, bad[0].matrix)
         assert kind != "parity" or batched.type is ParityError
 
     @pytest.mark.parametrize("corrupt", [False, True])
     def test_build_error_is_raised_after_earlier_trials_errors(self, monkeypatch, corrupt):
-        # Building the third trial raises, in the chunk and in its replay.  Per call,
-        # the first trial's norms are taken before that, so a bad first trial raises
-        # negativity's error first.
+        # Building the third trial raises, in the bucketed run and in its replay.  Per
+        # call, the first trial's norms are taken before that, so a bad first trial
+        # raises negativity's error first.
         bad = _corrupt_first_branch(monkeypatch, "trace") if corrupt else []
         draw, build = verify_mod._draw_locc_trial, verify_mod._build_locc_group
         drawn = []
 
-        def tagged(rng):  # the chunk draws trials 0-4, its replay 5, 6, 7, ...
+        def tagged(rng):  # trial 2 fills the first bucket, so the run draws 0-2, its replay 3, 4, 5, ...
             drawn.append(draw(rng))
             drawn[-1]["tag"] = len(drawn) - 1
             return drawn[-1]
 
         def failing_third(n, m_a, trials):
-            if any(t["tag"] % 5 == 2 for t in trials):
+            if any(t["tag"] % 3 == 2 for t in trials):
                 raise RuntimeError("third build")
             return build(n, m_a, trials)
 
@@ -542,57 +554,45 @@ class TestLoccMonotonicity:
             with pytest.raises(Exception) as direct:
                 negativity(bad[0], bad[0].layout.spec("A"))
             assert (batched.type, str(batched.value)) == (direct.type, str(direct.value))
-            assert len(drawn) == 5 + 1  # the replay stopped at the first trial
+            assert len(drawn) == 3 + 1  # the replay stopped at the first trial
         else:
             assert str(batched.value) == "third build"
-            assert len(drawn) == 5 + 3  # the replay built two trials, then raised again
+            assert len(drawn) == 3 + 3  # the replay built two trials, then raised again
 
     def test_one_kernel_call_per_stack_of_each_slice(self, monkeypatch):
-        # A chunk's (n, m_A) groups are built in slices of at most
-        # _STACK_BYTES >> (2n + 8) trials, and each slice is solved as soon as it
-        # is built, one _pt_norms call per (modes, target mask) stack: stages (a)-(d),
-        # the validated evolved states in a stack of their own, then stage (e).  No
+        # Each (n, m_A) bucket is built once it holds _STACK_BYTES >> (2n + 8)
+        # trials, or when the trials run out, and solved as soon as it is built,
+        # one _pt_norms call per (modes, target mask) stack: stages (a)-(d), the
+        # validated evolved states in a stack of their own, then stage (e).  No
         # norm goes through the per-call _pt_norm.
         log = record_calls(monkeypatch, "fneg.measures._pt_norms", "fneg.measures._pt_norm")
-        trials = 2 * _LOCC_CHUNK + 3
-        report = check_locc_monotonicity(seed=7, trials=trials)
+        report = check_locc_monotonicity(seed=7, trials=131)
         assert all(name == "_pt_norms" for name, _ in log)
-        groups: dict[tuple, int] = {}
-        for diag in report.diagnostics:
-            key = (diag["trial"] // _LOCC_CHUNK, diag["n"], diag["m_a"])
-            groups[key] = groups.get(key, 0) + 1
         kernel = [(shape[-1].bit_length() - 1, shape[0]) for _, shape in log]
         want = []  # (modes, members) of each stack, in solve order
-        for (_, n, _), count in groups.items():
-            step = max(1, verify_mod._STACK_BYTES >> (2 * n + 8))
-            for k in [min(step, count - start) for start in range(0, count, step)]:
-                # rho, the rotated, measured and mixed states, at least five a trial;
-                # the appended and the evolved states; the stacked states and partners
-                first = kernel[len(want)][1]
-                assert first >= 5 * k
-                want += [(n, first), (n + 1, k), (n + 1, k), (n + 2, k), (2, k)]
+        for n, ks in _flushes([(d["n"], d["m_a"]) for d in report.diagnostics]):
+            # rho, the rotated, measured and mixed states, at least five a trial;
+            # the appended and the evolved states; the stacked states and partners
+            first = kernel[len(want)][1]
+            assert first >= 5 * len(ks)
+            want += [(n, first), (n + 1, len(ks)), (n + 1, len(ks)), (n + 2, len(ks)), (2, len(ks))]
         assert kernel == want
         assert max(members for _, members in kernel) > 10  # members of several trials
 
     def test_five_mode_stacks_are_validated_once(self, monkeypatch):
-        # One PSD verdict per stack of five-mode states in each slice of a group: the
-        # evolved states of n = 4 in _measured_branches, whose residuals their norms
-        # reuse, and in the kernel the appended states of n = 4 and the stacked
-        # states of n = 3.  Every verdict factors a stack: a (k, d, d) stack, or
+        # One PSD verdict per stack of five-mode states in each bucket: the evolved
+        # states of n = 4 in _measured_branches, whose residuals their norms reuse,
+        # and in the kernel the appended states of n = 4 and the stacked states of
+        # n = 3.  Every verdict factors a stack: a (k, d, d) stack, or
         # (k, 2, d/2, d/2) parity blocks when every member has exact blocks.
         log = record_calls(monkeypatch, "fneg.fock._cholesky_psd")
         report = check_locc_monotonicity(seed=7, trials=9)
         assert all(len(shape) == 3 or len(shape) == 4 and shape[1] == 2 for _, shape in log)
         five = [shape for _, shape in log
                 if shape[1:] == (32, 32) or shape[1:] == (2, 16, 16)]
-        groups: dict[tuple, int] = {}
-        for diag in report.diagnostics:
-            key = (diag["trial"] // _LOCC_CHUNK, diag["n"], diag["m_a"])
-            groups[key] = groups.get(key, 0) + 1
-        slices = {n: sum(-(-count // max(1, verify_mod._STACK_BYTES >> (2 * n + 8)))
-                         for (_, m, _), count in groups.items() if m == n) for n in (3, 4)}
-        assert slices[3] and slices[4]
-        assert len(five) == 2 * slices[4] + slices[3]
+        built = [n for n, _ in _flushes([(d["n"], d["m_a"]) for d in report.diagnostics])]
+        assert built.count(3) and built.count(4)
+        assert len(five) == 2 * built.count(4) + built.count(3)
 
     def test_peak_memory_stays_bounded(self):
         # The tracemalloc peak of a warm check_locc_monotonicity(seed=7) was 1.15 MB with
@@ -608,17 +608,11 @@ class TestLoccMonotonicity:
             tracemalloc.stop()
         assert peak < (1.15 + 1.0) * 1e6
 
-    @pytest.mark.parametrize("chunk", [1, 8, _LOCC_CHUNK])
-    def test_report_does_not_depend_on_the_chunk_size(self, monkeypatch, chunk):
-        want = check_locc_monotonicity(seed=505, trials=_LOCC_CHUNK + 5).to_dict()
-        monkeypatch.setattr(verify_mod, "_LOCC_CHUNK", chunk)
-        assert check_locc_monotonicity(seed=505, trials=_LOCC_CHUNK + 5).to_dict() == want
-
     @pytest.mark.parametrize("slice_bytes", [0, 1 << 30])  # one trial; a whole group
     def test_report_does_not_depend_on_the_slice_size(self, monkeypatch, slice_bytes):
-        want = check_locc_monotonicity(seed=7, trials=_LOCC_CHUNK + 5).to_dict()
+        want = check_locc_monotonicity(seed=7, trials=69).to_dict()
         monkeypatch.setattr(verify_mod, "_STACK_BYTES", slice_bytes)
-        assert check_locc_monotonicity(seed=7, trials=_LOCC_CHUNK + 5).to_dict() == want
+        assert check_locc_monotonicity(seed=7, trials=69).to_dict() == want
 
     def test_occupation_projectors_are_the_one_mode_parity_pair(self):
         one_mode = ModeLayout(1, ("A",))
