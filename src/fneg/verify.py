@@ -160,6 +160,18 @@ def _parity_projectors(layout: ModeLayout, modes: tuple[int, ...]) -> list[np.nd
 # -- identity suite ---------------------------------------------------------------
 
 
+def _stacked(mats: list[np.ndarray]) -> np.ndarray:
+    """``mats`` as one stack, a view of a lone matrix: from seven modes each stack holds one."""
+    return mats[0][None] if len(mats) == 1 else np.array(mats)
+
+
+def _gathered(mats: list[np.ndarray], n: int, spec: SubsystemSpec) -> list[np.ndarray]:
+    """Fermionic transposes over ``spec`` of ``n``-mode matrices, in stacks of :data:`_STACK_BYTES`."""
+    step = max(1, _STACK_BYTES >> (2 * n + 4))
+    return [out for k in range(0, len(mats), step)
+            for out in _signed_gather(_stacked(mats[k:k + step]), n, spec, fermionic=True)]
+
+
 def _identity_trial(rng: np.random.Generator, n: int) -> tuple[float, dict]:
     """The worst deviation and the diagnostics of one trial of :func:`check_identity_suite`.
 
@@ -167,7 +179,12 @@ def _identity_trial(rng: np.random.Generator, n: int) -> tuple[float, dict]:
     side's local operators, then ``fermionic_pt``'s of the nine distinct
     transpose inputs; the first member that fails raises through that call.
     Every other per-call check is of one of these matrices or of a transpose
-    of one, a signed permutation that keeps the parity leak bit for bit.
+    of one, a signed permutation that keeps the parity leak bit for bit.  The
+    inputs are built, checked, transposed and scored in slices of at most
+    :data:`_STACK_BYTES`, in that order, and each slice's transposes are
+    released once scored.  A trial holds at most about 16 d x d matrices: rho,
+    the eight embedded operators, rho's transposes over A and over B, and one
+    slice's work, a lone matrix from seven modes.
     """
     m_a = int(rng.integers(1, n))
     layout = ModeLayout.bipartite(m_a, n - m_a)
@@ -183,35 +200,50 @@ def _identity_trial(rng: np.random.Generator, n: int) -> tuple[float, dict]:
         embedded.append(_embedded(np.concatenate([local, local_t]), layout, spec.target_modes))
     (ea, eya, ea_t, eya_t), (eb, eyb, eb_t, eyb_t) = embedded
 
-    sandwich = ea @ eb @ r @ eya @ eyb
-    eye = np.eye(layout.dim, dtype=complex)
-    inputs = np.stack([r, r @ eb, eb @ r, r @ ea, ea @ r, r @ ea @ eb, ea @ eb @ r, sandwich, eye])
-    _require_even_stack(layout, inputs, lambda op: fermionic_pt(op, spec_a))
-    t = _signed_gather(inputs, n, spec_a, fermionic=True)
-    t_a = t[0]
-    twice = [0, 1, 3, 5, 7]  # rho, rho X_B, rho X_A, rho X_A X_B and the sandwich
-    t_b = _signed_gather(np.concatenate([inputs[[0, 7]], t[twice]]), n, spec_b, fermionic=True)
-    everything = SubsystemSpec(tuple(range(1, n + 1)))
-    full = _signed_gather(inputs[twice], n, everything, fermionic=True)
+    inputs = [  # each transpose input, the identity that scores its transpose over A, that
+        # identity's prediction from t_a (rho's transpose) and the successive_ check, if any
+        (lambda: r, None, None, "plain"),
+        (lambda: r @ eb, "rho_xb_right", lambda: t_a @ eb, "xb"),
+        (lambda: eb @ r, "rho_xb_left", lambda: eb @ t_a, None),
+        (lambda: r @ ea, "rho_xa_right", lambda: ea_t @ t_a, "xa"),
+        (lambda: ea @ r, "rho_xa_left", lambda: t_a @ ea_t, None),
+        (lambda: r @ ea @ eb, "rho_xaxb_right", lambda: ea_t @ t_a @ eb, "xaxb"),
+        (lambda: ea @ eb @ r, "rho_xaxb_left", lambda: eb @ t_a @ ea_t, None),
+        (lambda: ea @ eb @ r @ eya @ eyb, "sandwich_ta", lambda: eya_t @ eb @ t_a @ ea_t @ eyb,
+         "sandwich"),
+        (lambda: np.eye(layout.dim, dtype=complex), "identity_fixed", lambda: np.eye(layout.dim),
+         None),
+    ]
+    deviations = dict.fromkeys((  # in the order that breaks ties
+        "rho_xb_right", "rho_xb_left", "rho_xa_right", "rho_xa_left", "rho_xaxb_right",
+        "rho_xaxb_left", "sandwich_ta", "sandwich_tb", "successive_plain", "successive_xb",
+        "successive_xa", "successive_xaxb", "successive_sandwich", "double_ta", "identity_fixed"))
+    step = max(1, _STACK_BYTES >> (2 * n + 4))  # 16 d^2 bytes a matrix
+    for start in range(0, len(inputs), step):
+        part = inputs[start:start + step]
+        stack = _stacked([make() for make, *_ in part])
+        _require_even_stack(layout, stack, lambda op: fermionic_pt(op, spec_a))
+        t = _signed_gather(stack, n, spec_a, fermionic=True)
+        if start == 0:
+            t_a = t[0]
+        deviations.update({name: np.abs(t_i - want()).max()
+                           for (_, name, want, _), t_i in zip(part, t) if name})
+        again = [k for k, entry in enumerate(part) if entry[3]]  # also transposed over B
+        ends = [k for k in again if start + k in (0, 7)]  # rho and the sandwich, for sandwich_tb
+        t_b = _gathered([stack[k] for k in ends] + [t[k] for k in again], n, spec_b)
+        full = _gathered([stack[k] for k in again], n, SubsystemSpec(tuple(range(1, n + 1))))
+        del stack, t
+        deviations.update({"successive_" + part[k][3]: np.abs(once - whole).max()
+                           for k, once, whole in zip(again, t_b[len(ends):], full)})
+        if start == 0:
+            tb_rho = t_b[0]
+        if start <= 7 < start + len(part):
+            deviations["sandwich_tb"] = np.abs(t_b[len(ends) - 1]
+                                               - ea @ eyb_t @ tb_rho @ eya @ eb_t).max()
+        del t_b, full
     p_a = _sign_vector(n, spec_a.mask())
-    deviations = {
-        "rho_xb_right": np.abs(t[1] - t_a @ eb).max(),
-        "rho_xb_left": np.abs(t[2] - eb @ t_a).max(),
-        "rho_xa_right": np.abs(t[3] - ea_t @ t_a).max(),
-        "rho_xa_left": np.abs(t[4] - t_a @ ea_t).max(),
-        "rho_xaxb_right": np.abs(t[5] - ea_t @ t_a @ eb).max(),
-        "rho_xaxb_left": np.abs(t[6] - eb @ t_a @ ea_t).max(),
-        "sandwich_ta": np.abs(t[7] - eya_t @ eb @ t_a @ ea_t @ eyb).max(),
-        "sandwich_tb": np.abs(t_b[1] - ea @ eyb_t @ t_b[0] @ eya @ eb_t).max(),
-        "successive_plain": np.abs(t_b[2] - full[0]).max(),
-        "successive_xb": np.abs(t_b[3] - full[1]).max(),
-        "successive_xa": np.abs(t_b[4] - full[2]).max(),
-        "successive_xaxb": np.abs(t_b[5] - full[3]).max(),
-        "successive_sandwich": np.abs(t_b[6] - full[4]).max(),
-        "double_ta": np.abs(_signed_gather(t_a, n, spec_a, fermionic=True)
-                            - p_a[:, None] * r * p_a[None, :]).max(),
-        "identity_fixed": np.abs(t[8] - np.eye(layout.dim)).max(),
-    }
+    deviations["double_ta"] = np.abs(_signed_gather(t_a, n, spec_a, fermionic=True)
+                                     - p_a[:, None] * r * p_a[None, :]).max()
     worst = max(deviations, key=deviations.get)
     return float(deviations[worst]), {"n": n, "m_a": m_a, "state": _fingerprint(r),
                                       "max_violation": float(deviations[worst]),
@@ -239,8 +271,9 @@ def check_identity_suite(
     A trial draws what a per-call trial draws, in the same order, and works on
     stacks: each side's two local operators are checked, transposed and
     embedded together with their transposes, and the nine distinct transpose
-    inputs are checked and transposed over A as one stack, six signed gathers
-    a trial in all (:func:`_identity_trial`).  Every deviation is bit for bit
+    inputs are checked and transposed in stacks of at most :data:`_STACK_BYTES`,
+    one stack and six signed gathers a trial up to four modes
+    (:func:`_identity_trial`).  Every deviation is bit for bit
     the per-call one, and the first parity-odd local operator or transpose
     input raises ``embed_local``'s or ``fermionic_pt``'s error.
     """
@@ -482,15 +515,17 @@ def _score_locc_trial(diag: dict, weights: dict, norms: dict) -> tuple[float, di
 
 
 def _locc_trials(rng: np.random.Generator, trials: int, budget: int) -> list[tuple[float, dict]]:
-    """``(worst violation, diagnostics)`` of each of ``trials`` trials, in buckets of ``budget`` bytes.
+    """``(worst violation, diagnostics)`` of each of ``trials`` trials, built in buckets.
 
     Each trial makes every generator call of a per-call trial, in its order,
-    into the bucket of its ``(n, m_A)``.  A bucket that holds ``budget`` bytes
-    of its largest states (the stacked ones, ``2**(2n + 8)`` bytes a trial),
-    or at least one trial, is built and solved at once: stages (a) to (d)
-    (:func:`_build_locc_group`), then stage (e) (:func:`_build_locc_stacking`),
-    each stage's states solved on stacks (:func:`_job_norms`) and released.
-    The other buckets are built when the trials run out.
+    into the bucket of its ``(n, m_A)``.  A bucket is built and solved as soon
+    as its largest states (the stacked ones, ``2**(2n + 8)`` bytes a trial)
+    fill ``budget`` bytes, or it holds one trial if one overfills them: stages
+    (a) to (d) (:func:`_build_locc_group`), then stage (e)
+    (:func:`_build_locc_stacking`), each stage's states solved on stacks
+    (:func:`_job_norms`) and released.  The other buckets are built when the
+    trials run out.  With ``budget`` 0 each trial is built as soon as it is
+    drawn, as a per-call run builds it.
     """
     scored = [None] * trials
     buckets: dict = {}
@@ -642,9 +677,10 @@ def check_perturbation_expansion(
     if not 0.0 <= min_pass_fraction <= 1.0:  # NaN fails too
         raise ValueError(f"min_pass_fraction must be in [0, 1], got {min_pass_fraction!r}")
     epsilons = tuple(float(e) for e in epsilons)
-    # 0 < each epsilon < the one before it, so the first is positive too; NaN fails
-    if len(epsilons) < 2 or not all(0 < nxt < prev for prev, nxt in zip(epsilons, epsilons[1:])):
-        raise ValueError("epsilons must be a decreasing positive sequence")
+    # 0 < each epsilon < the one before it < inf, so every one is finite and positive; NaN fails
+    if len(epsilons) < 2 or not all(0 < nxt < prev < np.inf
+                                    for prev, nxt in zip(epsilons, epsilons[1:])):
+        raise ValueError(f"epsilons must be a finite decreasing positive sequence, got {epsilons}")
     if not -np.inf < ratio_bounds[0] <= ratio_bounds[1] < np.inf:  # NaN fails too
         raise ValueError(f"ratio_bounds must be finite with lo <= hi, got {ratio_bounds!r}")
     rng = _rng(seed)

@@ -1,4 +1,5 @@
 import ast
+import importlib
 import re
 from collections import Counter
 from pathlib import Path
@@ -139,3 +140,14 @@ def test_unreferenced_function_check_rules():
               "setattr(m, '_by_test_string', None)\n"]
     assert _unreferenced_functions({"m.py": module}, others, {"api", "main"}) == [
         "m.py:dead (line 12)", "m.py:forked (line 10)", "m.py:test_only (line 13)"]
+
+
+def test_private_names_cited_in_the_readme_resolve():
+    # The README describes the batching through private names such as
+    # `verify._STACK_BYTES`; deleting or renaming one must update the text too.
+    text = (SRC.parents[1] / "README.md").read_text(encoding="utf-8")
+    cited = sorted(set(re.findall(r"`(?:fneg\.)?(\w+)\.(_\w+)`", text)))
+    assert ("verify", "_STACK_BYTES") in cited and ("measures", "_pt_norms") in cited
+    missing = [f"{module}.{name}" for module, name in cited
+               if not hasattr(importlib.import_module(f"fneg.{module}"), name)]
+    assert missing == []

@@ -368,6 +368,19 @@ class TestIdentitySuite:
         assert log and all(name == "_signed_gather" for name, _ in log)
         assert len(log) == 6 * 9
 
+    def test_one_trial_holds_few_matrices(self):
+        # The nine transpose inputs are built, transposed and scored in slices of at
+        # most _STACK_BYTES, one matrix from seven modes, so an eight-mode trial peaks
+        # near 16 of its d x d matrices (16.9 MB); all nine in one stack hold about 46.
+        check_identity_suite(seed=1, trials=1, modes=(8,))  # the cached gather plans
+        tracemalloc.start()
+        try:
+            check_identity_suite(seed=1, trials=1, modes=(8,))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 20 * 16 * 4 ** 8
+
     @pytest.mark.parametrize("index", range(4))
     def test_odd_local_operator_raises_embed_locals_error(self, monkeypatch, index):
         # X_A, Y_A, X_B or Y_B of the first trial is parity-odd.  Without the
@@ -413,7 +426,8 @@ class TestLoccMonotonicity:
 
     # At seed 7 trial 2 fills the first bucket, of (n, m_A) = (4, 2): 1 and 2 trials build
     # every bucket when the trials run out, 3 builds one as it fills.  Buckets of n = 3
-    # fill too at 33 trials (seed 0) and 65 (every seed), and part-filled ones are left.
+    # fill too at 33 trials (seed 0) and 65 (every seed), and part-filled ones are left;
+    # 30 is the CLI's `verify locc --trials 30`.
     @pytest.mark.parametrize("trials", [1, 2, 3, 30, 33, 65])
     @pytest.mark.parametrize("seed", [0, 7, 505])
     def test_batched_report_equals_per_call_reference(self, seed, trials):
@@ -536,7 +550,7 @@ class TestLoccMonotonicity:
         draw, build = verify_mod._draw_locc_trial, verify_mod._build_locc_group
         drawn = []
 
-        def tagged(rng):  # trial 2 fills the first bucket, so the run draws 0-2, its replay 3, 4, 5, ...
+        def tagged(rng):  # trial 2 fills the first bucket: the run draws 0-2, its replay 3, 4, ...
             drawn.append(draw(rng))
             drawn[-1]["tag"] = len(drawn) - 1
             return drawn[-1]
@@ -875,6 +889,8 @@ class TestPiInequalityScan:
     (lambda: conjecture_scan(samples=1, threshold=np.nan), "threshold must be a finite number"),
     (lambda: conjecture_scan(samples=1, threshold=-1.0), "threshold must be a finite number"),
     (lambda: check_perturbation_expansion(trials=1, epsilons=(np.nan, 1e-3)), "epsilons"),
+    # an infinite epsilon is in order, but no instance has eigenvalues above 1.5 * inf
+    (lambda: check_perturbation_expansion(trials=1, epsilons=(np.inf, 1e-3)), "epsilons"),
     (lambda: check_perturbation_expansion(trials=1, ratio_bounds=(np.nan, 10.0)), "ratio_bounds"),
     (lambda: check_perturbation_expansion(trials=1, ratio_bounds=(10.0, 6.0)), "ratio_bounds"),
 ], ids=["conjecture_one_mode", "conjecture_no_modes", "conjecture_too_many_modes",
@@ -882,6 +898,7 @@ class TestPiInequalityScan:
         "locc_nan_tolerance", "locc_negative_tolerance", "identities_nan_tolerance",
         "perturbation_nan_fraction", "perturbation_fraction_above_one",
         "conjecture_nan_threshold", "conjecture_negative_threshold", "perturbation_nan_epsilon",
+        "perturbation_infinite_epsilon",
         "perturbation_nan_ratio_bound", "perturbation_inverted_ratio_bounds"])
 def test_degenerate_inputs_raise_value_error(call, message):
     with pytest.raises(ValueError, match=message):
