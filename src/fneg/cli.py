@@ -324,7 +324,7 @@ _VERIFY_DEFAULT_TRIALS = {
 
 def _mode_counts(ctx, param, value):
     """``--modes`` as a tuple of mode counts in 2..MAX_MODES (a bipartition needs two)."""
-    if not value:
+    if value is None:
         return None
     try:
         modes = tuple(int(m) for m in value.split(","))

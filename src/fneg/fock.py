@@ -398,6 +398,7 @@ class FockOperator:
         return self._is_psd(tol)
 
     def require_density_matrix(self, tol: float = FLAG_TOL, require_parity: bool = True) -> None:
+        _check_nonnegative("tol", tol)
         if not (self.is_hermitian(tol) and self.is_unit_trace(tol)):
             raise StateValidationError("operator is not a unit-trace Hermitian matrix")
         if not self._is_psd(tol):
@@ -417,29 +418,6 @@ class FockOperator:
 
     def dagger(self) -> "FockOperator":
         return FockOperator(self.layout, self.matrix.conj().T)
-
-    def trace(self) -> complex:
-        return complex(np.trace(self.matrix))
-
-    def __matmul__(self, other: "FockOperator") -> "FockOperator":
-        if other.layout != self.layout:
-            raise LayoutError("operator product requires identical layouts")
-        return FockOperator(self.layout, self.matrix @ other.matrix, copy=False)
-
-    def __add__(self, other: "FockOperator") -> "FockOperator":
-        if other.layout != self.layout:
-            raise LayoutError("operator sum requires identical layouts")
-        return FockOperator(self.layout, self.matrix + other.matrix, copy=False)
-
-    def __sub__(self, other: "FockOperator") -> "FockOperator":
-        if other.layout != self.layout:
-            raise LayoutError("operator difference requires identical layouts")
-        return FockOperator(self.layout, self.matrix - other.matrix, copy=False)
-
-    def __mul__(self, scalar: complex) -> "FockOperator":
-        return FockOperator(self.layout, self.matrix * scalar, copy=False)
-
-    __rmul__ = __mul__
 
     def __repr__(self) -> str:
         return f"FockOperator(N={self.layout.num_modes}, labels={self.layout.labels})"

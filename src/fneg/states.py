@@ -280,6 +280,8 @@ def random_density(
     diagonal in that eigenbasis) or ``type_II`` (guaranteed commutator
     max-norm above :data:`TYPE_II_THRESHOLD`, resampled otherwise).
     """
+    if constraint not in ("any_physical", "type_I", "type_II"):
+        raise ValueError(f"unknown constraint {constraint!r}")
     rng = _rng(seed)
     allowed = _parity_mask(layout.num_modes)
     if constraint != "any_physical":
@@ -290,8 +292,6 @@ def random_density(
         if constraint == "type_I":
             sub = _sign_vector(layout.num_modes, spec.mask())
             allowed &= np.equal.outer(sub, sub)
-        elif constraint != "type_II":
-            raise ValueError(f"unknown constraint {constraint!r}")
     dim = layout.dim
     for _ in range(_RESAMPLE_BUDGET):
         mat = _normalised_gram(_block_gaussian(rng.normal(size=(2, dim, dim)), allowed))

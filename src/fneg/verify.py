@@ -96,6 +96,15 @@ def _report(name: str, trials: int, max_violation: float, tolerance: float,
     )
 
 
+def _trial_report(name: str, seed, scored: list, tolerance: float) -> CheckReport:
+    """The report of one ``(violation, diagnostics)`` pair a trial, each stamped with its trial
+    and the seed."""
+    base_seed = seed if isinstance(seed, int) else None
+    diagnostics = [{**diag, "trial": t, "seed": base_seed} for t, (_, diag) in enumerate(scored)]
+    worst = max([0.0, *(dev for dev, _ in scored)])
+    return _report(name, len(scored), worst, tolerance, diagnostics)
+
+
 def _replayed(rng: np.random.Generator, stacked, replay):
     """``stacked()``; if it raises or returns ``None``, ``replay()`` from the same generator state.
 
@@ -281,17 +290,8 @@ def check_identity_suite(
     _check_nonnegative("tolerance", tolerance)
     modes = _mode_counts(modes)
     rng = _rng(seed)
-    base_seed = seed if isinstance(seed, int) else None
-    worst = 0.0
-    diagnostics = []
-    for t in range(trials):
-        n = modes[t % len(modes)]
-        dev, diag = _identity_trial(rng, n)
-        diag["trial"] = t
-        diag["seed"] = base_seed
-        diagnostics.append(diag)
-        worst = max(worst, dev)
-    return _report("identity_suite", trials, worst, tolerance, diagnostics)
+    scored = [_identity_trial(rng, modes[t % len(modes)]) for t in range(trials)]
+    return _trial_report("identity_suite", seed, scored, tolerance)
 
 
 # -- LOCC monotonicity -------------------------------------------------------------
@@ -322,18 +322,9 @@ def _measured_branches(evolved: np.ndarray, big: ModeLayout, r_mode: int):
             np.concatenate(states)[order], np.array(residuals))
 
 
-def _grouped(items, key) -> dict:
-    """``items`` in lists by ``key(item)``, each list and the groups in first-seen order."""
-    groups: dict = {}
-    for item in items:
-        groups.setdefault(key(item), []).append(item)
-    return groups
-
-
 class _Jobs(NamedTuple):
     """Norms to take: a stack of states on one layout, with one target, in check order."""
 
-    name: str  # the check that reads them
     owners: np.ndarray  # the trial of each state
     states: np.ndarray
     layout: ModeLayout
@@ -341,8 +332,8 @@ class _Jobs(NamedTuple):
     residuals: np.ndarray | None = None  # each state's parity leak and residual, if validated
 
 
-def _job_norms(jobs: list[_Jobs], trials: int) -> list[dict]:
-    """Each trial's ``|rho^{T_A}|_1`` values, in lists by check, from one stage's ``jobs``.
+def _job_norms(jobs: list[_Jobs]) -> list[np.ndarray]:
+    """The ``|rho^{T_A}|_1`` of each job's states, one array per job.
 
     The jobs are stacked by mode count, target mask and whether their states
     come validated, and each stack is checked, transposed and solved once by
@@ -350,25 +341,23 @@ def _job_norms(jobs: list[_Jobs], trials: int) -> list[dict]:
     ``negativity`` bit for bit.  If a stack fails a check, every state takes
     one ``_pt_norm`` call, in check order, which raises the per-call error.
     """
+    groups: dict = {}
+    for i, job in enumerate(jobs):
+        key = (job.layout.num_modes, job.spec.mask(), job.residuals is not None)
+        groups.setdefault(key, []).append(i)
     norms = [None] * len(jobs)
-    for (n, _, checked), members in _grouped(range(len(jobs)), lambda i: (
-            jobs[i].layout.num_modes, jobs[i].spec.mask(), jobs[i].residuals is not None)).items():
+    for (n, _, checked), members in groups.items():
         parts = [jobs[i] for i in members]
         stack = parts[0].states if len(parts) == 1 else np.concatenate([j.states for j in parts])
         residuals = np.concatenate([j.residuals for j in parts], axis=-1) if checked else None
         solved = _pt_norms(stack, n, parts[0].spec, residuals=residuals)
         if solved is None:
-            norms = [[_pt_norm(FockOperator(job.layout, state), job.spec, "fermionic", FLAG_TOL)
-                      for state in job.states] for job in jobs]
-            break
+            return [np.array([_pt_norm(FockOperator(job.layout, state), job.spec, "fermionic",
+                                       FLAG_TOL) for state in job.states]) for job in jobs]
         ends = np.cumsum([len(job.states) for job in parts])[:-1]
         for i, values in zip(members, np.split(solved, ends)):
             norms[i] = values
-    found = [{job.name: [] for job in jobs} for _ in range(trials)]
-    for job, values in zip(jobs, norms):
-        for i, value in zip(job.owners, values):
-            found[i][job.name].append(float(value))
-    return found
+    return norms
 
 
 def _draw_locc_trial(rng: np.random.Generator) -> dict:
@@ -389,20 +378,22 @@ def _gram(normals: np.ndarray, num_modes: int) -> np.ndarray:
     return _normalised_gram(_block_gaussian(normals, _parity_mask(num_modes)))
 
 
-def _build_locc_group(n: int, m_a: int, trials: Sequence[dict]) -> list[_Jobs]:
+def _build_locc_group(n: int, m_a: int,
+                      trials: Sequence[dict]) -> tuple[list[_Jobs], np.ndarray, np.ndarray]:
     """Build the drawn trials of one ``(n, m_A)`` bucket as stacks.
 
     Each state, unitary and projector set is made from the stacked draws of
-    the bucket: one ``G G^+`` normalisation or ``eigh`` per kind.  Sets each
-    trial's branch weights and diagnostics and returns the norm jobs of stages
-    (a) to (d), in check order, ``rho``'s first.  The validated evolved states
-    come with the residuals that :func:`_measured_branches` read.  The parity
-    checks of ``embed_local`` and ``graded_tensor`` run on the stacks, in the
-    per-call order (:func:`fock._require_even_stack`).
+    the bucket: one ``G G^+`` normalisation or ``eigh`` per kind.  Returns the
+    norm jobs of stages (a) to (e), in check order, ``rho``'s first, and the
+    weights of the projective outcomes and of the ancilla branches, in the
+    order of their jobs' states.  The validated evolved states come with the
+    residuals that :func:`_measured_branches` read.  The parity checks of
+    ``embed_local`` and ``graded_tensor`` run on the stacks, in the per-call
+    order (:func:`fock._require_even_stack`).
     """
     layout = ModeLayout.bipartite(m_a, n - m_a)
     spec_a, spec_b = layout.spec("A"), layout.spec("B")
-    one = ModeLayout(1, ("A",))
+    one, two = ModeLayout(1, ("A",)), ModeLayout.bipartite(1, 1)
 
     def stack(name: str) -> np.ndarray:
         return np.stack([t[name] for t in trials])
@@ -443,8 +434,7 @@ def _build_locc_group(n: int, m_a: int, trials: Sequence[dict]) -> list[_Jobs]:
     projected = ops @ rho[[i for i, _, _ in pairs]] @ ops
     weights = np.real(np.trace(projected, axis1=-2, axis2=-1))
     kept = np.flatnonzero(weights > FLAG_TOL)  # parity_project's empty-branch rule
-    outcomes = _Jobs("outcomes", np.array([pairs[j][0] for j in kept], dtype=int),
-                     projected[kept] / weights[kept, None, None], layout, spec_a)
+    outcomes = projected[kept] / weights[kept, None, None]
 
     # (d) entangling an ancilla into A, measuring it, with and without averaging
     _, sigma = graded(one, _gram(stack("sigma"), 1))
@@ -453,93 +443,78 @@ def _build_locc_group(n: int, m_a: int, trials: Sequence[dict]) -> list[_Jobs]:
     evolved = u_ar @ sigma @ u_ar.conj().swapaxes(-1, -2)
     owners, branch_weights, reduced, checked = _measured_branches(
         evolved, big, tilde_spec.target_modes[-1])
-    mixed = np.stack([sum(w * red for w, red in zip(branch_weights[owners == i],
-                                                     reduced[owners == i]))
-                      for i in range(len(trials))])
+    mixed = np.zeros_like(rho)  # each trial's weighted branches, added in branch order
+    np.add.at(mixed, owners, branch_weights[:, None, None] * reduced)
 
-    for i, t in enumerate(trials):
-        t["weights"] = {"outcomes": weights[kept][outcomes.owners == i].tolist(),
-                        "branches": branch_weights[owners == i].tolist()}
-        t["diag"] = {"n": n, "m_a": m_a, "state": _fingerprint(rho[i])}
+    # (e) additivity under stacking
+    other = _gram(stack("other"), 2)
+    wide, stacked = graded(two, other)
+
     every = np.arange(len(trials))
-    return [_Jobs("rho", every, rho, layout, spec_a),
-            _Jobs("rotated", every, rotated, layout, spec_a),
-            _Jobs("appended", every, appended, big, tilde_spec),
-            outcomes,
-            _Jobs("evolved", every, evolved, big, tilde_spec, checked),
-            _Jobs("branches", owners, reduced, layout, spec_a),
-            _Jobs("mixed", every, mixed, layout, spec_a)]
+    return [_Jobs(every, rho, layout, spec_a),
+            _Jobs(every, rotated, layout, spec_a),
+            _Jobs(every, appended, big, tilde_spec),
+            _Jobs(np.array([pairs[j][0] for j in kept], dtype=int), outcomes, layout, spec_a),
+            _Jobs(every, evolved, big, tilde_spec, checked),
+            _Jobs(owners, reduced, layout, spec_a),
+            _Jobs(every, mixed, layout, spec_a),
+            _Jobs(every, stacked, wide, wide.spec("A")),
+            _Jobs(every, other, two, two.spec("A"))], weights[kept], branch_weights
 
 
-def _build_locc_stacking(n: int, m_a: int, rho: np.ndarray, trials: Sequence[dict]) -> list[_Jobs]:
-    """(e) additivity under stacking: the norm jobs of ``rho (x) other`` and ``other``.
-
-    Built after the other stages' norms are taken and their states released,
-    since these states are the largest.
-    """
-    layout, two = ModeLayout.bipartite(m_a, n - m_a), ModeLayout.bipartite(1, 1)
-    other = _gram(np.stack([t["other"] for t in trials]), 2)
-    _require_even_stack(two, other)
-    wide, stacked = _graded_product(layout, two, rho, other)
-    every = np.arange(len(trials))
-    return [_Jobs("stacked", every, stacked, wide, wide.spec("A")),
-            _Jobs("other", every, other, two, two.spec("A"))]
+#: The checks of ``verify locc``, in the order that breaks ties.
+_LOCC_CHECKS = ("local_unitary", "ancilla_append", "projective", "unilocal_unitary",
+                "ancilla_trace_selective", "ancilla_trace_averaged", "ancilla_trace_logneg",
+                "additivity")
 
 
-def _score_locc_trial(diag: dict, weights: dict, norms: dict) -> tuple[float, dict]:
-    """The worst violation of a built trial and its diagnostics, from its norms."""
-    neg = {key: [(x - 1.0) / 2.0 for x in values] for key, values in norms.items()}
-    base_neg = neg["rho"][0]
-    base_logneg = float(np.log(2.0 * base_neg + 1.0))
-    viol = {
-        "local_unitary": abs(neg["rotated"][0] - base_neg),
-        "ancilla_append": abs(neg["appended"][0] - base_neg),
-    }
-    avg = sum(w * x for w, x in zip(weights["outcomes"], neg["outcomes"]))
-    viol["projective"] = max(0.0, avg - base_neg)
-    viol["unilocal_unitary"] = abs(neg["evolved"][0] - base_neg)
-    avg_neg = sum(w * x for w, x in zip(weights["branches"], neg["branches"]))
-    avg_logneg = sum(w * float(np.log(x)) for w, x in zip(weights["branches"], norms["branches"]))
-    viol["ancilla_trace_selective"] = max(0.0, avg_neg - base_neg)
-    viol["ancilla_trace_averaged"] = max(0.0, neg["mixed"][0] - base_neg)
-    viol["ancilla_trace_logneg"] = max(0.0, avg_logneg - base_logneg)
-    viol["additivity"] = abs(
-        float(np.log(norms["stacked"][0]))
-        - float(np.log(norms["rho"][0]))
-        - float(np.log(norms["other"][0]))
-    )
+def _score_locc_bucket(n: int, m_a: int, jobs: list[_Jobs], norms: list[np.ndarray],
+                       weights: np.ndarray, branch_weights: np.ndarray) -> list[tuple[float, dict]]:
+    """``(worst violation, diagnostics)`` of each trial of a built bucket, from its norms."""
+    # the jobs of rho, rotated, appended, outcomes, evolved, branches, mixed, stacked, other
+    neg = [(x - 1.0) / 2.0 for x in norms]
+    base = neg[0]
 
-    worst = max(viol, key=viol.get)
-    return float(max(viol.values())), {**diag, "base_negativity": float(base_neg),
-                                       "max_violation": float(viol[worst]), "worst_check": worst}
+    def averaged(job: int, values: np.ndarray) -> np.ndarray:
+        return np.bincount(jobs[job].owners, weights=values, minlength=len(base))
+
+    viol = np.stack([
+        np.abs(neg[1] - base),
+        np.abs(neg[2] - base),
+        np.maximum(0.0, averaged(3, weights * neg[3]) - base),
+        np.abs(neg[4] - base),
+        np.maximum(0.0, averaged(5, branch_weights * neg[5]) - base),
+        np.maximum(0.0, neg[6] - base),
+        np.maximum(0.0, averaged(5, branch_weights * np.log(norms[5])) - np.log(2.0 * base + 1.0)),
+        np.abs(np.log(norms[7]) - np.log(norms[0]) - np.log(norms[8])),
+    ], axis=1)
+    worst = viol.argmax(axis=1)
+    return [(float(row[w]), {"n": n, "m_a": m_a, "state": _fingerprint(state),
+                             "base_negativity": float(b), "max_violation": float(row[w]),
+                             "worst_check": _LOCC_CHECKS[w]})
+            for row, w, b, state in zip(viol, worst, base, jobs[0].states)]
 
 
 def _locc_trials(rng: np.random.Generator, trials: int, budget: int) -> list[tuple[float, dict]]:
     """``(worst violation, diagnostics)`` of each of ``trials`` trials, built in buckets.
 
     Each trial makes every generator call of a per-call trial, in its order,
-    into the bucket of its ``(n, m_A)``.  A bucket is built and solved as soon
-    as its largest states (the stacked ones, ``2**(2n + 8)`` bytes a trial)
-    fill ``budget`` bytes, or it holds one trial if one overfills them: stages
-    (a) to (d) (:func:`_build_locc_group`), then stage (e)
-    (:func:`_build_locc_stacking`), each stage's states solved on stacks
-    (:func:`_job_norms`) and released.  The other buckets are built when the
-    trials run out.  With ``budget`` 0 each trial is built as soon as it is
-    drawn, as a per-call run builds it.
+    into the bucket of its ``(n, m_A)``.  A bucket is built, solved and scored
+    as soon as its largest states (the stacked ones, ``2**(2n + 8)`` bytes a
+    trial) fill ``budget`` bytes, or it holds one trial if one overfills them:
+    every stage is built (:func:`_build_locc_group`), and so every build check
+    runs, before any norm is taken on stacks (:func:`_job_norms`).  The other
+    buckets are built when the trials run out.  With ``budget`` 0 each trial is
+    built as soon as it is drawn.
     """
     scored = [None] * trials
     buckets: dict = {}
 
     def flush(key: tuple[int, int]) -> None:
         ks, drawn = zip(*buckets.pop(key))
-        jobs = _build_locc_group(*key, drawn)
-        rho, norms = jobs[0].states, _job_norms(jobs, len(drawn))
-        del jobs  # stage (e)'s states are the largest
-        for trial_norms, found in zip(norms, _job_norms(_build_locc_stacking(*key, rho, drawn),
-                                                         len(drawn))):
-            trial_norms.update(found)
-        for k, t, trial_norms in zip(ks, drawn, norms):
-            scored[k] = _score_locc_trial(t["diag"], t["weights"], trial_norms)
+        jobs, *weights = _build_locc_group(*key, drawn)
+        for k, result in zip(ks, _score_locc_bucket(*key, jobs, _job_norms(jobs), *weights)):
+            scored[k] = result
 
     for k in range(trials):
         t = _draw_locc_trial(rng)
@@ -557,13 +532,14 @@ def check_locc_monotonicity(seed=0, trials: int = 200, tolerance: float = 1e-10)
     and additivity, scored by equality deviation or negative inequality slack.
 
     Trials are drawn one at a time into a bucket per ``(n, m_A)``, and each
-    bucket is built stage by stage on stacks of :data:`_STACK_BYTES` and
-    solved on stacks (:func:`_locc_trials`).  The values equal one
+    bucket is built on stacks of :data:`_STACK_BYTES`, solved on stacks and
+    scored on arrays (:func:`_locc_trials`).  The values equal one
     ``negativity`` or ``log_negativity`` call per state bit for bit.  If
     anything raises, the whole check is replayed from the generator state of
     the call, one trial at a time (:func:`_replayed`), and a trial's stack
-    that fails a check takes one ``_pt_norm`` call per state, so the first
-    error is the per-call one.  The ancilla is measured with the kernels of
+    that fails a check takes one ``_pt_norm`` call per state.  So a trial's
+    build errors come before its norm errors, and a trial with one fault
+    raises the per-call error.  The ancilla is measured with the kernels of
     :func:`fneg.ptranspose.parity_project`, and every measurement drops an
     outcome of weight at most ``FLAG_TOL``, ``parity_project``'s empty-sector
     rule.
@@ -571,17 +547,9 @@ def check_locc_monotonicity(seed=0, trials: int = 200, tolerance: float = 1e-10)
     _check_count("trials", trials)
     _check_nonnegative("tolerance", tolerance)
     rng = _rng(seed)
-    base_seed = seed if isinstance(seed, int) else None
-    worst = 0.0
-    diagnostics = []
     scored = _replayed(rng, lambda: _locc_trials(rng, trials, _STACK_BYTES),
                        lambda: _locc_trials(rng, trials, 0))
-    for t, (dev, diag) in enumerate(scored):
-        diag["trial"] = t
-        diag["seed"] = base_seed
-        diagnostics.append(diag)
-        worst = max(worst, dev)
-    return _report("locc_monotonicity", trials, worst, tolerance, diagnostics)
+    return _trial_report("locc_monotonicity", seed, scored, tolerance)
 
 
 # -- perturbative expansion --------------------------------------------------------

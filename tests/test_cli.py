@@ -300,6 +300,8 @@ class TestMainExitCodes:
         (["sweep", "werner", "--min", "nan", "--steps", "2"], "--min"),
         (["sweep", "werner", "--min", "-inf", "--steps", "2"], "--min"),
         (["sweep", "psi_p", "--max", "nan", "--steps", "2"], "--max"),
+        (["verify", "identities", "--modes", ""], "--modes"),
+        (["verify", "locc", "--modes", ""], "--modes"),
     ])
     def test_bad_verify_option_is_a_usage_error(self, capsys, args, option):
         with warnings.catch_warnings():

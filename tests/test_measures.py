@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import record_calls
-from fneg.classify import pure3_class
+from fneg.classify import mixed3_classify, pure3_class
 from fneg.cli import main as cli_main
 from fneg.errors import LayoutError, ParityError, StateValidationError
 from fneg.fock import (
@@ -48,6 +48,7 @@ from fneg.ptranspose import (
     fermionic_pt,
     fermionic_pt_majorana,
     full_transpose,
+    parity_project,
     partial_trace,
 )
 from fneg.states import (
@@ -65,6 +66,21 @@ _X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 _Y = np.array([[0.0, -1j], [1j, 0.0]])
 _Z = np.diag([1.0, -1.0]).astype(complex)
 _I = np.eye(2, dtype=complex)
+
+
+@pytest.mark.parametrize("tol", [np.nan, -1e-9])
+@pytest.mark.parametrize("call", [
+    lambda rho, tol: negativity(rho, S1, tol=tol),
+    lambda rho, tol: entropy(rho, tol=tol),
+    lambda rho, tol: pt_moment(rho, S1, 2, tol=tol),
+    lambda rho, tol: parity_project(rho, S1, "even", tol=tol),
+    lambda rho, tol: mixed3_classify(rho, tol=tol),
+], ids=["negativity", "entropy", "pt_moment", "parity_project", "mixed3_classify"])
+def test_bad_tol_is_rejected(call, tol):
+    # a valid state raised StateValidationError("operator is not a unit-trace Hermitian matrix")
+    with pytest.raises(ValueError, match="tol must be a finite number >= 0") as raised:
+        call(canonical_state("ghz"), tol)
+    assert raised.type is ValueError
 
 
 def pauli_closed_form_trace_norm(rho: np.ndarray) -> float:

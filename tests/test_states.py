@@ -252,6 +252,12 @@ class TestRandomDensity:
             random_density(ModeLayout.bipartite(1, 1), 0, constraint="gaussian",
                            spec=SubsystemSpec((1,)))
 
+    def test_unknown_constraint_is_named_before_the_spec(self):
+        # it raised LayoutError("constraint 'gaussian' requires a subsystem spec")
+        with pytest.raises(ValueError, match="unknown constraint 'gaussian'") as raised:
+            random_density(ModeLayout.bipartite(1, 1), 0, constraint="gaussian")
+        assert raised.type is ValueError
+
     def test_seed_determinism(self):
         lay = ModeLayout.tripartite()
         assert max_abs(random_density(lay, 3).matrix, random_density(lay, 3).matrix) == 0.0
