@@ -168,9 +168,9 @@ def sweep(ctx, family, p_min, p_max, steps, measure_list, flavor, normalized):
         raise click.UsageError("need steps >= 1 and max >= min")
     available = _WERNER_MEASURES if family == "werner" else _PSI_P_MEASURES
     chosen = (
-        tuple(m.strip() for m in measure_list.split(",") if m.strip())
-        if measure_list
-        else available
+        available
+        if measure_list is None
+        else tuple(m.strip() for m in measure_list.split(",") if m.strip())
     )
     if not chosen:
         raise click.BadParameter(f"names no measure; {family} takes {', '.join(available)}",

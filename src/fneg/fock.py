@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache, reduce
+from itertools import groupby
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -615,16 +616,25 @@ def _graded_product(lhs_layout: ModeLayout, rhs_layout: ModeLayout, lhs: np.ndar
     n1, n2 = lhs_layout.num_modes, rhs_layout.num_modes
     if n1 + n2 > MAX_MODES:
         raise LayoutError(f"combined system exceeds {MAX_MODES} modes")
-    # rhs modes occupy the high bits: index = i_lhs + 2**n1 * i_rhs.
-    combined = _kron(rhs, lhs)
+    # In the concatenated order rhs modes occupy the high bits: index = i_lhs + 2**n1 * i_rhs.
     concat_labels = lhs_layout.labels + rhs_layout.labels
-    all_labels = sorted(set(concat_labels))
-    new_order = []
-    for lab in all_labels:
-        new_order.extend(m + 1 for m, l in enumerate(concat_labels) if l == lab)
-    new_labels = tuple(concat_labels[m - 1] for m in new_order)
-    mat = _permute_matrix(combined, n1 + n2, tuple(new_order))
-    return ModeLayout(n1 + n2, new_labels), mat
+    new_order = tuple(sorted(range(1, n1 + n2 + 1), key=lambda m: concat_labels[m - 1]))
+    # The reordering keeps each operand's modes in order, so ``_kron(rhs, lhs)`` is formed
+    # straight in the new order, one allocation: each run of new positions (C order, the
+    # last position first) takes its bits from the operand that owns its modes.
+    runs = [(high, 1 << len(list(run)))
+            for high, run in groupby(m > n1 for m in reversed(new_order))]
+
+    def placed(op: np.ndarray, high: bool) -> np.ndarray:
+        return op.reshape(op.shape[:-2] + 2 * tuple(size if h == high else 1 for h, size in runs))
+
+    mat = np.multiply(placed(rhs, True), placed(lhs, False))
+    mat = mat.reshape(mat.shape[:mat.ndim - 2 * len(runs)] + (1 << (n1 + n2),) * 2)
+    signs = _permute_plan(n1 + n2, new_order)[1]
+    if signs is not None:
+        mat *= signs[:, None]
+        mat *= signs[None, :]
+    return ModeLayout(n1 + n2, tuple(concat_labels[m - 1] for m in new_order)), mat
 
 
 def embed_local(local: FockOperator, layout: ModeLayout, modes: Sequence[int]) -> FockOperator:

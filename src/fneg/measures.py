@@ -25,6 +25,7 @@ from .fock import (
     FLAG_TOL,
     FockOperator,
     SubsystemSpec,
+    _check_count,
     _density_verdicts,
     _exact,
     _gather_blocks,
@@ -223,8 +224,7 @@ def pt_moment(
 
     Even ``n`` ends on the adjoint factor, odd ``n`` on the plain transpose.
     """
-    if n < 1:
-        raise ValueError("moment order n must be a positive integer")
+    _check_count("n", n)
     _check_flavor(flavor)
     rho.require_density_matrix(tol, require_parity=(flavor == "fermionic"))
     t = partial_transpose(rho, as_spec(spec), flavor).matrix
@@ -271,12 +271,17 @@ def mutual_information(
 # -- tripartite machinery ---------------------------------------------------------
 
 
-def _tri_specs(rho: FockOperator) -> dict[str, SubsystemSpec]:
+def _tri_specs(rho: FockOperator, *parties) -> dict[str, SubsystemSpec]:
+    """The specs of parties A, B and C; each of ``parties``, the ones a measure names, must be
+    one of them, named once."""
     layout = rho.layout
     if set(layout.subsystems) != {"A", "B", "C"}:
         raise StateValidationError(
             f"tripartite measures need labels A, B, C; layout has {layout.subsystems}"
         )
+    for k, party in enumerate(parties):
+        if party not in ("A", "B", "C") or party in parties[:k]:
+            raise ValueError(f"parties must be distinct among A, B, C; got {party!r} in {parties}")
     return {lab: layout.spec(lab) for lab in ("A", "B", "C")}
 
 
@@ -293,7 +298,7 @@ def pairwise_negativity(
     tol: float = FLAG_TOL,
 ) -> float:
     """Negativity of the reduced two-party state, transposing the first party."""
-    specs = _tri_specs(rho)
+    specs = _tri_specs(rho, first, second)
     keep = SubsystemSpec(specs[first].target_modes + specs[second].target_modes)
     reduced = partial_trace(rho, keep)
     return negativity(reduced, reduced.layout.spec(first), flavor, tol)
@@ -328,7 +333,9 @@ def j_abc_details(
     the first member of the pair.  An empty sector contributes negativity zero
     and raises the ``degenerate_sector`` flag.
     """
-    specs = _tri_specs(rho)
+    specs = _tri_specs(rho, *pair, third)
+    if len(pair) != 2:
+        raise ValueError(f"pair must name two parties, got {pair!r}")
     keep = SubsystemSpec(specs[pair[0]].target_modes + specs[pair[1]].target_modes)
     values = {}
     weights = {}

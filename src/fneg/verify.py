@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -52,13 +52,15 @@ from .states import (
 _GAP_GUARD = 5e-3
 _RESAMPLE_BUDGET = 500
 
-#: Bytes of the matrices that one stack of a check holds: the largest states
-#: (``n + 2`` modes) of one ``(n, m_A)`` bucket of ``verify locc`` (2 trials
-#: of n = 4, 8 of n = 3, 32 of n = 2), a slice of one ``verify identities``
-#: trial's transpose inputs, or a chunk of ``conjecture_scan`` samples, each
-#: counted at its own d (128 at d = 8).  A stack's temporaries take a few
-#: times these bytes, so this sets the peak memory of each; larger stacks
-#: gain no speed.
+#: Bytes of the matrices that one stack of a check holds: a slice of one
+#: ``verify identities`` trial's transpose inputs, or a chunk of
+#: ``conjecture_scan`` samples, each counted at its own d (128 at d = 8).  A
+#: stack's temporaries take a few times these bytes, so this sets the peak
+#: memory of each.  A ``verify locc`` bucket holds four times these bytes of its
+#: largest states (``n + 2`` modes: 8 trials of n = 4, 32 of n = 3, 128 of
+#: n = 2), as it pays a fixed cost per bucket: at 2, 8 and 32 trials the
+#: default run took 40-55 % longer.  It releases each stage's intermediates
+#: and each stack once solved, so its traced peak stays near 2 MB.
 _STACK_BYTES = 1 << 17
 
 
@@ -326,20 +328,28 @@ class _Jobs(NamedTuple):
     """Norms to take: a stack of states on one layout, with one target, in check order."""
 
     owners: np.ndarray  # the trial of each state
-    states: np.ndarray
+    states: np.ndarray | Callable[[], np.ndarray]  # or a function that forms them, checked
     layout: ModeLayout
     spec: SubsystemSpec
     residuals: np.ndarray | None = None  # each state's parity leak and residual, if validated
+
+
+def _formed(job: _Jobs) -> np.ndarray:
+    """A job's stack of states, formed now if it is a function."""
+    return job.states() if callable(job.states) else job.states
 
 
 def _job_norms(jobs: list[_Jobs]) -> list[np.ndarray]:
     """The ``|rho^{T_A}|_1`` of each job's states, one array per job.
 
     The jobs are stacked by mode count, target mask and whether their states
-    come validated, and each stack is checked, transposed and solved once by
-    :func:`fneg.measures._pt_norms`: every norm equals the one behind
-    ``negativity`` bit for bit.  If a stack fails a check, every state takes
-    one ``_pt_norm`` call, in check order, which raises the per-call error.
+    come validated, and each stack is formed, checked, transposed and solved
+    once by :func:`fneg.measures._pt_norms`: every norm equals the one behind
+    ``negativity`` bit for bit.  Each stack's states are released from
+    ``jobs`` once solved, so a bucket holds the states of the stacks still to
+    solve.  If a stack fails a check, every state not yet solved takes one
+    ``_pt_norm`` call, in check order, which raises the per-call error: the
+    solved ones passed the same checks.
     """
     groups: dict = {}
     for i, job in enumerate(jobs):
@@ -347,16 +357,22 @@ def _job_norms(jobs: list[_Jobs]) -> list[np.ndarray]:
         groups.setdefault(key, []).append(i)
     norms = [None] * len(jobs)
     for (n, _, checked), members in groups.items():
-        parts = [jobs[i] for i in members]
-        stack = parts[0].states if len(parts) == 1 else np.concatenate([j.states for j in parts])
-        residuals = np.concatenate([j.residuals for j in parts], axis=-1) if checked else None
-        solved = _pt_norms(stack, n, parts[0].spec, residuals=residuals)
+        parts = [_formed(jobs[i]) for i in members]
+        ends = np.cumsum([len(states) for states in parts])[:-1]
+        stack = parts[0] if len(parts) == 1 else np.concatenate(parts)
+        del parts
+        for i, states in zip(members, np.split(stack, ends)):  # views in place of the copies
+            jobs[i] = jobs[i]._replace(states=states)
+        residuals = np.concatenate([jobs[i].residuals for i in members], -1) if checked else None
+        solved = _pt_norms(stack, n, jobs[members[0]].spec, residuals=residuals)
         if solved is None:
             return [np.array([_pt_norm(FockOperator(job.layout, state), job.spec, "fermionic",
-                                       FLAG_TOL) for state in job.states]) for job in jobs]
-        ends = np.cumsum([len(job.states) for job in parts])[:-1]
+                                       FLAG_TOL) for state in _formed(job)])
+                    if norms[i] is None else norms[i] for i, job in enumerate(jobs)]
         for i, values in zip(members, np.split(solved, ends)):
             norms[i] = values
+            jobs[i] = jobs[i]._replace(states=None)
+        del stack
     return norms
 
 
@@ -389,7 +405,9 @@ def _build_locc_group(n: int, m_a: int,
     order of their jobs' states.  The validated evolved states come with the
     residuals that :func:`_measured_branches` read.  The parity checks of
     ``embed_local`` and ``graded_tensor`` run on the stacks, in the per-call
-    order (:func:`fock._require_even_stack`).
+    order (:func:`fock._require_even_stack`).  Each stage's intermediates are
+    released once its states are built, and the stacked states of (e), the
+    largest, are formed only when solved: (e)'s check is of the partner alone.
     """
     layout = ModeLayout.bipartite(m_a, n - m_a)
     spec_a, spec_b = layout.spec("A"), layout.spec("B")
@@ -412,6 +430,7 @@ def _build_locc_group(n: int, m_a: int,
     u = (embedded(_unitaries(stack("u_a"), m_a), layout, spec_a.target_modes)
          @ embedded(_unitaries(stack("u_b"), n - m_a), layout, spec_b.target_modes))
     rotated = u @ rho @ u.conj().swapaxes(-1, -2)
+    del u  # each stage's intermediates go once its states are built
 
     # (b) appending an unentangled ancilla to A
     _require_even_stack(layout, rho)
@@ -430,17 +449,22 @@ def _build_locc_group(n: int, m_a: int,
     pairs = [(i, ea, eb) for i, t in enumerate(trials)
              for proj_a, proj_b in [next(chosen) if t["proj"] else parity]
              for ea in proj_a for eb in proj_b]
+    paired = np.array([i for i, _, _ in pairs])
     ops = np.stack([ea for _, ea, _ in pairs]) @ np.stack([eb for _, _, eb in pairs])
-    projected = ops @ rho[[i for i, _, _ in pairs]] @ ops
+    del sides, chosen, pairs
+    projected = ops @ rho[paired] @ ops
+    del ops
     weights = np.real(np.trace(projected, axis1=-2, axis2=-1))
     kept = np.flatnonzero(weights > FLAG_TOL)  # parity_project's empty-branch rule
     outcomes = projected[kept] / weights[kept, None, None]
+    del projected
 
     # (d) entangling an ancilla into A, measuring it, with and without averaging
     _, sigma = graded(one, _gram(stack("sigma"), 1))
     tilde_spec = big.spec("A")
     u_ar = embedded(_unitaries(stack("u_ar"), m_a + 1), big, tilde_spec.target_modes)
     evolved = u_ar @ sigma @ u_ar.conj().swapaxes(-1, -2)
+    del sigma, u_ar
     owners, branch_weights, reduced, checked = _measured_branches(
         evolved, big, tilde_spec.target_modes[-1])
     mixed = np.zeros_like(rho)  # each trial's weighted branches, added in branch order
@@ -448,13 +472,17 @@ def _build_locc_group(n: int, m_a: int,
 
     # (e) additivity under stacking
     other = _gram(stack("other"), 2)
-    wide, stacked = graded(two, other)
+    _require_even_stack(two, other)
+    wide = ModeLayout.bipartite(m_a + 1, n - m_a + 1)
+
+    def stacked() -> np.ndarray:  # formed when solved, after every build check
+        return _graded_product(layout, two, rho, other)[1]
 
     every = np.arange(len(trials))
     return [_Jobs(every, rho, layout, spec_a),
             _Jobs(every, rotated, layout, spec_a),
             _Jobs(every, appended, big, tilde_spec),
-            _Jobs(np.array([pairs[j][0] for j in kept], dtype=int), outcomes, layout, spec_a),
+            _Jobs(paired[kept], outcomes, layout, spec_a),
             _Jobs(every, evolved, big, tilde_spec, checked),
             _Jobs(owners, reduced, layout, spec_a),
             _Jobs(every, mixed, layout, spec_a),
@@ -469,7 +497,8 @@ _LOCC_CHECKS = ("local_unitary", "ancilla_append", "projective", "unilocal_unita
 
 
 def _score_locc_bucket(n: int, m_a: int, jobs: list[_Jobs], norms: list[np.ndarray],
-                       weights: np.ndarray, branch_weights: np.ndarray) -> list[tuple[float, dict]]:
+                       states: list[str], weights: np.ndarray,
+                       branch_weights: np.ndarray) -> list[tuple[float, dict]]:
     """``(worst violation, diagnostics)`` of each trial of a built bucket, from its norms."""
     # the jobs of rho, rotated, appended, outcomes, evolved, branches, mixed, stacked, other
     neg = [(x - 1.0) / 2.0 for x in norms]
@@ -489,10 +518,10 @@ def _score_locc_bucket(n: int, m_a: int, jobs: list[_Jobs], norms: list[np.ndarr
         np.abs(np.log(norms[7]) - np.log(norms[0]) - np.log(norms[8])),
     ], axis=1)
     worst = viol.argmax(axis=1)
-    return [(float(row[w]), {"n": n, "m_a": m_a, "state": _fingerprint(state),
+    return [(float(row[w]), {"n": n, "m_a": m_a, "state": state,
                              "base_negativity": float(b), "max_violation": float(row[w]),
                              "worst_check": _LOCC_CHECKS[w]})
-            for row, w, b, state in zip(viol, worst, base, jobs[0].states)]
+            for row, w, b, state in zip(viol, worst, base, states)]
 
 
 def _locc_trials(rng: np.random.Generator, trials: int, budget: int) -> list[tuple[float, dict]]:
@@ -501,11 +530,13 @@ def _locc_trials(rng: np.random.Generator, trials: int, budget: int) -> list[tup
     Each trial makes every generator call of a per-call trial, in its order,
     into the bucket of its ``(n, m_A)``.  A bucket is built, solved and scored
     as soon as its largest states (the stacked ones, ``2**(2n + 8)`` bytes a
-    trial) fill ``budget`` bytes, or it holds one trial if one overfills them:
-    every stage is built (:func:`_build_locc_group`), and so every build check
-    runs, before any norm is taken on stacks (:func:`_job_norms`).  The other
-    buckets are built when the trials run out.  With ``budget`` 0 each trial is
-    built as soon as it is drawn.
+    trial) fill four times ``budget`` bytes, or it holds one trial if one
+    overfills them: every stage is built (:func:`_build_locc_group`), and so
+    every build check runs, before any norm is taken on stacks
+    (:func:`_job_norms`).  The run's first bucket is built once they fill
+    ``budget``, so a fault that every trial meets stops the run after a few
+    draws.  The other buckets are built when the trials run out.  With
+    ``budget`` 0 each trial is built as soon as it is drawn.
     """
     scored = [None] * trials
     buckets: dict = {}
@@ -513,15 +544,20 @@ def _locc_trials(rng: np.random.Generator, trials: int, budget: int) -> list[tup
     def flush(key: tuple[int, int]) -> None:
         ks, drawn = zip(*buckets.pop(key))
         jobs, *weights = _build_locc_group(*key, drawn)
-        for k, result in zip(ks, _score_locc_bucket(*key, jobs, _job_norms(jobs), *weights)):
+        del drawn
+        states = [_fingerprint(rho) for rho in jobs[0].states]  # before the norms release them
+        norms = _job_norms(jobs)
+        for k, result in zip(ks, _score_locc_bucket(*key, jobs, norms, states, *weights)):
             scored[k] = result
 
+    shift = 8  # a trial's stacked states take 2**(2n + 8) bytes: one budget, then four
     for k in range(trials):
         t = _draw_locc_trial(rng)
         key = (t["n"], t["m_a"])
         buckets.setdefault(key, []).append((k, t))
-        if len(buckets[key]) == max(1, budget >> (2 * t["n"] + 8)):
+        if len(buckets[key]) == max(1, budget >> (2 * t["n"] + shift)):
             flush(key)
+            shift = 6
     for key in list(buckets):
         flush(key)
     return scored
@@ -532,8 +568,8 @@ def check_locc_monotonicity(seed=0, trials: int = 200, tolerance: float = 1e-10)
     and additivity, scored by equality deviation or negative inequality slack.
 
     Trials are drawn one at a time into a bucket per ``(n, m_A)``, and each
-    bucket is built on stacks of :data:`_STACK_BYTES`, solved on stacks and
-    scored on arrays (:func:`_locc_trials`).  The values equal one
+    bucket of up to four :data:`_STACK_BYTES` of stacked states is built,
+    solved and scored on stacks (:func:`_locc_trials`).  The values equal one
     ``negativity`` or ``log_negativity`` call per state bit for bit.  If
     anything raises, the whole check is replayed from the generator state of
     the call, one trial at a time (:func:`_replayed`), and a trial's stack

@@ -294,6 +294,7 @@ class TestMainExitCodes:
         (["--tolerance", "inf", "reproduce", "paper-values"], "--tolerance"),
         (["--tolerance", "-1", "reproduce", "table1"], "--tolerance"),
         (["sweep", "werner", "--measures", ","], "--measures"),
+        (["sweep", "werner", "--measures", ""], "--measures"),
         (["sweep", "werner", "--measures", "negativity,negativity", "--steps", "2"], "--measures"),
         (["sweep", "psi_p", "--measures", "n_abc,j_abc,n_abc", "--steps", "2"], "--measures"),
         (["sweep", "werner", "--max", "inf", "--steps", "2"], "--max"),

@@ -14,6 +14,7 @@ from fneg.fock import (
     SubsystemSpec,
     _density_verdicts,
     _exact,
+    _graded_product,
     _kron,
     _parity_leak,
     _permute_matrix,
@@ -468,6 +469,26 @@ class TestGradedTensor:
         right = graded_tensor(a, graded_tensor(b, c))
         assert left.layout == right.layout
         assert max_abs(left, right) <= 1e-12
+
+
+    @pytest.mark.parametrize("lhs_labels, rhs_labels", [
+        ("AABB", "A"), ("AB", "AB"), ("ABC", "ABBC"), ("BB", "AC"), ("A", "AA"), ("C", "AB"),
+    ])
+    def test_equals_the_reordered_kronecker_product(self, rng, lhs_labels, rhs_labels):
+        # The product is formed straight in the target mode order; the reference forms
+        # kron(rhs, lhs), rhs on the high bits, and reorders it with Jordan-Wigner signs.
+        lhs_layout = ModeLayout(len(lhs_labels), tuple(lhs_labels))
+        rhs_layout = ModeLayout(len(rhs_labels), tuple(rhs_labels))
+        lhs = np.stack([random_even_operator(lhs_layout, rng).matrix for _ in range(3)])
+        rhs = np.stack([random_even_operator(rhs_layout, rng).matrix for _ in range(3)])
+        labels = lhs_labels + rhs_labels
+        order = tuple(sorted(range(1, len(labels) + 1), key=lambda m: labels[m - 1]))
+        want = _permute_matrix(_kron(rhs, lhs), len(labels), order)
+        got = [graded_tensor(FockOperator(lhs_layout, a), FockOperator(rhs_layout, b))
+               for a, b in zip(lhs, rhs)]
+        assert got[0].layout.labels == tuple(sorted(labels))
+        assert np.array_equal(np.stack([op.matrix for op in got]), want)
+        assert np.array_equal(_graded_product(lhs_layout, rhs_layout, lhs, rhs)[1], want)
 
 
 class TestEmbedLocal:

@@ -537,6 +537,12 @@ class TestMoments:
         with pytest.raises(ValueError):
             pt_moment(canonical_state("majorana_dimer"), S1, 0)
 
+    @pytest.mark.parametrize("order", [3.0, True, float("nan")])
+    def test_non_integer_order_rejected(self, order):
+        # 3.0 and NaN raised range's TypeError; True was taken as order 1
+        with pytest.raises(TypeError, match="n must be an integer"):
+            pt_moment(canonical_state("majorana_dimer"), S1, order)
+
 
 class TestEntropy:
     def test_pure_state_all_orders(self, rng):
@@ -647,6 +653,25 @@ class TestJabc:
         details = j_abc_details(rho)
         assert details.degenerate_sector
         assert details.product == 0.0
+
+    @pytest.mark.parametrize("call, party", [
+        (lambda rho: j_abc(rho, pair=("A", "B"), third="A"), "A"),  # returned 0.0
+        (lambda rho: j_abc(rho, pair=("A", "B", "C")), "C"),  # returned 0.0
+        (lambda rho: j_abc(rho, third="D"), "D"),  # KeyError
+        (lambda rho: j_abc(rho, pair=("A", "A")), "A"),  # LayoutError on the spec
+        (lambda rho: j_abc_details(rho, pair=("B", "C"), third="B"), "B"),
+        (lambda rho: pairwise_negativity(rho, "B", "B"), "B"),
+        (lambda rho: pairwise_negativity(rho, "A", "D"), "D"),
+    ], ids=["third_in_pair", "three_party_pair", "unknown_third", "repeated_pair",
+            "details", "pairwise_repeated", "pairwise_unknown"])
+    def test_bad_parties_are_rejected(self, call, party):
+        with pytest.raises(ValueError, match=f"A, B, C; got {party!r} in") as raised:
+            call(canonical_state("ghz"))
+        assert raised.type is ValueError
+
+    def test_one_party_pair_is_rejected(self):
+        with pytest.raises(ValueError, match="pair must name two parties"):
+            j_abc(canonical_state("ghz"), pair=("A",))
 
 
 class TestTangle:

@@ -206,11 +206,13 @@ def _odd_member(matrix: np.ndarray) -> np.ndarray:
 def _flushes(groups) -> list[tuple[int, list[int]]]:
     """``(n, trials)`` of each bucket ``verify locc`` builds, in build order, for the
     ``(n, m_A)`` of each trial: a bucket is built once it holds
-    ``max(1, _STACK_BYTES >> (2n + 8))`` trials, the rest when the trials run out."""
+    ``max(1, _STACK_BYTES >> (2n + 6))`` trials, the first one at
+    ``max(1, _STACK_BYTES >> (2n + 8))``, the rest when the trials run out."""
     open_buckets, built = {}, []
     for k, (n, m_a) in enumerate(groups):
         open_buckets.setdefault((n, m_a), []).append(k)
-        if len(open_buckets[n, m_a]) == max(1, verify_mod._STACK_BYTES >> (2 * n + 8)):
+        shift = 6 if built else 8
+        if len(open_buckets[n, m_a]) == max(1, verify_mod._STACK_BYTES >> (2 * n + shift)):
             built.append((n, open_buckets.pop((n, m_a))))
     return built + [(n, ks) for (n, _), ks in open_buckets.items()]
 
@@ -596,6 +598,13 @@ class TestLoccMonotonicity:
         assert kernel == want
         assert len(kernel) < 5 * len(_flushes([(d["n"], d["m_a"]) for d in report.diagnostics]))
         assert max(members for _, members in kernel) > 10  # members of several trials
+
+    def test_default_run_builds_few_buckets(self, monkeypatch):
+        # Each bucket pays a fixed set of kernel calls: at seed 7 the default run built 43
+        # buckets of at most 2, 8 and 32 trials (n = 4, 3, 2), and builds 13 of 8, 32 and 128.
+        log = record_calls(monkeypatch, "fneg.verify._build_locc_group")
+        check_locc_monotonicity(seed=7)
+        assert len(log) <= 15
 
     def test_five_mode_stacks_are_validated_once(self, monkeypatch):
         # One PSD verdict per stack of five-mode states in each bucket: the evolved
