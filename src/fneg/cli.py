@@ -20,7 +20,7 @@ from . import classify as classify_mod
 from . import states, verify
 from .errors import FnegError, LayoutError, ParityError, StateValidationError
 from .fock import MAX_MODES, FockOperator, ModeLayout, SubsystemSpec
-from .measures import _is_pure, log_negativity, negativity, tripartite_report
+from .measures import _is_pure, _stacked_pt_norms, _tripartite_reports
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -185,30 +185,25 @@ def sweep(ctx, family, p_min, p_max, steps, measure_list, flavor, normalized):
     if normalized and family != "psi_p":
         raise click.UsageError("--normalized applies to the psi_p family only")
     grid = np.linspace(p_min, p_max, steps)
-    spec1 = SubsystemSpec((1,))
-    rows = []
+    rhos = [states.canonical_state(family, p=float(p)) for p in grid]
     if family == "werner":
-        for p in grid:
-            rho = states.canonical_state("werner", p=float(p))
-            values = {}
-            for m in chosen:
-                fn = negativity if m == "negativity" else log_negativity
-                values[m] = float(fn(rho, spec1, flavor))
-            rows.append({"p": float(p), **values})
+        norms = _stacked_pt_norms(rhos, SubsystemSpec((1,)), flavor)
+        values = {"negativity": [(norm - 1.0) / 2.0 for norm in norms],
+                  "log_negativity": [float(np.log(norm)) for norm in norms]}
+        rows = [{"p": float(p), **{m: values[m][i] for m in chosen}} for i, p in enumerate(grid)]
         _emit_rows(rows, ["p"] + list(chosen), output)
         ctx.exit(EXIT_OK)
 
-    ghz = tripartite_report(states.canonical_state("ghz"), flavor)
-    for p in grid:
-        rho = states.canonical_state("psi_p", p=float(p))
-        raw = tripartite_report(rho, flavor)
-        values = {m: float(raw[m] / ghz[m]) if normalized else float(raw[m]) for m in chosen}
-        # The fermionic report holds the class witnesses; the bosonic one does not.
-        if flavor == "fermionic":
-            label = classify_mod._pure3_verdict(raw.entries, classify_mod.DEFAULT_ZERO_THRESHOLD)
-        else:
-            label = classify_mod.pure3_class(rho)
-        rows.append({"p": float(p), **values, "label": label.label})
+    ghz, *raws = _tripartite_reports([states.canonical_state("ghz"), *rhos], flavor)
+    # The fermionic reports hold the class witnesses; psi_p states are pure by construction.
+    witnesses = raws if flavor == "fermionic" else _tripartite_reports(rhos, "fermionic")
+    rows = [
+        {"p": float(p),
+         **{m: float(raw[m] / ghz[m]) if normalized else float(raw[m]) for m in chosen},
+         "label": classify_mod._pure3_verdict(wit.entries,
+                                              classify_mod.DEFAULT_ZERO_THRESHOLD).label}
+        for p, raw, wit in zip(grid, raws, witnesses)
+    ]
     _emit_rows(rows, ["p"] + list(chosen) + ["label"], output)
     ctx.exit(EXIT_OK)
 

@@ -33,9 +33,12 @@ from .fock import (
     as_spec,
 )
 from .ptranspose import (
+    FLAVORS,
     _check_flavor,
     _resolve_spec,
+    _sector_projection,
     _signed_gather,
+    _traced,
     parity_project,
     partial_trace,
     partial_transpose,
@@ -188,6 +191,27 @@ def _pt_norms(
         t *= _sign_vector(n, spec.mask())
     leak, herm = np.asarray(residuals)
     return _spectra(t, n, _exact(leak, n), herm).sum(axis=-1)
+
+
+def _stacked(rhos, solve, replay) -> list:
+    """``solve`` of the stack of ``rhos``' matrices, states of one layout, one result a state.
+
+    If ``solve`` returns ``None`` or raises, each state is replayed through
+    ``replay``, its per-call function, in order, which raises the first error.
+    """
+    try:
+        found = solve(np.stack([rho.matrix for rho in rhos]))
+    except Exception:  # the replay raises it again, after any earlier per-call error
+        found = None
+    return [replay(rho) for rho in rhos] if found is None else list(found)
+
+
+def _stacked_pt_norms(rhos, spec: SubsystemSpec, flavor: str) -> list[float]:
+    """:func:`_pt_norm` at ``FLAG_TOL`` of each of ``rhos``, from one :func:`_pt_norms` call."""
+    fermionic = _check_flavor(flavor) == "fermionic"
+    return [float(norm) for norm in _stacked(
+        rhos, lambda stack: _pt_norms(stack, rhos[0].layout.num_modes, spec, fermionic),
+        lambda rho: _pt_norm(rho, spec, flavor, FLAG_TOL))]
 
 
 def negativity(
@@ -435,13 +459,15 @@ def _is_pure(rho: FockOperator) -> bool:
     return abs(_purity(rho) - 1.0) <= _PURITY_TOL
 
 
+_PAIRS = ("AB", "AC", "BC")
+
+
 def _n_abc(negs: Mapping[str, float]) -> float:
     prod = max(negs["A"], 0.0) * max(negs["B"], 0.0) * max(negs["C"], 0.0)
     return float(prod ** (1.0 / 3.0))
 
 
-def _pi_abc(negs: Mapping[str, float], rho: FockOperator, flavor: str, tol: float) -> float:
-    pair = {p: pairwise_negativity(rho, *p, flavor, tol) for p in ("AB", "AC", "BC")}
+def _pi_abc(negs: Mapping[str, float], pair: Mapping[str, float]) -> float:
     pi_a = negs["A"] ** 2 - pair["AB"] ** 2 - pair["AC"] ** 2
     pi_b = negs["B"] ** 2 - pair["AB"] ** 2 - pair["BC"] ** 2
     pi_c = negs["C"] ** 2 - pair["AC"] ** 2 - pair["BC"] ** 2
@@ -459,7 +485,8 @@ def pi_abc(rho: FockOperator, flavor: str = "fermionic", tol: float = FLAG_TOL) 
     Each residual subtracts the squared pairwise reduced negativities from the
     squared one-vs-rest negativity of that party; applies to mixed states.
     """
-    return _pi_abc(one_vs_rest_negativities(rho, flavor, tol), rho, flavor, tol)
+    negs = one_vs_rest_negativities(rho, flavor, tol)
+    return _pi_abc(negs, {p: pairwise_negativity(rho, *p, flavor, tol) for p in _PAIRS})
 
 
 def tripartite_report(
@@ -474,14 +501,80 @@ def tripartite_report(
     tangle is not defined on mixed states or on parties of more than one mode.
     """
     negs = one_vs_rest_negativities(rho, flavor, tol)
-    entries = {
-        "negativity_A": negs["A"],
-        "negativity_B": negs["B"],
-        "negativity_C": negs["C"],
-        "j_abc": j_abc(rho, flavor=flavor, tol=tol),
-        "n_abc": _n_abc(negs),
-        "pi_abc": _pi_abc(negs, rho, flavor, tol),
-    }
+    j = j_abc(rho, flavor=flavor, tol=tol)
+    pair = {p: pairwise_negativity(rho, *p, flavor, tol) for p in _PAIRS}
+    return _tri_report(rho, negs, j, pair, flavor, tol)
+
+
+def _tri_report(rho: FockOperator, negs, j: float, pair, flavor: str, tol: float) -> MeasureReport:
+    """:func:`tripartite_report` from its one-vs-rest, ``j_abc`` and pairwise negativities."""
+    entries = {f"negativity_{lab}": negs[lab] for lab in "ABC"}
+    entries.update(j_abc=j, n_abc=_n_abc(negs), pi_abc=_pi_abc(negs, pair))
     if rho.layout.num_modes == 3 and _is_pure(rho):
         entries["three_tangle"] = three_tangle(rho)
     return MeasureReport(entries, tolerance=tol, transpose_flavor=flavor)
+
+
+def _tripartite_reports(rhos, flavor: str = "fermionic") -> list[MeasureReport]:
+    """:func:`tripartite_report` of each of ``rhos``, from one :func:`_tripartite_norms` pass."""
+    return _stacked(rhos, lambda stack: _tripartite_norms(stack, rhos[0].layout, flavor, FLAG_TOL),
+                    lambda rho: tripartite_report(rho, flavor))
+
+
+def _tripartite_norms(stack: np.ndarray, layout, flavor: str, tol: float) -> list | None:
+    """:func:`tripartite_report` of each state of a ``(k, d, d)`` stack on a tripartite ``layout``.
+
+    Each of the eight negativities is one :func:`_pt_norms` call on a stack:
+    the three one-vs-rest cuts, the even and odd sectors of C traced to AB
+    (an empty sector gives 0, as in :func:`j_abc_details`), and the three
+    pairwise reductions.  Each stack is checked by :func:`fock._density_verdicts`
+    at ``min(tol, FLAG_TOL)``, at least as strictly as the per-call path, whose
+    transposes test parity at ``FLAG_TOL``.  Every step acts on each member as
+    the per-call path acts on one state, the partial traces summing in its
+    order, so the values are equal bit for bit.  ``None`` if any member fails
+    a check, or if the per-call path rejects the layout, flavor or ``tol``.
+    """
+    if set(layout.subsystems) != {"A", "B", "C"} or flavor not in FLAVORS \
+            or not 0.0 <= tol < np.inf:
+        return None
+    n, fermionic = layout.num_modes, flavor == "fermionic"
+    specs = {lab: layout.spec(lab) for lab in "ABC"}
+
+    def negativities(states: np.ndarray, modes: int, targets) -> list | None:
+        """For each target, each state's negativity as :func:`negativity` returns it."""
+        verdicts, *residuals = _density_verdicts(states, modes, min(tol, FLAG_TOL))
+        if not verdicts.all():
+            return None
+        return [[(float(norm) - 1.0) / 2.0 for norm in
+                 _pt_norms(states, modes, target, fermionic, residuals=residuals)]
+                for target in targets]
+
+    def reduced(states: np.ndarray, first: str, second: str) -> list | None:
+        keep = SubsystemSpec(specs[first].target_modes + specs[second].target_modes)
+        lead = SubsystemSpec(tuple(range(1, len(specs[first]) + 1)))  # ``first`` once reduced
+        found = negativities(_traced(states, n, keep), len(keep), [lead])
+        return None if found is None else found[0]
+
+    one = negativities(stack, n, specs.values())
+    if one is None:  # the reductions of a state that fails are not computed
+        return None
+    pair = {p: reduced(stack, *p) for p in _PAIRS}
+    if None in pair.values():
+        return None
+    sectors = []
+    for sector in ("even", "odd"):
+        projected, weight = _sector_projection(stack, n, specs["C"].mask(), sector)
+        full = np.flatnonzero(~(weight <= tol))  # ``parity_project``'s rule: NaN is not empty
+        if full.size < len(stack):
+            projected = projected[full]
+        projected /= weight[full, None, None]
+        found = reduced(projected, "A", "B") if full.size else []
+        del projected  # before the next sector is projected
+        if found is None:
+            return None
+        sectors.append(dict(zip(full.tolist(), found)))
+    return [_tri_report(FockOperator(layout, member, copy=False),
+                        {lab: one[j][i] for j, lab in enumerate("ABC")},
+                        sectors[0].get(i, 0.0) * sectors[1].get(i, 0.0),
+                        {p: pair[p][i] for p in _PAIRS}, flavor, tol)
+            for i, member in enumerate(stack)]

@@ -35,8 +35,8 @@ from .fock import (
     _sign_vector,
     embed_local,
 )
-from .measures import _pt_norm, _pt_norms, log_negativity, negativity, pairwise_negativity, \
-    pi_abc, trace_norm, tripartite_report
+from .measures import _pt_norm, _pt_norms, _stacked_pt_norms, _tripartite_reports, \
+    log_negativity, negativity, pairwise_negativity, pi_abc, trace_norm
 from .ptranspose import _sector_projection, _signed_gather, _traced, fermionic_pt, partial_trace
 from .states import (
     _block_gaussian,
@@ -645,14 +645,22 @@ def perturbed_state(
 
 
 def trace_norm_prediction(
-    w: np.ndarray, rho0: np.ndarray, rho1: np.ndarray, delta: np.ndarray, eps: float
-) -> float:
-    """Second-order prediction ``1 + 2 eps^2 sum |<psi_j|d|phi_k>|^2/(w0 mu_j + w1 nu_k)``."""
+    w: np.ndarray, rho0: np.ndarray, rho1: np.ndarray, delta: np.ndarray,
+    eps: float | Sequence[float],
+) -> float | list[float]:
+    """Second-order prediction ``1 + 2 eps^2 sum |<psi_j|d|phi_k>|^2/(w0 mu_j + w1 nu_k)``.
+
+    ``eps`` may be a sequence: its predictions come from one ``eigh`` of each
+    of ``rho0`` and ``rho1``, which do not depend on it.
+    """
     mu, psi = np.linalg.eigh(rho0)
     nu, phi = np.linalg.eigh(rho1)
     amp = psi.conj().T @ delta @ phi
     denom = w[0] * mu[:, None] + w[1] * nu[None, :]
-    return 1.0 + 2.0 * eps**2 * float(np.sum(np.abs(amp) ** 2 / denom))
+    total = float(np.sum(np.abs(amp) ** 2 / denom))
+    if np.ndim(eps):
+        return [1.0 + 2.0 * e**2 * total for e in eps]
+    return 1.0 + 2.0 * eps**2 * total
 
 
 def check_perturbation_expansion(
@@ -693,11 +701,12 @@ def check_perturbation_expansion(
     for t in range(trials):
         m = 1 + t % 2
         w, rho0, rho1, delta = _perturbation_instance(rng, m, max(epsilons))
+        predicted = trace_norm_prediction(w, rho0, rho1, delta, epsilons)
         residuals = []
-        for eps in epsilons:
+        for eps, prediction in zip(epsilons, predicted):
             rho = perturbed_state(w, rho0, rho1, delta, eps)
             actual = trace_norm(fermionic_pt(rho, SubsystemSpec((1,))))
-            residuals.append(abs(actual - trace_norm_prediction(w, rho0, rho1, delta, eps)))
+            residuals.append(abs(actual - prediction))
         ratios = [residuals[i] / residuals[i + 1] for i in range(len(residuals) - 1)]
         ok = all(ratio_bounds[0] <= r <= ratio_bounds[1] for r in ratios)
         failures += 0 if ok else 1
@@ -876,20 +885,14 @@ def _paper_value_rows() -> list[tuple[str, float, float]]:
     spec1 = SubsystemSpec((1,))
 
     grid = np.linspace(0.0, 1.0, 101)
-    dev_f = max(
-        abs(
-            log_negativity(canonical_state("werner", p=p), spec1, "fermionic")
-            - np.log((1 + p) / 2 + np.sqrt(5 * p**2 - 2 * p + 1) / 2)
-        )
-        for p in grid
-    )
-    dev_b = max(
-        abs(
-            log_negativity(canonical_state("werner", p=p), spec1, "bosonic")
-            - np.log(3 * (1 + p) / 4 + abs(1 - 3 * p) / 4)
-        )
-        for p in grid
-    )
+    werner = [canonical_state("werner", p=p) for p in grid]
+
+    def max_dev(flavor: str, closed) -> float:
+        norms = _stacked_pt_norms(werner, spec1, flavor)
+        return max(abs(float(np.log(norm)) - closed(p)) for p, norm in zip(grid, norms))
+
+    dev_f = max_dev("fermionic", lambda p: np.log((1 + p) / 2 + np.sqrt(5 * p**2 - 2 * p + 1) / 2))
+    dev_b = max_dev("bosonic", lambda p: np.log(3 * (1 + p) / 4 + abs(1 - 3 * p) / 4))
     rows.append(("werner_fermionic_logneg_grid101_maxdev", float(dev_f), 0.0))
     rows.append(("werner_bosonic_logneg_grid101_maxdev", float(dev_b), 0.0))
 
@@ -907,7 +910,7 @@ def _paper_value_rows() -> list[tuple[str, float, float]]:
 
     w = canonical_state("w")
     ghz = canonical_state("ghz")
-    w_report, ghz_report = tripartite_report(w), tripartite_report(ghz)
+    w_report, ghz_report, sep = _tripartite_reports([w, ghz, canonical_state("psi_p", p=4 / 7)])
     triple = canonical_state("majorana_triple")
 
     w_ab = partial_trace(w, SubsystemSpec((1, 2)))
@@ -938,7 +941,6 @@ def _paper_value_rows() -> list[tuple[str, float, float]]:
              "two_mode_pure", lambdas=(0.6, 0.8), parity="even"), spec1),
          0.48),
     ]
-    sep = tripartite_report(canonical_state("psi_p", p=4 / 7))
     rows.append((
         "psi_p_separable_point_max_measure",
         max(sep["j_abc"], sep["three_tangle"], sep["n_abc"], abs(sep["pi_abc"])),

@@ -50,6 +50,29 @@ class TestReproduce:
         assert result.exit_code == 0
         assert hashlib.sha256(result.output.encode()).hexdigest() == digest
 
+    @pytest.mark.parametrize("args,code,digest", [
+        (["sweep", "psi_p", "--steps", "99"], 0,
+         "9e06888059099e820440fda23e0cef1c34e704e3b2816c7168c069b964afced7"),
+        (["sweep", "psi_p", "--steps", "99", "--flavor", "bosonic"], 0,
+         "e9fe57be85b4371859dccc5233aa7be48549221889052e8f833a85fb7fe473c7"),
+        (["sweep", "psi_p", "--steps", "99", "--normalized"], 0,
+         "39a8f0ccf2d784e859678bd9f734fa7e5ba61f6411decd3e0084c67e16573739"),
+        (["sweep", "werner"], 0,
+         "8ec7cd4c01e4000f14ccde896e3b8f8be52080c8c76f9bba4e2505451377b785"),
+        (["sweep", "werner", "--flavor", "bosonic"], 0,
+         "9454517b635126bc0d01c917652d9047316a0e89b53791581b1ee19c1b8453fc"),
+        (["reproduce", "paper-values"], 0,
+         "9cdfb648cbdde5f078854a5ac4b65a21a62decdf9ca2e69c7d5677a8022f3352"),
+        (["verify", "perturbation"], 1,  # the quartic residual misses the cubic bracket
+         "52cfa6a41352b8fb7eded0c02ec46b93414eedeb3008f18b72a2d4d578206573"),
+    ], ids=["psi_p", "psi_p_bosonic", "psi_p_normalized", "werner", "werner_bosonic",
+            "paper_values", "perturbation"])
+    def test_default_output_is_pinned(self, runner, args, code, digest):
+        # every row, digit and label of the per-row commands, byte for byte
+        result = invoke(runner, ["--seed", "7", *args])
+        assert result.exit_code == code
+        assert hashlib.sha256(result.output.encode()).hexdigest() == digest
+
     def test_deterministic_output(self, runner):
         first = invoke(runner, ["reproduce", "paper-values"]).output
         second = invoke(runner, ["reproduce", "paper-values"]).output

@@ -23,6 +23,8 @@ from fneg.measures import (
     SINGULAR_FLOOR,
     MeasureReport,
     _is_pure,
+    _tripartite_norms,
+    _tripartite_reports,
     amplitude_tensor,
     bipartite_report,
     cayley_hdet,
@@ -858,3 +860,76 @@ class TestTripartiteMeasures:
             negativity(rho, lay.spec("A"))
             - negativity(swapped, swapped.layout.spec("B"))
         ) <= 1e-12
+
+
+def _tripartite_stack(sizes, seed: int) -> list[FockOperator]:
+    """Pure states of both parities and mixed states on one tripartite layout."""
+    rng = np.random.default_rng(seed)
+    layout = ModeLayout.tripartite(*sizes)
+    return [random_pure(layout, "even", rng), random_density(layout, rng),
+            random_pure(layout, "odd", rng), random_density(layout, rng)]
+
+
+def _empty_c_odd(seed: int) -> FockOperator:
+    """A mixed state with mode C empty: its odd C-parity sector has weight 0."""
+    ab = random_density(ModeLayout.bipartite(1, 1), seed).matrix
+    return FockOperator(ModeLayout.tripartite(), np.kron(np.diag([1.0, 0.0]), ab))
+
+
+class TestStackedTripartite:
+    @pytest.mark.parametrize("flavor", ["fermionic", "bosonic"])
+    @pytest.mark.parametrize("sizes", [(1, 1, 1), (2, 2, 2)])
+    def test_each_member_equals_tripartite_report(self, sizes, flavor):
+        rhos = _tripartite_stack(sizes, sum(sizes))
+        found = _tripartite_norms(np.stack([r.matrix for r in rhos]), rhos[0].layout, flavor, 1e-10)
+        for rho, report in zip(rhos, found):
+            want = tripartite_report(rho, flavor)
+            assert report.entries == want.entries  # bit for bit, tangle of pure states included
+            assert (report.tolerance, report.transpose_flavor) == (1e-10, flavor)
+
+    @pytest.mark.parametrize("flavor", ["fermionic", "bosonic"])
+    def test_an_empty_sector_is_zero_as_per_call(self, flavor):
+        # one member with an empty odd sector, one without, then a stack of empty ones
+        empty, full = _empty_c_odd(5), _tripartite_stack((1, 1, 1), 6)[1]
+        assert j_abc_details(empty, flavor=flavor).degenerate_sector
+        assert not j_abc_details(full, flavor=flavor).degenerate_sector
+        for rhos in ([empty, full], [empty, _empty_c_odd(7)]):
+            found = _tripartite_norms(np.stack([r.matrix for r in rhos]), rhos[0].layout, flavor,
+                                      1e-10)
+            assert [r.entries for r in found] == [tripartite_report(r, flavor).entries
+                                                  for r in rhos]
+
+    def test_a_failing_member_fails_the_stack(self):
+        rhos = _tripartite_stack((1, 1, 1), 8)
+        odd = rhos[1].matrix.copy()
+        odd[0, 1] = odd[1, 0] = 1e-6  # couples the even |000> to the odd |100>
+        stack = np.stack([rhos[0].matrix, odd])
+        assert _tripartite_norms(stack, rhos[0].layout, "fermionic", 1e-10) is None
+        for value in (np.nan, np.inf):  # no stage past the first check warns
+            bad = stack.copy()
+            bad[1, 2, 2] = value
+            assert _tripartite_norms(bad, rhos[0].layout, "bosonic", 1e-10) is None
+        assert _tripartite_norms(stack[:1], ModeLayout(3, ("A", "B", "B")), "fermionic",
+                                 1e-10) is None
+        assert _tripartite_norms(stack[:1], rhos[0].layout, "other", 1e-10) is None
+        with pytest.raises(ParityError):  # the replay raises the per-call error
+            _tripartite_reports([rhos[0], FockOperator(rhos[0].layout, odd)])
+
+    @pytest.mark.parametrize("args", [
+        ["sweep", "psi_p", "--steps", "99"],
+        ["sweep", "psi_p", "--steps", "99", "--flavor", "bosonic", "--normalized"],
+        ["sweep", "werner"],
+        ["--output", "json", "sweep", "werner", "--flavor", "bosonic"],
+    ], ids=["psi_p", "psi_p_bosonic", "werner", "werner_bosonic"])
+    def test_a_failed_stack_replays_to_the_same_output(self, monkeypatch, args):
+        import fneg.measures
+        from click.testing import CliRunner
+
+        from fneg.cli import cli
+
+        stacked = CliRunner().invoke(cli, args, catch_exceptions=False)
+        log = []
+        monkeypatch.setattr(fneg.measures, "_pt_norms", lambda *a, **k: log.append(1))
+        replayed = CliRunner().invoke(cli, args, catch_exceptions=False)
+        assert log  # the stack was tried, then every row ran per call
+        assert (replayed.exit_code, replayed.output) == (0, stacked.output)

@@ -153,8 +153,10 @@ def _per_call_locc_trial(rng) -> dict:
         weight = float(np.real(np.trace(projected)))
         if weight > FLAG_TOL:
             branches.append((weight, partial_trace(FockOperator(big, projected / weight), keep)))
-    avg_neg = sum(w * negativity(red, spec_a) for w, red in branches)
-    avg_logneg = sum(w * log_negativity(red, spec_a) for w, red in branches)
+    avg_neg = avg_logneg = 0.0  # left to right, as np.bincount adds; not a compensated sum
+    for w, red in branches:
+        avg_neg += w * negativity(red, spec_a)
+        avg_logneg += w * log_negativity(red, spec_a)
     mixed = FockOperator(layout, sum(w * red.matrix for w, red in branches))
     viol["ancilla_trace_selective"] = max(0.0, avg_neg - base_neg)
     viol["ancilla_trace_averaged"] = max(0.0, negativity(mixed, spec_a) - base_neg)
@@ -701,6 +703,15 @@ class TestPerturbationExpansion:
         actual = trace_norm(fermionic_pt(rho, SubsystemSpec((1,))))
         predicted = trace_norm_prediction(w, rho0, rho1, delta, eps)
         assert abs(actual - predicted) <= 1e-9  # residual is quartic in eps
+
+    def test_each_trial_decomposes_its_factors_once(self, rng, monkeypatch):
+        w, rho0, rho1, delta = _perturbation_instance(rng, 2, 1e-2)
+        epsilons = (1e-2, 5e-3, 2.5e-3)
+        predicted = trace_norm_prediction(w, rho0, rho1, delta, epsilons)
+        assert predicted == [trace_norm_prediction(w, rho0, rho1, delta, e) for e in epsilons]
+        log = record_calls(monkeypatch, "eigh")
+        check_perturbation_expansion(seed=3, trials=4, epsilons=epsilons)
+        assert len(log) == 2 * 4  # rho0 and rho1 of each trial, not once per epsilon
 
     def test_residual_scaling_is_quartic(self):
         # The harness measures halving ratios near 16 (quartic), so the cubic
