@@ -13,7 +13,7 @@ Near-threshold witnesses are flagged ``marginal`` rather than silently binned.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Mapping, NamedTuple
 
 import numpy as np
@@ -43,12 +43,7 @@ class ClassLabel:
         object.__setattr__(self, "witnesses", dict(self.witnesses))
 
     def to_dict(self) -> dict:
-        return {
-            "label": self.label,
-            "witnesses": dict(self.witnesses),
-            "threshold": self.threshold,
-            "marginal": self.marginal,
-        }
+        return asdict(self)
 
 
 class ParityType(NamedTuple):

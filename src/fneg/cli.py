@@ -317,7 +317,7 @@ _VERIFY_DEFAULT_TRIALS = {
 }
 
 
-def _mode_counts(ctx, param, value):
+def _parse_modes(ctx, param, value):
     """``--modes`` as a tuple of mode counts in 2..MAX_MODES (a bipartition needs two)."""
     if value is None:
         return None
@@ -337,7 +337,7 @@ def _mode_counts(ctx, param, value):
 @click.option("--trials", type=click.IntRange(min=1), default=None,
               help="Trial count, at least 1 (subject default).")
 @click.option("--seed", type=click.IntRange(min=0), default=None, help="Override the global seed.")
-@click.option("--modes", default=None, callback=_mode_counts,
+@click.option("--modes", default=None, callback=_parse_modes,
               help=f"Comma-separated mode counts in 2..{MAX_MODES} (identities/conjecture).")
 @click.pass_context
 def verify_cmd(ctx, subject, trials, seed, modes):

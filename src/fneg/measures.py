@@ -35,6 +35,7 @@ from .fock import (
 from .ptranspose import (
     FLAVORS,
     _check_flavor,
+    _nonempty,
     _resolve_spec,
     _sector_projection,
     _signed_gather,
@@ -193,25 +194,26 @@ def _pt_norms(
     return _spectra(t, n, _exact(leak, n), herm).sum(axis=-1)
 
 
-def _stacked(rhos, solve, replay) -> list:
-    """``solve`` of the stack of ``rhos``' matrices, states of one layout, one result a state.
+def _replayed(stacked, replay):
+    """``stacked()``, the values of a stacked path; if it raises or returns ``None``, ``replay()``.
 
-    If ``solve`` returns ``None`` or raises, each state is replayed through
-    ``replay``, its per-call function, in order, which raises the first error.
+    The one replay rule: ``replay`` runs the per-call path in order, which
+    raises the per-call error first.
     """
     try:
-        found = solve(np.stack([rho.matrix for rho in rhos]))
+        found = stacked()
     except Exception:  # the replay raises it again, after any earlier per-call error
         found = None
-    return [replay(rho) for rho in rhos] if found is None else list(found)
+    return replay() if found is None else found
 
 
 def _stacked_pt_norms(rhos, spec: SubsystemSpec, flavor: str) -> list[float]:
     """:func:`_pt_norm` at ``FLAG_TOL`` of each of ``rhos``, from one :func:`_pt_norms` call."""
     fermionic = _check_flavor(flavor) == "fermionic"
-    return [float(norm) for norm in _stacked(
-        rhos, lambda stack: _pt_norms(stack, rhos[0].layout.num_modes, spec, fermionic),
-        lambda rho: _pt_norm(rho, spec, flavor, FLAG_TOL))]
+    return [float(norm) for norm in _replayed(
+        lambda: _pt_norms(np.stack([rho.matrix for rho in rhos]), rhos[0].layout.num_modes, spec,
+                          fermionic),
+        lambda: [_pt_norm(rho, spec, flavor, FLAG_TOL) for rho in rhos])]
 
 
 def negativity(
@@ -517,32 +519,32 @@ def _tri_report(rho: FockOperator, negs, j: float, pair, flavor: str, tol: float
 
 def _tripartite_reports(rhos, flavor: str = "fermionic") -> list[MeasureReport]:
     """:func:`tripartite_report` of each of ``rhos``, from one :func:`_tripartite_norms` pass."""
-    return _stacked(rhos, lambda stack: _tripartite_norms(stack, rhos[0].layout, flavor, FLAG_TOL),
-                    lambda rho: tripartite_report(rho, flavor))
+    return _replayed(lambda: _tripartite_norms(np.stack([rho.matrix for rho in rhos]),
+                                               rhos[0].layout, flavor),
+                     lambda: [tripartite_report(rho, flavor) for rho in rhos])
 
 
-def _tripartite_norms(stack: np.ndarray, layout, flavor: str, tol: float) -> list | None:
+def _tripartite_norms(stack: np.ndarray, layout, flavor: str) -> list | None:
     """:func:`tripartite_report` of each state of a ``(k, d, d)`` stack on a tripartite ``layout``.
 
     Each of the eight negativities is one :func:`_pt_norms` call on a stack:
     the three one-vs-rest cuts, the even and odd sectors of C traced to AB
     (an empty sector gives 0, as in :func:`j_abc_details`), and the three
     pairwise reductions.  Each stack is checked by :func:`fock._density_verdicts`
-    at ``min(tol, FLAG_TOL)``, at least as strictly as the per-call path, whose
-    transposes test parity at ``FLAG_TOL``.  Every step acts on each member as
-    the per-call path acts on one state, the partial traces summing in its
-    order, so the values are equal bit for bit.  ``None`` if any member fails
-    a check, or if the per-call path rejects the layout, flavor or ``tol``.
+    at ``FLAG_TOL``, the tolerance of the per-call path at its default.  Every
+    step acts on each member as the per-call path acts on one state, the
+    partial traces summing in its order, so the values are equal bit for bit.
+    ``None`` if any member fails a check, or if the per-call path rejects the
+    layout or flavor.
     """
-    if set(layout.subsystems) != {"A", "B", "C"} or flavor not in FLAVORS \
-            or not 0.0 <= tol < np.inf:
+    if set(layout.subsystems) != {"A", "B", "C"} or flavor not in FLAVORS:
         return None
     n, fermionic = layout.num_modes, flavor == "fermionic"
     specs = {lab: layout.spec(lab) for lab in "ABC"}
 
     def negativities(states: np.ndarray, modes: int, targets) -> list | None:
         """For each target, each state's negativity as :func:`negativity` returns it."""
-        verdicts, *residuals = _density_verdicts(states, modes, min(tol, FLAG_TOL))
+        verdicts, *residuals = _density_verdicts(states, modes, FLAG_TOL)
         if not verdicts.all():
             return None
         return [[(float(norm) - 1.0) / 2.0 for norm in
@@ -563,11 +565,7 @@ def _tripartite_norms(stack: np.ndarray, layout, flavor: str, tol: float) -> lis
         return None
     sectors = []
     for sector in ("even", "odd"):
-        projected, weight = _sector_projection(stack, n, specs["C"].mask(), sector)
-        full = np.flatnonzero(~(weight <= tol))  # ``parity_project``'s rule: NaN is not empty
-        if full.size < len(stack):
-            projected = projected[full]
-        projected /= weight[full, None, None]
+        full, projected = _nonempty(*_sector_projection(stack, n, specs["C"].mask(), sector))
         found = reduced(projected, "A", "B") if full.size else []
         del projected  # before the next sector is projected
         if found is None:
@@ -576,5 +574,5 @@ def _tripartite_norms(stack: np.ndarray, layout, flavor: str, tol: float) -> lis
     return [_tri_report(FockOperator(layout, member, copy=False),
                         {lab: one[j][i] for j, lab in enumerate("ABC")},
                         sectors[0].get(i, 0.0) * sectors[1].get(i, 0.0),
-                        {p: pair[p][i] for p in _PAIRS}, flavor, tol)
+                        {p: pair[p][i] for p in _PAIRS}, flavor, FLAG_TOL)
             for i, member in enumerate(stack)]

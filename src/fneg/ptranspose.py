@@ -287,11 +287,11 @@ def parity_project(
     rho.require_density_matrix(tol)
     spec = as_spec(spec)
     spec.validate(rho.layout)
-    projected, weight = _sector_projection(rho.matrix, rho.layout.num_modes, spec.mask(), sector)
-    weight = float(weight)
-    if weight <= tol:
+    proj, weight = _sector_projection(rho.matrix[None], rho.layout.num_modes, spec.mask(), sector)
+    kept, states = _nonempty(proj, weight, tol)
+    if not kept.size:
         return ProjectedState(None, 0.0)
-    return ProjectedState(FockOperator(rho.layout, projected / weight, copy=False), weight)
+    return ProjectedState(FockOperator(rho.layout, states[0], copy=False), float(weight[0]))
 
 
 def _sector_projection(matrix: np.ndarray, num_modes: int, mask: int, sector: str) -> tuple:
@@ -300,3 +300,15 @@ def _sector_projection(matrix: np.ndarray, num_modes: int, mask: int, sector: st
     keep = signs > 0 if sector == "even" else signs < 0
     projected = np.where(keep[:, None] & keep[None, :], matrix, 0.0)
     return projected, np.real(np.trace(projected, axis1=-2, axis2=-1))
+
+
+def _nonempty(projected: np.ndarray, weight: np.ndarray, tol: float = FLAG_TOL) -> tuple:
+    """Indices and ``projected / weight`` of the members of a stack whose weight is not ``<= tol``.
+
+    The one empty-branch rule (a NaN weight is not empty); divides in place if all are kept.
+    """
+    kept = np.flatnonzero(~(weight <= tol))
+    if kept.size < len(projected):
+        projected = projected[kept]
+    projected /= weight[kept, None, None]
+    return kept, projected

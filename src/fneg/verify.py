@@ -13,7 +13,7 @@ the report so a failure can be reproduced.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+import dataclasses
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -35,9 +35,10 @@ from .fock import (
     _sign_vector,
     embed_local,
 )
-from .measures import _pt_norm, _pt_norms, _stacked_pt_norms, _tripartite_reports, \
+from .measures import _pt_norm, _pt_norms, _replayed, _stacked_pt_norms, _tripartite_reports, \
     log_negativity, negativity, pairwise_negativity, pi_abc, trace_norm
-from .ptranspose import _sector_projection, _signed_gather, _traced, fermionic_pt, partial_trace
+from .ptranspose import _nonempty, _sector_projection, _signed_gather, _traced, fermionic_pt, \
+    partial_trace
 from .states import (
     _block_gaussian,
     _normalised_gram,
@@ -50,7 +51,7 @@ from .states import (
 )
 
 _GAP_GUARD = 5e-3
-_RESAMPLE_BUDGET = 500
+_INSTANCE_BUDGET = 500
 
 #: Bytes of the matrices that one stack of a check holds: a slice of one
 #: ``verify identities`` trial's transpose inputs, or a chunk of
@@ -64,7 +65,12 @@ _RESAMPLE_BUDGET = 500
 _STACK_BYTES = 1 << 17
 
 
-@dataclass
+def _batch(n: int, budget: int = _STACK_BYTES) -> int:
+    """How many ``n``-mode matrices fit in ``budget`` bytes (at least one)."""
+    return max(1, budget >> (2 * n + 4))
+
+
+@dataclasses.dataclass
 class CheckReport:
     """Outcome of one randomized check; ``passed == (max_violation <= tolerance)``."""
 
@@ -73,17 +79,10 @@ class CheckReport:
     max_violation: float
     tolerance: float
     passed: bool
-    diagnostics: list[dict] = field(default_factory=list)
+    diagnostics: list[dict] = dataclasses.field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return {
-            "check_name": self.check_name,
-            "trials": self.trials,
-            "max_violation": self.max_violation,
-            "tolerance": self.tolerance,
-            "passed": self.passed,
-            "diagnostics": self.diagnostics,
-        }
+        return dataclasses.asdict(self)
 
 
 def _report(name: str, trials: int, max_violation: float, tolerance: float,
@@ -107,21 +106,14 @@ def _trial_report(name: str, seed, scored: list, tolerance: float) -> CheckRepor
     return _report(name, len(scored), worst, tolerance, diagnostics)
 
 
-def _replayed(rng: np.random.Generator, stacked, replay):
-    """``stacked()``; if it raises or returns ``None``, ``replay()`` from the same generator state.
-
-    A stacked run draws what the per-call run draws, in the same order, so the
-    replay draws it again bit for bit, and raises the per-call error first.
-    """
+def _rewound(rng: np.random.Generator, replay):
+    """``replay``, from ``rng``'s state at this call: it draws again what a stacked run drew."""
     state = rng.bit_generator.state
-    try:
-        result = stacked()
-    except Exception:  # the replay raises it again, after any earlier per-call error
-        result = None
-    if result is None:
+
+    def rewound():
         rng.bit_generator.state = state
-        result = replay()
-    return result
+        return replay()
+    return rewound
 
 
 def _fingerprint(matrix: np.ndarray) -> str:
@@ -148,11 +140,11 @@ def _unitaries(normals: np.ndarray, num_modes: int) -> np.ndarray:
     return (vecs * np.exp(1j * evals)[..., None, :]) @ vecs.conj().swapaxes(-1, -2)
 
 
-def _draw_projector_set(rng: np.random.Generator, num_modes: int, max_groups: int | None) -> list:
-    """The draws of one projector set: its Hermitian's normals, group count and column groups."""
+def _draw_projector_set(rng: np.random.Generator, num_modes: int) -> list:
+    """The draws of one projector set: its Hermitian's normals, group count (1-3), column groups."""
     dim = 1 << num_modes
     normals = rng.normal(size=(2, dim, dim))
-    n_groups = int(rng.integers(1, (max_groups or dim) + 1))
+    n_groups = int(rng.integers(1, 4))
     return [normals, n_groups, rng.integers(0, n_groups, size=dim)]
 
 
@@ -178,7 +170,7 @@ def _stacked(mats: list[np.ndarray]) -> np.ndarray:
 
 def _gathered(mats: list[np.ndarray], n: int, spec: SubsystemSpec) -> list[np.ndarray]:
     """Fermionic transposes over ``spec`` of ``n``-mode matrices, in stacks of :data:`_STACK_BYTES`."""
-    step = max(1, _STACK_BYTES >> (2 * n + 4))
+    step = _batch(n)
     return [out for k in range(0, len(mats), step)
             for out in _signed_gather(_stacked(mats[k:k + step]), n, spec, fermionic=True)]
 
@@ -229,7 +221,7 @@ def _identity_trial(rng: np.random.Generator, n: int) -> tuple[float, dict]:
         "rho_xb_right", "rho_xb_left", "rho_xa_right", "rho_xa_left", "rho_xaxb_right",
         "rho_xaxb_left", "sandwich_ta", "sandwich_tb", "successive_plain", "successive_xb",
         "successive_xa", "successive_xaxb", "successive_sandwich", "double_ta", "identity_fixed"))
-    step = max(1, _STACK_BYTES >> (2 * n + 4))  # 16 d^2 bytes a matrix
+    step = _batch(n)
     for start in range(0, len(inputs), step):
         part = inputs[start:start + step]
         stack = _stacked([make() for make, *_ in part])
@@ -261,7 +253,7 @@ def _identity_trial(rng: np.random.Generator, n: int) -> tuple[float, dict]:
                                       "worst_identity": worst}
 
 
-def _mode_counts(modes) -> tuple[int, ...]:
+def _checked_modes(modes) -> tuple[int, ...]:
     """``modes`` (an integer or an iterable) as a non-empty tuple of mode counts in 2..MAX_MODES."""
     modes = (modes,) if isinstance(modes, (int, np.integer)) else tuple(modes)
     if not modes or not all(isinstance(m, (int, np.integer)) and 2 <= m <= MAX_MODES for m in modes):
@@ -290,7 +282,7 @@ def check_identity_suite(
     """
     _check_count("trials", trials)
     _check_nonnegative("tolerance", tolerance)
-    modes = _mode_counts(modes)
+    modes = _checked_modes(modes)
     rng = _rng(seed)
     scored = [_identity_trial(rng, modes[t % len(modes)]) for t in range(trials)]
     return _trial_report("identity_suite", seed, scored, tolerance)
@@ -315,10 +307,10 @@ def _measured_branches(evolved: np.ndarray, big: ModeLayout, r_mode: int):
     owners, weights, states = [], [], []
     for sector in ("even", "odd"):  # |0><0| and |1><1| of one mode are its parity projectors
         projected, found = _sector_projection(evolved, big.num_modes, 1 << (r_mode - 1), sector)
-        kept = np.flatnonzero(found > FLAG_TOL)  # parity_project's empty-branch rule
+        kept, projected = _nonempty(projected, found)
         owners.append(kept)
         weights.append(found[kept])
-        states.append(_traced(projected[kept] / found[kept, None, None], big.num_modes, keep))
+        states.append(_traced(projected, big.num_modes, keep))
     order = np.argsort(np.concatenate(owners), kind="stable")
     return (np.concatenate(owners)[order], np.concatenate(weights)[order],
             np.concatenate(states)[order], np.array(residuals))
@@ -383,7 +375,7 @@ def _draw_locc_trial(rng: np.random.Generator) -> dict:
     draw = {name: rng.normal(size=(2, 1 << m, 1 << m))
             for name, m in (("rho", n), ("u_a", m_a), ("u_b", n - m_a), ("append", 1))}
     coin = rng.integers(0, 2)
-    draw["proj"] = [_draw_projector_set(rng, m, 3) for m in (m_a, n - m_a)] if coin else None
+    draw["proj"] = [_draw_projector_set(rng, m) for m in (m_a, n - m_a)] if coin else None
     draw.update({name: rng.normal(size=(2, 1 << m, 1 << m))
                  for name, m in (("sigma", 1), ("u_ar", m_a + 1), ("other", 2))})
     return {"n": n, "m_a": m_a, **draw}
@@ -455,8 +447,7 @@ def _build_locc_group(n: int, m_a: int,
     projected = ops @ rho[paired] @ ops
     del ops
     weights = np.real(np.trace(projected, axis1=-2, axis2=-1))
-    kept = np.flatnonzero(weights > FLAG_TOL)  # parity_project's empty-branch rule
-    outcomes = projected[kept] / weights[kept, None, None]
+    kept, outcomes = _nonempty(projected, weights)
     del projected
 
     # (d) entangling an ancilla into A, measuring it, with and without averaging
@@ -550,14 +541,14 @@ def _locc_trials(rng: np.random.Generator, trials: int, budget: int) -> list[tup
         for k, result in zip(ks, _score_locc_bucket(*key, jobs, norms, states, *weights)):
             scored[k] = result
 
-    shift = 8  # a trial's stacked states take 2**(2n + 8) bytes: one budget, then four
+    fill = budget  # of a trial's stacked states, on n + 2 modes: one budget, then four
     for k in range(trials):
         t = _draw_locc_trial(rng)
         key = (t["n"], t["m_a"])
         buckets.setdefault(key, []).append((k, t))
-        if len(buckets[key]) == max(1, budget >> (2 * t["n"] + shift)):
+        if len(buckets[key]) == _batch(t["n"] + 2, fill):
             flush(key)
-            shift = 6
+            fill = 4 * budget
     for key in list(buckets):
         flush(key)
     return scored
@@ -583,8 +574,8 @@ def check_locc_monotonicity(seed=0, trials: int = 200, tolerance: float = 1e-10)
     _check_count("trials", trials)
     _check_nonnegative("tolerance", tolerance)
     rng = _rng(seed)
-    scored = _replayed(rng, lambda: _locc_trials(rng, trials, _STACK_BYTES),
-                       lambda: _locc_trials(rng, trials, 0))
+    scored = _replayed(lambda: _locc_trials(rng, trials, _STACK_BYTES),
+                       _rewound(rng, lambda: _locc_trials(rng, trials, 0)))
     return _trial_report("locc_monotonicity", seed, scored, tolerance)
 
 
@@ -602,7 +593,7 @@ def _perturbation_instance(rng: np.random.Generator, m: int, eps_max: float):
     sub_layout = ModeLayout(m, ("A",) * m)
     sub = 1 << m
     eye = np.eye(sub) / sub
-    for _ in range(_RESAMPLE_BUDGET):
+    for _ in range(_INSTANCE_BUDGET):
         w = rng.dirichlet((1.0, 1.0))
         if w.min() < 0.2:
             continue
@@ -632,16 +623,13 @@ def perturbed_state(
     """``rho_sep + eps * rho_off`` on one A mode plus the remainder modes."""
     sub = rho0.shape[0]
     m = sub.bit_length() - 1
-    layout = ModeLayout(1 + m, ("A",) + ("B",) * m)
-    dim = 2 * sub
-    idx0 = 2 * np.arange(sub)  # mode-1 occupation 0
-    idx1 = idx0 + 1
-    mat = np.zeros((dim, dim), dtype=complex)
-    mat[np.ix_(idx0, idx0)] = w[0] * rho0
-    mat[np.ix_(idx1, idx1)] = w[1] * rho1
-    mat[np.ix_(idx1, idx0)] = eps * delta
-    mat[np.ix_(idx0, idx1)] = eps * delta.conj().T
-    return FockOperator(layout, mat, copy=False)
+    mat = np.empty((sub, 2, sub, 2), dtype=complex)  # [row, n_1 of the row, column, n_1 of it]
+    mat[:, 0, :, 0] = w[0] * rho0
+    mat[:, 1, :, 1] = w[1] * rho1
+    mat[:, 1, :, 0] = eps * delta
+    mat[:, 0, :, 1] = eps * delta.conj().T
+    return FockOperator(ModeLayout(1 + m, ("A",) + ("B",) * m), mat.reshape(2 * sub, 2 * sub),
+                        copy=False)
 
 
 def trace_norm_prediction(
@@ -799,7 +787,7 @@ def conjecture_scan(
     per-sample path at once.
     """
     _check_count("samples", samples)
-    num_modes = _mode_counts(num_modes)
+    num_modes = _checked_modes(num_modes)
     _check_nonnegative("threshold", threshold)
     rng = _rng(seed)
     configs = []
@@ -817,8 +805,8 @@ def conjecture_scan(
             used += size[stop % len(configs)]
             stop += 1
         mats, negs = _replayed(  # a sample larger than the budget runs alone, without a stack
-            rng, lambda: _scan_stacked(rng, configs, start, stop) if used <= _STACK_BYTES else None,
-            lambda: _scan_sequential(rng, configs, start, stop))
+            lambda: _scan_stacked(rng, configs, start, stop) if used <= _STACK_BYTES else None,
+            _rewound(rng, lambda: _scan_sequential(rng, configs, start, stop)))
         first = int(np.argmin(negs))
         if negs[first] < min_neg:
             layout, m_a = configs[(start + first) % len(configs)]
@@ -896,39 +884,26 @@ def _paper_value_rows() -> list[tuple[str, float, float]]:
     rows.append(("werner_fermionic_logneg_grid101_maxdev", float(dev_f), 0.0))
     rows.append(("werner_bosonic_logneg_grid101_maxdev", float(dev_b), 0.0))
 
-    singlet = canonical_state("singlet")
-    rows.append(("singlet_logneg_fermionic",
-                 log_negativity(singlet, spec1, "fermionic"), float(np.log(2))))
-    rows.append(("singlet_logneg_bosonic",
-                 log_negativity(singlet, spec1, "bosonic"), float(np.log(2))))
-
-    dimer = canonical_state("majorana_dimer")
-    rows.append(("majorana_dimer_logneg_fermionic",
-                 log_negativity(dimer, spec1, "fermionic"), float(np.log(np.sqrt(2)))))
-    rows.append(("majorana_dimer_logneg_bosonic",
-                 log_negativity(dimer, spec1, "bosonic"), 0.0))
-
-    w = canonical_state("w")
-    ghz = canonical_state("ghz")
+    singlet, dimer, w, ghz, triple = (canonical_state(name) for name in (
+        "singlet", "majorana_dimer", "w", "ghz", "majorana_triple"))
+    w_ab, ghz_ab, triple_ab = (partial_trace(s, SubsystemSpec((1, 2))) for s in (w, ghz, triple))
+    rows += [(name, log_negativity(state, spec1, flavor), float(closed))
+             for name, state, flavor, closed in (
+                 ("singlet_logneg_fermionic", singlet, "fermionic", np.log(2)),
+                 ("singlet_logneg_bosonic", singlet, "bosonic", np.log(2)),
+                 ("majorana_dimer_logneg_fermionic", dimer, "fermionic", np.log(np.sqrt(2))),
+                 ("majorana_dimer_logneg_bosonic", dimer, "bosonic", 0.0),
+                 ("w_logneg_one_vs_rest", w, "fermionic", np.log(1 + 2 * np.sqrt(2) / 3)),
+                 ("w_reduced_logneg_fermionic", w_ab, "fermionic", np.log((2 + np.sqrt(5)) / 3)),
+                 ("ghz_logneg_one_vs_rest", ghz, "fermionic", np.log(2)),
+                 ("ghz_reduced_logneg_fermionic", ghz_ab, "fermionic", np.log(np.sqrt(2))),
+                 ("ghz_reduced_logneg_bosonic", ghz_ab, "bosonic", 0.0),
+                 ("majorana_triple_logneg_one_vs_rest", triple, "fermionic",
+                  np.log(np.sqrt(5 / 3))),
+                 ("majorana_triple_reduced_logneg", triple_ab, "fermionic",
+                  np.log(2 / np.sqrt(3))))]
     w_report, ghz_report, sep = _tripartite_reports([w, ghz, canonical_state("psi_p", p=4 / 7)])
-    triple = canonical_state("majorana_triple")
-
-    w_ab = partial_trace(w, SubsystemSpec((1, 2)))
-    ghz_ab = partial_trace(ghz, SubsystemSpec((1, 2)))
-    triple_ab = partial_trace(triple, SubsystemSpec((1, 2)))
     rows += [
-        ("w_logneg_one_vs_rest",
-         log_negativity(w, spec1), float(np.log(1 + 2 * np.sqrt(2) / 3))),
-        ("w_reduced_logneg_fermionic",
-         log_negativity(w_ab, spec1), float(np.log((2 + np.sqrt(5)) / 3))),
-        ("ghz_logneg_one_vs_rest", log_negativity(ghz, spec1), float(np.log(2))),
-        ("ghz_reduced_logneg_fermionic",
-         log_negativity(ghz_ab, spec1), float(np.log(np.sqrt(2)))),
-        ("ghz_reduced_logneg_bosonic", log_negativity(ghz_ab, spec1, "bosonic"), 0.0),
-        ("majorana_triple_logneg_one_vs_rest",
-         log_negativity(triple, spec1), float(np.log(np.sqrt(5 / 3)))),
-        ("majorana_triple_reduced_logneg",
-         log_negativity(triple_ab, spec1), float(np.log(2 / np.sqrt(3)))),
         ("pi_abc_w_fermionic", w_report["pi_abc"], float((np.sqrt(5) - 1) / 9)),
         ("pi_abc_ghz_fermionic", ghz_report["pi_abc"], float((4 * np.sqrt(2) - 5) / 4)),
         ("pi_abc_ghz_bosonic", pi_abc(ghz, "bosonic"), 0.25),

@@ -151,3 +151,24 @@ def test_private_names_cited_in_the_readme_resolve():
     missing = [f"{module}.{name}" for module, name in cited
                if not hasattr(importlib.import_module(f"fneg.{module}"), name)]
     assert missing == []
+
+
+def _top_level_names(source: str) -> set[str]:
+    """Names a module defines at its top level: functions, classes and assigned names."""
+    found = set()
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            found.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            found.update(n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name))
+    return found - {"__all__"}
+
+
+def test_no_top_level_name_is_defined_in_two_modules():
+    # A private helper copied under one name into two modules drifts apart unseen.
+    owners: dict[str, list[str]] = {}
+    for path in sorted(SRC.glob("*.py")):
+        for name in _top_level_names(path.read_text(encoding="utf-8")):
+            owners.setdefault(name, []).append(path.stem)
+    assert {name: mods for name, mods in owners.items() if len(mods) > 1} == {}

@@ -881,7 +881,7 @@ class TestStackedTripartite:
     @pytest.mark.parametrize("sizes", [(1, 1, 1), (2, 2, 2)])
     def test_each_member_equals_tripartite_report(self, sizes, flavor):
         rhos = _tripartite_stack(sizes, sum(sizes))
-        found = _tripartite_norms(np.stack([r.matrix for r in rhos]), rhos[0].layout, flavor, 1e-10)
+        found = _tripartite_norms(np.stack([r.matrix for r in rhos]), rhos[0].layout, flavor)
         for rho, report in zip(rhos, found):
             want = tripartite_report(rho, flavor)
             assert report.entries == want.entries  # bit for bit, tangle of pure states included
@@ -894,8 +894,7 @@ class TestStackedTripartite:
         assert j_abc_details(empty, flavor=flavor).degenerate_sector
         assert not j_abc_details(full, flavor=flavor).degenerate_sector
         for rhos in ([empty, full], [empty, _empty_c_odd(7)]):
-            found = _tripartite_norms(np.stack([r.matrix for r in rhos]), rhos[0].layout, flavor,
-                                      1e-10)
+            found = _tripartite_norms(np.stack([r.matrix for r in rhos]), rhos[0].layout, flavor)
             assert [r.entries for r in found] == [tripartite_report(r, flavor).entries
                                                   for r in rhos]
 
@@ -904,14 +903,13 @@ class TestStackedTripartite:
         odd = rhos[1].matrix.copy()
         odd[0, 1] = odd[1, 0] = 1e-6  # couples the even |000> to the odd |100>
         stack = np.stack([rhos[0].matrix, odd])
-        assert _tripartite_norms(stack, rhos[0].layout, "fermionic", 1e-10) is None
+        assert _tripartite_norms(stack, rhos[0].layout, "fermionic") is None
         for value in (np.nan, np.inf):  # no stage past the first check warns
             bad = stack.copy()
             bad[1, 2, 2] = value
-            assert _tripartite_norms(bad, rhos[0].layout, "bosonic", 1e-10) is None
-        assert _tripartite_norms(stack[:1], ModeLayout(3, ("A", "B", "B")), "fermionic",
-                                 1e-10) is None
-        assert _tripartite_norms(stack[:1], rhos[0].layout, "other", 1e-10) is None
+            assert _tripartite_norms(bad, rhos[0].layout, "bosonic") is None
+        assert _tripartite_norms(stack[:1], ModeLayout(3, ("A", "B", "B")), "fermionic") is None
+        assert _tripartite_norms(stack[:1], rhos[0].layout, "other") is None
         with pytest.raises(ParityError):  # the replay raises the per-call error
             _tripartite_reports([rhos[0], FockOperator(rhos[0].layout, odd)])
 

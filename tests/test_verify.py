@@ -43,7 +43,7 @@ def _even_unitary(layout: ModeLayout, rng) -> FockOperator:
 
 def _even_projector_set(layout: ModeLayout, rng) -> list[FockOperator]:
     """One set of at most three local projectors as ``verify locc`` draws and builds it."""
-    normals, n_groups, assignment = _draw_projector_set(rng, layout.num_modes, 3)
+    normals, n_groups, assignment = _draw_projector_set(rng, layout.num_modes)
     _, vecs = np.linalg.eigh(_even_hermitians(normals, layout.num_modes))
     return [FockOperator(layout, p) for p in _projector_set(vecs, n_groups, assignment)]
 
