@@ -214,13 +214,11 @@ def sweep(ctx, family, p_min, p_max, steps, measure_list, flavor, normalized):
 def _complex_list(entries, what: str) -> np.ndarray:
     out = []
     try:
-        for item in entries:
-            if isinstance(item, (int, float)):
-                out.append(complex(item))
-            elif isinstance(item, (list, tuple)) and len(item) == 2:
-                out.append(complex(item[0], item[1]))
-            else:
+        for item in entries:  # a number or an [re, im] pair of them; a JSON bool is neither
+            pair = item if isinstance(item, (list, tuple)) and len(item) == 2 else (item, 0)
+            if not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in pair):
                 raise TypeError(item)
+            out.append(complex(*pair))
     except (TypeError, OverflowError):
         raise StateValidationError(f"{what} entries must be numbers or [re, im] pairs") from None
     values = np.array(out, dtype=complex)

@@ -321,7 +321,8 @@ def random_separable(
     """
     _check_count("num_terms", num_terms)
     rng = _rng(seed)
-    if isinstance(spec, SubsystemSpec) or (spec and isinstance(next(iter(spec)), int)):
+    spec = spec if isinstance(spec, (SubsystemSpec, int, np.integer)) else tuple(spec)  # read once
+    if not isinstance(spec, tuple) or isinstance(next(iter(spec), None), (int, np.integer)):
         first = as_spec(spec)
         parts = [first, first.complement(layout)]
     else:

@@ -53,21 +53,13 @@ from .states import (
 _GAP_GUARD = 5e-3
 _INSTANCE_BUDGET = 500
 
-#: Bytes of the matrices that one stack of a check holds: a slice of one
-#: ``verify identities`` trial's transpose inputs, or a chunk of
-#: ``conjecture_scan`` samples, each counted at its own d (128 at d = 8).  A
-#: stack's temporaries take a few times these bytes, so this sets the peak
-#: memory of each.  A ``verify locc`` bucket holds four times these bytes of its
-#: largest states (``n + 2`` modes: 8 trials of n = 4, 32 of n = 3, 128 of
-#: n = 2), as it pays a fixed cost per bucket: at 2, 8 and 32 trials the
-#: default run took 40-55 % longer.  It releases each stage's intermediates
-#: and each stack once solved, so its traced peak stays near 2 MB.
+#: Bytes of the matrices that one stack of a check holds: a chunk of
+#: ``conjecture_scan`` samples, each counted at its own d (128 at d = 8), whose
+#: temporaries take a few times these bytes.  A :func:`_bucketed` bucket holds
+#: four times these bytes of a LOCC trial's largest states (n + 2 modes: 8
+#: trials of n = 4, 32 of n = 3, 128 of n = 2) for its fixed cost: with one
+#: budget, the default ``verify locc`` ran 40-55 % longer.
 _STACK_BYTES = 1 << 17
-
-
-def _batch(n: int, budget: int = _STACK_BYTES) -> int:
-    """How many ``n``-mode matrices fit in ``budget`` bytes (at least one)."""
-    return max(1, budget >> (2 * n + 4))
 
 
 @dataclasses.dataclass
@@ -97,9 +89,17 @@ def _report(name: str, trials: int, max_violation: float, tolerance: float,
     )
 
 
-def _trial_report(name: str, seed, scored: list, tolerance: float) -> CheckReport:
-    """The report of one ``(violation, diagnostics)`` pair a trial, each stamped with its trial
-    and the seed."""
+def _trial_report(name: str, seed, tolerance: float, draws, build) -> CheckReport:
+    """The report of the trials that ``draws(rng)`` yields, scored by ``build`` in buckets
+    (:func:`_bucketed`), each stamped with its trial and the seed.  If anything raises, the
+    trials are replayed from the generator state of the call, one at a time (:func:`_replayed`).
+    """
+    rng = _rng(seed)
+
+    def run(budget: int) -> list[tuple[float, dict]]:
+        return _bucketed(draws(rng), budget, build)
+
+    scored = _replayed(lambda: run(_STACK_BYTES), _rewound(rng, lambda: run(0)))
     base_seed = seed if isinstance(seed, int) else None
     diagnostics = [{**diag, "trial": t, "seed": base_seed} for t, (_, diag) in enumerate(scored)]
     worst = max([0.0, *(dev for dev, _ in scored)])
@@ -116,17 +116,43 @@ def _rewound(rng: np.random.Generator, replay):
     return rewound
 
 
+def _bucketed(drawn, budget: int, build) -> list[tuple[float, dict]]:
+    """``(worst violation, diagnostics)`` of each trial that ``drawn`` yields, built in buckets.
+
+    ``drawn`` makes each trial's draws, a dict with its ``n`` and ``m_a``, with
+    every generator call of a per-call trial in order.  ``build(n, m_a, trials)``
+    scores the bucket of one ``(n, m_A)`` as soon as its trials, counted at
+    ``2**(2n + 8)`` bytes each (a LOCC trial's stacked states), fill four times
+    ``budget``, or at one trial if one overfills them.  The run's first bucket
+    is built at one ``budget``, so a fault that every trial meets stops the run
+    after a few draws, and the others when the trials run out.  At ``budget`` 0
+    each trial is built as soon as it is drawn.
+    """
+    scored, buckets = [], {}
+
+    def flush(key: tuple[int, int]) -> None:
+        ks, trials = zip(*buckets.pop(key))
+        for k, result in zip(ks, build(*key, trials)):
+            scored[k] = result
+
+    fill = budget  # one budget for the first bucket, then four
+    for k, t in enumerate(drawn):
+        scored.append(None)
+        key = (t["n"], t["m_a"])
+        buckets.setdefault(key, []).append((k, t))
+        if len(buckets[key]) == max(1, fill >> (2 * t["n"] + 8)):
+            flush(key)
+            fill = 4 * budget
+    for key in list(buckets):
+        flush(key)
+    return scored
+
+
 def _fingerprint(matrix: np.ndarray) -> str:
     return hashlib.sha1(np.round(matrix, 12).tobytes()).hexdigest()[:12]
 
 
 # -- random physical operators -----------------------------------------------------
-
-
-def random_even_operator(layout: ModeLayout, rng: np.random.Generator) -> FockOperator:
-    """Generic (non-Hermitian) parity-even operator with Gaussian entries."""
-    draws = rng.normal(size=(2, layout.dim, layout.dim))
-    return FockOperator(layout, _block_gaussian(draws, _parity_mask(layout.num_modes)), copy=False)
 
 
 def _even_hermitians(normals: np.ndarray, num_modes: int) -> np.ndarray:
@@ -163,94 +189,89 @@ def _parity_projectors(layout: ModeLayout, modes: tuple[int, ...]) -> list[np.nd
 # -- identity suite ---------------------------------------------------------------
 
 
-def _stacked(mats: list[np.ndarray]) -> np.ndarray:
-    """``mats`` as one stack, a view of a lone matrix: from seven modes each stack holds one."""
-    return mats[0][None] if len(mats) == 1 else np.array(mats)
+#: The identities of ``verify identities``, in the order that breaks ties.
+_IDENTITIES = ("rho_xb_right", "rho_xb_left", "rho_xa_right", "rho_xa_left", "rho_xaxb_right",
+               "rho_xaxb_left", "sandwich_ta", "sandwich_tb", "successive_plain", "successive_xb",
+               "successive_xa", "successive_xaxb", "successive_sandwich", "double_ta",
+               "identity_fixed")
 
 
-def _gathered(mats: list[np.ndarray], n: int, spec: SubsystemSpec) -> list[np.ndarray]:
-    """Fermionic transposes over ``spec`` of ``n``-mode matrices, in stacks of :data:`_STACK_BYTES`."""
-    step = _batch(n)
-    return [out for k in range(0, len(mats), step)
-            for out in _signed_gather(_stacked(mats[k:k + step]), n, spec, fermionic=True)]
-
-
-def _identity_trial(rng: np.random.Generator, n: int) -> tuple[float, dict]:
-    """The worst deviation and the diagnostics of one trial of :func:`check_identity_suite`.
-
-    The parity checks run in the per-call order: ``embed_local``'s of each
-    side's local operators, then ``fermionic_pt``'s of the nine distinct
-    transpose inputs; the first member that fails raises through that call.
-    Every other per-call check is of one of these matrices or of a transpose
-    of one, a signed permutation that keeps the parity leak bit for bit.  The
-    inputs are built, checked, transposed and scored in slices of at most
-    :data:`_STACK_BYTES`, in that order, and each slice's transposes are
-    released once scored.  A trial holds at most about 16 d x d matrices: rho,
-    the eight embedded operators, rho's transposes over A and over B, and one
-    slice's work, a lone matrix from seven modes.
-    """
+def _draw_identity_trial(rng: np.random.Generator, n: int) -> dict:
+    """Every generator call of one identity trial in the per-call order: ``m_A``, then the
+    normals of rho, and of X and Y on A and then on B."""
     m_a = int(rng.integers(1, n))
+    return {"n": n, "m_a": m_a, **{name: rng.normal(size=(2, 1 << m, 1 << m)) for name, m in (
+        ("rho", n), ("x_a", m_a), ("y_a", m_a), ("x_b", n - m_a), ("y_b", n - m_a))}}
+
+
+def _identity_bucket(n: int, m_a: int, trials: Sequence[dict]) -> list[tuple[float, dict]]:
+    """``(worst deviation, diagnostics)`` of each drawn trial of one ``(n, m_A)`` bucket.
+
+    Each of the nine transpose inputs is one stack of the bucket's trials:
+    built, checked as ``fermionic_pt`` checks it, transposed over A and scored,
+    transposed for its successive and ``sandwich_tb`` checks, and released
+    before the next is built.  The other per-call checks are of these matrices
+    or of their transposes, signed permutations that keep the parity leak.
+    """
     layout = ModeLayout.bipartite(m_a, n - m_a)
     spec_a, spec_b = layout.spec("A"), layout.spec("B")
-    r = random_density(layout, rng).matrix
-    embedded = []  # X, Y and their full transposes on each side
-    for spec in (spec_a, spec_b):
+    table = np.empty((len(trials), len(_IDENTITIES)))
+
+    def pt(stack: np.ndarray, spec: SubsystemSpec, modes: int = n) -> np.ndarray:
+        return _signed_gather(stack, modes, spec, fermionic=True)
+
+    def score(name: str, found: np.ndarray, want: np.ndarray) -> None:
+        table[:, _IDENTITIES.index(name)] = np.abs(found - want).max(axis=(-2, -1))
+
+    r = _gram(np.stack([t.pop("rho") for t in trials]), n)
+    embedded = []  # X, Y and their full transposes on each side, each a stack of the trials
+    for spec, names in ((spec_a, ("x_a", "y_a")), (spec_b, ("x_b", "y_b"))):
         m = len(spec)
-        sub = ModeLayout(m, ("A",) * m)
-        local = np.stack([random_even_operator(sub, rng).matrix for _ in "xy"])
-        _require_even_stack(sub, local, lambda op: embed_local(op, layout, spec.target_modes))
-        local_t = _signed_gather(local, m, SubsystemSpec(tuple(range(1, m + 1))), fermionic=True)
+        local = _block_gaussian(np.stack([[t.pop(name) for t in trials] for name in names]),
+                                _parity_mask(m))
+        _require_even_stack(ModeLayout(m, ("A",) * m), local,
+                            lambda op: embed_local(op, layout, spec.target_modes))
+        local_t = pt(local, SubsystemSpec(tuple(range(1, m + 1))), m)
         embedded.append(_embedded(np.concatenate([local, local_t]), layout, spec.target_modes))
     (ea, eya, ea_t, eya_t), (eb, eyb, eb_t, eyb_t) = embedded
 
-    inputs = [  # each transpose input, the identity that scores its transpose over A, that
-        # identity's prediction from t_a (rho's transpose) and the successive_ check, if any
-        (lambda: r, None, None, "plain"),
-        (lambda: r @ eb, "rho_xb_right", lambda: t_a @ eb, "xb"),
-        (lambda: eb @ r, "rho_xb_left", lambda: eb @ t_a, None),
-        (lambda: r @ ea, "rho_xa_right", lambda: ea_t @ t_a, "xa"),
-        (lambda: ea @ r, "rho_xa_left", lambda: t_a @ ea_t, None),
-        (lambda: r @ ea @ eb, "rho_xaxb_right", lambda: ea_t @ t_a @ eb, "xaxb"),
-        (lambda: ea @ eb @ r, "rho_xaxb_left", lambda: eb @ t_a @ ea_t, None),
+    inputs = (  # each transpose input; the identity that scores its transpose over A and that
+        # identity's prediction from t_a, rho's transpose; its successive check, if any; and
+        # the prediction of its transpose over B, if scored
+        (lambda: r, None, None, "successive_plain", None),
+        (lambda: r @ eb, "rho_xb_right", lambda: t_a @ eb, "successive_xb", None),
+        (lambda: eb @ r, "rho_xb_left", lambda: eb @ t_a, None, None),
+        (lambda: r @ ea, "rho_xa_right", lambda: ea_t @ t_a, "successive_xa", None),
+        (lambda: ea @ r, "rho_xa_left", lambda: t_a @ ea_t, None, None),
+        (lambda: r @ ea @ eb, "rho_xaxb_right", lambda: ea_t @ t_a @ eb, "successive_xaxb", None),
+        (lambda: ea @ eb @ r, "rho_xaxb_left", lambda: eb @ t_a @ ea_t, None, None),
         (lambda: ea @ eb @ r @ eya @ eyb, "sandwich_ta", lambda: eya_t @ eb @ t_a @ ea_t @ eyb,
-         "sandwich"),
-        (lambda: np.eye(layout.dim, dtype=complex), "identity_fixed", lambda: np.eye(layout.dim),
-         None),
-    ]
-    deviations = dict.fromkeys((  # in the order that breaks ties
-        "rho_xb_right", "rho_xb_left", "rho_xa_right", "rho_xa_left", "rho_xaxb_right",
-        "rho_xaxb_left", "sandwich_ta", "sandwich_tb", "successive_plain", "successive_xb",
-        "successive_xa", "successive_xaxb", "successive_sandwich", "double_ta", "identity_fixed"))
-    step = _batch(n)
-    for start in range(0, len(inputs), step):
-        part = inputs[start:start + step]
-        stack = _stacked([make() for make, *_ in part])
-        _require_even_stack(layout, stack, lambda op: fermionic_pt(op, spec_a))
-        t = _signed_gather(stack, n, spec_a, fermionic=True)
-        if start == 0:
-            t_a = t[0]
-        deviations.update({name: np.abs(t_i - want()).max()
-                           for (_, name, want, _), t_i in zip(part, t) if name})
-        again = [k for k, entry in enumerate(part) if entry[3]]  # also transposed over B
-        ends = [k for k in again if start + k in (0, 7)]  # rho and the sandwich, for sandwich_tb
-        t_b = _gathered([stack[k] for k in ends] + [t[k] for k in again], n, spec_b)
-        full = _gathered([stack[k] for k in again], n, SubsystemSpec(tuple(range(1, n + 1))))
-        del stack, t
-        deviations.update({"successive_" + part[k][3]: np.abs(once - whole).max()
-                           for k, once, whole in zip(again, t_b[len(ends):], full)})
-        if start == 0:
-            tb_rho = t_b[0]
-        if start <= 7 < start + len(part):
-            deviations["sandwich_tb"] = np.abs(t_b[len(ends) - 1]
-                                               - ea @ eyb_t @ tb_rho @ eya @ eb_t).max()
-        del t_b, full
+         "successive_sandwich", lambda: ea @ eyb_t @ pt(r, spec_b) @ eya @ eb_t),
+        (lambda: np.eye(layout.dim, dtype=complex)[None], "identity_fixed",
+         lambda: np.eye(layout.dim), None, None),
+    )
+    for make, name, want, successive, want_b in inputs:
+        x = make()
+        _require_even_stack(layout, x, lambda op: fermionic_pt(op, spec_a))
+        t = pt(x, spec_a)
+        if name:
+            score(name, t, want())
+        else:
+            t_a = t
+        if successive:
+            t = pt(t, spec_b)
+            score(successive, t, pt(x, SubsystemSpec(tuple(range(1, n + 1)))))
+        x_b = pt(x, spec_b) if want_b else None
+        del x, t  # before the prediction over B and the next input
+        if want_b:
+            score("sandwich_tb", x_b, want_b())
+            del x_b
     p_a = _sign_vector(n, spec_a.mask())
-    deviations["double_ta"] = np.abs(_signed_gather(t_a, n, spec_a, fermionic=True)
-                                     - p_a[:, None] * r * p_a[None, :]).max()
-    worst = max(deviations, key=deviations.get)
-    return float(deviations[worst]), {"n": n, "m_a": m_a, "state": _fingerprint(r),
-                                      "max_violation": float(deviations[worst]),
-                                      "worst_identity": worst}
+    score("double_ta", pt(t_a, spec_a), p_a[:, None] * r * p_a[None, :])
+    worst = table.argmax(axis=1)
+    return [(float(row[w]), {"n": n, "m_a": m_a, "state": _fingerprint(rho),
+                             "max_violation": float(row[w]), "worst_identity": _IDENTITIES[w]})
+            for row, w, rho in zip(table, worst, r)]
 
 
 def _checked_modes(modes) -> tuple[int, ...]:
@@ -271,21 +292,18 @@ def check_identity_suite(
     transpose, the parity-conjugation involution, and invariance of the
     identity operator.
 
-    A trial draws what a per-call trial draws, in the same order, and works on
-    stacks: each side's two local operators are checked, transposed and
-    embedded together with their transposes, and the nine distinct transpose
-    inputs are checked and transposed in stacks of at most :data:`_STACK_BYTES`,
-    one stack and six signed gathers a trial up to four modes
-    (:func:`_identity_trial`).  Every deviation is bit for bit
-    the per-call one, and the first parity-odd local operator or transpose
-    input raises ``embed_local``'s or ``fermionic_pt``'s error.
+    Trials are drawn as per call, and each ``(n, m_A)`` bucket of them is
+    built and scored on stacks, 24 signed gathers whatever its size
+    (:func:`_trial_report`, :func:`_identity_bucket`).  Every deviation is bit
+    for bit the per-call one, and a replay raises the per-call error of the
+    first parity-odd local operator or transpose input (``embed_local``'s or
+    ``fermionic_pt``'s).
     """
     _check_count("trials", trials)
     _check_nonnegative("tolerance", tolerance)
     modes = _checked_modes(modes)
-    rng = _rng(seed)
-    scored = [_identity_trial(rng, modes[t % len(modes)]) for t in range(trials)]
-    return _trial_report("identity_suite", seed, scored, tolerance)
+    return _trial_report("identity_suite", seed, tolerance, lambda rng: (
+        _draw_identity_trial(rng, modes[t % len(modes)]) for t in range(trials)), _identity_bucket)
 
 
 # -- LOCC monotonicity -------------------------------------------------------------
@@ -405,8 +423,8 @@ def _build_locc_group(n: int, m_a: int,
     spec_a, spec_b = layout.spec("A"), layout.spec("B")
     one, two = ModeLayout(1, ("A",)), ModeLayout.bipartite(1, 1)
 
-    def stack(name: str) -> np.ndarray:
-        return np.stack([t[name] for t in trials])
+    def stack(name: str) -> np.ndarray:  # popped: the norms are taken without the draws
+        return np.stack([t.pop(name) for t in trials])
 
     def embedded(local: np.ndarray, target: ModeLayout, modes: tuple[int, ...]) -> np.ndarray:
         _require_even_stack(ModeLayout(len(modes), ("A",) * len(modes)), local)
@@ -515,43 +533,12 @@ def _score_locc_bucket(n: int, m_a: int, jobs: list[_Jobs], norms: list[np.ndarr
             for row, w, b, state in zip(viol, worst, base, states)]
 
 
-def _locc_trials(rng: np.random.Generator, trials: int, budget: int) -> list[tuple[float, dict]]:
-    """``(worst violation, diagnostics)`` of each of ``trials`` trials, built in buckets.
-
-    Each trial makes every generator call of a per-call trial, in its order,
-    into the bucket of its ``(n, m_A)``.  A bucket is built, solved and scored
-    as soon as its largest states (the stacked ones, ``2**(2n + 8)`` bytes a
-    trial) fill four times ``budget`` bytes, or it holds one trial if one
-    overfills them: every stage is built (:func:`_build_locc_group`), and so
-    every build check runs, before any norm is taken on stacks
-    (:func:`_job_norms`).  The run's first bucket is built once they fill
-    ``budget``, so a fault that every trial meets stops the run after a few
-    draws.  The other buckets are built when the trials run out.  With
-    ``budget`` 0 each trial is built as soon as it is drawn.
-    """
-    scored = [None] * trials
-    buckets: dict = {}
-
-    def flush(key: tuple[int, int]) -> None:
-        ks, drawn = zip(*buckets.pop(key))
-        jobs, *weights = _build_locc_group(*key, drawn)
-        del drawn
-        states = [_fingerprint(rho) for rho in jobs[0].states]  # before the norms release them
-        norms = _job_norms(jobs)
-        for k, result in zip(ks, _score_locc_bucket(*key, jobs, norms, states, *weights)):
-            scored[k] = result
-
-    fill = budget  # of a trial's stacked states, on n + 2 modes: one budget, then four
-    for k in range(trials):
-        t = _draw_locc_trial(rng)
-        key = (t["n"], t["m_a"])
-        buckets.setdefault(key, []).append((k, t))
-        if len(buckets[key]) == _batch(t["n"] + 2, fill):
-            flush(key)
-            fill = 4 * budget
-    for key in list(buckets):
-        flush(key)
-    return scored
+def _locc_bucket(n: int, m_a: int, trials: Sequence[dict]) -> list[tuple[float, dict]]:
+    """The pairs of a bucket's trials: every stage is built, and so every build
+    check runs, before any norm is taken on stacks (:func:`_job_norms`)."""
+    jobs, *weights = _build_locc_group(n, m_a, trials)
+    states = [_fingerprint(rho) for rho in jobs[0].states]  # before the norms release them
+    return _score_locc_bucket(n, m_a, jobs, _job_norms(jobs), states, *weights)
 
 
 def check_locc_monotonicity(seed=0, trials: int = 200, tolerance: float = 1e-10) -> CheckReport:
@@ -559,24 +546,21 @@ def check_locc_monotonicity(seed=0, trials: int = 200, tolerance: float = 1e-10)
     and additivity, scored by equality deviation or negative inequality slack.
 
     Trials are drawn one at a time into a bucket per ``(n, m_A)``, and each
-    bucket of up to four :data:`_STACK_BYTES` of stacked states is built,
-    solved and scored on stacks (:func:`_locc_trials`).  The values equal one
-    ``negativity`` or ``log_negativity`` call per state bit for bit.  If
-    anything raises, the whole check is replayed from the generator state of
-    the call, one trial at a time (:func:`_replayed`), and a trial's stack
-    that fails a check takes one ``_pt_norm`` call per state.  So a trial's
-    build errors come before its norm errors, and a trial with one fault
-    raises the per-call error.  The ancilla is measured with the kernels of
+    bucket is built, solved and scored on stacks (:func:`_trial_report`,
+    :func:`_locc_bucket`).  The values equal one ``negativity`` or
+    ``log_negativity`` call per state bit for bit.  If anything raises, the
+    whole check is replayed one trial at a time, and a trial's stack that fails
+    a check takes one ``_pt_norm`` call per state.  So a trial's build errors
+    come before its norm errors, and a trial with one fault raises the
+    per-call error.  The ancilla is measured with the kernels of
     :func:`fneg.ptranspose.parity_project`, and every measurement drops an
     outcome of weight at most ``FLAG_TOL``, ``parity_project``'s empty-sector
     rule.
     """
     _check_count("trials", trials)
     _check_nonnegative("tolerance", tolerance)
-    rng = _rng(seed)
-    scored = _replayed(lambda: _locc_trials(rng, trials, _STACK_BYTES),
-                       _rewound(rng, lambda: _locc_trials(rng, trials, 0)))
-    return _trial_report("locc_monotonicity", seed, scored, tolerance)
+    return _trial_report("locc_monotonicity", seed, tolerance,
+                         lambda rng: (_draw_locc_trial(rng) for _ in range(trials)), _locc_bucket)
 
 
 # -- perturbative expansion --------------------------------------------------------

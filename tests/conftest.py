@@ -9,8 +9,7 @@ from hypothesis import settings
 from fneg.errors import SamplingError
 from fneg.fock import FockOperator, ModeLayout, as_spec
 from fneg.measures import negativity
-from fneg.states import _RESAMPLE_BUDGET, _rng, random_separable
-from fneg.verify import random_even_operator  # noqa: F401  used by the test modules
+from fneg.states import _RESAMPLE_BUDGET, _block_gaussian, _parity_mask, _rng, random_separable
 
 settings.register_profile("repro", derandomize=True)
 settings.load_profile("repro")
@@ -19,6 +18,12 @@ settings.load_profile("repro")
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240811)
+
+
+def random_even_operator(layout: ModeLayout, rng: np.random.Generator) -> FockOperator:
+    """Generic (non-Hermitian) parity-even operator with Gaussian entries."""
+    draws = rng.normal(size=(2, layout.dim, layout.dim))
+    return FockOperator(layout, _block_gaussian(draws, _parity_mask(layout.num_modes)), copy=False)
 
 
 def max_abs(a, b=None):

@@ -19,6 +19,7 @@ from fneg.states import (
     random_density,
     random_pure,
     random_separable,
+    subsystem_parity_commutator_norm,
 )
 
 LAY2 = ModeLayout.bipartite(1, 1)
@@ -195,6 +196,23 @@ class TestSubsystemParityType:
                 negativity(rho, spec, "fermionic") - negativity(rho, spec, "bosonic")
             )
             assert diff <= 1e-10
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_one_mode_against_the_rest_is_separable_exactly_when_type_one(n):
+    # The paper's theorem: across mode j and the rest, N_F = 0 exactly when rho
+    # commutes with (-1)^{F_j}.  The verdict is read from that commutator alone,
+    # with no transpose; negativity must agree with it on random states.
+    lay = ModeLayout(n, ("A",) * n)
+    for j in sorted({1, (n + 1) // 2, n}):
+        spec = SubsystemSpec((j,))
+        for seed in range(3):
+            for constraint in ("type_I", "type_II"):
+                rho = random_density(lay, 100 * n + 10 * j + seed, constraint, spec)
+                separable = subsystem_parity_commutator_norm(rho, spec) == 0.0
+                assert separable == (constraint == "type_I")
+                neg = negativity(rho, spec)
+                assert abs(neg) <= 1e-14 if separable else neg > 1e-6
 
 
 class TestWitnessZeroPatterns:

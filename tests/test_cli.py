@@ -248,6 +248,16 @@ class TestClassifyCommand:
         err = capsys.readouterr().err
         assert "matrix entries must be" in err and "Hermitian" not in err
 
+    @pytest.mark.parametrize("field", ["matrix", "pure"])
+    @pytest.mark.parametrize("entry", [True, [True, False], [1.0, False]])
+    def test_boolean_entry_exits_4(self, tmp_path, capsys, field, entry):
+        # JSON true is not the number 1: with it the file read as |00><00| and exited 0
+        entries = [entry] + [0.0] * (15 if field == "matrix" else 3)
+        path = tmp_path / "bool.json"
+        path.write_text(json.dumps({"num_modes": 2, field: entries}))
+        assert main(["classify", str(path)]) == 4
+        assert f"{field} entries must be numbers or [re, im] pairs" in capsys.readouterr().err
+
     def test_parity_violating_matrix_exits_4(self, tmp_path):
         # couples |00> to |10>: a unit-trace PSD matrix that breaks parity
         mat = np.zeros((4, 4))

@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from conftest import random_even_operator
 from fneg.fock import (
     FLAG_TOL,
     FockOperator,
@@ -23,7 +24,6 @@ from fneg.measures import _pt_norm, _pt_norms, trace_norm
 from fneg.ptranspose import _signed_gather
 from fneg.states import _block_gaussian, _normalised_gram, _parity_mask, random_density, \
     random_pure
-from fneg.verify import random_even_operator
 
 MODES = (2, 3, 4)
 

@@ -317,6 +317,17 @@ class TestRandomSeparable:
             assert rho.is_density_matrix()
             assert abs(negativity(rho, spec)) <= 1e-10
 
+    @pytest.mark.parametrize("spec, modes", [
+        ((np.int64(1), np.int64(2)), (1, 2)), (np.array([1, 2]), (1, 2)), (iter([1, 2]), (1, 2)),
+        (2, (2,)), (np.int64(2), (2,))], ids=["numpy_ints", "numpy_array", "iterator", "int",
+                                                "numpy_int"])
+    def test_any_form_of_one_spec_is_one_subsystem(self, spec, modes):
+        # numpy integers were read as a partition into one-mode parts, an array failed
+        # numpy's truth test, an iterator lost its first mode and an integer raised
+        lay = ModeLayout.tripartite()
+        want = random_separable(lay, SubsystemSpec(modes), num_terms=2, seed=5).matrix
+        assert random_separable(lay, spec, num_terms=2, seed=5).matrix.tobytes() == want.tobytes()
+
     def test_partition_must_cover(self, rng):
         lay = ModeLayout.tripartite()
         with pytest.raises(LayoutError):

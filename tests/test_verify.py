@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import record_calls
+from conftest import random_even_operator, record_calls
 from fneg import states as states_mod
 from fneg.errors import ParityError, StateValidationError
 from fneg import verify as verify_mod
@@ -206,8 +206,8 @@ def _odd_member(matrix: np.ndarray) -> np.ndarray:
 
 
 def _flushes(groups) -> list[tuple[int, list[int]]]:
-    """``(n, trials)`` of each bucket ``verify locc`` builds, in build order, for the
-    ``(n, m_A)`` of each trial: a bucket is built once it holds
+    """``(n, trials)`` of each bucket ``verify locc`` or ``verify identities`` builds, in
+    build order, for the ``(n, m_A)`` of each trial: a bucket is built once it holds
     ``max(1, _STACK_BYTES >> (2n + 6))`` trials, the first one at
     ``max(1, _STACK_BYTES >> (2n + 8))``, the rest when the trials run out."""
     open_buckets, built = {}, []
@@ -219,23 +219,24 @@ def _flushes(groups) -> list[tuple[int, list[int]]]:
     return built + [(n, ks) for (n, _), ks in open_buckets.items()]
 
 
-def _per_call_identity_trial(rng, n: int) -> tuple[float, dict]:
-    """One identity trial with one ``embed_local``, ``fermionic_pt`` or ``full_transpose`` call
-    per operator; the state and local operators come from ``verify``'s own samplers."""
+def _per_call_identity_draws(rng, n: int) -> tuple[ModeLayout, FockOperator, list]:
+    """The layout, state and local operators X_A, Y_A, X_B, Y_B of one per-call identity trial."""
     m_a = int(rng.integers(1, n))
     layout = ModeLayout.bipartite(m_a, n - m_a)
+    rho = random_density(layout, rng)
+    return layout, rho, [random_even_operator(ModeLayout(m, ("A",) * m), rng)
+                         for m in (m_a, m_a, n - m_a, n - m_a)]
+
+
+def _per_call_identity_trial(rng, n: int) -> tuple[float, dict]:
+    """One identity trial with one ``embed_local``, ``fermionic_pt`` or ``full_transpose`` call
+    per operator."""
+    layout, rho, (x_a, y_a, x_b, y_b) = _per_call_identity_draws(rng, n)
+    m_a = x_a.layout.num_modes
     spec_a = layout.spec("A")
     spec_b = layout.spec("B")
     modes_a = spec_a.target_modes
     modes_b = spec_b.target_modes
-    sub_a = ModeLayout(m_a, ("A",) * m_a)
-    sub_b = ModeLayout(n - m_a, ("A",) * (n - m_a))
-
-    rho = verify_mod.random_density(layout, rng)
-    x_a = verify_mod.random_even_operator(sub_a, rng)
-    y_a = verify_mod.random_even_operator(sub_a, rng)
-    x_b = verify_mod.random_even_operator(sub_b, rng)
-    y_b = verify_mod.random_even_operator(sub_b, rng)
 
     ea = embed_local(x_a, layout, modes_a).matrix
     eya = embed_local(y_a, layout, modes_a).matrix
@@ -294,25 +295,6 @@ def _per_call_identity_trial(rng, n: int) -> tuple[float, dict]:
     return float(max(deviations.values())), diag
 
 
-def _odd_draws(monkeypatch, name: str, index: int) -> tuple[list, list]:
-    """Make the ``index``-th draw of ``verify``'s sampler ``name`` parity-odd.
-
-    Returns the log of draws, which a test clears to start counting again, and
-    the odd operators made.
-    """
-    real, calls, made = getattr(verify_mod, name), [], []
-
-    def odd(layout, rng):
-        calls.append(real(layout, rng))
-        if len(calls) - 1 != index:
-            return calls[-1]
-        made.append(FockOperator(layout, _odd_member(calls[-1].matrix)))
-        return made[-1]
-
-    monkeypatch.setattr(verify_mod, name, odd)
-    return calls, made
-
-
 class TestIdentitySuite:
     def test_small_run_passes(self):
         report = check_identity_suite(seed=5, trials=15, modes=(2, 3))
@@ -361,21 +343,26 @@ class TestIdentitySuite:
             assert diag == {**want, "trial": t, "seed": seed}
             assert diag["max_violation"] == dev
 
-    def test_transposes_are_six_stacked_gathers(self, monkeypatch):
-        # At most 8 a trial (the per-call suite took 30): two for the local
-        # operators, and one each over A, over B, over all modes and for the
-        # double transpose.  The per-call functions run only to raise an error.
+    def test_transposes_are_a_fixed_set_of_gathers_per_bucket(self, monkeypatch):
+        # 24 a bucket of any size (the per-call suite took 30 a trial): one for each
+        # side's local operators, one over A for each of the nine inputs, one over B
+        # and one over all modes for each of the five successive checks, two over B
+        # for sandwich_tb and one for the double transpose.  The per-call functions
+        # run only to raise an error.
         log = record_calls(monkeypatch, "fneg.ptranspose._signed_gather",
                            "fneg.ptranspose.fermionic_pt", "fneg.ptranspose.full_transpose",
                            "fneg.fock.embed_local")
-        check_identity_suite(seed=3, trials=9, modes=(2, 3, 4))
+        report = check_identity_suite(seed=7)
         assert log and all(name == "_signed_gather" for name, _ in log)
-        assert len(log) == 6 * 9
+        buckets = _flushes([(d["n"], d["m_a"]) for d in report.diagnostics])
+        assert len(log) == 24 * len(buckets) == 24 * 9
+        assert max(shape[0] for _, shape in log) > 10  # members of several trials
 
     def test_one_trial_holds_few_matrices(self):
-        # The nine transpose inputs are built, transposed and scored in slices of at
-        # most _STACK_BYTES, one matrix from seven modes, so an eight-mode trial peaks
-        # near 16 of its d x d matrices (16.9 MB); all nine in one stack hold about 46.
+        # An eight-mode trial is a bucket of its own.  Its nine transpose inputs are
+        # built, transposed and scored one at a time, each released before the next
+        # is built, so it peaks near 15 of its d x d matrices (14.5 MB); all nine in
+        # one stack hold about 46.
         check_identity_suite(seed=1, trials=1, modes=(8,))  # the cached gather plans
         tracemalloc.start()
         try:
@@ -387,38 +374,63 @@ class TestIdentitySuite:
 
     @pytest.mark.parametrize("index", range(4))
     def test_odd_local_operator_raises_embed_locals_error(self, monkeypatch, index):
-        # X_A, Y_A, X_B or Y_B of the first trial is parity-odd.  Without the
-        # stacked check of the local operators, the products would fail the
-        # transpose check, which raises fermionic_pt's message.
-        calls, made = _odd_draws(monkeypatch, "random_even_operator", index)
+        # X_A, Y_A, X_B or Y_B of the first trial is built parity-odd.  The bucketed
+        # run raises, and its replay builds the first trial alone and raises what
+        # embed_local raises on that per-call draw made odd.  Without the stacked
+        # check of the local operators, the products would fail the transpose check,
+        # which raises fermionic_pt's message.
+        draw, real = verify_mod._draw_identity_trial, verify_mod._block_gaussian
+        name = ("x_a", "y_a", "x_b", "y_b")[index]
+        target, made = [], []
+
+        def tagged(rng, n):
+            drawn = draw(rng, n)
+            target.append(drawn[name])
+            return drawn
+
+        def odd(draws, allowed):
+            out = real(draws, allowed)
+            for i in np.ndindex(draws.shape[:-3]):
+                if np.array_equal(draws[i], target[0]):
+                    out[i] = _odd_member(out[i])
+                    made.append(out[i].copy())
+            return out
+
+        monkeypatch.setattr(verify_mod, "_draw_identity_trial", tagged)
+        monkeypatch.setattr(verify_mod, "_block_gaussian", odd)
         with pytest.raises(Exception) as batched:
             check_identity_suite(seed=7, trials=2, modes=(3,))
-        calls.clear()
+        layout, _, ops = _per_call_identity_draws(np.random.default_rng(7), 3)
+        want = FockOperator(ops[index].layout, _odd_member(ops[index].matrix))
+        assert len(made) == 2 and all(np.array_equal(m, want.matrix) for m in made)
         with pytest.raises(Exception) as per_call:
-            _per_call_identity_trial(np.random.default_rng(7), 3)
-        assert len(made) == 2 and np.array_equal(made[0].matrix, made[1].matrix)
+            embed_local(want, layout, layout.spec("AB"[index // 2]).target_modes)
         assert batched.type is per_call.type is ParityError
         assert str(batched.value) == str(per_call.value)
-        m = made[0].layout.num_modes
-        with pytest.raises(ParityError) as direct:
-            embed_local(made[0], made[0].layout, tuple(range(1, m + 1)))
-        assert str(batched.value) == str(direct.value)
 
     def test_odd_transpose_input_raises_fermionic_pts_error(self, monkeypatch):
-        # The state of the first trial is parity-odd, so every transpose input
-        # is.  Without the stacked check the trial would not raise at all.
-        calls, made = _odd_draws(monkeypatch, "random_density", 0)
+        # The state of each bucket's first trial is built parity-odd, so every
+        # transpose input of it is.  The bucketed run raises, and its replay builds
+        # the first trial alone and raises what fermionic_pt raises on that per-call
+        # draw made odd.  Without the stacked check the trial would not raise at all.
+        real, made = verify_mod._gram, []
+
+        def odd(normals, num_modes):
+            out = real(normals, num_modes)
+            out[0] = _odd_member(out[0])
+            made.append(out[0].copy())
+            return out
+
+        monkeypatch.setattr(verify_mod, "_gram", odd)
         with pytest.raises(Exception) as batched:
             check_identity_suite(seed=7, trials=2, modes=(3,))
-        calls.clear()
+        layout, rho, _ = _per_call_identity_draws(np.random.default_rng(7), 3)
+        want = FockOperator(layout, _odd_member(rho.matrix))
+        assert len(made) == 2 and all(np.array_equal(m, want.matrix) for m in made)
         with pytest.raises(Exception) as per_call:
-            _per_call_identity_trial(np.random.default_rng(7), 3)
-        assert len(made) == 2 and np.array_equal(made[0].matrix, made[1].matrix)
+            fermionic_pt(want, layout.spec("A"))
         assert batched.type is per_call.type is ParityError
         assert str(batched.value) == str(per_call.value)
-        with pytest.raises(ParityError) as direct:
-            fermionic_pt(made[0], made[0].layout.spec("A"))
-        assert str(batched.value) == str(direct.value)
 
 
 class TestLoccMonotonicity:
