@@ -594,6 +594,25 @@ def _density_verdicts(stack: np.ndarray, num_modes: int, tol: float) -> tuple:
     return valid, leak, herm
 
 
+def _require_density_stack(stack: np.ndarray, num_modes: int, tol: float = FLAG_TOL,
+                           require_parity: bool = True) -> tuple:
+    """Each member's parity leak and Hermiticity residual, read by :func:`_density_verdicts`,
+    once ``require_density_matrix(tol, require_parity)`` passes on every member of a stack.
+
+    The one failure rule of the stacked paths: if any verdict is False, every
+    member in order takes the per-call check, so the first that fails raises
+    the per-call error.  Every member, not only those with a False verdict: a
+    failed check skips the PSD verdict of all.  If none raises (a member that
+    is not parity-even without ``require_parity``), the stack goes on.
+    """
+    verdicts, leak, herm = _density_verdicts(stack, num_modes, tol)
+    if not verdicts.all():
+        layout = ModeLayout(num_modes, ("A",) * num_modes)  # the checks read no label
+        for member in stack:
+            FockOperator(layout, member).require_density_matrix(tol, require_parity)
+    return leak, herm
+
+
 def graded_tensor(lhs: FockOperator, rhs: FockOperator) -> FockOperator:
     """Graded tensor product of two parity-even operators.
 

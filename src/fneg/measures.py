@@ -19,21 +19,21 @@ from typing import Mapping
 
 import numpy as np
 
-from .errors import StateValidationError
+from .errors import LayoutError, StateValidationError
 from .fock import (
     _BLOCK_MIN_MODES,
     FLAG_TOL,
     FockOperator,
+    ModeLayout,
     SubsystemSpec,
     _check_count,
-    _density_verdicts,
     _exact,
     _gather_blocks,
+    _require_density_stack,
     _sign_vector,
     as_spec,
 )
 from .ptranspose import (
-    FLAVORS,
     _check_flavor,
     _nonempty,
     _resolve_spec,
@@ -144,7 +144,7 @@ def _pt_norm(rho: FockOperator, spec, flavor: str, tol: float) -> float:
     fermionic = flavor == "fermionic"
     rho.require_density_matrix(tol, require_parity=fermionic)
     if fermionic:
-        spec = _resolve_spec(rho, spec)
+        spec = _resolve_spec(rho.layout, spec)
     else:
         spec = as_spec(spec)
         spec.validate(rho.layout)
@@ -161,13 +161,14 @@ def _pt_norm(rho: FockOperator, spec, flavor: str, tol: float) -> float:
 
 def _pt_norms(
     stack: np.ndarray, n: int, spec: SubsystemSpec, fermionic: bool = True, residuals=None
-) -> np.ndarray | None:
+) -> np.ndarray:
     """``|rho^{T_A}|_1`` of each state of a ``(k, d, d)`` stack on ``n`` modes, as in ``_pt_norm``.
 
     ``residuals``, each member's parity leak and Hermiticity residual, mark a
-    stack its caller has validated.  Without them the stack is checked as
-    ``_pt_norm`` checks a state for the fermionic flavor: a proper target, then
-    :func:`fock._density_verdicts`; ``None`` if any member fails.  One
+    stack its caller has validated.  Without them the stack is checked at
+    ``FLAG_TOL`` in ``_pt_norm``'s order, so it raises what a loop of
+    ``_pt_norm`` calls raises: each member as a density matrix
+    (:func:`fock._require_density_stack`), the target after the first.  One
     :func:`_signed_gather` transposes the stack; below :data:`_BLOCK_MIN_MODES`
     modes each member takes the dense SVD.  From there the fermionic transpose
     is solved through its Hermitian twin ``T = rho^{T_A} (-1)^{F_A}`` (for
@@ -182,11 +183,13 @@ def _pt_norms(
     sums them, so each norm equals ``negativity``'s bit for bit.
     """
     if residuals is None:
-        if fermionic and not set(spec.target_modes) < set(range(1, n + 1)):
-            return None
-        verdicts, *residuals = _density_verdicts(stack, n, FLAG_TOL)
-        if not verdicts.all():
-            return None
+        layout = ModeLayout(n, ("A",) * n)
+        try:
+            _resolve_spec(layout, spec) if fermionic else spec.validate(layout)
+        except LayoutError:
+            _require_density_stack(stack[:1], n, FLAG_TOL, fermionic)  # the first member first
+            raise
+        residuals = _require_density_stack(stack, n, FLAG_TOL, fermionic)
     t = _signed_gather(stack, n, spec, fermionic)
     if fermionic and n >= _BLOCK_MIN_MODES:
         t *= _sign_vector(n, spec.mask())
@@ -194,26 +197,11 @@ def _pt_norms(
     return _spectra(t, n, _exact(leak, n), herm).sum(axis=-1)
 
 
-def _replayed(stacked, replay):
-    """``stacked()``, the values of a stacked path; if it raises or returns ``None``, ``replay()``.
-
-    The one replay rule: ``replay`` runs the per-call path in order, which
-    raises the per-call error first.
-    """
-    try:
-        found = stacked()
-    except Exception:  # the replay raises it again, after any earlier per-call error
-        found = None
-    return replay() if found is None else found
-
-
 def _stacked_pt_norms(rhos, spec: SubsystemSpec, flavor: str) -> list[float]:
     """:func:`_pt_norm` at ``FLAG_TOL`` of each of ``rhos``, from one :func:`_pt_norms` call."""
     fermionic = _check_flavor(flavor) == "fermionic"
-    return [float(norm) for norm in _replayed(
-        lambda: _pt_norms(np.stack([rho.matrix for rho in rhos]), rhos[0].layout.num_modes, spec,
-                          fermionic),
-        lambda: [_pt_norm(rho, spec, flavor, FLAG_TOL) for rho in rhos])]
+    stack = np.stack([rho.matrix for rho in rhos])
+    return [float(norm) for norm in _pt_norms(stack, rhos[0].layout.num_modes, spec, fermionic)]
 
 
 def negativity(
@@ -297,10 +285,9 @@ def mutual_information(
 # -- tripartite machinery ---------------------------------------------------------
 
 
-def _tri_specs(rho: FockOperator, *parties) -> dict[str, SubsystemSpec]:
+def _tri_specs(layout: ModeLayout, *parties) -> dict[str, SubsystemSpec]:
     """The specs of parties A, B and C; each of ``parties``, the ones a measure names, must be
     one of them, named once."""
-    layout = rho.layout
     if set(layout.subsystems) != {"A", "B", "C"}:
         raise StateValidationError(
             f"tripartite measures need labels A, B, C; layout has {layout.subsystems}"
@@ -315,7 +302,7 @@ def one_vs_rest_negativities(
     rho: FockOperator, flavor: str = "fermionic", tol: float = FLAG_TOL
 ) -> dict[str, float]:
     """``{party: N_{party(rest)}}`` for the three one-vs-rest bipartitions."""
-    specs = _tri_specs(rho)
+    specs = _tri_specs(rho.layout)
     return {lab: negativity(rho, spec, flavor, tol) for lab, spec in specs.items()}
 
 
@@ -324,7 +311,7 @@ def pairwise_negativity(
     tol: float = FLAG_TOL,
 ) -> float:
     """Negativity of the reduced two-party state, transposing the first party."""
-    specs = _tri_specs(rho, first, second)
+    specs = _tri_specs(rho.layout, first, second)
     keep = SubsystemSpec(specs[first].target_modes + specs[second].target_modes)
     reduced = partial_trace(rho, keep)
     return negativity(reduced, reduced.layout.spec(first), flavor, tol)
@@ -359,7 +346,7 @@ def j_abc_details(
     the first member of the pair.  An empty sector contributes negativity zero
     and raises the ``degenerate_sector`` flag.
     """
-    specs = _tri_specs(rho, *pair, third)
+    specs = _tri_specs(rho.layout, *pair, third)
     if len(pair) != 2:
         raise ValueError(f"pair must name two parties, got {pair!r}")
     keep = SubsystemSpec(specs[pair[0]].target_modes + specs[pair[1]].target_modes)
@@ -496,83 +483,69 @@ def tripartite_report(
 ) -> MeasureReport:
     """All four tripartite measures plus the one-vs-rest negativities.
 
-    The eight negativities behind them (three one-vs-rest, three pairwise
-    reduced, two sector-projected for ``j_abc``) are each evaluated once.
-    ``three_tangle`` is reported only for three-mode states that pass
-    :func:`_is_pure`, the test by which ``fneg classify`` routes states: the
-    tangle is not defined on mixed states or on parties of more than one mode.
+    The eight negativities behind them (three one-vs-rest, two sector-projected
+    for ``j_abc``, three pairwise reduced) are each evaluated once, on a stack
+    of one (:func:`_tripartite_norms`).  ``three_tangle`` is reported only for
+    three-mode states that pass :func:`_is_pure`, the test by which ``fneg
+    classify`` routes states: the tangle is not defined on mixed states or on
+    parties of more than one mode.
     """
-    negs = one_vs_rest_negativities(rho, flavor, tol)
-    j = j_abc(rho, flavor=flavor, tol=tol)
-    pair = {p: pairwise_negativity(rho, *p, flavor, tol) for p in _PAIRS}
-    return _tri_report(rho, negs, j, pair, flavor, tol)
-
-
-def _tri_report(rho: FockOperator, negs, j: float, pair, flavor: str, tol: float) -> MeasureReport:
-    """:func:`tripartite_report` from its one-vs-rest, ``j_abc`` and pairwise negativities."""
-    entries = {f"negativity_{lab}": negs[lab] for lab in "ABC"}
-    entries.update(j_abc=j, n_abc=_n_abc(negs), pi_abc=_pi_abc(negs, pair))
-    if rho.layout.num_modes == 3 and _is_pure(rho):
-        entries["three_tangle"] = three_tangle(rho)
-    return MeasureReport(entries, tolerance=tol, transpose_flavor=flavor)
+    return _tripartite_norms(rho.matrix[None], rho.layout, flavor, tol)[0]
 
 
 def _tripartite_reports(rhos, flavor: str = "fermionic") -> list[MeasureReport]:
     """:func:`tripartite_report` of each of ``rhos``, from one :func:`_tripartite_norms` pass."""
-    return _replayed(lambda: _tripartite_norms(np.stack([rho.matrix for rho in rhos]),
-                                               rhos[0].layout, flavor),
-                     lambda: [tripartite_report(rho, flavor) for rho in rhos])
+    return _tripartite_norms(np.stack([rho.matrix for rho in rhos]), rhos[0].layout, flavor)
 
 
-def _tripartite_norms(stack: np.ndarray, layout, flavor: str) -> list | None:
+def _tripartite_norms(stack: np.ndarray, layout: ModeLayout, flavor: str,
+                      tol: float = FLAG_TOL) -> list[MeasureReport]:
     """:func:`tripartite_report` of each state of a ``(k, d, d)`` stack on a tripartite ``layout``.
 
-    Each of the eight negativities is one :func:`_pt_norms` call on a stack:
-    the three one-vs-rest cuts, the even and odd sectors of C traced to AB
-    (an empty sector gives 0, as in :func:`j_abc_details`), and the three
-    pairwise reductions.  Each stack is checked by :func:`fock._density_verdicts`
-    at ``FLAG_TOL``, the tolerance of the per-call path at its default.  Every
-    step acts on each member as the per-call path acts on one state, the
-    partial traces summing in its order, so the values are equal bit for bit.
-    ``None`` if any member fails a check, or if the per-call path rejects the
-    layout or flavor.
-    """
-    if set(layout.subsystems) != {"A", "B", "C"} or flavor not in FLAVORS:
-        return None
-    n, fermionic = layout.num_modes, flavor == "fermionic"
-    specs = {lab: layout.spec(lab) for lab in "ABC"}
+    Each of the eight negativities is one :func:`_pt_norms` call on a stack,
+    in the order of the per-call measures: the three one-vs-rest cuts, the
+    even and odd sectors of C traced to AB (an empty sector gives 0, as in
+    :func:`j_abc_details`), and the three pairwise reductions.  Every step acts
+    on each member as the per-call path acts on one state, the partial traces
+    summing in its order, so the values are equal bit for bit.
 
-    def negativities(states: np.ndarray, modes: int, targets) -> list | None:
+    The checks raise what :func:`tripartite_report` raises, in its order: the
+    layout, the flavor, and then each stack's states at ``tol``
+    (:func:`fock._require_density_stack`), the first failing member's error.
+    The full states are checked parity-even for both flavors, as the sector
+    projection of ``j_abc`` checks them.  Of two members that fail different
+    stages, the earlier stage's error is raised.
+    """
+    specs = _tri_specs(layout)
+    n, fermionic = layout.num_modes, _check_flavor(flavor) == "fermionic"
+
+    def negativities(states: np.ndarray, modes: int, targets, parity: bool = fermionic) -> list:
         """For each target, each state's negativity as :func:`negativity` returns it."""
-        verdicts, *residuals = _density_verdicts(states, modes, FLAG_TOL)
-        if not verdicts.all():
-            return None
+        residuals = _require_density_stack(states, modes, tol, parity)
         return [[(float(norm) - 1.0) / 2.0 for norm in
                  _pt_norms(states, modes, target, fermionic, residuals=residuals)]
                 for target in targets]
 
-    def reduced(states: np.ndarray, first: str, second: str) -> list | None:
+    def reduced(states: np.ndarray, first: str, second: str) -> list:
         keep = SubsystemSpec(specs[first].target_modes + specs[second].target_modes)
         lead = SubsystemSpec(tuple(range(1, len(specs[first]) + 1)))  # ``first`` once reduced
-        found = negativities(_traced(states, n, keep), len(keep), [lead])
-        return None if found is None else found[0]
+        return negativities(_traced(states, n, keep), len(keep), [lead])[0]
 
-    one = negativities(stack, n, specs.values())
-    if one is None:  # the reductions of a state that fails are not computed
-        return None
-    pair = {p: reduced(stack, *p) for p in _PAIRS}
-    if None in pair.values():
-        return None
+    one = dict(zip("ABC", negativities(stack, n, specs.values(), parity=True)))
     sectors = []
     for sector in ("even", "odd"):
-        full, projected = _nonempty(*_sector_projection(stack, n, specs["C"].mask(), sector))
-        found = reduced(projected, "A", "B") if full.size else []
+        full, projected = _nonempty(*_sector_projection(stack, n, specs["C"].mask(), sector), tol)
+        sectors.append(dict(zip(full.tolist(), reduced(projected, "A", "B") if full.size else [])))
         del projected  # before the next sector is projected
-        if found is None:
-            return None
-        sectors.append(dict(zip(full.tolist(), found)))
-    return [_tri_report(FockOperator(layout, member, copy=False),
-                        {lab: one[j][i] for j, lab in enumerate("ABC")},
-                        sectors[0].get(i, 0.0) * sectors[1].get(i, 0.0),
-                        {p: pair[p][i] for p in _PAIRS}, flavor, FLAG_TOL)
-            for i, member in enumerate(stack)]
+    pair = {p: reduced(stack, *p) for p in _PAIRS}
+    reports = []
+    for i, member in enumerate(stack):
+        negs = {lab: one[lab][i] for lab in "ABC"}
+        entries = {f"negativity_{lab}": negs[lab] for lab in "ABC"}
+        entries.update(j_abc=sectors[0].get(i, 0.0) * sectors[1].get(i, 0.0), n_abc=_n_abc(negs),
+                       pi_abc=_pi_abc(negs, {p: pair[p][i] for p in _PAIRS}))
+        rho = FockOperator(layout, member, copy=False)
+        if n == 3 and _is_pure(rho):
+            entries["three_tangle"] = three_tangle(rho)
+        reports.append(MeasureReport(entries, tolerance=tol, transpose_flavor=flavor))
+    return reports

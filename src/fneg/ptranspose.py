@@ -113,17 +113,19 @@ def _signed_gather(
     tensor = matrix.reshape(lead + (2,) * (2 * n)).transpose(axes)[index]
     if classes is None:
         return np.ascontiguousarray(tensor).reshape(matrix.shape)
-    # The phase table gathered to the output's shape is the output buffer.
-    rows = np.broadcast_to(classes[:, None], matrix.shape) if lead else classes[:, None]
+    # The phase table gathered to the output's shape is the output buffer; one
+    # matrix, stacked or not, is gathered without broadcasting the row classes.
+    one = matrix.size == classes.size ** 2
+    rows = classes[:, None] if one else np.broadcast_to(classes[:, None], matrix.shape)
     out = _SIGN_PHASE[rows, classes]
     np.multiply(tensor, out.reshape(tensor.shape), out=out.reshape(tensor.shape))
-    return out
+    return out.reshape(matrix.shape)
 
 
-def _resolve_spec(rho: FockOperator, spec) -> SubsystemSpec:
+def _resolve_spec(layout: ModeLayout, spec) -> SubsystemSpec:
     spec = as_spec(spec)
-    spec.validate(rho.layout)
-    if len(spec) == rho.layout.num_modes:
+    spec.validate(layout)
+    if len(spec) == layout.num_modes:
         raise LayoutError("transpose target must be a proper subsystem; use full_transpose")
     return spec
 
@@ -137,7 +139,7 @@ def fermionic_pt(rho: FockOperator, spec: SubsystemSpec, tol: float = FLAG_TOL) 
     """
     if not rho.is_parity_even(tol):
         raise ParityError("fermionic partial transpose is defined only on parity-even operators")
-    spec = _resolve_spec(rho, spec)
+    spec = _resolve_spec(rho.layout, spec)
     mat = _signed_gather(rho.matrix, rho.layout.num_modes, spec, fermionic=True)
     return FockOperator(rho.layout, mat, copy=False)
 
@@ -178,7 +180,7 @@ def fermionic_pt_majorana(
     """
     if not rho.is_parity_even(tol):
         raise ParityError("fermionic partial transpose is defined only on parity-even operators")
-    spec = _resolve_spec(rho, spec)
+    spec = _resolve_spec(rho.layout, spec)
     n = rho.layout.num_modes
     stack = _majorana_monomials(n)
     dim = rho.layout.dim

@@ -20,23 +20,22 @@ import numpy as np
 
 from .errors import SamplingError
 from .fock import (
-    FLAG_TOL,
     MAX_MODES,
     FockOperator,
     ModeLayout,
     SubsystemSpec,
     _check_count,
     _check_nonnegative,
-    _density_verdicts,
     _embedded,
     _graded_product,
     _hermitian_part,
+    _require_density_stack,
     _require_even_stack,
     _sign_vector,
     embed_local,
 )
-from .measures import _pt_norm, _pt_norms, _replayed, _stacked_pt_norms, _tripartite_reports, \
-    log_negativity, negativity, pairwise_negativity, pi_abc, trace_norm
+from .measures import _pt_norms, _stacked_pt_norms, _tripartite_reports, log_negativity, \
+    negativity, pairwise_negativity, pi_abc, trace_norm
 from .ptranspose import _nonempty, _sector_projection, _signed_gather, _traced, fermionic_pt, \
     partial_trace
 from .states import (
@@ -104,6 +103,20 @@ def _trial_report(name: str, seed, tolerance: float, draws, build) -> CheckRepor
     diagnostics = [{**diag, "trial": t, "seed": base_seed} for t, (_, diag) in enumerate(scored)]
     worst = max([0.0, *(dev for dev, _ in scored)])
     return _report(name, len(scored), worst, tolerance, diagnostics)
+
+
+def _replayed(stacked, replay):
+    """``stacked()``, the values of a stacked run; if it raises or returns ``None``, ``replay()``.
+
+    The one replay rule, of the draw order: ``replay`` (:func:`_rewound`)
+    draws again from the generator state before the stacked run and runs the
+    trials or samples one at a time, so it raises the per-call error first.
+    """
+    try:
+        found = stacked()
+    except Exception:  # the replay raises it again, after any earlier per-call error
+        found = None
+    return replay() if found is None else found
 
 
 def _rewound(rng: np.random.Generator, replay):
@@ -318,9 +331,7 @@ def _measured_branches(evolved: np.ndarray, big: ModeLayout, r_mode: int):
     branches in a row, the even one first; and each state's parity leak and
     Hermiticity residual, which the validation read.
     """
-    verdicts, *residuals = _density_verdicts(evolved, big.num_modes, FLAG_TOL)
-    for member in evolved[~verdicts]:
-        FockOperator(big, member).require_density_matrix()
+    residuals = _require_density_stack(evolved, big.num_modes)
     keep = SubsystemSpec(tuple(m for m in range(1, big.num_modes + 1) if m != r_mode))
     owners, weights, states = [], [], []
     for sector in ("even", "odd"):  # |0><0| and |1><1| of one mode are its parity projectors
@@ -356,34 +367,28 @@ def _job_norms(jobs: list[_Jobs]) -> list[np.ndarray]:
     come validated, and each stack is formed, checked, transposed and solved
     once by :func:`fneg.measures._pt_norms`: every norm equals the one behind
     ``negativity`` bit for bit.  Each stack's states are released from
-    ``jobs`` once solved, so a bucket holds the states of the stacks still to
-    solve.  If a stack fails a check, every state not yet solved takes one
-    ``_pt_norm`` call, in check order, which raises the per-call error: the
-    solved ones passed the same checks.
+    ``jobs`` once stacked, so a bucket holds the states of the stacks still to
+    solve.  A stack that fails a check raises the error of its first failing
+    state, as ``negativity`` raises it; :func:`_trial_report` then replays the
+    trials one at a time, so the error comes in trial order.
     """
     groups: dict = {}
     for i, job in enumerate(jobs):
         key = (job.layout.num_modes, job.spec.mask(), job.residuals is not None)
         groups.setdefault(key, []).append(i)
-    norms = [None] * len(jobs)
+    norms = {}
     for (n, _, checked), members in groups.items():
         parts = [_formed(jobs[i]) for i in members]
         ends = np.cumsum([len(states) for states in parts])[:-1]
         stack = parts[0] if len(parts) == 1 else np.concatenate(parts)
         del parts
-        for i, states in zip(members, np.split(stack, ends)):  # views in place of the copies
-            jobs[i] = jobs[i]._replace(states=states)
+        for i in members:  # the stack holds their states now
+            jobs[i] = jobs[i]._replace(states=None)
         residuals = np.concatenate([jobs[i].residuals for i in members], -1) if checked else None
         solved = _pt_norms(stack, n, jobs[members[0]].spec, residuals=residuals)
-        if solved is None:
-            return [np.array([_pt_norm(FockOperator(job.layout, state), job.spec, "fermionic",
-                                       FLAG_TOL) for state in _formed(job)])
-                    if norms[i] is None else norms[i] for i, job in enumerate(jobs)]
-        for i, values in zip(members, np.split(solved, ends)):
-            norms[i] = values
-            jobs[i] = jobs[i]._replace(states=None)
+        norms.update(zip(members, np.split(solved, ends)))
         del stack
-    return norms
+    return [norms[i] for i in range(len(jobs))]
 
 
 def _draw_locc_trial(rng: np.random.Generator) -> dict:
@@ -550,8 +555,8 @@ def check_locc_monotonicity(seed=0, trials: int = 200, tolerance: float = 1e-10)
     :func:`_locc_bucket`).  The values equal one ``negativity`` or
     ``log_negativity`` call per state bit for bit.  If anything raises, the
     whole check is replayed one trial at a time, and a trial's stack that fails
-    a check takes one ``_pt_norm`` call per state.  So a trial's build errors
-    come before its norm errors, and a trial with one fault raises the
+    a check raises the error of its first failing state.  So a trial's build
+    errors come before its norm errors, and a trial with one fault raises the
     per-call error.  The ancilla is measured with the kernels of
     :func:`fneg.ptranspose.parity_project`, and every measurement drops an
     outcome of weight at most ``FLAG_TOL``, ``parity_project``'s empty-sector
@@ -718,8 +723,9 @@ def _scan_stacked(rng, configs, start: int, stop: int):
     One ``rng.normal`` call returns the numbers of the per-sample draws, in
     their order, and every stage is the per-sample stage's kernel on a stack,
     so each member equals its sequential sample bit for bit.  ``None`` when any
-    member would be resampled as not type II, or fails a check of
-    ``require_density_matrix`` or ``fermionic_pt``.
+    member would be resampled as not type II.  A member that fails a check of
+    ``require_density_matrix`` raises its per-call error in the norm kernel
+    (:func:`fneg.measures._pt_norms`), and the chunk is replayed.
     """
     cycle = np.arange(start, stop) % len(configs)
     sizes = np.array([2 * layout.dim ** 2 for layout, _ in configs])[cycle]
@@ -737,8 +743,6 @@ def _scan_stacked(rng, configs, start: int, stop: int):
         if not _visibly_type_ii(stack, n, spec.mask()).all():
             return None
         norms = _pt_norms(stack, n, spec)
-        if norms is None:
-            return None
         negs[members] = (norms - 1.0) / 2.0
         for i, mat in zip(members, stack):
             mats[i] = mat

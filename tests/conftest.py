@@ -42,6 +42,14 @@ def basis_vector(layout: ModeLayout, occupations) -> np.ndarray:
     return vec
 
 
+def outcome(fn):
+    """``fn()``'s value, or the type and message of what it raises."""
+    try:
+        return fn()
+    except Exception as err:
+        return type(err), str(err)
+
+
 def record_calls(monkeypatch, *names):
     """Log ``(name, shape of the first argument)`` per call of each named function.
 

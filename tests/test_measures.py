@@ -6,12 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import record_calls
+from conftest import outcome, record_calls
 from fneg.classify import mixed3_classify, pure3_class
 from fneg.cli import main as cli_main
 from fneg.errors import LayoutError, ParityError, StateValidationError
 from fneg.fock import (
     _BLOCK_MIN_MODES,
+    FLAG_TOL,
     FockOperator,
     ModeLayout,
     SubsystemSpec,
@@ -23,6 +24,8 @@ from fneg.measures import (
     SINGULAR_FLOOR,
     MeasureReport,
     _is_pure,
+    _pt_norm,
+    _stacked_pt_norms,
     _tripartite_norms,
     _tripartite_reports,
     amplitude_tensor,
@@ -77,7 +80,9 @@ _I = np.eye(2, dtype=complex)
     lambda rho, tol: pt_moment(rho, S1, 2, tol=tol),
     lambda rho, tol: parity_project(rho, S1, "even", tol=tol),
     lambda rho, tol: mixed3_classify(rho, tol=tol),
-], ids=["negativity", "entropy", "pt_moment", "parity_project", "mixed3_classify"])
+    lambda rho, tol: tripartite_report(rho, tol=tol),
+], ids=["negativity", "entropy", "pt_moment", "parity_project", "mixed3_classify",
+        "tripartite_report"])
 def test_bad_tol_is_rejected(call, tol):
     # a valid state raised StateValidationError("operator is not a unit-trace Hermitian matrix")
     with pytest.raises(ValueError, match="tol must be a finite number >= 0") as raised:
@@ -783,14 +788,27 @@ class TestTripartiteMeasures:
 
     @pytest.mark.parametrize("kind", ["pure_even", "mixed_111", "mixed_211"])
     def test_report_takes_eight_trace_norms(self, monkeypatch, kind):
-        import fneg.measures
+        # one norm kernel call and one signed gather for each of the eight negativities
+        log = record_calls(monkeypatch, "fneg.measures._pt_norms", "fneg.ptranspose._signed_gather")
+        tripartite_report(_tripartite_state(kind))
+        assert [name for name, _ in log] == ["_pt_norms", "_signed_gather"] * 8
+        assert all(shape[0] == 1 for _, shape in log)  # stacks of one
 
-        rho = _tripartite_state(kind)
-        calls = []
-        norm = fneg.measures.trace_norm
-        monkeypatch.setattr(fneg.measures, "trace_norm", lambda op: calls.append(1) or norm(op))
-        tripartite_report(rho)
-        assert len(calls) == 8
+    def test_report_peak_memory_stays_bounded(self):
+        # One warm report at N = 8 traced a peak of 2.13 d x d matrices: the sector
+        # projections are taken one at a time, each released before the next.
+        import tracemalloc
+
+        layout = ModeLayout.tripartite(3, 3, 2)
+        tripartite_report(random_density(layout, 1))  # builds the cached tables
+        rho = random_density(layout, 2)
+        tracemalloc.start()
+        try:
+            tripartite_report(rho)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.25 * 16 * layout.dim ** 2
 
     def test_only_a_pure_report_diagonalizes(self, monkeypatch):
         mixed, pure = _tripartite_state("mixed_111"), _tripartite_state("pure_even")
@@ -899,35 +917,182 @@ class TestStackedTripartite:
                                                   for r in rhos]
 
     def test_a_failing_member_fails_the_stack(self):
+        # the stack raises what a loop of tripartite_report raises
         rhos = _tripartite_stack((1, 1, 1), 8)
         odd = rhos[1].matrix.copy()
         odd[0, 1] = odd[1, 0] = 1e-6  # couples the even |000> to the odd |100>
         stack = np.stack([rhos[0].matrix, odd])
-        assert _tripartite_norms(stack, rhos[0].layout, "fermionic") is None
+        cases = [(stack, rhos[0].layout, "fermionic"),
+                 (stack[:1], ModeLayout(3, ("A", "B", "B")), "fermionic"),
+                 (stack[:1], rhos[0].layout, "other")]
         for value in (np.nan, np.inf):  # no stage past the first check warns
             bad = stack.copy()
             bad[1, 2, 2] = value
-            assert _tripartite_norms(bad, rhos[0].layout, "bosonic") is None
-        assert _tripartite_norms(stack[:1], ModeLayout(3, ("A", "B", "B")), "fermionic") is None
-        assert _tripartite_norms(stack[:1], rhos[0].layout, "other") is None
-        with pytest.raises(ParityError):  # the replay raises the per-call error
+            cases.append((bad, rhos[0].layout, "bosonic"))
+        for states, layout, flavor in cases:
+            ops = [FockOperator(layout, m) for m in states]
+            want = outcome(lambda: [tripartite_report(op, flavor) for op in ops])
+            assert isinstance(want, tuple)
+            assert outcome(lambda: _tripartite_norms(states, layout, flavor)) == want
+        with pytest.raises(ParityError):
             _tripartite_reports([rhos[0], FockOperator(rhos[0].layout, odd)])
 
-    @pytest.mark.parametrize("args", [
-        ["sweep", "psi_p", "--steps", "99"],
-        ["sweep", "psi_p", "--steps", "99", "--flavor", "bosonic", "--normalized"],
-        ["sweep", "werner"],
-        ["--output", "json", "sweep", "werner", "--flavor", "bosonic"],
+    @pytest.mark.parametrize("family,flavor,options,output", [
+        ("psi_p", "fermionic", ["--steps", "99"], "csv"),
+        ("psi_p", "bosonic", ["--steps", "99", "--normalized"], "csv"),
+        ("werner", "fermionic", [], "csv"),
+        ("werner", "bosonic", [], "json"),
     ], ids=["psi_p", "psi_p_bosonic", "werner", "werner_bosonic"])
-    def test_a_failed_stack_replays_to_the_same_output(self, monkeypatch, args):
-        import fneg.measures
+    def test_sweep_equals_the_public_measures(self, capsys, family, flavor, options, output):
+        # every row of the stacked sweep, bit for bit, from one public call per measure
         from click.testing import CliRunner
 
-        from fneg.cli import cli
+        from fneg.cli import _emit_rows, cli
 
-        stacked = CliRunner().invoke(cli, args, catch_exceptions=False)
-        log = []
-        monkeypatch.setattr(fneg.measures, "_pt_norms", lambda *a, **k: log.append(1))
-        replayed = CliRunner().invoke(cli, args, catch_exceptions=False)
-        assert log  # the stack was tried, then every row ran per call
-        assert (replayed.exit_code, replayed.output) == (0, stacked.output)
+        args = ["--output", output, "sweep", family, "--flavor", flavor, *options]
+        found = CliRunner().invoke(cli, args, catch_exceptions=False)
+        grid = np.linspace(0.0, 1.0, 99 if "--steps" in options else 101)
+        rhos = [canonical_state(family, p=float(p)) for p in grid]
+        if family == "werner":
+            columns = ["p", "negativity", "log_negativity"]
+            rows = [{"p": float(p), "negativity": negativity(rho, S1, flavor),
+                     "log_negativity": log_negativity(rho, S1, flavor)}
+                    for p, rho in zip(grid, rhos)]
+        else:
+            def measures(rho):
+                return {"j_abc": j_abc(rho, flavor=flavor), "three_tangle": three_tangle(rho),
+                        "n_abc": n_abc(rho, flavor), "pi_abc": pi_abc(rho, flavor)}
+
+            ghz = measures(canonical_state("ghz"))
+            scale = ghz if "--normalized" in options else dict.fromkeys(ghz, 1.0)
+            columns = ["p", *ghz, "label"]
+            rows = [{"p": float(p), **{m: v / scale[m] for m, v in measures(rho).items()},
+                     "label": pure3_class(rho).label} for p, rho in zip(grid, rhos)]
+        _emit_rows(rows, columns, output)
+        assert (found.exit_code, found.output) == (0, capsys.readouterr().out)
+
+
+def _precedence_members(sizes) -> tuple:
+    """A valid state and states that fail one check each, on a tripartite layout of ``sizes``."""
+    rng = np.random.default_rng(40 + sum(sizes))
+    layout = ModeLayout.tripartite(*sizes)
+    rho = random_density(layout, rng).matrix
+    pure = random_pure(layout, "even", rng).matrix
+    valid = 0.5 * rho + 0.5 * np.eye(layout.dim) / layout.dim  # eigenvalues above 1/(2d)
+    hermiticity, mixing = valid.copy(), valid.copy()
+    hermiticity[0, 3] += 1e-3  # |0..0> and |110..0> are both even
+    mixing[0, 1] += 1e-3  # couples the even |0..0> to the odd |10..0>
+    mixing[1, 0] += 1e-3
+    members = {"valid": valid, "psd": 2.0 * rho - pure, "hermiticity": hermiticity,
+               "parity": mixing}
+    for kind, m in members.items():  # each fails the check it is named after, and no other
+        op = FockOperator(layout, m)
+        assert (op.is_hermitian() and op.is_unit_trace()) == (kind != "hermiticity")
+        assert op.is_parity_even() == (kind != "parity")
+        assert kind == "hermiticity" or op._is_psd(FLAG_TOL) == (kind != "psd")
+    return layout, members
+
+
+#: Stacks whose members fail checks in different orders, by member kind, with
+#: the target of the bipartite kernel and whether the tripartite layout is proper.
+_PRECEDENCE = {
+    "psd_then_hermiticity": (("psd", "hermiticity"), (1,), True),
+    "valid_then_parity": (("valid", "parity"), (1,), True),
+    "improper_target_then_invalid": (("valid", "hermiticity"), None, False),
+    "invalid_then_improper_target": (("psd", "valid"), None, False),
+    "parity_mixing_valid": (("parity", "valid"), (1,), True),
+}
+
+
+@pytest.mark.parametrize("sizes", [(1, 1, 1), (2, 2, 1)])
+@pytest.mark.parametrize("flavor", ["fermionic", "bosonic"])
+@pytest.mark.parametrize("case", list(_PRECEDENCE))
+class TestStackErrorPrecedence:
+    """A stack raises the type and message a loop of per-call calls raises, or returns its values.
+
+    A rule that hands only the first member with a False verdict to the per-call
+    check fails ``psd_then_hermiticity``: the failed Hermiticity test of the
+    second member skips the PSD verdict of the first.
+    """
+
+    def test_stacked_pt_norms(self, sizes, flavor, case):
+        layout, members = _precedence_members(sizes)
+        kinds, target, _ = _PRECEDENCE[case]
+        spec = SubsystemSpec(target or tuple(range(1, layout.num_modes + 1)))
+        rhos = [FockOperator(layout, members[kind]) for kind in kinds]
+        want = outcome(lambda: [_pt_norm(rho, spec, flavor, FLAG_TOL) for rho in rhos])
+        assert outcome(lambda: _stacked_pt_norms(rhos, spec, flavor)) == want
+        if target is None and flavor == "fermionic":
+            assert want[0] is (LayoutError if kinds[0] == "valid" else StateValidationError)
+
+    def test_tripartite_norms(self, sizes, flavor, case):
+        layout, members = _precedence_members(sizes)
+        kinds, _, proper = _PRECEDENCE[case]
+        if not proper:
+            layout = ModeLayout(layout.num_modes, ("A",) + ("B",) * (layout.num_modes - 1))
+        stack = np.stack([members[kind] for kind in kinds])
+        want = outcome(lambda: [tripartite_report(FockOperator(layout, m), flavor)
+                                 for m in stack])
+        assert isinstance(want, tuple)  # every case raises, the bosonic parity one included
+        assert outcome(lambda: _tripartite_norms(stack, layout, flavor)) == want
+
+
+def _pure_vector(n: int, parity: str, seed: int) -> np.ndarray:
+    """A random unit vector on the ``parity`` sector of ``n`` modes."""
+    rng = np.random.default_rng(seed)
+    vec = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+    odd = np.array([bin(i).count("1") % 2 for i in range(1 << n)], dtype=bool)
+    vec[odd != (parity == "odd")] = 0.0
+    return vec / np.linalg.norm(vec)
+
+
+def _schmidt_trace_norm(vec: np.ndarray, n: int, targets) -> float:
+    """``|rho^{T_A}|_1 = (sum_k s_k)^2`` of a pure state of definite parity.
+
+    ``s_k`` are the Schmidt coefficients after the targets are moved to the
+    front: the amplitude of ``|n_1 .. n_N>`` takes the sign ``(-1)**k``, with
+    ``k`` the inversions of the move, the pairs of occupied modes ``b < a``
+    with ``a`` a target and ``b`` not (Shapourian, Shiozaki & Ryu 2017).
+    """
+    rest = [m for m in range(1, n + 1) if m not in targets]
+    bits = (np.arange(1 << n)[:, None] >> np.arange(n)) & 1  # bits[i, j - 1] = n_j
+    inversions = sum(bits[:, b - 1] * bits[:, a - 1] for a in targets for b in rest if b < a)
+    row = sum(bits[:, a - 1] << k for k, a in enumerate(targets))
+    col = sum(bits[:, b - 1] << k for k, b in enumerate(rest))
+    amplitudes = np.zeros((1 << len(targets), 1 << len(rest)), dtype=complex)
+    amplitudes[row, col] = (-1.0) ** inversions * vec
+    return float(np.linalg.svd(amplitudes, compute_uv=False).sum() ** 2)
+
+
+class TestPureStateOracle:
+    """Norms of pure states against their Schmidt coefficients, an independent oracle.
+
+    The reorder signs count inversions here, apart from the code's Jordan-Wigner
+    tables: a transpose that drops them fails on every non-leading target.
+    """
+
+    @staticmethod
+    def _close(negativity_found: float, norm: float) -> bool:
+        return abs(2.0 * negativity_found + 1.0 - norm) <= 1e-12 * norm
+
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_negativity(self, n):
+        layout = ModeLayout(n, ("A",) * n)
+        targets = {tuple(range(1, n // 2 + 1)), tuple(range(1, n + 1, 2))}  # leading, interleaved
+        for parity in ("even", "odd"):
+            vec = _pure_vector(n, parity, 100 * n + len(parity))
+            rho = FockOperator(layout, np.outer(vec, vec.conj()), copy=False)
+            for target in targets:
+                norm = _schmidt_trace_norm(vec, n, target)
+                assert self._close(negativity(rho, SubsystemSpec(target)), norm), (parity, target)
+
+    @pytest.mark.parametrize("sizes", [(1, 1, 1), (2, 2, 2), (4, 3, 3)])
+    def test_tripartite_report(self, sizes):
+        layout = ModeLayout.tripartite(*sizes)
+        n = layout.num_modes
+        for parity in ("even", "odd"):
+            vec = _pure_vector(n, parity, 7 * n + len(parity))
+            report = tripartite_report(FockOperator(layout, np.outer(vec, vec.conj()), copy=False))
+            for lab in "ABC":
+                norm = _schmidt_trace_norm(vec, n, layout.spec(lab).target_modes)
+                assert self._close(report[f"negativity_{lab}"], norm), (parity, lab)

@@ -6,7 +6,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import random_even_operator
+from conftest import outcome, random_even_operator
+from fneg.errors import LayoutError, StateValidationError
 from fneg.fock import (
     FLAG_TOL,
     FockOperator,
@@ -52,6 +53,16 @@ def _bits(a) -> bytes:
     return np.ascontiguousarray(a).tobytes()
 
 
+def _raises_as_per_call(states: np.ndarray, n: int, spec: SubsystemSpec):
+    """Assert that the kernel raises the error of a loop of ``_pt_norm`` calls; return it."""
+    lay = ModeLayout(n, ("A",) * n)
+    per_call = outcome(lambda: [_pt_norm(FockOperator(lay, m), spec, "fermionic", FLAG_TOL)
+                                 for m in states])
+    assert isinstance(per_call, tuple)
+    assert outcome(lambda: _pt_norms(states, n, spec)) == per_call
+    return per_call
+
+
 @pytest.mark.parametrize("n", MODES)
 class TestStackEqualsMembers:
     def test_parity_leak(self, n):
@@ -94,6 +105,8 @@ class TestStackEqualsMembers:
             out = _signed_gather(stack, n, spec, fermionic)
             assert out.shape == stack.shape
             assert _bits(out) == _bits([_signed_gather(m, n, spec, fermionic) for m in stack])
+            one = _signed_gather(stack[:1], n, spec, fermionic)  # a stack of one keeps its axis
+            assert one.shape == stack[:1].shape and _bits(one) == _bits(out[:1])
 
     def test_draw_and_gram(self, n):
         d = 1 << n
@@ -149,7 +162,7 @@ def test_pt_norms_equal_pt_norm(n):
     for target, fermionic in itertools.product(targets, (True, False)):
         spec = SubsystemSpec(target)
         if fermionic and len(target) == n:  # not a proper target
-            assert _pt_norms(states, n, spec) is None
+            assert _raises_as_per_call(states, n, spec)[0] is LayoutError
             continue
         flavor = "fermionic" if fermionic else "bosonic"
         ops = [FockOperator(lay, m) for m in states]
@@ -168,14 +181,16 @@ def test_pt_norms_fail_on_a_non_finite_member(n, value):
     states = _kernel_states(n, 80 + n)
     states[2, 0, 0] = value
     with np.errstate(invalid="ignore"):  # inf - inf in the Hermiticity residual
-        assert _pt_norms(states, n, SubsystemSpec((1,))) is None
-    assert _pt_norms(states[[0, 1, 3]], n, SubsystemSpec((1,))) is not None
+        error = _raises_as_per_call(states, n, SubsystemSpec((1,)))
+    assert error == (StateValidationError, "operator is not a unit-trace Hermitian matrix")
+    assert len(_pt_norms(states[[0, 1, 3]], n, SubsystemSpec((1,)))) == 3
 
 
 @pytest.mark.parametrize("n", MODES)
 def test_pt_norms_fail_on_an_invalid_member(n):
     # non-Hermitian even operators and Hermitian states with a parity-odd part
-    assert _pt_norms(_stack(n, n + 50), n, SubsystemSpec((1,))) is None
+    assert _raises_as_per_call(_stack(n, n + 50), n, SubsystemSpec((1,)))[0] is \
+        StateValidationError
 
 
 @pytest.mark.parametrize("n", [5, 6])
@@ -189,8 +204,9 @@ def test_block_psd_fails_a_member_alone(n):
     assert (leak == 0.0).all() and herm[3] == 0.0
     singles = [FockOperator(lay, m).is_density_matrix() for m in stack]
     assert verdicts.tolist() == singles == [True, True, True, False]
-    assert _pt_norms(stack, n, SubsystemSpec((1,))) is None
-    assert _pt_norms(states, n, SubsystemSpec((1,))) is not None
+    error = _raises_as_per_call(stack, n, SubsystemSpec((1,)))
+    assert error == (StateValidationError, "operator is not positive semi-definite")
+    assert len(_pt_norms(states, n, SubsystemSpec((1,)))) == 3
 
 
 @pytest.mark.parametrize("n", MODES)
