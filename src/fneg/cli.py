@@ -129,18 +129,15 @@ def reproduce(ctx, target):
             click.echo(f"{len(bad)} value(s) beyond tolerance {tolerance}", err=True)
             ctx.exit(EXIT_MISMATCH)
         ctx.exit(EXIT_OK)
-    rows = []
-    mismatch = False
-    for name, coeffs, expected in _TABLE1_EXEMPLARS:
-        label = classify_mod.pure3_class(coeffs, threshold=tolerance)
-        ok = label.label == expected
-        mismatch |= not ok
-        rows.append(
-            {"state": name, "expected": expected, "computed": label.label,
-             "match": str(ok).lower()}
-        )
+    # pure3_class of each exemplar, its witnesses from one stacked pass
+    vectors = [states.pure_vector_from_coeffs(coeffs) for _, coeffs, _ in _TABLE1_EXEMPLARS]
+    reports = _tripartite_reports([states._density(layout, vec) for vec, layout in vectors])
+    labels = [classify_mod._pure3_verdict(report.entries, tolerance).label for report in reports]
+    rows = [{"state": name, "expected": expected, "computed": label,
+             "match": str(label == expected).lower()}
+            for (name, _, expected), label in zip(_TABLE1_EXEMPLARS, labels)]
     _emit_rows(rows, ["state", "expected", "computed", "match"], output)
-    ctx.exit(EXIT_MISMATCH if mismatch else EXIT_OK)
+    ctx.exit(EXIT_OK if all(row["computed"] == row["expected"] for row in rows) else EXIT_MISMATCH)
 
 
 # -- sweep -------------------------------------------------------------------------

@@ -35,9 +35,9 @@ from .fock import (
     embed_local,
 )
 from .measures import _pt_norms, _stacked_pt_norms, _tripartite_reports, log_negativity, \
-    negativity, pairwise_negativity, pi_abc, trace_norm
-from .ptranspose import _nonempty, _sector_projection, _signed_gather, _traced, fermionic_pt, \
-    partial_trace
+    negativity, pi_abc
+from .ptranspose import _check_flavor, _nonempty, _sector_projection, _signed_gather, _traced, \
+    fermionic_pt, partial_trace
 from .states import (
     _block_gaussian,
     _normalised_gram,
@@ -73,7 +73,8 @@ class CheckReport:
     diagnostics: list[dict] = dataclasses.field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
+        """The fields, in order; the diagnostics are the report's own, not a deep copy."""
+        return dict(vars(self))
 
 
 def _report(name: str, trials: int, max_violation: float, tolerance: float,
@@ -660,7 +661,10 @@ def check_perturbation_expansion(
     ``rho^{T_A} (rho^{T_A})^+`` is an even function of the perturbation
     strength (conjugation by the subsystem parity operator flips its sign), so
     every odd-order correction vanishes identically and the stated cubic
-    bracket cannot be met; the report carries the measured ratios.
+    bracket cannot be met; the report carries the measured ratios.  Each
+    trial's states are checked and solved as one stack
+    (:func:`fneg.measures._pt_norms`), each norm bit for bit
+    ``trace_norm(fermionic_pt(...))``.
     """
     _check_count("trials", trials)
     if not 0.0 <= min_pass_fraction <= 1.0:  # NaN fails too
@@ -679,11 +683,9 @@ def check_perturbation_expansion(
         m = 1 + t % 2
         w, rho0, rho1, delta = _perturbation_instance(rng, m, max(epsilons))
         predicted = trace_norm_prediction(w, rho0, rho1, delta, epsilons)
-        residuals = []
-        for eps, prediction in zip(epsilons, predicted):
-            rho = perturbed_state(w, rho0, rho1, delta, eps)
-            actual = trace_norm(fermionic_pt(rho, SubsystemSpec((1,))))
-            residuals.append(abs(actual - prediction))
+        stack = np.stack([perturbed_state(w, rho0, rho1, delta, eps).matrix for eps in epsilons])
+        actual = _pt_norms(stack, 1 + m, SubsystemSpec((1,))).tolist()
+        residuals = [abs(norm - prediction) for norm, prediction in zip(actual, predicted)]
         ratios = [residuals[i] / residuals[i + 1] for i in range(len(residuals) - 1)]
         ok = all(ratio_bounds[0] <= r <= ratio_bounds[1] for r in ratios)
         failures += 0 if ok else 1
@@ -824,31 +826,24 @@ def pi_inequality_scan(seed=0, samples: int = 300, flavor: str = "fermionic") ->
     """Monitor ``N_AB^2 + N_AC^2 <= N_{A(BC)}^2`` on random three-mode states.
 
     Informational only: violation counts are reported but never gate a pass
-    (the fermionic-flavor status of the inequality is an open question).
+    (the fermionic-flavor status of the inequality is an open question).  Each
+    negativity is one :func:`fneg.measures._pt_norms` call on the stack of the
+    samples or of their reductions, equal to ``negativity`` or
+    ``pairwise_negativity`` of each sample bit for bit.
     """
     _check_count("samples", samples)
     rng = _rng(seed)
     layout = ModeLayout.tripartite()
-    violations = 0
-    worst_slack = np.inf
-    for t in range(samples):
-        kind = t % 3
-        if kind == 0:
-            rho = random_pure(layout, "even", rng)
-        elif kind == 1:
-            rho = random_pure(layout, "odd", rng)
-        else:
-            rho = random_density(layout, rng)
-        n_a = negativity(rho, layout.spec("A"), flavor)
-        n_ab = pairwise_negativity(rho, "A", "B", flavor)
-        n_ac = pairwise_negativity(rho, "A", "C", flavor)
-        slack = n_a**2 - n_ab**2 - n_ac**2
-        worst_slack = min(worst_slack, slack)
-        if slack < -1e-10:
-            violations += 1
-    diagnostics = [
-        {"violations": violations, "worst_slack": float(worst_slack), "flavor": flavor}
-    ]
+    stack = np.stack([(random_density(layout, rng) if t % 3 == 2 else random_pure(
+        layout, "odd" if t % 3 else "even", rng)).matrix for t in range(samples)])
+    fermionic = _check_flavor(flavor) == "fermionic"
+    norms = [_pt_norms(stack, 3, layout.spec("A"), fermionic)] + [
+        _pt_norms(_traced(stack, 3, SubsystemSpec((1, m))), 2, SubsystemSpec((1,)), fermionic)
+        for m in (2, 3)]
+    slacks = [n_a**2 - n_ab**2 - n_ac**2 for n_a, n_ab, n_ac in zip(
+        *(((norm - 1.0) / 2.0).tolist() for norm in norms))]
+    diagnostics = [{"violations": sum(slack < -1e-10 for slack in slacks),
+                    "worst_slack": min(slacks), "flavor": flavor}]
     return _report("pi_inequality_monitor", samples, 0.0, float("inf"), diagnostics)
 
 

@@ -42,6 +42,26 @@ def basis_vector(layout: ModeLayout, occupations) -> np.ndarray:
     return vec
 
 
+def majorana_monomial(num_modes: int, indices) -> tuple[np.ndarray, np.ndarray]:
+    """The ordered Majorana monomial ``c_{k_1} c_{k_2} ... c_{k_m}`` (``k_1 < k_2 < ...``) as a
+    signed permutation: column ``x`` holds ``phases[x]`` at row ``rows[x]``, all else is 0.
+
+    Built in O(m d) from each factor's action on the basis, rightmost first:
+    ``c_{2j-1}|x> = (-1)^{n_1+..+n_{j-1}} |x ^ b_j>`` and ``c_{2j}|x> = -i (-1)^{n_j}
+    (-1)^{n_1+..+n_{j-1}} |x ^ b_j>``, with ``b_j`` the bit of mode j (``c_{2j-1} = f_j^+ + f_j``,
+    ``c_{2j} = -i(f_j^+ - f_j)``).  Every phase is a product of exact ``+-1`` and ``+-i``.
+    """
+    rows = np.arange(1 << num_modes)
+    phases = np.ones(rows.size, dtype=complex)
+    for k in sorted(indices, reverse=True):
+        bit = 1 << ((k - 1) // 2)
+        phases *= np.where(np.bitwise_count(rows & (bit - 1)) % 2, -1, 1)
+        if k % 2 == 0:
+            phases *= np.where(rows & bit, 1j, -1j)
+        rows = rows ^ bit
+    return rows, phases
+
+
 def outcome(fn):
     """``fn()``'s value, or the type and message of what it raises."""
     try:

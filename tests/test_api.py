@@ -73,6 +73,70 @@ def test_unused_import_check_sees_string_annotations_and_exports():
     assert _unused_imports(source) == ["B (line 3)", "os (line 2)"]
 
 
+#: Per-state norm calls, which the checks and commands take on stacks instead.
+_PER_STATE_NORMS = {"negativity", "log_negativity", "pairwise_negativity", "trace_norm",
+                    "pure3_class"}
+
+#: The loops of per-state calls kept on purpose: ``conjecture_scan``'s draw-order replay, and
+#: the eleven fixed states of mixed layouts behind ``reproduce paper-values``.
+_PER_STATE_LOOPS = {"_scan_sequential", "_paper_value_rows"}
+
+
+def _per_state_norm_loops(source: str) -> list[str]:
+    """Calls to a per-state norm, by name or attribute, that run once per pass of a loop.
+
+    A call sits in a loop if it is in a ``for`` or ``while`` loop or in a
+    comprehension, but not in the iterable that a ``for`` or a comprehension's
+    first generator evaluates once.  Functions in :data:`_PER_STATE_LOOPS` are
+    skipped.
+    """
+    tree = ast.parse(source)
+    comprehensions = (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+    once = set()  # the parts of a loop evaluated once, as ids
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.For, ast.AsyncFor)):
+            once.add(id(node.iter))
+        elif isinstance(node, comprehensions):
+            once.update((id(node.generators[0]), id(node.generators[0].iter)))
+    loops = (ast.For, ast.AsyncFor, ast.While, ast.comprehension, *comprehensions)
+    found = []
+
+    def visit(node: ast.AST, looped: bool) -> None:
+        if isinstance(node, ast.FunctionDef) and node.name in _PER_STATE_LOOPS:
+            return
+        name = getattr(node.func, "id", getattr(node.func, "attr", None)) \
+            if isinstance(node, ast.Call) else None
+        if looped and name in _PER_STATE_NORMS:
+            found.append(f"{name} (line {node.lineno})")
+        for child in ast.iter_child_nodes(node):
+            visit(child, looped or isinstance(node, loops) and id(child) not in once)
+
+    visit(tree, False)
+    return found
+
+
+@pytest.mark.parametrize("name", ["verify.py", "cli.py"])
+def test_no_per_state_norm_runs_in_a_loop(name):
+    # a norm per state in a Python loop is a stacked kernel call left untaken
+    assert _per_state_norm_loops((SRC / name).read_text(encoding="utf-8")) == []
+
+
+def test_per_state_norm_rule():
+    source = ("def f(rhos, spec):\n"
+              "    for rho in [negativity(r, spec) for r in trace_norm(rhos)]:\n"
+              "        m.pure3_class(rho)\n"
+              "    xs = {k: log_negativity(k) for k in rhos if trace_norm(k)}\n"
+              "    ys = [a for a in rhos for b in pairwise_negativity(a)]\n"
+              "    while rhos:\n"
+              "        rhos = trace_norm(rhos)\n"
+              "    return negativity(rhos, spec), [f(r) for r in negativity(rhos)]\n"
+              "def _scan_sequential(rhos):\n"
+              "    return [negativity(r) for r in rhos]\n")
+    assert _per_state_norm_loops(source) == [
+        "negativity (line 2)", "pure3_class (line 3)", "log_negativity (line 4)",
+        "trace_norm (line 4)", "pairwise_negativity (line 5)", "trace_norm (line 7)"]
+
+
 def _unreferenced_functions(modules: dict[str, str], others: list[str], exempt: set[str]) -> list[str]:
     """Module-level functions of ``modules`` (file name -> source) that no source references.
 

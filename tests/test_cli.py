@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from fneg.cli import cli, main
+from fneg.classify import pure3_class
+from fneg.cli import _TABLE1_EXEMPLARS, cli, main
 from fneg.states import canonical_vector
 
 
@@ -49,6 +50,25 @@ class TestReproduce:
         result = invoke(runner, ["--output", output, "reproduce", "table1"])
         assert result.exit_code == 0
         assert hashlib.sha256(result.output.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("args", [["--tolerance", "0.3"], ["--tolerance", "0"],
+                                      ["--output", "json"], ["--output", "json", "--tolerance", "0.3"]])
+    def test_table1_equals_a_loop_of_pure3_class(self, runner, args):
+        # each row and the exit code as pure3_class gives them, one exemplar at a time
+        tolerance = float(args[args.index("--tolerance") + 1]) if "--tolerance" in args else 1e-9
+        rows = []
+        for name, coeffs, expected in _TABLE1_EXEMPLARS:
+            computed = pure3_class(coeffs, threshold=tolerance).label
+            rows.append({"state": name, "expected": expected, "computed": computed,
+                         "match": str(computed == expected).lower()})
+        if "json" in args:
+            want = json.dumps(rows, indent=2) + "\n"
+        else:
+            want = "".join(",".join(row.values()) + "\n"
+                           for row in [dict(zip(rows[0], rows[0])), *rows])
+        result = invoke(runner, [*args, "reproduce", "table1"])
+        assert result.output == want
+        assert result.exit_code == (0 if all(row["match"] == "true" for row in rows) else 1)
 
     @pytest.mark.parametrize("args,code,digest", [
         (["sweep", "psi_p", "--steps", "99"], 0,

@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from conftest import max_abs, random_even_operator
+from conftest import majorana_monomial, max_abs, random_even_operator
 from fneg.errors import LayoutError, ParityError
 from fneg.fock import (
     FockOperator,
@@ -101,6 +101,50 @@ class TestFermionicPT:
             assert max_abs(
                 fermionic_pt(op, spec), fermionic_pt_majorana(op, spec)
             ) <= 1e-12
+
+
+#: Targets of the monomial rule at N modes: leading, interleaved (the even modes, so that
+#: mode 1 is moved behind a target) and trailing.
+_MONOMIAL_TARGETS = {
+    "leading": lambda n: tuple(range(1, n // 2 + 1)),
+    "interleaved": lambda n: tuple(range(2, n + 1, 2)),
+    "trailing": lambda n: tuple(range(n // 2 + 1, n + 1)),
+}
+
+
+class TestMonomialRule:
+    """``fermionic_pt(gamma_S) = i^{|S cap A|} gamma_S`` for every even Majorana monomial
+    ``gamma_S``, with ``|S cap A|`` the factors on target modes: exact, on matrices, where
+    the Majorana-expansion oracle (five modes at most) cannot reach."""
+
+    @pytest.mark.parametrize("targets", sorted(_MONOMIAL_TARGETS))
+    @pytest.mark.parametrize("n", range(6, 11))
+    def test_each_monomial_takes_its_phase(self, n, targets):
+        rng = np.random.default_rng(1000 * n + len(targets))
+        spec = SubsystemSpec(_MONOMIAL_TARGETS[targets](n))
+        layout = ModeLayout(n, ("A",) * n)
+        cols = np.arange(1 << n)
+        every = tuple(range(1, 2 * n + 1))  # all 2N Majoranas: the total parity, up to a phase
+        for size in (2, 2, 2, 4, 4, 6, 2 * n - 2, every):
+            indices = every if size is every else tuple(rng.choice(every, size, replace=False))
+            rows, phases = majorana_monomial(n, indices)
+            gamma = np.zeros((1 << n, 1 << n), dtype=complex)
+            gamma[rows, cols] = phases
+            on_a = sum((k + 1) // 2 in spec.target_modes for k in indices)
+            transposed = fermionic_pt(FockOperator(layout, gamma, copy=False), spec).matrix
+            assert np.array_equal(transposed, 1j ** on_a * gamma), sorted(indices)
+
+    def test_monomials_are_the_majorana_products(self):
+        # the helper against products of majorana_op, for every monomial of three modes
+        layout = ModeLayout(3, ("A",) * 3)
+        for mask in range(1 << 6):
+            indices = [k for k in range(1, 7) if mask >> (k - 1) & 1]
+            product = np.eye(8, dtype=complex)
+            for k in indices:
+                product = product @ majorana_op(layout, k).matrix
+            rows, phases = majorana_monomial(3, indices)
+            assert np.array_equal(product[rows, np.arange(8)], phases)
+            assert np.count_nonzero(product) == 8
 
 
 class TestInvolutionStructure:

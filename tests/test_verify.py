@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import tracemalloc
@@ -12,7 +13,7 @@ from fneg import verify as verify_mod
 from fneg.cli import main as cli_main
 from fneg.fock import FLAG_TOL, FockOperator, ModeLayout, SubsystemSpec, embed_local, \
     graded_tensor, parity_op
-from fneg.measures import log_negativity, negativity, trace_norm
+from fneg.measures import log_negativity, negativity, pairwise_negativity, trace_norm
 from fneg.ptranspose import fermionic_pt, fermionic_pt_majorana, full_transpose, partial_trace
 from fneg.states import random_density
 from fneg.verify import (
@@ -86,6 +87,12 @@ class TestHelpers:
     def test_report_invariant(self):
         rep = CheckReport("demo", 1, 2e-11, 1e-11, passed=(2e-11 <= 1e-11))
         assert rep.passed == (rep.max_violation <= rep.tolerance)
+
+    def test_to_dict_dumps_as_a_deep_copy(self):
+        # the fields in order, nested diagnostics included, without copying them
+        rep = conjecture_scan(seed=5, samples=30, num_modes=(2,), threshold=1.0)
+        assert json.dumps(rep.to_dict(), indent=2) == json.dumps(dataclasses.asdict(rep), indent=2)
+        assert rep.to_dict()["diagnostics"] is rep.diagnostics
 
 
 #: SHA-256 of ``fneg --seed 7 verify locc`` as printed before each trial's norms were batched.
@@ -756,6 +763,21 @@ class TestPerturbationExpansion:
                 norms.append(trace_norm(pt))
             assert abs(norms[0] - norms[1]) <= 1e-12
 
+    @pytest.mark.parametrize("seed", [0, 7, 11])
+    def test_residuals_equal_per_call_norms(self, seed):
+        # each epsilon's norm is the one trace_norm(fermionic_pt(...)) takes, bit for bit
+        epsilons = (1e-2, 5e-3, 2.5e-3)
+        rng = states_mod._rng(seed)
+        report = check_perturbation_expansion(seed=seed)
+        for t, diag in enumerate(report.diagnostics):
+            w, rho0, rho1, delta = _perturbation_instance(rng, 1 + t % 2, max(epsilons))
+            predicted = trace_norm_prediction(w, rho0, rho1, delta, epsilons)
+            residuals = [abs(trace_norm(fermionic_pt(perturbed_state(w, rho0, rho1, delta, eps),
+                                                     SubsystemSpec((1,)))) - prediction)
+                         for eps, prediction in zip(epsilons, predicted)]
+            assert diag["residuals"] == residuals
+            assert diag["ratios"] == [residuals[0] / residuals[1], residuals[1] / residuals[2]]
+
     def test_epsilon_validation(self):
         with pytest.raises(ValueError):
             check_perturbation_expansion(trials=1, epsilons=(1e-3, 1e-2))
@@ -900,12 +922,50 @@ class TestConjectureScan:
             assert subsystem_parity_commutator_norm(rho, spec) > 1e-6
 
 
+def _pi_scan_per_call(seed, samples: int, flavor: str) -> dict:
+    """``pi_inequality_scan``'s report as a loop of ``negativity`` and ``pairwise_negativity``."""
+    rng = states_mod._rng(seed)
+    layout = ModeLayout.tripartite()
+    violations, worst = 0, np.inf
+    for t in range(samples):
+        if t % 3 < 2:
+            rho = states_mod.random_pure(layout, ("even", "odd")[t % 3], rng)
+        else:
+            rho = random_density(layout, rng)
+        slack = (negativity(rho, layout.spec("A"), flavor) ** 2
+                 - pairwise_negativity(rho, "A", "B", flavor) ** 2
+                 - pairwise_negativity(rho, "A", "C", flavor) ** 2)
+        worst = min(worst, slack)
+        violations += slack < -1e-10
+    return {"check_name": "pi_inequality_monitor", "trials": samples, "max_violation": 0.0,
+            "tolerance": float("inf"), "passed": True, "diagnostics": [
+                {"violations": violations, "worst_slack": float(worst), "flavor": flavor}]}
+
+
 class TestPiInequalityScan:
     def test_monitor_reports_without_gating(self):
         report = pi_inequality_scan(seed=17, samples=60)
         assert report.passed  # informational: never gates
         summary = report.diagnostics[0]
         assert "violations" in summary and "worst_slack" in summary
+
+    @pytest.mark.parametrize("samples", [1, 2, 60, 300])
+    @pytest.mark.parametrize("flavor", ["fermionic", "bosonic"])
+    @pytest.mark.parametrize("seed", [0, 5, 17])
+    def test_equals_a_loop_of_the_public_measures(self, seed, flavor, samples):
+        report = pi_inequality_scan(seed=seed, samples=samples, flavor=flavor)
+        assert json.dumps(report.to_dict()) == json.dumps(_pi_scan_per_call(seed, samples, flavor))
+
+    @pytest.mark.parametrize("samples", [1, 7, 300])
+    def test_takes_three_stacked_norms(self, monkeypatch, samples):
+        # N_A(BC) on the samples, N_AB and N_AC on their reductions: one stack each
+        log = record_calls(monkeypatch, "fneg.measures._pt_norms")
+        pi_inequality_scan(seed=3, samples=samples)
+        assert log == [("_pt_norms", (samples, 8, 8))] + [("_pt_norms", (samples, 4, 4))] * 2
+
+    def test_an_unknown_flavor_is_refused(self):
+        with pytest.raises(ValueError, match="flavor"):
+            pi_inequality_scan(seed=0, samples=2, flavor="anyonic")
 
 
 @pytest.mark.parametrize("call,message", [
