@@ -304,11 +304,13 @@ def classify_cmd(ctx, state_file):
 
 # -- verify ------------------------------------------------------------------------
 
-_VERIFY_DEFAULT_TRIALS = {
-    "identities": 100,
-    "locc": 200,
-    "perturbation": 50,
-    "conjecture": 10000,
+#: Each ``verify`` subject: its check, and the keywords that take ``--trials`` and ``--modes``
+#: (``None``: it takes no mode counts).  An option left out keeps the check's own default.
+_VERIFY_CHECKS = {
+    "identities": (verify.check_identity_suite, "trials", "modes"),
+    "locc": (verify.check_locc_monotonicity, "trials", None),
+    "perturbation": (verify.check_perturbation_expansion, "trials", None),
+    "conjecture": (verify.conjecture_scan, "samples", "num_modes"),
 }
 
 
@@ -326,9 +328,7 @@ def _parse_modes(ctx, param, value):
 
 
 @cli.command("verify")
-@click.argument(
-    "subject", type=click.Choice(["identities", "locc", "perturbation", "conjecture"])
-)
+@click.argument("subject", type=click.Choice(list(_VERIFY_CHECKS)))
 @click.option("--trials", type=click.IntRange(min=1), default=None,
               help="Trial count, at least 1 (subject default).")
 @click.option("--seed", type=click.IntRange(min=0), default=None, help="Override the global seed.")
@@ -337,19 +337,13 @@ def _parse_modes(ctx, param, value):
 @click.pass_context
 def verify_cmd(ctx, subject, trials, seed, modes):
     """Run one randomized verification suite and print its report as JSON."""
-    if modes is not None and subject in ("locc", "perturbation"):
-        raise click.BadParameter(f"only identities and conjecture take it, not {subject}",
-                                 param_hint="'--modes'")
-    seed = ctx.obj["seed"] if seed is None else seed
-    trials = _VERIFY_DEFAULT_TRIALS[subject] if trials is None else trials
-    if subject == "identities":
-        report = verify.check_identity_suite(seed=seed, trials=trials, modes=modes or (2, 3, 4))
-    elif subject == "locc":
-        report = verify.check_locc_monotonicity(seed=seed, trials=trials)
-    elif subject == "perturbation":
-        report = verify.check_perturbation_expansion(seed=seed, trials=trials)
-    else:
-        report = verify.conjecture_scan(seed=seed, samples=trials, num_modes=modes or (2, 3))
+    check, trials_key, modes_key = _VERIFY_CHECKS[subject]
+    if modes is not None and modes_key is None:
+        takers = " and ".join(name for name, (*_, key) in _VERIFY_CHECKS.items() if key)
+        raise click.BadParameter(f"only {takers} take it, not {subject}", param_hint="'--modes'")
+    given = {trials_key: trials, modes_key: modes}
+    report = check(seed=ctx.obj["seed"] if seed is None else seed,
+                   **{key: value for key, value in given.items() if value is not None})
     click.echo(json.dumps(report.to_dict(), indent=2))
     ctx.exit(EXIT_OK if report.passed else EXIT_MISMATCH)
 

@@ -247,8 +247,6 @@ def partial_trace(rho: FockOperator, keep: SubsystemSpec) -> FockOperator:
     keep.validate(rho.layout)
     n = rho.layout.num_modes
     kept = keep.sorted_modes()
-    if len(kept) == n:
-        return FockOperator(rho.layout, rho.matrix)
     labels = tuple(rho.layout.labels[m - 1] for m in kept)
     return FockOperator(ModeLayout(len(kept), labels), _traced(rho.matrix, n, keep), copy=False)
 

@@ -90,20 +90,24 @@ def _report(name: str, trials: int, max_violation: float, tolerance: float,
 
 
 def _trial_report(name: str, seed, tolerance: float, draws, build) -> CheckReport:
-    """The report of the trials that ``draws(rng)`` yields, scored by ``build`` in buckets
-    (:func:`_bucketed`), each stamped with its trial and the seed.  If anything raises, the
-    trials are replayed from the generator state of the call, one at a time (:func:`_replayed`).
-    """
-    rng = _rng(seed)
-
-    def run(budget: int) -> list[tuple[float, dict]]:
-        return _bucketed(draws(rng), budget, build)
-
-    scored = _replayed(lambda: run(_STACK_BYTES), _rewound(rng, lambda: run(0)))
+    """The report of the trials that ``draws(rng)`` yields, scored by ``build``
+    (:func:`_scored_trials`), each stamped with its trial and the seed."""
+    scored = _scored_trials(_rng(seed), draws, build)
     base_seed = seed if isinstance(seed, int) else None
     diagnostics = [{**diag, "trial": t, "seed": base_seed} for t, (_, diag) in enumerate(scored)]
     worst = max([0.0, *(dev for dev, _ in scored)])
     return _report(name, len(scored), worst, tolerance, diagnostics)
+
+
+def _scored_trials(rng: np.random.Generator, draws, build) -> list[tuple[float, dict]]:
+    """``(worst violation, diagnostics)`` of each trial that ``draws(rng)`` yields, scored by
+    ``build`` in buckets (:func:`_bucketed`).  If anything raises, the trials are replayed from
+    ``rng``'s state at this call, each built as soon as it is drawn (:func:`_replayed`)."""
+
+    def run(budget: int) -> list[tuple[float, dict]]:
+        return _bucketed(draws(rng), budget, build)
+
+    return _replayed(lambda: run(_STACK_BYTES), _rewound(rng, lambda: run(0)))
 
 
 def _replayed(stacked, replay):
@@ -137,10 +141,8 @@ def _bucketed(drawn, budget: int, build) -> list[tuple[float, dict]]:
     every generator call of a per-call trial in order.  ``build(n, m_a, trials)``
     scores the bucket of one ``(n, m_A)`` as soon as its trials, counted at
     ``2**(2n + 8)`` bytes each (a LOCC trial's stacked states), fill four times
-    ``budget``, or at one trial if one overfills them.  The run's first bucket
-    is built at one ``budget``, so a fault that every trial meets stops the run
-    after a few draws, and the others when the trials run out.  At ``budget`` 0
-    each trial is built as soon as it is drawn.
+    ``budget``, or at one trial if one overfills them, and the others when the
+    trials run out.  At ``budget`` 0 each trial is built as soon as it is drawn.
     """
     scored, buckets = [], {}
 
@@ -149,14 +151,12 @@ def _bucketed(drawn, budget: int, build) -> list[tuple[float, dict]]:
         for k, result in zip(ks, build(*key, trials)):
             scored[k] = result
 
-    fill = budget  # one budget for the first bucket, then four
     for k, t in enumerate(drawn):
         scored.append(None)
         key = (t["n"], t["m_a"])
         buckets.setdefault(key, []).append((k, t))
-        if len(buckets[key]) == max(1, fill >> (2 * t["n"] + 8)):
+        if len(buckets[key]) == max(1, budget >> (2 * t["n"] + 6)):
             flush(key)
-            fill = 4 * budget
     for key in list(buckets):
         flush(key)
     return scored
@@ -370,7 +370,7 @@ def _job_norms(jobs: list[_Jobs]) -> list[np.ndarray]:
     ``negativity`` bit for bit.  Each stack's states are released from
     ``jobs`` once stacked, so a bucket holds the states of the stacks still to
     solve.  A stack that fails a check raises the error of its first failing
-    state, as ``negativity`` raises it; :func:`_trial_report` then replays the
+    state, as ``negativity`` raises it; :func:`_scored_trials` then replays the
     trials one at a time, so the error comes in trial order.
     """
     groups: dict = {}
@@ -661,10 +661,13 @@ def check_perturbation_expansion(
     ``rho^{T_A} (rho^{T_A})^+`` is an even function of the perturbation
     strength (conjugation by the subsystem parity operator flips its sign), so
     every odd-order correction vanishes identically and the stated cubic
-    bracket cannot be met; the report carries the measured ratios.  Each
-    trial's states are checked and solved as one stack
-    (:func:`fneg.measures._pt_norms`), each norm bit for bit
-    ``trace_norm(fermionic_pt(...))``.
+    bracket cannot be met; the report carries the measured ratios.
+
+    Trial ``t`` draws an instance on ``1 + t % 2`` remainder modes, as a trial of
+    ``(n, m_A) = (2 + t % 2, 1)`` of the shared trial driver (:func:`_scored_trials`):
+    the ε states of a bucket's trials are checked and solved as one stack
+    (:func:`_perturbation_bucket`), each norm bit for bit
+    ``trace_norm(fermionic_pt(...))``, and a replay raises the per-call error.
     """
     _check_count("trials", trials)
     if not 0.0 <= min_pass_fraction <= 1.0:  # NaN fails too
@@ -676,32 +679,35 @@ def check_perturbation_expansion(
         raise ValueError(f"epsilons must be a finite decreasing positive sequence, got {epsilons}")
     if not -np.inf < ratio_bounds[0] <= ratio_bounds[1] < np.inf:  # NaN fails too
         raise ValueError(f"ratio_bounds must be finite with lo <= hi, got {ratio_bounds!r}")
-    rng = _rng(seed)
-    diagnostics = []
-    failures = 0
-    for t in range(trials):
-        m = 1 + t % 2
-        w, rho0, rho1, delta = _perturbation_instance(rng, m, max(epsilons))
-        predicted = trace_norm_prediction(w, rho0, rho1, delta, epsilons)
-        stack = np.stack([perturbed_state(w, rho0, rho1, delta, eps).matrix for eps in epsilons])
-        actual = _pt_norms(stack, 1 + m, SubsystemSpec((1,))).tolist()
-        residuals = [abs(norm - prediction) for norm, prediction in zip(actual, predicted)]
-        ratios = [residuals[i] / residuals[i + 1] for i in range(len(residuals) - 1)]
-        ok = all(ratio_bounds[0] <= r <= ratio_bounds[1] for r in ratios)
-        failures += 0 if ok else 1
-        diagnostics.append(
-            {
-                "trial": t,
-                "m_rest": m,
-                "residuals": [float(x) for x in residuals],
-                "ratios": [float(x) for x in ratios],
-                "within_bounds": ok,
-            }
-        )
-    fail_fraction = failures / trials
+    scored = _scored_trials(_rng(seed), lambda rng: (
+        {"n": 2 + t % 2, "m_a": 1, "instance": _perturbation_instance(rng, 1 + t % 2, epsilons[0])}
+        for t in range(trials)), lambda n, _, bucket: _perturbation_bucket(
+            n, bucket, epsilons, ratio_bounds))
+    diagnostics = [{"trial": t, **diag} for t, (_, diag) in enumerate(scored)]
+    fail_fraction = sum(failed for failed, _ in scored) / trials
     return _report(
         "perturbation_expansion", trials, fail_fraction, 1.0 - min_pass_fraction, diagnostics
     )
+
+
+def _perturbation_bucket(n: int, trials: Sequence[dict], epsilons: tuple[float, ...],
+                         ratio_bounds: tuple[float, float]) -> list[tuple[float, dict]]:
+    """``(1.0 if its ratios escape ratio_bounds else 0.0, diagnostics)`` of each drawn trial of
+    one bucket on ``n`` modes: each trial's predictions, then the norms of every trial's ε
+    states from one :func:`fneg.measures._pt_norms` stack, checked as density matrices."""
+    instances = [t["instance"] for t in trials]
+    predicted = [trace_norm_prediction(*instance, epsilons) for instance in instances]
+    stack = np.stack([perturbed_state(*instance, eps).matrix
+                      for instance in instances for eps in epsilons])
+    actual = _pt_norms(stack, n, SubsystemSpec((1,))).reshape(len(trials), -1).tolist()
+    scored = []
+    for norms, predictions in zip(actual, predicted):
+        residuals = [abs(norm - prediction) for norm, prediction in zip(norms, predictions)]
+        ratios = [residuals[i] / residuals[i + 1] for i in range(len(residuals) - 1)]
+        ok = all(ratio_bounds[0] <= r <= ratio_bounds[1] for r in ratios)
+        scored.append((0.0 if ok else 1.0, {"m_rest": n - 1, "residuals": residuals,
+                                            "ratios": ratios, "within_bounds": ok}))
+    return scored
 
 
 # -- conjecture and inequality scans ------------------------------------------------

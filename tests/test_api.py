@@ -77,18 +77,25 @@ def test_unused_import_check_sees_string_annotations_and_exports():
 _PER_STATE_NORMS = {"negativity", "log_negativity", "pairwise_negativity", "trace_norm",
                     "pure3_class"}
 
-#: The loops of per-state calls kept on purpose: ``conjecture_scan``'s draw-order replay, and
-#: the eleven fixed states of mixed layouts behind ``reproduce paper-values``.
-_PER_STATE_LOOPS = {"_scan_sequential", "_paper_value_rows"}
+#: Every call the loop rule watches: the per-state norms and the stacked norm kernel, which
+#: takes one stack per bucket, norm group or config, never one per state or trial.
+_WATCHED_CALLS = _PER_STATE_NORMS | {"_pt_norms"}
+
+#: The loops kept on purpose, each with the calls it may repeat: ``conjecture_scan``'s
+#: draw-order replay and the eleven fixed states of mixed layouts behind ``reproduce
+#: paper-values`` take per-state norms; the others loop over norm groups or configs.
+_KEPT_LOOPS = {"_scan_sequential": _PER_STATE_NORMS, "_paper_value_rows": _PER_STATE_NORMS,
+               "_job_norms": {"_pt_norms"}, "_scan_stacked": {"_pt_norms"},
+               "pi_inequality_scan": {"_pt_norms"}}
 
 
 def _per_state_norm_loops(source: str) -> list[str]:
-    """Calls to a per-state norm, by name or attribute, that run once per pass of a loop.
+    """Calls to a watched norm, by name or attribute, that run once per pass of a loop.
 
     A call sits in a loop if it is in a ``for`` or ``while`` loop or in a
     comprehension, but not in the iterable that a ``for`` or a comprehension's
-    first generator evaluates once.  Functions in :data:`_PER_STATE_LOOPS` are
-    skipped.
+    first generator evaluates once.  In a function of :data:`_KEPT_LOOPS` the
+    calls it names are skipped.
     """
     tree = ast.parse(source)
     comprehensions = (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
@@ -101,23 +108,24 @@ def _per_state_norm_loops(source: str) -> list[str]:
     loops = (ast.For, ast.AsyncFor, ast.While, ast.comprehension, *comprehensions)
     found = []
 
-    def visit(node: ast.AST, looped: bool) -> None:
-        if isinstance(node, ast.FunctionDef) and node.name in _PER_STATE_LOOPS:
-            return
+    def visit(node: ast.AST, looped: bool, watched: set[str]) -> None:
+        if isinstance(node, ast.FunctionDef) and node.name in _KEPT_LOOPS:
+            watched = watched - _KEPT_LOOPS[node.name]
         name = getattr(node.func, "id", getattr(node.func, "attr", None)) \
             if isinstance(node, ast.Call) else None
-        if looped and name in _PER_STATE_NORMS:
+        if looped and name in watched:
             found.append(f"{name} (line {node.lineno})")
         for child in ast.iter_child_nodes(node):
-            visit(child, looped or isinstance(node, loops) and id(child) not in once)
+            visit(child, looped or isinstance(node, loops) and id(child) not in once, watched)
 
-    visit(tree, False)
+    visit(tree, False, _WATCHED_CALLS)
     return found
 
 
 @pytest.mark.parametrize("name", ["verify.py", "cli.py"])
 def test_no_per_state_norm_runs_in_a_loop(name):
-    # a norm per state in a Python loop is a stacked kernel call left untaken
+    # a norm per state, or a kernel call per trial, in a Python loop is a stacked call left
+    # untaken
     assert _per_state_norm_loops((SRC / name).read_text(encoding="utf-8")) == []
 
 
@@ -131,10 +139,15 @@ def test_per_state_norm_rule():
               "        rhos = trace_norm(rhos)\n"
               "    return negativity(rhos, spec), [f(r) for r in negativity(rhos)]\n"
               "def _scan_sequential(rhos):\n"
-              "    return [negativity(r) for r in rhos]\n")
+              "    return [negativity(r) for r in rhos], [_pt_norms(r) for r in rhos]\n"
+              "def g(trials):\n"
+              "    return _pt_norms(trials), [m._pt_norms(t) for t in trials]\n"
+              "def _job_norms(groups):\n"
+              "    return [(_pt_norms(g), trace_norm(g)) for g in groups]\n")
     assert _per_state_norm_loops(source) == [
         "negativity (line 2)", "pure3_class (line 3)", "log_negativity (line 4)",
-        "trace_norm (line 4)", "pairwise_negativity (line 5)", "trace_norm (line 7)"]
+        "trace_norm (line 4)", "pairwise_negativity (line 5)", "trace_norm (line 7)",
+        "_pt_norms (line 10)", "_pt_norms (line 12)", "trace_norm (line 14)"]
 
 
 def _unreferenced_functions(modules: dict[str, str], others: list[str], exempt: set[str]) -> list[str]:

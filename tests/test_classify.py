@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import random_biseparable
-from fneg.errors import StateValidationError
+from fneg.errors import ClassificationError, StateValidationError
 from fneg.fock import FockOperator, ModeLayout, SubsystemSpec
 from fneg.classify import (
     mixed3_classify,
@@ -34,6 +34,24 @@ def test_bad_threshold_is_rejected(classify, state, threshold):
     # two_mode_separable(threshold=nan) returned "inseparable"
     with pytest.raises(ValueError, match="threshold must be a finite number >= 0"):
         classify(canonical_state(state), threshold=threshold)
+
+
+@pytest.mark.parametrize("classify", [pure3_class, mixed3_classify])
+def test_a_two_mode_state_is_not_classified_as_three_mode(classify):
+    with pytest.raises(StateValidationError) as err:
+        classify(canonical_state("majorana_dimer"))
+    assert str(err.value) == f"{classify.__name__} expects a three-mode state"
+
+
+def test_disagreeing_tests_raise_classification_error():
+    # a 1e-12 coherence of |00> and |11>: far below the negativity threshold, but above
+    # a structural threshold of 0
+    mat = np.eye(4, dtype=complex) / 4
+    mat[0, 3] = mat[3, 0] = 1e-12
+    with pytest.raises(ClassificationError) as err:
+        two_mode_separable(FockOperator(LAY2, mat), structural_threshold=0.0)
+    assert str(err.value) == ("negativity test (0.000e+00 vs 1.0e-09) and structural test "
+                              "(1.000e-12 vs 0.0e+00) disagree")
 
 
 def test_bad_structural_threshold_is_rejected():

@@ -36,6 +36,15 @@ class TestReproduce:
         rows = json.loads(result.output)
         assert all(r["abs_delta"] <= 1e-9 for r in rows)
 
+    def test_values_beyond_the_tolerance_exit_1(self, capsys):
+        # at tolerance 0 every row with a rounding-level delta counts
+        assert main(["--tolerance", "0", "reproduce", "paper-values"]) == 1
+        captured = capsys.readouterr()
+        bad = sum(float(line.rsplit(",", 1)[1]) > 0.0
+                  for line in captured.out.splitlines()[1:])
+        assert bad > 0
+        assert captured.err == f"{bad} value(s) beyond tolerance 0.0\n"
+
     def test_table1(self, runner):
         result = invoke(runner, ["reproduce", "table1"])
         assert result.exit_code == 0
@@ -277,6 +286,21 @@ class TestClassifyCommand:
         path.write_text(json.dumps({"num_modes": 2, field: entries}))
         assert main(["classify", str(path)]) == 4
         assert f"{field} entries must be numbers or [re, im] pairs" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("payload,message", [
+        ([1, 2], "state file must contain a JSON object"),
+        ({"num_modes": 2, "matrix": [1, 0, 0]}, "matrix must have 4**num_modes = 16 entries, got 3"),
+        ({"pure": [1, 0, 0]}, "pure amplitude array must have 2**num_modes entries, got 3"),
+        ({"num_modes": 2}, "state file needs a 'matrix' or 'pure' field"),
+        ({"num_modes": 4, "labels": ["A", "A", "B", "B"], "pure": [1] + [0] * 15},
+         "classification supports two- or three-mode states"),
+    ], ids=["array", "short_matrix", "short_pure", "no_field", "four_modes"])
+    def test_unusable_payload_exits_4(self, tmp_path, capsys, payload, message):
+        path = tmp_path / "payload.json"
+        path.write_text(json.dumps(payload))
+        assert main(["classify", str(path)]) == 4
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"validation error: {message}\n")
 
     def test_parity_violating_matrix_exits_4(self, tmp_path):
         # couples |00> to |10>: a unit-trace PSD matrix that breaks parity

@@ -295,6 +295,17 @@ class TestPartialTrace:
             rhs = np.trace(rho.matrix @ embed_local(x, lay, (2, 4)).matrix)
             assert abs(lhs - rhs) <= 1e-10
 
+    @pytest.mark.parametrize("n", [3, 6])
+    def test_keeping_every_mode_returns_the_input(self, rng, n):
+        # every layout of n modes: each split into contiguous blocks labelled A, B, ...
+        for cuts in itertools.product((0, 1), repeat=n - 1):
+            labels = tuple(chr(ord("A") + k) for k in np.cumsum((0, *cuts)))
+            rho = random_density(ModeLayout(n, labels), rng)
+            for keep in (tuple(range(1, n + 1)), tuple(range(n, 0, -1))):
+                reduced = partial_trace(rho, SubsystemSpec(keep))
+                assert reduced.matrix.tobytes() == rho.matrix.tobytes()
+                assert reduced.layout == rho.layout
+
     def test_keep_must_be_subset(self):
         rho = canonical_state("majorana_dimer")
         with pytest.raises(LayoutError):

@@ -8,7 +8,7 @@ import pytest
 
 from conftest import random_even_operator, record_calls
 from fneg import states as states_mod
-from fneg.errors import ParityError, StateValidationError
+from fneg.errors import ParityError, SamplingError, StateValidationError
 from fneg import verify as verify_mod
 from fneg.cli import main as cli_main
 from fneg.fock import FLAG_TOL, FockOperator, ModeLayout, SubsystemSpec, embed_local, \
@@ -215,13 +215,11 @@ def _odd_member(matrix: np.ndarray) -> np.ndarray:
 def _flushes(groups) -> list[tuple[int, list[int]]]:
     """``(n, trials)`` of each bucket ``verify locc`` or ``verify identities`` builds, in
     build order, for the ``(n, m_A)`` of each trial: a bucket is built once it holds
-    ``max(1, _STACK_BYTES >> (2n + 6))`` trials, the first one at
-    ``max(1, _STACK_BYTES >> (2n + 8))``, the rest when the trials run out."""
+    ``max(1, _STACK_BYTES >> (2n + 6))`` trials, the rest when the trials run out."""
     open_buckets, built = {}, []
     for k, (n, m_a) in enumerate(groups):
         open_buckets.setdefault((n, m_a), []).append(k)
-        shift = 6 if built else 8
-        if len(open_buckets[n, m_a]) == max(1, verify_mod._STACK_BYTES >> (2 * n + shift)):
+        if len(open_buckets[n, m_a]) == max(1, verify_mod._STACK_BYTES >> (2 * n + 6)):
             built.append((n, open_buckets.pop((n, m_a))))
     return built + [(n, ks) for (n, _), ks in open_buckets.items()]
 
@@ -362,7 +360,7 @@ class TestIdentitySuite:
         report = check_identity_suite(seed=7)
         assert log and all(name == "_signed_gather" for name, _ in log)
         buckets = _flushes([(d["n"], d["m_a"]) for d in report.diagnostics])
-        assert len(log) == 24 * len(buckets) == 24 * 9
+        assert len(log) == 24 * len(buckets) == 24 * 8
         assert max(shape[0] for _, shape in log) > 10  # members of several trials
 
     def test_one_trial_holds_few_matrices(self):
@@ -447,9 +445,8 @@ class TestLoccMonotonicity:
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode()).hexdigest() == _LOCC_SHA256[seed]
 
-    # At seed 7 trial 2 fills the first bucket, of (n, m_A) = (4, 2): 1 and 2 trials build
-    # every bucket when the trials run out, 3 builds one as it fills.  Buckets of n = 3
-    # fill too at 33 trials (seed 0) and 65 (every seed), and part-filled ones are left;
+    # Up to 33 trials every bucket is built when the trials run out; at 65 a bucket of
+    # eight n = 4 trials fills first (at every seed), and part-filled ones are left.
     # 30 is the CLI's `verify locc --trials 30`.
     @pytest.mark.parametrize("trials", [1, 2, 3, 30, 33, 65])
     @pytest.mark.parametrize("seed", [0, 7, 505])
@@ -473,9 +470,9 @@ class TestLoccMonotonicity:
         assert any(set(coins) == {True, False} for coins in buckets)
 
     def test_one_odd_unitary_raises_embed_locals_error(self, monkeypatch):
-        # Trial 2's local unitary on B is made parity-odd.  At seed 7 trials 0 and 2
-        # fill an (n, m_A) = (4, 2) bucket of two, built as trial 2 is drawn, so the odd
-        # member sits behind a good one.  The replay builds and solves trials 0 and 1,
+        # Trial 2's local unitary on B is made parity-odd.  At seed 7 trials 0, 2 and 3
+        # make the (n, m_A) = (4, 2) bucket, the first built when the trials run out, so
+        # the odd member sits behind a good one.  The replay builds and solves trials 0 and 1,
         # then raises at trial 2 what embed_local raises; without the stacked check a
         # norm would raise a StateValidationError, as the rotated state is no longer
         # unit-trace.
@@ -501,7 +498,7 @@ class TestLoccMonotonicity:
             check_locc_monotonicity(seed=7, trials=4)
         n, m_a = drawn[2]["n"], drawn[2]["m_a"]
         assert [(t["n"], t["m_a"]) for t in drawn[:3]].count((n, m_a)) == 2
-        assert len(drawn) == 3 + 3
+        assert len(drawn) == 4 + 3
         assert np.array_equal(made[-1], made[0])
         layout = ModeLayout.bipartite(m_a, n - m_a)
         with pytest.raises(ParityError) as direct:
@@ -558,8 +555,8 @@ class TestLoccMonotonicity:
             negativity(bad[0], bad[0].layout.spec("A"))
         assert batched.type is direct.type
         assert str(batched.value) == str(direct.value)
-        # the bucketed run stopped at its first bucket, trials 0 and 2 at seed 7, which
-        # failed; its replay stopped at the first trial, rebuilt bit for bit
+        # the bucketed run stopped at the first bucket it built, trials 0 and 2 at seed 7,
+        # which failed; its replay stopped at the first trial, rebuilt bit for bit
         assert len(bad) == 3
         assert np.array_equal(bad[2].matrix, bad[0].matrix)
         assert kind != "parity" or batched.type is ParityError
@@ -573,13 +570,13 @@ class TestLoccMonotonicity:
         draw, build = verify_mod._draw_locc_trial, verify_mod._build_locc_group
         drawn = []
 
-        def tagged(rng):  # trial 2 fills the first bucket: the run draws 0-2, its replay 3, 4, ...
-            drawn.append(draw(rng))
+        def tagged(rng):  # the run draws 0-4 and builds trial 0's bucket, with trial 2, first;
+            drawn.append(draw(rng))  # its replay draws 5, 6, ..., so trial 2 is tag 2 or 7
             drawn[-1]["tag"] = len(drawn) - 1
             return drawn[-1]
 
         def failing_third(n, m_a, trials):
-            if any(t["tag"] % 3 == 2 for t in trials):
+            if any(t["tag"] % 5 == 2 for t in trials):
                 raise RuntimeError("third build")
             return build(n, m_a, trials)
 
@@ -591,13 +588,13 @@ class TestLoccMonotonicity:
             with pytest.raises(Exception) as direct:
                 negativity(bad[0], bad[0].layout.spec("A"))
             assert (batched.type, str(batched.value)) == (direct.type, str(direct.value))
-            assert len(drawn) == 3 + 1  # the replay stopped at the first trial
+            assert len(drawn) == 5 + 1  # the replay stopped at the first trial
         else:
             assert str(batched.value) == "third build"
-            assert len(drawn) == 3 + 3  # the replay built two trials, then raised again
+            assert len(drawn) == 5 + 3  # the replay built two trials, then raised again
 
     def test_one_kernel_call_per_stack_of_each_slice(self, monkeypatch):
-        # Each (n, m_A) bucket is built once it holds _STACK_BYTES >> (2n + 8)
+        # Each (n, m_A) bucket is built once it holds _STACK_BYTES >> (2n + 6)
         # trials, or when the trials run out, and solved as soon as it is built,
         # one _pt_norms call per (modes, target mask) stack of its one stage, the
         # validated evolved states in a stack of their own.  No norm goes through
@@ -622,7 +619,7 @@ class TestLoccMonotonicity:
 
     def test_default_run_builds_few_buckets(self, monkeypatch):
         # Each bucket pays a fixed set of kernel calls: at seed 7 the default run built 43
-        # buckets of at most 2, 8 and 32 trials (n = 4, 3, 2), and builds 13 of 8, 32 and 128.
+        # buckets of at most 2, 8 and 32 trials (n = 4, 3, 2), and builds 12 of 8, 32 and 128.
         log = record_calls(monkeypatch, "fneg.verify._build_locc_group")
         check_locc_monotonicity(seed=7)
         assert len(log) <= 15
@@ -777,6 +774,71 @@ class TestPerturbationExpansion:
                          for eps, prediction in zip(epsilons, predicted)]
             assert diag["residuals"] == residuals
             assert diag["ratios"] == [residuals[0] / residuals[1], residuals[1] / residuals[2]]
+
+    @pytest.mark.parametrize("trials,stacks", [
+        (50, [(75, 4, 4), (75, 8, 8)]),
+        (100, [(96, 8, 8), (150, 4, 4), (54, 8, 8)]),
+    ])
+    def test_one_kernel_call_per_bucket(self, monkeypatch, trials, stacks):
+        # Trial t is one of (n, m_A) = (2 + t % 2, 1), and each bucket's trials solve their
+        # three epsilon states in one stack: a bucket of n = 3 fills at 32 trials (its 96
+        # states), the others are built when the trials run out.  One call a trial before.
+        log = record_calls(monkeypatch, "fneg.measures._pt_norms", "fneg.measures._pt_norm")
+        check_perturbation_expansion(seed=7, trials=trials)
+        assert log == [("_pt_norms", shape) for shape in stacks]
+
+    @pytest.mark.parametrize("slice_bytes", [0, 1 << 30])  # one trial; every trial
+    def test_report_does_not_depend_on_the_bucket_size(self, monkeypatch, slice_bytes):
+        want = check_perturbation_expansion(seed=3, trials=70).to_dict()
+        monkeypatch.setattr(verify_mod, "_STACK_BYTES", slice_bytes)
+        assert check_perturbation_expansion(seed=3, trials=70).to_dict() == want
+
+    def test_replay_raises_the_per_call_errors_in_trial_order(self, monkeypatch):
+        # Trial 1's instance is not unit-trace, and trial 3's draw exhausts its budget.  The
+        # bucketed run meets the SamplingError while drawing, before it builds a bucket; its
+        # replay builds each trial as it is drawn, so trial 1's norm error comes first, as a
+        # per-call loop raises it.
+        real, calls, bad = verify_mod._perturbation_instance, [], []
+
+        def faulty(rng, m, eps_max):
+            calls.append(m)
+            trial = (len(calls) - 1) % 4  # the run draws trials 0-3, its replay 0 and 1
+            if trial == 3:
+                raise SamplingError("perturbation instance resampling budget exhausted")
+            w, rho0, rho1, delta = real(rng, m, eps_max)
+            if trial == 1:
+                bad.append(perturbed_state(1.5 * w, rho0, rho1, delta, 1e-2))
+                return 1.5 * w, rho0, rho1, delta
+            return w, rho0, rho1, delta
+
+        monkeypatch.setattr(verify_mod, "_perturbation_instance", faulty)
+        with pytest.raises(StateValidationError) as batched:
+            check_perturbation_expansion(seed=7, trials=6)
+        assert len(calls) == 4 + 2
+        assert np.array_equal(bad[0].matrix, bad[1].matrix)
+        with pytest.raises(StateValidationError) as per_call:
+            negativity(bad[1], SubsystemSpec((1,)))
+        assert str(batched.value) == str(per_call.value)
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    def test_one_mode_theorem_near_its_boundary(self, monkeypatch, m):
+        # The paper's theorem across mode 1 and the rest: a state diagonal in mode 1 is
+        # separable (N_F = 0), and a perturbation that mixes mode 1's parity makes it
+        # entangled (N_F > 0) at every eps != 0.  Only the prediction needs the gap guard,
+        # under which the draw exhausts its budget from three remainder modes, so those
+        # bases are drawn without it and are not checked against the prediction.
+        if m > 2:
+            monkeypatch.setattr(verify_mod, "_GAP_GUARD", 0.0)
+        spec = SubsystemSpec((1,))
+        for seed in range(3):
+            instance = _perturbation_instance(np.random.default_rng(seed), m, 1e-2)
+            assert abs(negativity(perturbed_state(*instance, 0.0), spec)) <= 1e-14
+            for eps in (1e-2, 1e-3, 1e-4):
+                found = negativity(perturbed_state(*instance, eps), spec)
+                assert found > 0.0
+                if m <= 2:  # the relative gap read at most 16 eps^2 here
+                    predicted = (trace_norm_prediction(*instance, eps) - 1.0) / 2.0
+                    assert abs(found - predicted) <= 100 * eps**2 * predicted
 
     def test_epsilon_validation(self):
         with pytest.raises(ValueError):
