@@ -100,21 +100,20 @@ def _parity_leak(matrix: np.ndarray, num_modes: int, mask: int) -> np.ndarray:
     return np.where(np.isfinite(matrix).all(axis=(-2, -1)), leak, np.nan)
 
 
-#: Fewest modes at which spectra are taken on the parity blocks.  At N = 4 the
-#: gather and the zero test cost more than the smaller SVD/eigvalsh saves (one
-#: fresh-state negativity took about 10 us longer); from N = 5 the blocks win.
+#: Fewest modes at which a state keeps its partial-transpose norms
+#: (``FockOperator._norms``, :func:`fneg.measures._memoised`).  Spectra are
+#: taken on the parity blocks at every N.  Below five modes each call solves
+#: its norm again, as ``partial_transpose`` and then ``trace_norm``.
 _BLOCK_MIN_MODES = 5
 
 
-def _exact(leak, num_modes: int):
-    """Whether a parity leak, a stack of them, or a function returning them marks exact blocks.
+def _exact(leak):
+    """Whether a parity leak, or each of a stack of them, marks exact blocks.
 
-    From :data:`_BLOCK_MIN_MODES` modes a leak of exactly 0.0 does: every entry
-    is finite and none lies between the sectors.  Below, plain ``False``, no call.
+    A leak of exactly 0.0 does, at every N: every entry is finite and none lies
+    between the sectors, so the two diagonal blocks hold the whole operator.
     """
-    if num_modes < _BLOCK_MIN_MODES:
-        return False
-    return (leak() if callable(leak) else leak) == 0.0
+    return np.asarray(leak) == 0.0
 
 
 @lru_cache(maxsize=64)
@@ -323,8 +322,10 @@ class FockOperator:
 
     From :data:`_BLOCK_MIN_MODES` modes, ``_norms`` keeps the partial-transpose
     trace norms behind :func:`fneg.measures.negativity` and its siblings, one
-    float per ``(flavor, target mask)``.  No matrix is cached: every cache
-    holds floats or bools, and all rely on the matrix being read-only.
+    float per ``(flavor, target mask)``, and those of the reduced states behind
+    :func:`fneg.measures.tripartite_report`, per ``(flavor, name, tol)``.  No
+    matrix is cached: every cache holds floats or bools, and all rely on the
+    matrix being read-only.
     """
 
     __slots__ = ("layout", "matrix", "_flags", "_norms")
@@ -339,7 +340,7 @@ class FockOperator:
         self.layout = layout
         self.matrix = matrix
         self._flags: dict[str, bool | float] = {}
-        self._norms: dict[tuple[str, int], float] = {}
+        self._norms: dict[tuple, float] = {}
 
     # -- flags ---------------------------------------------------------------
 
@@ -357,7 +358,7 @@ class FockOperator:
         )
 
     def _exact_blocks(self) -> bool:
-        return bool(_exact(self._parity_leak, self.layout.num_modes))
+        return bool(_exact(self._parity_leak()))
 
     def _blocks_or_matrix(self) -> np.ndarray:
         """The two global-parity blocks as one ``(2, d/2, d/2)`` stack if exact, else the matrix."""
@@ -587,7 +588,7 @@ def _density_verdicts(stack: np.ndarray, num_modes: int, tol: float) -> tuple:
     leak = _parity_leak(stack, num_modes, (1 << num_modes) - 1)
     herm = _hermitian_residual(stack)
     valid = (herm <= tol) & _unit_trace(stack, tol) & (2.0 * leak <= tol)
-    if valid.all() and np.all(_exact(leak, num_modes)):
+    if valid.all() and _exact(leak).all():
         valid = _cholesky_psd(_gather_blocks(stack, num_modes), tol).all(axis=-1)
     elif valid.all():
         valid = _cholesky_psd(stack, tol)

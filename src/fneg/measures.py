@@ -77,15 +77,14 @@ def singular_values(op: FockOperator | np.ndarray) -> np.ndarray:
     Never evaluated by squaring into ``A A^+``: that inflates the absolute
     error of vanishing singular values to sqrt(machine epsilon), which would
     swamp the 1e-10 zero tests on rank-deficient states.  A
-    :class:`FockOperator` with exact blocks is solved by :func:`_spectra` on
-    its two parity blocks; any other operator and a plain array take the
-    dense SVD.
+    :class:`FockOperator` is solved by :func:`_spectra` as a stack of one, on
+    its two parity blocks if it has exact blocks, at any N; a plain array takes
+    the dense SVD.
     """
     if not isinstance(op, FockOperator):
         return np.linalg.svd(np.asarray(op), compute_uv=False)
-    if not op._exact_blocks():
-        return np.linalg.svd(op.matrix, compute_uv=False)
-    return _spectra(op.matrix[None], op.layout.num_modes, [True], [op._hermitian_residual()])[0]
+    return _spectra(op.matrix[None], op.layout.num_modes, [op._exact_blocks()],
+                    [op._hermitian_residual()])[0]
 
 
 def _spectra(t: np.ndarray, n: int, exact, herm) -> np.ndarray:
@@ -93,9 +92,9 @@ def _spectra(t: np.ndarray, n: int, exact, herm) -> np.ndarray:
 
     Both transposes keep global fermion parity, so ``rho^{T_A}`` of a
     parity-even state is block-diagonal in the global-parity basis.  The
-    members marked ``exact`` have exact blocks (:func:`fock._exact`).  Their
-    two blocks are gathered once and solved in one batched call, about a
-    quarter of the work of the d x d solve, and the values are merged.
+    members marked ``exact`` have exact blocks (:func:`fock._exact`), at any
+    N.  Their two blocks are gathered once and solved in one batched call,
+    about a quarter of the work of the d x d solve, and the values are merged.
     ``herm`` holds their Hermiticity residuals, read only there: a residual of
     0.0 takes ``|eigvalsh|`` of the blocks, at about half the cost of the SVD,
     any other the block SVD.  Both tests are exact, not tolerance-based:
@@ -126,13 +125,22 @@ def trace_norm(op: FockOperator | np.ndarray) -> float:
     return float(singular_values(op).sum())
 
 
+def _memoised(rho: FockOperator) -> bool:
+    """Whether ``rho`` keeps its partial-transpose norms in ``rho._norms``: from
+    :data:`_BLOCK_MIN_MODES` modes, for :func:`_pt_norm` and :func:`tripartite_report`."""
+    return rho.layout.num_modes >= _BLOCK_MIN_MODES
+
+
 def _pt_norm(rho: FockOperator, spec, flavor: str, tol: float) -> float:
-    """Validate ``rho`` and return ``|rho^{T_A}|_1``, solved once per flavor and target set.
+    """Validate ``rho`` and return ``|rho^{T_A}|_1``, solved as :func:`_pt_norms` solves it.
 
     Every call validates: the flavor, ``rho`` as a density matrix at ``tol``
     (parity-even for the fermionic flavor) and the target, which the fermionic
-    flavor needs proper.  Below :data:`_BLOCK_MIN_MODES` the transpose is then
-    taken and solved densely on every call.  From there the norm is kept in
+    flavor needs proper.  Below :data:`_BLOCK_MIN_MODES` each call then takes
+    ``partial_transpose`` and the ``trace_norm`` of the Hermitian twin (the
+    fermionic transpose times its column sign, the bosonic one as it is), whose
+    leak and residual are ``rho``'s: the blocks, the solver and every bit of
+    the norm are :func:`_pt_norms`'.  From there the norm is kept in
     ``rho._norms`` as a float, keyed by the flavor and the target mask, so
     ``negativity``, ``log_negativity`` and ``bipartite_report`` share one solve
     and ``(1, 3)`` and ``(3, 1)`` one entry.  A target and its complement do
@@ -149,8 +157,11 @@ def _pt_norm(rho: FockOperator, spec, flavor: str, tol: float) -> float:
         spec = as_spec(spec)
         spec.validate(rho.layout)
     n = rho.layout.num_modes
-    if n < _BLOCK_MIN_MODES:
-        return trace_norm(partial_transpose(rho, spec, flavor))
+    if not _memoised(rho):
+        t = partial_transpose(rho, spec, flavor)
+        if fermionic:
+            t = FockOperator(rho.layout, t.matrix * _sign_vector(n, spec.mask()), copy=False)
+        return trace_norm(t)
     key = (flavor, spec.mask())
     if key not in rho._norms:
         residuals = [[rho._parity_leak()], [rho._hermitian_residual()]]
@@ -169,15 +180,16 @@ def _pt_norms(
     ``FLAG_TOL`` in ``_pt_norm``'s order, so it raises what a loop of
     ``_pt_norm`` calls raises: each member as a density matrix
     (:func:`fock._require_density_stack`), the target after the first.  One
-    :func:`_signed_gather` transposes the stack; below :data:`_BLOCK_MIN_MODES`
-    modes each member takes the dense SVD.  From there the fermionic transpose
-    is solved through its Hermitian twin ``T = rho^{T_A} (-1)^{F_A}`` (for
-    parity-even Hermitian ``rho``, ``(rho^{T_A})^+ = (-1)^{F_A} rho^{T_A}
-    (-1)^{F_A}``; the unitary sign keeps the singular values).  The column sign
-    is applied in place: no second array, and no sign flip of exact zeros, as
-    folding it into ``_SIGN_PHASE`` would make, on which ``eigvalsh`` can round
-    differently.  Both transposes keep ``p(row) + p(col)`` and map ``rho``'s
-    mirror pairs onto mirror pairs times exact ``+-1`` and ``+-i``, so they have
+    :func:`_signed_gather` transposes the stack.  At every N the fermionic
+    transpose is solved through its Hermitian twin ``T = rho^{T_A} (-1)^{F_A}``
+    (for parity-even Hermitian ``rho``, ``(rho^{T_A})^+ = (-1)^{F_A} rho^{T_A}
+    (-1)^{F_A}``; the unitary sign keeps the singular values), so a member with
+    exact blocks and residual 0.0 takes ``|eigvalsh|`` of two half-size blocks.
+    The column sign is applied in place: no second array, and no sign flip of
+    exact zeros, as folding it into ``_SIGN_PHASE`` would make, on which
+    ``eigvalsh`` can round differently.  Both transposes keep
+    ``p(row) + p(col)`` and map ``rho``'s mirror pairs onto mirror pairs
+    times exact ``+-1`` and ``+-i``, so they have
     ``rho``'s leak and residual, and :func:`_spectra` solves each member as
     :func:`singular_values` would.  Values are summed as :func:`trace_norm`
     sums them, so each norm equals ``negativity``'s bit for bit.
@@ -191,10 +203,10 @@ def _pt_norms(
             raise
         residuals = _require_density_stack(stack, n, FLAG_TOL, fermionic)
     t = _signed_gather(stack, n, spec, fermionic)
-    if fermionic and n >= _BLOCK_MIN_MODES:
+    if fermionic:
         t *= _sign_vector(n, spec.mask())
     leak, herm = np.asarray(residuals)
-    return _spectra(t, n, _exact(leak, n), herm).sum(axis=-1)
+    return _spectra(t, n, _exact(leak), herm).sum(axis=-1)
 
 
 def _stacked_pt_norms(rhos, spec: SubsystemSpec, flavor: str) -> list[float]:
@@ -478,6 +490,11 @@ def pi_abc(rho: FockOperator, flavor: str = "fermionic", tol: float = FLAG_TOL) 
     return _pi_abc(negs, {p: pairwise_negativity(rho, *p, flavor, tol) for p in _PAIRS})
 
 
+#: The five norms of reduced states behind a tripartite report, after the three one-vs-rest
+#: norms: the even and odd sectors of C traced to AB, and the pairwise reductions.
+_REDUCED = ("AB:even", "AB:odd", *_PAIRS)
+
+
 def tripartite_report(
     rho: FockOperator, flavor: str = "fermionic", tol: float = FLAG_TOL
 ) -> MeasureReport:
@@ -485,29 +502,59 @@ def tripartite_report(
 
     The eight negativities behind them (three one-vs-rest, two sector-projected
     for ``j_abc``, three pairwise reduced) are each evaluated once, on a stack
-    of one (:func:`_tripartite_norms`).  ``three_tangle`` is reported only for
-    three-mode states that pass :func:`_is_pure`, the test by which ``fneg
-    classify`` routes states: the tangle is not defined on mixed states or on
-    parties of more than one mode.
+    of one (:func:`_tripartite_norms`).  From :data:`_BLOCK_MIN_MODES` modes
+    (:func:`_memoised`) the eight norms are kept in ``rho._norms``: the
+    one-vs-rest ones under ``negativity``'s keys, the five of reduced states
+    also under ``tol``, at which their checks and the empty-sector rule
+    decided.  A repeat report validates ``rho`` and solves nothing.
+    ``three_tangle`` is reported only for three-mode states that pass
+    :func:`_is_pure`, the test by which ``fneg classify`` routes states: the
+    tangle is not defined on mixed states or on parties of more than one mode.
     """
-    return _tripartite_norms(rho.matrix[None], rho.layout, flavor, tol)[0]
+    if not _memoised(rho):
+        return _tripartite_reports([rho], flavor, tol)[0]
+    specs = _tri_specs(rho.layout)
+    _check_flavor(flavor)
+    rho.require_density_matrix(tol)  # what the stack's check raises
+    keys = [(flavor, spec.mask()) for spec in specs.values()]
+    keys += [(flavor, name, tol) for name in _REDUCED]
+    if not all(key in rho._norms for key in keys):
+        norms = _tripartite_norms(rho.matrix[None], rho.layout, flavor, tol)[0]
+        rho._norms.update(zip(keys, norms.tolist()))
+    return _tripartite_entries([rho._norms[key] for key in keys], rho, flavor, tol)
 
 
-def _tripartite_reports(rhos, flavor: str = "fermionic") -> list[MeasureReport]:
+def _tripartite_reports(rhos, flavor: str = "fermionic",
+                        tol: float = FLAG_TOL) -> list[MeasureReport]:
     """:func:`tripartite_report` of each of ``rhos``, from one :func:`_tripartite_norms` pass."""
-    return _tripartite_norms(np.stack([rho.matrix for rho in rhos]), rhos[0].layout, flavor)
+    norms = _tripartite_norms(np.stack([rho.matrix for rho in rhos]), rhos[0].layout, flavor, tol)
+    return [_tripartite_entries(row.tolist(), rho, flavor, tol) for row, rho in zip(norms, rhos)]
+
+
+def _tripartite_entries(norms, rho: FockOperator, flavor: str, tol: float) -> MeasureReport:
+    """:func:`tripartite_report` of ``rho`` from its eight norms, in the order of
+    :func:`_tripartite_norms`."""
+    negs = [(norm - 1.0) / 2.0 for norm in norms]
+    one = dict(zip("ABC", negs[:3]))
+    entries = {f"negativity_{lab}": one[lab] for lab in "ABC"}
+    entries.update(j_abc=negs[3] * negs[4], n_abc=_n_abc(one),
+                   pi_abc=_pi_abc(one, dict(zip(_PAIRS, negs[5:]))))
+    if rho.layout.num_modes == 3 and _is_pure(rho):
+        entries["three_tangle"] = three_tangle(rho)
+    return MeasureReport(entries, tolerance=tol, transpose_flavor=flavor)
 
 
 def _tripartite_norms(stack: np.ndarray, layout: ModeLayout, flavor: str,
-                      tol: float = FLAG_TOL) -> list[MeasureReport]:
-    """:func:`tripartite_report` of each state of a ``(k, d, d)`` stack on a tripartite ``layout``.
+                      tol: float = FLAG_TOL) -> np.ndarray:
+    """The eight norms behind :func:`tripartite_report`, a ``(k, 8)`` array for a ``(k, d, d)``
+    stack on a tripartite ``layout``.
 
-    Each of the eight negativities is one :func:`_pt_norms` call on a stack,
-    in the order of the per-call measures: the three one-vs-rest cuts, the
-    even and odd sectors of C traced to AB (an empty sector gives 0, as in
-    :func:`j_abc_details`), and the three pairwise reductions.  Every step acts
-    on each member as the per-call path acts on one state, the partial traces
-    summing in its order, so the values are equal bit for bit.
+    Each norm is one :func:`_pt_norms` call on a stack, in the order of the
+    per-call measures: the three one-vs-rest cuts, the even and odd sectors of
+    C traced to AB (an empty sector gives 1.0, negativity 0, as in
+    :func:`j_abc_details`), and the three pairwise reductions (:data:`_PAIRS`).
+    Every step acts on each member as the per-call path acts on one state, the
+    partial traces summing in its order, so the values are equal bit for bit.
 
     The checks raise what :func:`tripartite_report` raises, in its order: the
     layout, the flavor, and then each stack's states at ``tol``
@@ -518,34 +565,27 @@ def _tripartite_norms(stack: np.ndarray, layout: ModeLayout, flavor: str,
     """
     specs = _tri_specs(layout)
     n, fermionic = layout.num_modes, _check_flavor(flavor) == "fermionic"
+    norms = np.ones((len(stack), 3 + len(_REDUCED)))
 
-    def negativities(states: np.ndarray, modes: int, targets, parity: bool = fermionic) -> list:
-        """For each target, each state's negativity as :func:`negativity` returns it."""
+    def solve(column: int, states: np.ndarray, modes: int, targets, parity: bool = fermionic,
+              members=slice(None)) -> None:
+        """Each target's norm of each state, into ``column`` onwards of the ``members``' rows."""
         residuals = _require_density_stack(states, modes, tol, parity)
-        return [[(float(norm) - 1.0) / 2.0 for norm in
-                 _pt_norms(states, modes, target, fermionic, residuals=residuals)]
-                for target in targets]
+        for k, target in enumerate(targets):
+            norms[members, column + k] = _pt_norms(states, modes, target, fermionic,
+                                                   residuals=residuals)
 
-    def reduced(states: np.ndarray, first: str, second: str) -> list:
+    def reduced(column: int, states: np.ndarray, first: str, second: str, members=slice(None)):
         keep = SubsystemSpec(specs[first].target_modes + specs[second].target_modes)
         lead = SubsystemSpec(tuple(range(1, len(specs[first]) + 1)))  # ``first`` once reduced
-        return negativities(_traced(states, n, keep), len(keep), [lead])[0]
+        solve(column, _traced(states, n, keep), len(keep), [lead], members=members)
 
-    one = dict(zip("ABC", negativities(stack, n, specs.values(), parity=True)))
-    sectors = []
-    for sector in ("even", "odd"):
+    solve(0, stack, n, specs.values(), parity=True)
+    for column, sector in enumerate(("even", "odd"), 3):
         full, projected = _nonempty(*_sector_projection(stack, n, specs["C"].mask(), sector), tol)
-        sectors.append(dict(zip(full.tolist(), reduced(projected, "A", "B") if full.size else [])))
+        if full.size:
+            reduced(column, projected, "A", "B", full)
         del projected  # before the next sector is projected
-    pair = {p: reduced(stack, *p) for p in _PAIRS}
-    reports = []
-    for i, member in enumerate(stack):
-        negs = {lab: one[lab][i] for lab in "ABC"}
-        entries = {f"negativity_{lab}": negs[lab] for lab in "ABC"}
-        entries.update(j_abc=sectors[0].get(i, 0.0) * sectors[1].get(i, 0.0), n_abc=_n_abc(negs),
-                       pi_abc=_pi_abc(negs, {p: pair[p][i] for p in _PAIRS}))
-        rho = FockOperator(layout, member, copy=False)
-        if n == 3 and _is_pure(rho):
-            entries["three_tangle"] = three_tangle(rho)
-        reports.append(MeasureReport(entries, tolerance=tol, transpose_flavor=flavor))
-    return reports
+    for column, pair in enumerate(_PAIRS, 5):
+        reduced(column, stack, *pair)
+    return norms

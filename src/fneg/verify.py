@@ -17,6 +17,7 @@ import dataclasses
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import SamplingError
 from .fock import (
@@ -27,8 +28,10 @@ from .fock import (
     _check_count,
     _check_nonnegative,
     _embedded,
+    _gather_blocks,
     _graded_product,
     _hermitian_part,
+    _parity_block_index,
     _require_density_stack,
     _require_even_stack,
     _sign_vector,
@@ -52,13 +55,13 @@ from .states import (
 _GAP_GUARD = 5e-3
 _INSTANCE_BUDGET = 500
 
-#: Bytes of the matrices that one stack of a check holds: a chunk of
-#: ``conjecture_scan`` samples, each counted at its own d (128 at d = 8), whose
-#: temporaries take a few times these bytes.  A :func:`_bucketed` bucket holds
-#: four times these bytes of a LOCC trial's largest states (n + 2 modes: 8
-#: trials of n = 4, 32 of n = 3, 128 of n = 2) for its fixed cost: with one
-#: budget, the default ``verify locc`` ran 40-55 % longer.
-_STACK_BYTES = 1 << 17
+#: Bytes of the matrices that one stack of a check holds, each trial or sample
+#: counted at its own size: a :func:`_bucketed` bucket (8 LOCC trials of n = 4,
+#: 170 perturbation trials of n = 3) or a chunk of ``conjecture_scan`` samples
+#: (2048 at d = 4).  Their temporaries take a few times these bytes.  A quarter
+#: of this budget ran the default ``verify locc`` 40-55 % longer, and
+#: ``conjecture_scan(seed=7)`` 20 % longer (120 against 100 ms, median of 15).
+_STACK_BYTES = 1 << 19
 
 
 @dataclasses.dataclass
@@ -137,12 +140,12 @@ def _rewound(rng: np.random.Generator, replay):
 def _bucketed(drawn, budget: int, build) -> list[tuple[float, dict]]:
     """``(worst violation, diagnostics)`` of each trial that ``drawn`` yields, built in buckets.
 
-    ``drawn`` makes each trial's draws, a dict with its ``n`` and ``m_a``, with
-    every generator call of a per-call trial in order.  ``build(n, m_a, trials)``
-    scores the bucket of one ``(n, m_A)`` as soon as its trials, counted at
-    ``2**(2n + 8)`` bytes each (a LOCC trial's stacked states), fill four times
-    ``budget``, or at one trial if one overfills them, and the others when the
-    trials run out.  At ``budget`` 0 each trial is built as soon as it is drawn.
+    ``drawn`` makes each trial's draws, a dict with its ``n``, its ``m_a`` and
+    its ``bytes``, the bytes its bucket holds for it, with every generator call
+    of a per-call trial in order.  ``build(n, m_a, trials)`` scores the bucket
+    of one ``(n, m_A)`` as soon as its trials fill ``budget`` bytes, or at one
+    trial if one overfills them, and the others when the trials run out.  At
+    ``budget`` 0 each trial is built as soon as it is drawn.
     """
     scored, buckets = [], {}
 
@@ -155,7 +158,7 @@ def _bucketed(drawn, budget: int, build) -> list[tuple[float, dict]]:
         scored.append(None)
         key = (t["n"], t["m_a"])
         buckets.setdefault(key, []).append((k, t))
-        if len(buckets[key]) == max(1, budget >> (2 * t["n"] + 6)):
+        if len(buckets[key]) == max(1, budget // t["bytes"]):
             flush(key)
     for key in list(buckets):
         flush(key)
@@ -174,9 +177,27 @@ def _even_hermitians(normals: np.ndarray, num_modes: int) -> np.ndarray:
     return _hermitian_part(_block_gaussian(normals, _parity_mask(num_modes)))
 
 
+def _parity_eigh(herm: np.ndarray, num_modes: int) -> tuple[np.ndarray, np.ndarray]:
+    """``np.linalg.eigh`` of each parity-even Hermitian of a ``(..., d, d)`` stack, solved on its
+    two global-parity blocks and merged back in ascending eigenvalue order.
+
+    Each eigenvector is exactly zero off its sector, so every instrument built
+    from them has exactly zero off-parity blocks, and so has each state it acts
+    on: the norms of such states take the block path (:func:`fneg.fock._exact`).
+    """
+    evals, blocks = np.linalg.eigh(_gather_blocks(herm, num_modes))
+    rows, cols = _parity_block_index(num_modes)
+    vecs = np.zeros(herm.shape, dtype=complex)
+    vecs[..., rows, cols] = blocks  # each sector's eigenvectors in its own columns
+    values = np.empty(herm.shape[:-1])
+    values[..., cols[:, 0]] = evals
+    order = np.argsort(values, axis=-1)
+    return np.take_along_axis(values, order, -1), np.take_along_axis(vecs, order[..., None, :], -1)
+
+
 def _unitaries(normals: np.ndarray, num_modes: int) -> np.ndarray:
     """``exp(i H)`` for the Hermitian ``H`` of each member of :func:`_even_hermitians`."""
-    evals, vecs = np.linalg.eigh(_even_hermitians(normals, num_modes))
+    evals, vecs = _parity_eigh(_even_hermitians(normals, num_modes), num_modes)
     return (vecs * np.exp(1j * evals)[..., None, :]) @ vecs.conj().swapaxes(-1, -2)
 
 
@@ -212,10 +233,12 @@ _IDENTITIES = ("rho_xb_right", "rho_xb_left", "rho_xa_right", "rho_xa_left", "rh
 
 def _draw_identity_trial(rng: np.random.Generator, n: int) -> dict:
     """Every generator call of one identity trial in the per-call order: ``m_A``, then the
-    normals of rho, and of X and Y on A and then on B."""
+    normals of rho, and of X and Y on A and then on B.  Its bucket holds about 16 of its
+    n-mode matrices for it: rho, the eight embedded locals and the products of an input."""
     m_a = int(rng.integers(1, n))
-    return {"n": n, "m_a": m_a, **{name: rng.normal(size=(2, 1 << m, 1 << m)) for name, m in (
-        ("rho", n), ("x_a", m_a), ("y_a", m_a), ("x_b", n - m_a), ("y_b", n - m_a))}}
+    return {"n": n, "m_a": m_a, "bytes": 1 << (2 * n + 8), **{
+        name: rng.normal(size=(2, 1 << m, 1 << m)) for name, m in (
+            ("rho", n), ("x_a", m_a), ("y_a", m_a), ("x_b", n - m_a), ("y_b", n - m_a))}}
 
 
 def _identity_bucket(n: int, m_a: int, trials: Sequence[dict]) -> list[tuple[float, dict]]:
@@ -393,7 +416,8 @@ def _job_norms(jobs: list[_Jobs]) -> list[np.ndarray]:
 
 
 def _draw_locc_trial(rng: np.random.Generator) -> dict:
-    """Every generator call of one LOCC trial in the per-call order; none needs a built value."""
+    """Every generator call of one LOCC trial in the per-call order; none needs a built value.
+    Its bucket holds it at its largest states, the stacked ones of (e) on n + 2 modes."""
     n = int(rng.integers(2, 5))
     m_a = int(rng.integers(1, n))
     draw = {name: rng.normal(size=(2, 1 << m, 1 << m))
@@ -402,7 +426,7 @@ def _draw_locc_trial(rng: np.random.Generator) -> dict:
     draw["proj"] = [_draw_projector_set(rng, m) for m in (m_a, n - m_a)] if coin else None
     draw.update({name: rng.normal(size=(2, 1 << m, 1 << m))
                  for name, m in (("sigma", 1), ("u_ar", m_a + 1), ("other", 2))})
-    return {"n": n, "m_a": m_a, **draw}
+    return {"n": n, "m_a": m_a, "bytes": 1 << (2 * n + 8), **draw}
 
 
 def _gram(normals: np.ndarray, num_modes: int) -> np.ndarray:
@@ -415,7 +439,12 @@ def _build_locc_group(n: int, m_a: int,
     """Build the drawn trials of one ``(n, m_A)`` bucket as stacks.
 
     Each state, unitary and projector set is made from the stacked draws of
-    the bucket: one ``G G^+`` normalisation or ``eigh`` per kind.  Returns the
+    the bucket: one ``G G^+`` normalisation or ``eigh`` per kind.  The
+    unitaries and projectors are exactly zero between the parity sectors
+    (:func:`_parity_eigh`), and each state formed by a product is replaced by
+    its Hermitian part, which moves it by round-off: so every state has exact
+    blocks and residual 0.0, and each norm is ``|eigvalsh|`` of two half-size
+    blocks (:func:`fneg.measures._spectra`), not an SVD.  Returns the
     norm jobs of stages (a) to (e), in check order, ``rho``'s first, and the
     weights of the projective outcomes and of the ancilla branches, in the
     order of their jobs' states.  The validated evolved states come with the
@@ -445,18 +474,20 @@ def _build_locc_group(n: int, m_a: int,
     # (a) invariance under local parity-even unitaries
     u = (embedded(_unitaries(stack("u_a"), m_a), layout, spec_a.target_modes)
          @ embedded(_unitaries(stack("u_b"), n - m_a), layout, spec_b.target_modes))
-    rotated = u @ rho @ u.conj().swapaxes(-1, -2)
+    rotated = _hermitian_part(u @ rho @ u.conj().swapaxes(-1, -2))
     del u  # each stage's intermediates go once its states are built
 
     # (b) appending an unentangled ancilla to A
     _require_even_stack(layout, rho)
     big, appended = graded(one, _gram(stack("append"), 1))
+    appended = _hermitian_part(appended)  # the ancilla's diagonal carries imaginary round-off
 
     # (c) complete local projective measurements, by random projector sets or by parity
     drawn = [t["proj"] for t in trials if t["proj"]]
     sides = []  # each drawn trial's embedded projectors on A, then on B
     for side, spec in enumerate((spec_a, spec_b) if drawn else ()):
-        vecs = np.linalg.eigh(_even_hermitians(np.stack([p[side][0] for p in drawn]), len(spec)))[1]
+        vecs = _parity_eigh(_even_hermitians(np.stack([p[side][0] for p in drawn]), len(spec)),
+                            len(spec))[1]
         sets = [_projector_set(v, *p[side][1:]) for v, p in zip(vecs, drawn)]
         flat = iter(embedded(np.stack([p for s in sets for p in s]), layout, spec.target_modes))
         sides.append([[next(flat) for _ in s] for s in sets])
@@ -468,7 +499,7 @@ def _build_locc_group(n: int, m_a: int,
     paired = np.array([i for i, _, _ in pairs])
     ops = np.stack([ea for _, ea, _ in pairs]) @ np.stack([eb for _, _, eb in pairs])
     del sides, chosen, pairs
-    projected = ops @ rho[paired] @ ops
+    projected = _hermitian_part(ops @ rho[paired] @ ops)
     del ops
     weights = np.real(np.trace(projected, axis1=-2, axis2=-1))
     kept, outcomes = _nonempty(projected, weights)
@@ -478,7 +509,7 @@ def _build_locc_group(n: int, m_a: int,
     _, sigma = graded(one, _gram(stack("sigma"), 1))
     tilde_spec = big.spec("A")
     u_ar = embedded(_unitaries(stack("u_ar"), m_a + 1), big, tilde_spec.target_modes)
-    evolved = u_ar @ sigma @ u_ar.conj().swapaxes(-1, -2)
+    evolved = _hermitian_part(u_ar @ sigma @ u_ar.conj().swapaxes(-1, -2))
     del sigma, u_ar
     owners, branch_weights, reduced, checked = _measured_branches(
         evolved, big, tilde_spec.target_modes[-1])
@@ -680,8 +711,9 @@ def check_perturbation_expansion(
     if not -np.inf < ratio_bounds[0] <= ratio_bounds[1] < np.inf:  # NaN fails too
         raise ValueError(f"ratio_bounds must be finite with lo <= hi, got {ratio_bounds!r}")
     scored = _scored_trials(_rng(seed), lambda rng: (
-        {"n": 2 + t % 2, "m_a": 1, "instance": _perturbation_instance(rng, 1 + t % 2, epsilons[0])}
-        for t in range(trials)), lambda n, _, bucket: _perturbation_bucket(
+        {"n": n, "m_a": 1, "bytes": 16 * len(epsilons) * 4**n,  # its ε states
+         "instance": _perturbation_instance(rng, n - 1, epsilons[0])}
+        for n in (2 + t % 2 for t in range(trials))), lambda n, _, bucket: _perturbation_bucket(
             n, bucket, epsilons, ratio_bounds))
     diagnostics = [{"trial": t, **diag} for t, (_, diag) in enumerate(scored)]
     fail_fraction = sum(failed for failed, _ in scored) / trials
@@ -739,15 +771,21 @@ def _scan_stacked(rng, configs, start: int, stop: int):
     sizes = np.array([2 * layout.dim ** 2 for layout, _ in configs])[cycle]
     offsets = np.cumsum(sizes) - sizes
     draws = rng.normal(size=int(sizes.sum()))
+    normals = {}  # each config's members and draws, gathered before the chunk's draws go
+    for c, (layout, _) in enumerate(configs):
+        members, d = np.flatnonzero(cycle == c), layout.dim
+        if members.size:
+            windows = sliding_window_view(draws, 2 * d * d)
+            normals[c] = members, windows[offsets[members]].reshape(-1, 2, d, d)
+    del draws, windows
     mats = [None] * (stop - start)
     negs = np.empty(stop - start)
-    for c, (layout, _) in enumerate(configs):
-        members = np.flatnonzero(cycle == c)
-        if not members.size:
-            continue
-        n, d, spec = layout.num_modes, layout.dim, layout.spec("A")
-        g = draws[offsets[members, None] + np.arange(2 * d * d)].reshape(-1, 2, d, d)
+    for c in list(normals):
+        members, g = normals.pop(c)
+        layout, spec = configs[c][0], configs[c][0].spec("A")
+        n = layout.num_modes
         stack = _gram(g, n)
+        del g  # before the checks and the norms
         if not _visibly_type_ii(stack, n, spec.mask()).all():
             return None
         norms = _pt_norms(stack, n, spec)
@@ -776,11 +814,12 @@ def conjecture_scan(
     normalisation, type-II test, the checks of ``require_density_matrix``,
     transpose, spectrum) runs once per chunk on a stack of each config's
     samples.  The draws are the ones ``random_density`` makes per sample, in the
-    same order, so the report equals a per-sample scan byte for byte.  A chunk
-    that raises, or in which any sample would be resampled or fails a check, is
-    replayed through ``random_density`` and ``negativity`` (:func:`_replayed`).
-    A sample larger than :data:`_STACK_BYTES` (from seven modes) takes that
-    per-sample path at once.
+    same order, and each norm is the one ``negativity`` takes, so the report
+    equals a per-sample scan byte for byte at any budget.  A chunk that raises,
+    or in which any sample would be resampled or fails a check, is replayed
+    through ``random_density`` and ``negativity`` (:func:`_replayed`).  A sample
+    larger than :data:`_STACK_BYTES` (from eight modes) takes that per-sample
+    path at once.
     """
     _check_count("samples", samples)
     num_modes = _checked_modes(num_modes)

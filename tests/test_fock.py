@@ -7,7 +7,6 @@ import pytest
 from conftest import basis_vector, max_abs, random_even_operator, record_calls
 from fneg.errors import LayoutError, ParityError, StateValidationError
 from fneg.fock import (
-    _BLOCK_MIN_MODES,
     FLAG_TOL,
     FockOperator,
     ModeLayout,
@@ -294,7 +293,7 @@ class TestFockOperatorFlags:
         # a unit-trace state whose smallest eigenvalue sits at shift * tol; shift 0
         # makes it rank-deficient.  The shifted Cholesky proves lambda_min >= -tol/2,
         # so it decides alone at 0 and leaves -0.9 and -1.1 to the eigenvalue fallback.
-        # It factors the parity blocks from _BLOCK_MIN_MODES on, the whole matrix below.
+        # It factors the parity blocks at every N.
         rho = random_density(ModeLayout(n, ("A",) * n), 40 + n).matrix
         lam, target, d = np.linalg.eigvalsh(rho)[0], shift * FLAG_TOL, rho.shape[0]
         mat = rho + (target - lam) / (1 - d * target) * np.eye(d)
@@ -302,30 +301,29 @@ class TestFockOperatorFlags:
         assert abs(op.min_eigenvalue() - target) <= 1e-14
         log = record_calls(monkeypatch, "cholesky", "eigvalsh")
         assert op.is_density_matrix() is psd
-        shape = (2, d // 2, d // 2) if n >= _BLOCK_MIN_MODES else (d, d)
+        shape = (2, d // 2, d // 2)
         assert log == [("cholesky", shape)] + [("eigvalsh", shape)] * fallback
         assert op.is_density_matrix() is (op.min_eigenvalue() >= -FLAG_TOL)
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_exact_is_each_block_test_it_replaced(self, n):
-        # _exact_blocks, _density_verdicts and _pt_norms each tested N >= _BLOCK_MIN_MODES
-        # and a leak of exactly 0.0 themselves; a small operator's leak was never read
+        # _exact_blocks, _density_verdicts and _pt_norms each tested a leak of exactly
+        # 0.0 themselves; at every N, one member at a time
         lay = ModeLayout(n, ("A",) * n)
         state = random_density(lay, 60 + n).matrix
         leaky, broken = state.copy(), state.copy()
         leaky[0, 1] = leaky[1, 0] = 1e-300  # |0..0> is even, |10..0> odd
         broken[0, 0] = np.nan
-        blocked = n >= _BLOCK_MIN_MODES
         for members in ([state, state], [leaky], [broken], [state, leaky, broken, state]):
             stack = np.stack(members)
             leak = _parity_leak(stack, n, lay.dim - 1)
-            exact = _exact(leak, n)
-            assert np.broadcast_to(exact, leak.shape).tolist() == ((leak == 0.0) & blocked).tolist()
-            assert bool(np.all(exact)) is (blocked and bool((leak == 0.0).all()))
-            want = [blocked and float(x) == 0.0 for x in leak]
+            exact = _exact(leak)
+            assert exact.shape == leak.shape
+            assert exact.tolist() == (leak == 0.0).tolist()
+            assert bool(exact.all()) is bool((leak == 0.0).all())
+            want = [float(x) == 0.0 for x in leak]
+            assert want == [m is not leaky and m is not broken for m in members]
             assert [FockOperator(lay, m)._exact_blocks() for m in stack] == want
-        if not blocked:
-            assert _exact(lambda: pytest.fail("a small operator's leak was read"), n) is False
 
     @pytest.mark.parametrize("n", [2, 7])
     def test_infinite_diagonal_entry_fails_validation(self, n):

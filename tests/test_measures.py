@@ -177,8 +177,8 @@ class TestParityBlockSpectra:
     @pytest.mark.parametrize("n", range(1, 9))
     def test_block_path_matches_dense(self, n):
         for op in _parity_block_operators(n, seed=100 + n):
-            # small operators stay dense; from _BLOCK_MIN_MODES on the block path runs
-            assert op._exact_blocks() is (n >= _BLOCK_MIN_MODES)
+            # every N takes the block path
+            assert op._exact_blocks()
             dense = np.linalg.svd(op.matrix, compute_uv=False)
             assert np.abs(singular_values(op) - dense).max() <= 1e-12
             assert abs(trace_norm(op) - dense.sum()) <= 1e-12
@@ -203,9 +203,10 @@ class TestParityBlockSpectra:
         state = FockOperator(rho.layout, m)
         assert abs(state.min_eigenvalue() - want[1]) <= 1e-12
         assert abs(entropy(state) - want[2]) <= 1e-12
-        # one svd, eigvalsh for min_eigenvalue, entropy's PSD check as one Cholesky
-        # and its spectrum by eigvalsh, every one on the whole 64 x 64 matrix
-        assert log == [("svd", (64, 64)), ("eigvalsh", (64, 64)), ("cholesky", (64, 64)),
+        # one svd (on a stack of one, as every operator's spectrum), eigvalsh for
+        # min_eigenvalue, entropy's PSD check as one Cholesky and its spectrum by
+        # eigvalsh, every one on the whole 64 x 64 matrix
+        assert log == [("svd", (1, 64, 64)), ("eigvalsh", (64, 64)), ("cholesky", (64, 64)),
                        ("eigvalsh", (64, 64))]
 
     @pytest.mark.parametrize("pos", [(0, 0), (0, 1), (0, 3)])
@@ -236,13 +237,15 @@ def _anti_hermitian_part(n: int, rng) -> np.ndarray:
 
 
 class TestHermitianTwin:
-    """From _BLOCK_MIN_MODES, exactly Hermitian parity blocks take |eigvalsh| instead of the SVD.
+    """At every N, exactly Hermitian parity blocks take |eigvalsh| instead of the SVD.
 
-    ``negativity`` and ``singular_values`` solve blocks there through the stacked
-    kernel on a stack of one, so their solvers see the shapes of a one-member stack.
+    ``negativity`` and ``singular_values`` solve blocks through the stacked
+    kernel on a stack of one, so their solvers see the shapes of a one-member
+    stack: from _BLOCK_MIN_MODES through ``_pt_norms``, below it through
+    ``trace_norm`` of the twin.
     """
 
-    @pytest.mark.parametrize("n", range(5, 11))
+    @pytest.mark.parametrize("n", range(2, 11))
     def test_eigen_path_matches_dense_svd(self, monkeypatch, n):
         targets = {"leading": tuple(range(1, n // 2 + 1)),
                    "trailing": tuple(range(n // 2 + 1, n + 1)),
@@ -272,7 +275,7 @@ class TestHermitianTwin:
                 assert log == [("eigvalsh", (1, *half))]
                 log.clear()
 
-    @pytest.mark.parametrize("n", range(5, 9))
+    @pytest.mark.parametrize("n", range(2, 9))
     def test_random_pure_takes_the_eigen_path(self, monkeypatch, n):
         # np.outer alone rounds mirror entries apart, which would force the block SVD
         rho = random_pure(ModeLayout(n, ("A",) * n), "odd", 90 + n)
@@ -299,11 +302,12 @@ class TestHermitianTwin:
         lower = np.tril(twin) + np.tril(twin, -1).conj().T
         assert abs(np.abs(np.linalg.eigvalsh(lower)).sum() - dense.sum()) > 1e-12
 
+    @pytest.mark.parametrize("n", [2, 3, 4, _BLOCK_MIN_MODES])
     @pytest.mark.parametrize("pure", [False, True])
-    def test_majorana_oracle_at_first_block_size(self, monkeypatch, pure):
-        # every proper target at N = 5: the eigen path against the dense SVD of the
-        # Majorana-expansion transpose, which shares no code with _signed_gather
-        n = _BLOCK_MIN_MODES
+    def test_majorana_oracle_at_small_n(self, monkeypatch, pure, n):
+        # every proper target at N = 2..5, below and at the first memoised size: the eigen
+        # path against the dense SVD of the Majorana-expansion transpose, which shares no
+        # code with _signed_gather
         layout = ModeLayout(n, ("A",) * n)
         rho = random_pure(layout, "even", 5) if pure else random_density(layout, 5)
         specs = [SubsystemSpec(t) for m in range(1, n)
@@ -312,13 +316,11 @@ class TestHermitianTwin:
         log = record_calls(monkeypatch, "svd", "eigvalsh")
         for spec, norm in zip(specs, want):
             assert abs(negativity(rho, spec) - (norm - 1) / 2) <= 1e-12
-        assert log == [("eigvalsh", (1, 2, 16, 16))] * len(specs)
+        assert log == [("eigvalsh", (1, 2, 1 << (n - 1), 1 << (n - 1)))] * len(specs)
 
 
 def _scanned_blocks(matrix: np.ndarray, n: int):
     """The exact-block verdict read off a matrix itself: non-zero counts and a finiteness pass."""
-    if n < _BLOCK_MIN_MODES:
-        return None
     rows, cols = _parity_block_index(n)
     blocks = matrix[rows, cols]
     if np.count_nonzero(blocks) != np.count_nonzero(matrix) or not np.isfinite(blocks).all():
@@ -328,10 +330,10 @@ def _scanned_blocks(matrix: np.ndarray, n: int):
 
 def _scanned_twin(matrix: np.ndarray, n: int, spec: SubsystemSpec, flavor: str) -> np.ndarray:
     """The transpose a negativity solves: the fermionic Hermitian twin, or the bosonic transpose."""
-    with np.errstate(invalid="ignore"):  # inf times an exact zero part of a phase
+    with np.errstate(invalid="ignore"):  # inf times an exact zero part of a phase or sign
         t = _signed_gather(matrix, n, spec, flavor == "fermionic")
-    if flavor == "fermionic":
-        t *= _sign_vector(n, spec.mask())
+        if flavor == "fermionic":
+            t *= _sign_vector(n, spec.mask())
     return t
 
 
@@ -352,7 +354,8 @@ class TestResidualShortcut:
 
     Both transposes are signed permutations that keep p(row) + p(col), so the
     verdicts taken on rho equal those taken on the transpose, and so do the
-    solver and every bit of the norm.
+    solver and every bit of the norm.  Below _BLOCK_MIN_MODES each call's
+    ``trace_norm`` scans the twin itself, and reaches the same verdicts.
     """
 
     STATES = ("exact", "tiny_off_block", "nan_in_block", "inf_in_block", "nan_off_block",
@@ -372,7 +375,7 @@ class TestResidualShortcut:
             m += _anti_hermitian_part(n, np.random.default_rng(n))
         return FockOperator(rho.layout, m, copy=False)
 
-    @pytest.mark.parametrize("n", range(5, 9))
+    @pytest.mark.parametrize("n", range(2, 9))
     @pytest.mark.parametrize("kind", STATES)
     def test_verdicts_match_a_scan_of_the_transpose(self, monkeypatch, n, kind):
         rho = self._state(kind, n)
@@ -416,10 +419,11 @@ class TestNormMemo:
         report = bipartite_report(rho, spec, flavor)
         assert report["negativity"] == neg and report["log_negativity"] == logneg
         d = 1 << n
+        half = (1, 2, d // 2, d // 2)  # the twin's blocks, as a stack of one state
         if n >= _BLOCK_MIN_MODES:  # the stacked kernel on a stack of one state
-            assert log == [("_signed_gather", (1, d, d)), ("eigvalsh", (1, 2, d // 2, d // 2))]
-        else:  # no memo below the block path: each call transposes and solves
-            assert log == [("_signed_gather", (d, d)), ("svd", (d, d))] * 3
+            assert log == [("_signed_gather", (1, d, d)), ("eigvalsh", half)]
+        else:  # no memo below five modes: each call transposes and solves its blocks
+            assert log == [("_signed_gather", (d, d)), ("eigvalsh", half)] * 3
             assert rho._norms == {}
 
     def test_target_order_shares_an_entry_complement_and_flavor_do_not(self, monkeypatch):
@@ -810,6 +814,26 @@ class TestTripartiteMeasures:
             tracemalloc.stop()
         assert peak <= 2.25 * 16 * layout.dim ** 2
 
+    def test_repeat_report_is_served_from_the_memo(self, monkeypatch):
+        # From five modes the report keeps its eight norms in rho._norms: the one-vs-rest
+        # ones under negativity's keys, the five of reduced states also under the tolerance.
+        layout = ModeLayout.tripartite(3, 3, 2)
+        rho = random_density(layout, 3)
+        first = tripartite_report(rho)
+        fresh = tripartite_report(FockOperator(layout, rho.matrix))
+        log = record_calls(monkeypatch, "fneg.measures._pt_norms")
+        again = tripartite_report(rho)
+        assert log == []
+        assert again.entries == first.entries == fresh.entries  # bit for bit
+        assert [negativity(rho, layout.spec(lab)) for lab in "ABC"] == [
+            first[f"negativity_{lab}"] for lab in "ABC"]
+        assert log == [] and len(rho._norms) == 8
+        assert tripartite_report(rho, tol=1e-9).entries == first.entries
+        assert len(log) == 8 and len(rho._norms) == 13  # another tolerance: solved again
+        small = _tripartite_state("mixed_211")
+        tripartite_report(small)
+        assert small._norms == {}  # below five modes, as negativity
+
     def test_only_a_pure_report_diagonalizes(self, monkeypatch):
         mixed, pure = _tripartite_state("mixed_111"), _tripartite_state("pure_even")
         log = record_calls(monkeypatch, "eigh")
@@ -899,7 +923,7 @@ class TestStackedTripartite:
     @pytest.mark.parametrize("sizes", [(1, 1, 1), (2, 2, 2)])
     def test_each_member_equals_tripartite_report(self, sizes, flavor):
         rhos = _tripartite_stack(sizes, sum(sizes))
-        found = _tripartite_norms(np.stack([r.matrix for r in rhos]), rhos[0].layout, flavor)
+        found = _tripartite_reports(rhos, flavor)
         for rho, report in zip(rhos, found):
             want = tripartite_report(rho, flavor)
             assert report.entries == want.entries  # bit for bit, tangle of pure states included
@@ -912,7 +936,7 @@ class TestStackedTripartite:
         assert j_abc_details(empty, flavor=flavor).degenerate_sector
         assert not j_abc_details(full, flavor=flavor).degenerate_sector
         for rhos in ([empty, full], [empty, _empty_c_odd(7)]):
-            found = _tripartite_norms(np.stack([r.matrix for r in rhos]), rhos[0].layout, flavor)
+            found = _tripartite_reports(rhos, flavor)
             assert [r.entries for r in found] == [tripartite_report(r, flavor).entries
                                                   for r in rhos]
 
@@ -1062,6 +1086,35 @@ def _schmidt_trace_norm(vec: np.ndarray, n: int, targets) -> float:
     amplitudes = np.zeros((1 << len(targets), 1 << len(rest)), dtype=complex)
     amplitudes[row, col] = (-1.0) ** inversions * vec
     return float(np.linalg.svd(amplitudes, compute_uv=False).sum() ** 2)
+
+
+class TestDenseSvdOracle:
+    """Every norm against the dense SVD of the plain transpose, at N = 1..8.
+
+    The twin's column sign, the parity blocks and ``|eigvalsh|`` must leave the
+    singular values of ``rho^{T_A}`` as they are: mixed and rank-deficient pure
+    states, both flavors, leading and interleaved targets.
+    """
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_every_norm_matches_the_dense_svd(self, n):
+        layout = ModeLayout(n, ("A",) * n)
+        states = [random_density(layout, 500 + n), random_pure(layout, "even", 600 + n),
+                  random_pure(layout, "odd", 700 + n)]
+        cuts = [((1,), "bosonic")] if n == 1 else [  # N = 1 has no proper target
+            (target, flavor) for target in (tuple(range(1, n // 2 + 1)), tuple(range(1, n + 1, 2)))
+            for flavor in ("fermionic", "bosonic")]
+        for target, flavor in cuts:
+            spec = SubsystemSpec(target)
+            transpose = fermionic_pt if flavor == "fermionic" else bosonic_pt
+            stacked = _stacked_pt_norms(states, spec, flavor)
+            for rho, norm in zip(states, stacked):
+                t = transpose(rho, spec)
+                want = np.linalg.svd(t.matrix, compute_uv=False).sum()
+                per_call = _pt_norm(FockOperator(layout, rho.matrix), spec, flavor, FLAG_TOL)
+                for found in (per_call, norm, trace_norm(t)):
+                    assert abs(found - want) <= 1e-14 * want, (target, flavor, found, want)
+                assert norm == per_call  # bit for bit
 
 
 class TestPureStateOracle:

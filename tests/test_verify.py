@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import random_even_operator, record_calls
+from fneg import measures as measures_mod
 from fneg import states as states_mod
 from fneg.errors import ParityError, SamplingError, StateValidationError
 from fneg import verify as verify_mod
@@ -28,7 +29,9 @@ from fneg.verify import (
     _draw_projector_set,
     _even_hermitians,
     _fingerprint,
+    _hermitian_part,
     _measured_branches,
+    _parity_eigh,
     _parity_projectors,
     _perturbation_instance,
     _projector_set,
@@ -45,7 +48,7 @@ def _even_unitary(layout: ModeLayout, rng) -> FockOperator:
 def _even_projector_set(layout: ModeLayout, rng) -> list[FockOperator]:
     """One set of at most three local projectors as ``verify locc`` draws and builds it."""
     normals, n_groups, assignment = _draw_projector_set(rng, layout.num_modes)
-    _, vecs = np.linalg.eigh(_even_hermitians(normals, layout.num_modes))
+    _, vecs = _parity_eigh(_even_hermitians(normals, layout.num_modes), layout.num_modes)
     return [FockOperator(layout, p) for p in _projector_set(vecs, n_groups, assignment)]
 
 
@@ -57,11 +60,24 @@ def _parity_pair(layout: ModeLayout) -> list[FockOperator]:
 
 class TestHelpers:
     def test_unitary_is_unitary_and_even(self, rng):
-        # a stack of three, as the LOCC build draws them
+        # a stack of three, as the LOCC build draws them; exactly zero off the parity blocks
         lay = ModeLayout(2, ("A", "A"))
         for u in _unitaries(rng.normal(size=(3, 2, 4, 4)), 2):
             assert np.abs(u @ u.conj().T - np.eye(4)).max() <= 1e-12
-            assert FockOperator(lay, u).is_parity_even()
+            assert FockOperator(lay, u)._parity_leak() == 0.0
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    def test_parity_eigh_is_eigh_on_the_blocks(self, rng, m):
+        # ascending eigenvalues as eigh returns them, each eigenvector in one sector
+        herm = verify_mod._even_hermitians(rng.normal(size=(3, 2, 1 << m, 1 << m)), m)
+        evals, vecs = _parity_eigh(herm, m)
+        assert np.abs(evals - np.linalg.eigvalsh(herm)).max() <= 1e-12
+        assert (np.diff(evals, axis=-1) >= 0).all()
+        assert np.abs(herm @ vecs - vecs * evals[..., None, :]).max() <= 1e-12
+        assert np.abs(vecs.conj().swapaxes(-1, -2) @ vecs - np.eye(1 << m)).max() <= 1e-12
+        parity = verify_mod._sign_vector(m, (1 << m) - 1)
+        for column in vecs.swapaxes(-1, -2).reshape(-1, 1 << m):
+            assert len(set(parity[column != 0.0])) == 1
 
     def test_projector_set_complete_orthogonal(self, rng):
         lay = ModeLayout(2, ("A", "A"))
@@ -70,7 +86,7 @@ class TestHelpers:
         assert np.abs(total - np.eye(4)).max() <= 1e-12
         for i, p in enumerate(projs):
             assert np.abs(p.matrix @ p.matrix - p.matrix).max() <= 1e-12
-            assert p.is_parity_even()
+            assert p._parity_leak() == 0.0
             for q in projs[i + 1:]:
                 assert np.abs(p.matrix @ q.matrix).max() <= 1e-12
 
@@ -95,14 +111,14 @@ class TestHelpers:
         assert rep.to_dict()["diagnostics"] is rep.diagnostics
 
 
-#: SHA-256 of ``fneg --seed 7 verify locc`` as printed before each trial's norms were batched.
-_LOCC_SEED7_SHA256 = "d72b4c08d25779a035b42259ac17910b8505c50ec6b200fc79fb6e7d44ab268e"
-
-#: SHA-256 of ``fneg --seed <seed> verify locc`` as printed when each trial was built on its own.
+#: SHA-256 of ``fneg --seed <seed> verify locc`` as printed once its local unitaries and
+#: projectors were built on parity blocks, its product states were taken as their Hermitian
+#: parts, and every norm below five modes came from the Hermitian twin's blocks.  ``test_batched_report_equals_per_call_reference`` ties them to
+#: a trial-by-trial run with one ``negativity`` call per value.
 _LOCC_SHA256 = {
-    0: "c3861e677564f92c2d0d33150bd04aa36012e8bfc4758450b5142711e2847fdc",
-    7: _LOCC_SEED7_SHA256,
-    505: "92744ec25cf585d68ecab44f595c17c24421ad046e146f0a4198e5b3ac82edfe",
+    0: "f681b369bcf8d548af926f6662c40cf37bb1c3acca7f052cbc0e4781f8fa8340",
+    7: "eecf44d339eb8b38afed86c3948352074cd3c0683f0bc20ad5748dca7aca292d",
+    505: "64c13069178cb603c9b571fd8ab0a6df0a4d99150c72f66ab56300b12670db28",
 }
 
 #: SHA-256 of ``fneg --seed <seed> verify identities [--modes ...]`` as printed when every
@@ -115,7 +131,10 @@ _IDENTITY_SHA256 = {
 
 
 def _per_call_locc_trial(rng) -> dict:
-    """One LOCC trial's diagnostics with one ``negativity`` or ``log_negativity`` call per value."""
+    """One LOCC trial's diagnostics with one ``negativity`` or ``log_negativity`` call per value.
+
+    Each state formed by a product is replaced by its Hermitian part, as ``verify locc`` forms it.
+    """
     n = int(rng.integers(2, 5))
     m_a = int(rng.integers(1, n))
     layout = ModeLayout.bipartite(m_a, n - m_a)
@@ -127,9 +146,10 @@ def _per_call_locc_trial(rng) -> dict:
     viol = {}
     u = embed_local(_even_unitary(sub_a, rng), layout, spec_a.target_modes).matrix
     u = u @ embed_local(_even_unitary(sub_b, rng), layout, modes_b).matrix
-    rotated = FockOperator(layout, u @ rho.matrix @ u.conj().T)
+    rotated = FockOperator(layout, _hermitian_part(u @ rho.matrix @ u.conj().T))
     viol["local_unitary"] = abs(negativity(rotated, spec_a) - base_neg)
     appended = graded_tensor(rho, random_density(ModeLayout(1, ("A",)), rng))
+    appended = FockOperator(appended.layout, _hermitian_part(appended.matrix))
     viol["ancilla_append"] = abs(negativity(appended, appended.layout.spec("A")) - base_neg)
     if rng.integers(0, 2):
         proj_a, proj_b = _even_projector_set(sub_a, rng), _even_projector_set(sub_b, rng)
@@ -140,7 +160,7 @@ def _per_call_locc_trial(rng) -> dict:
         for pb in proj_b:
             op = (embed_local(pa, layout, spec_a.target_modes).matrix
                   @ embed_local(pb, layout, modes_b).matrix)
-            projected = op @ rho.matrix @ op
+            projected = _hermitian_part(op @ rho.matrix @ op)
             weight = float(np.real(np.trace(projected)))
             if weight > FLAG_TOL:
                 avg += weight * negativity(FockOperator(layout, projected / weight), spec_a)
@@ -150,7 +170,7 @@ def _per_call_locc_trial(rng) -> dict:
     r_mode = tilde_spec.target_modes[-1]
     u_ar = embed_local(_even_unitary(ModeLayout(m_a + 1, ("A",) * (m_a + 1)), rng), big,
                        tilde_spec.target_modes).matrix
-    evolved = FockOperator(big, u_ar @ sigma.matrix @ u_ar.conj().T)
+    evolved = FockOperator(big, _hermitian_part(u_ar @ sigma.matrix @ u_ar.conj().T))
     viol["unilocal_unitary"] = abs(negativity(evolved, tilde_spec) - base_neg)
     keep = SubsystemSpec(tuple(m for m in range(1, big.num_modes + 1) if m != r_mode))
     branches = []
@@ -214,12 +234,13 @@ def _odd_member(matrix: np.ndarray) -> np.ndarray:
 
 def _flushes(groups) -> list[tuple[int, list[int]]]:
     """``(n, trials)`` of each bucket ``verify locc`` or ``verify identities`` builds, in
-    build order, for the ``(n, m_A)`` of each trial: a bucket is built once it holds
-    ``max(1, _STACK_BYTES >> (2n + 6))`` trials, the rest when the trials run out."""
+    build order, for the ``(n, m_A)`` of each trial: each trial is counted at ``2**(2n + 8)``
+    bytes, so a bucket is built once it holds ``max(1, _STACK_BYTES // 2**(2n + 8))``
+    trials, the rest when the trials run out."""
     open_buckets, built = {}, []
     for k, (n, m_a) in enumerate(groups):
         open_buckets.setdefault((n, m_a), []).append(k)
-        if len(open_buckets[n, m_a]) == max(1, verify_mod._STACK_BYTES >> (2 * n + 6)):
+        if len(open_buckets[n, m_a]) == max(1, verify_mod._STACK_BYTES // (1 << (2 * n + 8))):
             built.append((n, open_buckets.pop((n, m_a))))
     return built + [(n, ks) for (n, _), ks in open_buckets.items()]
 
@@ -617,6 +638,24 @@ class TestLoccMonotonicity:
         assert len(kernel) < 5 * len(_flushes([(d["n"], d["m_a"]) for d in report.diagnostics]))
         assert max(members for _, members in kernel) > 10  # members of several trials
 
+    def test_every_state_takes_the_block_path(self, monkeypatch):
+        # The local unitaries and projector sets are built on parity blocks, and each
+        # product state is taken as its Hermitian part, so every state of every stage
+        # has exactly zero off-parity blocks and residual 0.0: every norm is |eigvalsh|
+        # of the twin's blocks.  With eigh of whole matrices each stack had members with
+        # a round-off leak, which took the dense SVD, and most products took the block SVD.
+        real, verdicts = measures_mod._spectra, []
+
+        def spectra(t, n, marked, herm):
+            verdicts.append((np.asarray(marked).tolist(), (np.asarray(herm) == 0.0).tolist()))
+            return real(t, n, marked, herm)
+
+        monkeypatch.setattr(measures_mod, "_spectra", spectra)
+        log = record_calls(monkeypatch, "svd")
+        check_locc_monotonicity(seed=7, trials=65)
+        assert len(verdicts) > 10 and all(all(e) and all(h) for e, h in verdicts)
+        assert log == []
+
     def test_default_run_builds_few_buckets(self, monkeypatch):
         # Each bucket pays a fixed set of kernel calls: at seed 7 the default run built 43
         # buckets of at most 2, 8 and 32 trials (n = 4, 3, 2), and builds 12 of 8, 32 and 128.
@@ -762,27 +801,35 @@ class TestPerturbationExpansion:
 
     @pytest.mark.parametrize("seed", [0, 7, 11])
     def test_residuals_equal_per_call_norms(self, seed):
-        # each epsilon's norm is the one trace_norm(fermionic_pt(...)) takes, bit for bit
+        # each epsilon's norm is the one negativity's per-call path takes, bit for bit:
+        # trace_norm of the Hermitian twin, fermionic_pt(...) times its column sign
         epsilons = (1e-2, 5e-3, 2.5e-3)
         rng = states_mod._rng(seed)
         report = check_perturbation_expansion(seed=seed)
+
+        def twin_norm(state: FockOperator) -> float:
+            t = fermionic_pt(state, SubsystemSpec((1,))).matrix
+            sign = verify_mod._sign_vector(state.layout.num_modes, 1)
+            return trace_norm(FockOperator(state.layout, t * sign))
+
         for t, diag in enumerate(report.diagnostics):
             w, rho0, rho1, delta = _perturbation_instance(rng, 1 + t % 2, max(epsilons))
             predicted = trace_norm_prediction(w, rho0, rho1, delta, epsilons)
-            residuals = [abs(trace_norm(fermionic_pt(perturbed_state(w, rho0, rho1, delta, eps),
-                                                     SubsystemSpec((1,)))) - prediction)
+            residuals = [abs(twin_norm(perturbed_state(w, rho0, rho1, delta, eps)) - prediction)
                          for eps, prediction in zip(epsilons, predicted)]
             assert diag["residuals"] == residuals
             assert diag["ratios"] == [residuals[0] / residuals[1], residuals[1] / residuals[2]]
 
     @pytest.mark.parametrize("trials,stacks", [
         (50, [(75, 4, 4), (75, 8, 8)]),
-        (100, [(96, 8, 8), (150, 4, 4), (54, 8, 8)]),
+        (350, [(510, 8, 8), (525, 4, 4), (15, 8, 8)]),
     ])
     def test_one_kernel_call_per_bucket(self, monkeypatch, trials, stacks):
         # Trial t is one of (n, m_A) = (2 + t % 2, 1), and each bucket's trials solve their
-        # three epsilon states in one stack: a bucket of n = 3 fills at 32 trials (its 96
-        # states), the others are built when the trials run out.  One call a trial before.
+        # three epsilon states in one stack.  Each trial is counted at its three states'
+        # 48 * 4**n bytes, so a bucket of n = 3 fills at 170 trials (its 510 states) and
+        # one of n = 2 at 682; the others are built when the trials run out.  Counted at a
+        # LOCC trial's bytes, n = 3 filled at 32 trials; one call a trial before that.
         log = record_calls(monkeypatch, "fneg.measures._pt_norms", "fneg.measures._pt_norm")
         check_perturbation_expansion(seed=7, trials=trials)
         assert log == [("_pt_norms", shape) for shape in stacks]
@@ -852,7 +899,9 @@ class TestPerturbationExpansion:
         assert rho.is_density_matrix()
 
 
-#: ``fneg --seed 7 verify conjecture`` as printed before the scan ran in chunks.
+#: ``fneg --seed 7 verify conjecture`` as printed once every norm below five modes was taken
+#: from the parity blocks of the Hermitian twin.  The minimum moved by 1.1e-16 from the value
+#: printed before the scan ran in chunks (0.0011608826338441736, the dense SVD).
 _CONJECTURE_SEED7 = """{
   "check_name": "conjecture_type_II",
   "trials": 10000,
@@ -861,7 +910,7 @@ _CONJECTURE_SEED7 = """{
   "passed": true,
   "diagnostics": [
     {
-      "min_negativity": 0.0011608826338441736,
+      "min_negativity": 0.0011608826338440625,
       "minimum_at": {
         "trial": 156,
         "n": 2,
@@ -873,6 +922,12 @@ _CONJECTURE_SEED7 = """{
   ]
 }
 """
+
+
+#: The traced peak of a warm ``conjecture_scan(seed=7)`` at chunks of 512 KB, 1.96 MB,
+#: rounded up to the next 64 KB (0.70 MB at chunks of 128 KB; 2.48 MB while a chunk's draws
+#: were kept through its Gram stage).
+_CONJECTURE_PEAK_BYTES = 30 << 16
 
 
 def _per_sample_scan(seed, samples, num_modes, threshold=1e-10) -> dict:
@@ -909,24 +964,47 @@ class TestConjectureScan:
         assert capsys.readouterr().out == _CONJECTURE_SEED7
 
     @pytest.mark.parametrize("seed", [0, 3, 909])
-    @pytest.mark.parametrize("num_modes,samples", [((2, 3), 300), ((2, 3, 4, 5), 120)])
+    @pytest.mark.parametrize("num_modes,samples", [((2, 3), 700), ((2, 3, 4, 5), 120)])
     def test_chunks_equal_per_sample_scan(self, monkeypatch, seed, num_modes, samples):
-        # threshold 1.0 dumps every sample, so every matrix and negativity is compared
+        # threshold 1.0 dumps every sample, so every matrix and negativity is compared;
+        # each sample count spans two chunks (682 samples of (2, 3), 65 of (2, 3, 4, 5))
         calls = _count_replays(monkeypatch)
+        chunks = record_calls(monkeypatch, "fneg.verify._scan_stacked")
         report = conjecture_scan(seed=seed, samples=samples, num_modes=num_modes, threshold=1.0)
         want = _per_sample_scan(seed, samples, num_modes, threshold=1.0)
         assert len(want["counterexamples"]) == samples
         assert report.diagnostics[0] == want
+        assert len(chunks) == 2
         # five-mode samples are stacked too: no sample goes through random_density
         assert calls == []
 
     @pytest.mark.parametrize("seed", [0, 3, 909])
     def test_minimum_matches_per_sample_scan(self, seed):
-        report = conjecture_scan(seed=seed, samples=400, num_modes=(2, 3))
-        assert report.diagnostics[0] == _per_sample_scan(seed, 400, (2, 3))
+        report = conjecture_scan(seed=seed, samples=700, num_modes=(2, 3))
+        assert report.diagnostics[0] == _per_sample_scan(seed, 700, (2, 3))
+
+    # no stack; chunks of 2, 170 and 682 samples; one chunk
+    @pytest.mark.parametrize("budget", [0, 1 << 11, 1 << 17, 1 << 30])
+    def test_report_bytes_do_not_depend_on_the_chunk_budget(self, monkeypatch, budget):
+        want = json.dumps(conjecture_scan(seed=7, samples=700).to_dict(), indent=2)
+        monkeypatch.setattr(verify_mod, "_STACK_BYTES", budget)
+        assert json.dumps(conjecture_scan(seed=7, samples=700).to_dict(), indent=2) == want
+
+    def test_peak_memory_stays_bounded(self):
+        # A larger chunk budget has to show its memory here (_CONJECTURE_PEAK_BYTES).
+        conjecture_scan(seed=7)  # the cached gather plans and sign tables
+        tracemalloc.start()
+        try:
+            conjecture_scan(seed=7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= _CONJECTURE_PEAK_BYTES
 
     def test_forced_resample_replays_the_chunk(self, monkeypatch):
-        # A few draws in a thousand now fail the type-II test, so some chunks replay.
+        # A few draws in a thousand now fail the type-II test, so some chunks of about
+        # 170 samples replay, and others do not.
+        monkeypatch.setattr(verify_mod, "_STACK_BYTES", 1 << 17)
         monkeypatch.setattr(states_mod, "TYPE_II_THRESHOLD", 0.09)
         calls = _count_replays(monkeypatch)
         report = conjecture_scan(seed=5, samples=600, num_modes=(2, 3), threshold=1.0)
@@ -936,7 +1014,8 @@ class TestConjectureScan:
     def test_stacked_error_replays_the_chunk(self, monkeypatch):
         # The first chunk's stacked run draws, then raises; its samples are replayed
         # from the saved generator state one random_density at a time.  The parent
-        # let the error through.
+        # let the error through.  Chunks of about 170 samples, so the others stack.
+        monkeypatch.setattr(verify_mod, "_STACK_BYTES", 1 << 17)
         want = conjecture_scan(seed=5, samples=300, num_modes=(2, 3), threshold=1.0).to_dict()
         real, raised = verify_mod._scan_stacked, []
 
