@@ -771,21 +771,20 @@ def _scan_stacked(rng, configs, start: int, stop: int):
     sizes = np.array([2 * layout.dim ** 2 for layout, _ in configs])[cycle]
     offsets = np.cumsum(sizes) - sizes
     draws = rng.normal(size=int(sizes.sum()))
-    normals = {}  # each config's members and draws, gathered before the chunk's draws go
+    normals = {}  # each config's members and rows of draws, copied out before the draws go
     for c, (layout, _) in enumerate(configs):
-        members, d = np.flatnonzero(cycle == c), layout.dim
+        members = np.flatnonzero(cycle == c)
         if members.size:
-            windows = sliding_window_view(draws, 2 * d * d)
-            normals[c] = members, windows[offsets[members]].reshape(-1, 2, d, d)
-    del draws, windows
+            normals[c] = members, sliding_window_view(draws, 2 * layout.dim ** 2)[offsets[members]]
+    del draws
     mats = [None] * (stop - start)
     negs = np.empty(stop - start)
     for c in list(normals):
-        members, g = normals.pop(c)
-        layout, spec = configs[c][0], configs[c][0].spec("A")
-        n = layout.num_modes
-        stack = _gram(g, n)
-        del g  # before the checks and the norms
+        members, rows = normals.pop(c)
+        layout = configs[c][0]
+        n, d, spec = layout.num_modes, layout.dim, layout.spec("A")
+        stack = _gram(rows.reshape(-1, 2, d, d), n)
+        del rows  # before the checks and the norms
         if not _visibly_type_ii(stack, n, spec.mask()).all():
             return None
         norms = _pt_norms(stack, n, spec)

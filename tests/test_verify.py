@@ -69,7 +69,7 @@ class TestHelpers:
     @pytest.mark.parametrize("m", [1, 2, 3, 4])
     def test_parity_eigh_is_eigh_on_the_blocks(self, rng, m):
         # ascending eigenvalues as eigh returns them, each eigenvector in one sector
-        herm = verify_mod._even_hermitians(rng.normal(size=(3, 2, 1 << m, 1 << m)), m)
+        herm = _even_hermitians(rng.normal(size=(3, 2, 1 << m, 1 << m)), m)
         evals, vecs = _parity_eigh(herm, m)
         assert np.abs(evals - np.linalg.eigvalsh(herm)).max() <= 1e-12
         assert (np.diff(evals, axis=-1) >= 0).all()
@@ -113,8 +113,9 @@ class TestHelpers:
 
 #: SHA-256 of ``fneg --seed <seed> verify locc`` as printed once its local unitaries and
 #: projectors were built on parity blocks, its product states were taken as their Hermitian
-#: parts, and every norm below five modes came from the Hermitian twin's blocks.  ``test_batched_report_equals_per_call_reference`` ties them to
-#: a trial-by-trial run with one ``negativity`` call per value.
+#: parts, and every norm below five modes came from the Hermitian twin's blocks.
+#: ``test_batched_report_equals_per_call_reference`` ties them to a trial-by-trial run with
+#: one ``negativity`` call per value.
 _LOCC_SHA256 = {
     0: "f681b369bcf8d548af926f6662c40cf37bb1c3acca7f052cbc0e4781f8fa8340",
     7: "eecf44d339eb8b38afed86c3948352074cd3c0683f0bc20ad5748dca7aca292d",
